@@ -16,11 +16,14 @@ transparent migration.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from typing import Any, ClassVar, Optional
 
 from .ids import ActorId, ActorRef
 
-__all__ = ["Actor", "DEFAULT_COMPUTE", "DEFAULT_RESUME_COMPUTE", "idempotent"]
+__all__ = ["Actor", "DEFAULT_COMPUTE", "DEFAULT_RESUME_COMPUTE", "idempotent",
+           "is_generator_method"]
 
 DEFAULT_COMPUTE = 50e-6          # 50 µs of application logic per invocation
 DEFAULT_RESUME_COMPUTE = 5e-6    # 5 µs to resume a suspended turn
@@ -39,6 +42,14 @@ def idempotent(method):
     """
     method.__repro_idempotent__ = True
     return method
+
+
+@functools.cache
+def is_generator_method(cls: type, name: str) -> bool:
+    """Whether ``cls.name`` is written as a generator (a turn that may
+    yield).  Both engines ask at the start of every turn, so the answer
+    is kept per (actor class, method name)."""
+    return inspect.isgeneratorfunction(getattr(cls, name))
 
 
 class Actor:

@@ -8,6 +8,14 @@ Three kinds flow through the cluster (Fig. 1/Fig. 2 of the paper):
 
 A message's ``size`` drives serialization cost on the remote path; its
 trace timestamps feed the latency recorders.
+
+On the real runtime a message that crosses silos is pickled.  Its wire
+form (:meth:`Message.__reduce__`) is a module-level decoder plus one flat
+tuple of primitives — ``kind`` as its int, ``target``/``sender`` as
+``(actor_type, key)`` pairs re-interned on decode, every other field
+verbatim — so ``pickle`` never walks the dataclass, the ``Enum`` or the
+ids.  TCP frames, the ``inproc-copy`` transport and ``copy.deepcopy`` all
+go through it.
 """
 
 from __future__ import annotations
@@ -94,3 +102,24 @@ class Message:
             client_tag=self.client_tag,
             trace=self.trace,
         )
+
+    def __reduce__(self):
+        target, sender = self.target, self.sender
+        return (_decode, (
+            self.kind._value_,
+            None if target is None else (target.actor_type, target.key),
+            self.method, self.args, self.size, self.call_id,
+            None if sender is None else (sender.actor_type, sender.key),
+            self.reply_to_server, self.result, self.created_at,
+            self.client_tag, self.response_size, self.trace))
+
+
+_KINDS = {kind._value_: kind for kind in MessageKind}
+
+
+def _decode(kind, target, method, args, size, call_id, sender, *rest) -> Message:
+    """Rebuild a :class:`Message` from its wire tuple (field order)."""
+    return Message(
+        _KINDS[kind], None if target is None else ActorId(*target),
+        method, args, size, call_id,
+        None if sender is None else ActorId(*sender), *rest)

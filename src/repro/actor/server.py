@@ -23,7 +23,6 @@ re-places the actor — usually on the hinted server.
 
 from __future__ import annotations
 
-import inspect
 from typing import Any, Optional
 
 from ..obs.events import (
@@ -36,6 +35,7 @@ from ..obs.events import (
 from ..seda.server import StagedServer
 from ..seda.stage import Stage, StageEvent
 from .activation import Activation, WorkItem, WorkKind
+from .actor import is_generator_method
 from .calls import All, Call, Sleep, Tell
 from .commtable import CommTable
 from .directory import LocationCache
@@ -331,7 +331,7 @@ class Silo:
 
     def _start_turn(self, activation: Activation, message: Message) -> None:
         method = getattr(activation.instance, message.method)
-        if inspect.isgeneratorfunction(method):
+        if is_generator_method(type(activation.instance), message.method):
             generator = method(*message.args)
             self._advance_turn(activation, generator, None, message)
         else:

@@ -13,8 +13,8 @@ worker-stage turn segment   a coroutine driving the actor generator
 ``yield Call(...)``         ``await`` on a pending-response future
 ``yield All([...])``        concurrent awaits joined in call order
 ``yield Sleep(d)``          ``await asyncio.sleep(d)``
-modeled network transit     TCP frames (length-prefixed pickle) or an
-                            in-process hop (``loop.call_soon``)
+modeled network transit     TCP frames (below) or an in-process hop
+                            (``loop.call_soon``)
 modeled serialization cost  actual ``pickle`` bytes on the TCP path
 silo crash (model flag)     cancel the silo's tasks, close its sockets
 ==========================  =============================================
@@ -27,6 +27,19 @@ so a "remote" call pays genuine serialize → socket → deserialize.
 round-trips every cross-silo message — TCP's copy semantics without the
 sockets, so the XB portability crosscheck can prove reference-sharing
 and copy delivery produce identical logical results.
+
+The TCP wire form: a frame is a ``>I`` byte length followed by the
+``pickle`` of a *list* of messages, and a ``Message`` pickles compactly
+(a flat tuple of primitives, see :mod:`repro.actor.messages`).  Each
+(silo, destination) pair has one :class:`_PeerLink` — one outbox, one
+connection, at most one connect in flight — so messages between a pair
+of silos are delivered in send order (per-pair FIFO; a link that dies
+loses what it had queued).  Flow control: one ``call_soon`` flush per
+loop iteration writes the whole outbox as one frame; when the transport
+calls ``pause_writing`` messages stay in the outbox until
+``resume_writing``.  The receiving side parses complete frames out of
+``data_received`` and hands each message to ``silo.receive`` — no task
+per send, no coroutine per frame.
 
 The public surface deliberately mirrors the slice of
 :class:`~repro.actor.runtime.ActorRuntime` that workloads and pools
@@ -44,12 +57,11 @@ run-aborting bugs.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import pickle
 import struct
 from typing import Any, Callable, Hashable, Optional
 
-from ..actor.actor import Actor
+from ..actor.actor import Actor, is_generator_method
 from ..actor.calls import All, Call, Sleep, Tell
 from ..analysis.sanitizer import current as _sanitizer_current
 from ..actor.directory import Directory
@@ -180,6 +192,106 @@ class _ServerShim:
         self.cpu = _CpuShim(silo)
 
 
+def _parse_frames(buffer: bytes) -> tuple[list[list[Message]], bytes]:
+    """Decode every complete frame at the head of ``buffer``; return the
+    batches in order and the partial tail still to be completed."""
+    batches = []
+    start, end = 0, len(buffer)
+    while end - start >= _FRAME_HEADER.size:
+        (length,) = _FRAME_HEADER.unpack_from(buffer, start)
+        stop = start + _FRAME_HEADER.size + length
+        if stop > end:
+            break
+        batches.append(pickle.loads(buffer[start + _FRAME_HEADER.size:stop]))
+        start = stop
+    return batches, buffer[start:]
+
+
+class _PeerLink(asyncio.Protocol):
+    """One end of one silo-to-silo TCP connection (they are one-way).
+
+    Outbound (``destination`` set): ``send`` appends to ``outbox`` and a
+    single ``call_soon`` flush per loop iteration writes everything
+    queued as one frame, so messages to one peer leave in send order on
+    one connection — the per-pair FIFO guarantee.  While the connect is
+    in flight or the transport has paused writing, messages wait in the
+    outbox; ``connection_made``/``resume_writing`` flush them.  Inbound
+    (accepted by ``silo``'s server): ``data_received`` hands every
+    message of every complete frame straight to ``silo.receive``.
+    """
+
+    def __init__(self, silo: "AsyncioSilo", destination: Optional[int] = None,
+                 port: Optional[int] = None):
+        self.silo = silo
+        self.loop = silo.backend._loop
+        self.destination = destination
+        self.port = port
+        self.transport: Optional[asyncio.Transport] = None
+        self.connect_task: Optional[asyncio.Task] = None
+        self.outbox: list[Message] = []
+        self.writable = False     # connected and not paused by flow control
+        self.buffer = b""
+
+    async def connect(self) -> None:
+        try:
+            await self.loop.create_connection(
+                lambda: self, "127.0.0.1", self.port)
+        except OSError:
+            self.connection_lost(None)  # refused: same as a link that died
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        if self.destination is None:
+            self.silo.inbound.add(self)
+        else:
+            self.resume_writing()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # The peer crashed (or we closed): what is queued is lost, and
+        # the next send to this destination opens a fresh link.
+        self.writable = False
+        self.outbox.clear()
+        if self.destination is None:
+            self.silo.inbound.discard(self)
+        elif self.silo.peers.get(self.destination) is self:
+            del self.silo.peers[self.destination]
+
+    def pause_writing(self) -> None:
+        self.writable = False
+
+    def resume_writing(self) -> None:
+        self.writable = True
+        self.flush()
+
+    def send(self, message: Message) -> None:
+        # Invariant: a non-empty outbox on a writable link has a flush
+        # scheduled; an unwritable one is flushed by resume_writing.
+        if self.writable and not self.outbox:
+            self.loop.call_soon(self.flush)
+        self.outbox.append(message)
+
+    def flush(self) -> None:
+        if not (self.writable and self.outbox):
+            return
+        batch, self.outbox = self.outbox, []
+        payload = self.silo.backend._encode_batch(batch)
+        self.transport.write(_FRAME_HEADER.pack(len(payload)) + payload)
+
+    def data_received(self, data: bytes) -> None:
+        batches, self.buffer = _parse_frames(self.buffer + data)
+        receive = self.silo.receive
+        for batch in batches:
+            for message in batch:
+                receive(message)
+
+    def close(self) -> None:
+        self.connection_lost(None)  # drop and deregister now, not a tick later
+        if self.connect_task is not None:
+            self.connect_task.cancel()
+        if self.transport is not None:
+            self.transport.abort()
+
+
 class AsyncioSilo:
     """One silo: a group of activation tasks, plus an optional TCP port.
 
@@ -197,8 +309,10 @@ class AsyncioSilo:
         self.activations: dict[ActorId, AsyncioActivation] = {}
         # call_id -> future for calls *issued from* this silo's actors.
         self.pending: dict[int, asyncio.Future] = {}
-        # destination silo -> (port, writer): cached outbound connections.
-        self.peers: dict[int, tuple[int, asyncio.StreamWriter]] = {}
+        # destination silo -> outbound link (its outbox + connection);
+        # and the links this silo's server accepted.
+        self.peers: dict[int, _PeerLink] = {}
+        self.inbound: set[_PeerLink] = set()
         self.tcp_server: Optional[asyncio.AbstractServer] = None
         self.open_turns = 0
         self.msgs_local = 0
@@ -215,7 +329,8 @@ class AsyncioSilo:
     @property
     def idle(self) -> bool:
         return (self.open_turns == 0 and not self.pending
-                and all(a.mailbox.empty() for a in self.activations.values()))
+                and all(a.mailbox.empty() for a in self.activations.values())
+                and not any(link.outbox for link in self.peers.values()))
 
     # ------------------------------------------------------------------
     # Routing (issue path: counts local/remote like the sim's
@@ -373,9 +488,8 @@ class AsyncioSilo:
         self.backend._reopen_transport(self)
 
     def _close_transport(self) -> None:
-        for _, writer in self.peers.values():
-            writer.close()
-        self.peers.clear()
+        for link in (*self.peers.values(), *self.inbound):
+            link.close()
         if self.tcp_server is not None:
             self.tcp_server.close()
             self.tcp_server = None
@@ -450,6 +564,8 @@ class AsyncioBackend(Backend):
         self.requests_timed_out = 0
         self.late_responses = 0
         self.pickle_copy_failures = 0
+        self.tcp_frames = 0           # frames written / messages in them:
+        self.tcp_frame_messages = 0   # their ratio is the mean batch size
         self.failovers = 0
         self.migrations_total = 0
         self.actor_crashes = 0
@@ -736,7 +852,8 @@ class AsyncioBackend(Backend):
                     f"{message.method!r}")
             else:
                 try:
-                    if inspect.isgeneratorfunction(method):
+                    if is_generator_method(type(activation.instance),
+                                           message.method):
                         result = await self._drive(
                             silo, activation, method(*message.args))
                     else:
@@ -942,9 +1059,7 @@ class AsyncioBackend(Backend):
                         message: Message) -> None:
         dest = self.silos[destination]
         if self.transport == "tcp":
-            self._loop.create_task(
-                self._tcp_send(silo, destination, message),
-                name=f"send:{silo.server_id}->{destination}")
+            self._tcp_enqueue(silo, destination, message)
             return
         if self.transport == "inproc-copy":
             copied = self._copy_message(message)
@@ -967,69 +1082,36 @@ class AsyncioBackend(Backend):
             self.pickle_copy_failures += 1
             return None
 
-    async def _tcp_send(self, silo: AsyncioSilo, destination: int,
-                        message: Message) -> None:
-        if silo.dead:
-            return
-        try:
-            payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:  # noqa: BLE001 — pickle raises many types
-            # Unserializable payload: the message can never cross the
-            # wire.  Count it and drop (the caller's timeout fires);
-            # propagating here would only kill an unawaited task.
-            self.pickle_copy_failures += 1
-            return
-        try:
-            writer = await self._peer_writer(silo, destination)
-            if writer is None:
-                return  # destination is down: dropped, like the sim
-            writer.write(_FRAME_HEADER.pack(len(payload)) + payload)
-            await writer.drain()
-        except (ConnectionError, OSError):
-            # Connection died (peer crashed mid-send): message is lost;
-            # invalidate the cached writer so the next send reconnects.
-            silo.peers.pop(destination, None)
-
-    async def _peer_writer(self, silo: AsyncioSilo,
-                           destination: int) -> Optional[asyncio.StreamWriter]:
+    def _tcp_enqueue(self, silo: AsyncioSilo, destination: int,
+                     message: Message) -> None:
         port = self._ports.get(destination)
         if port is None:
-            return None
-        cached = silo.peers.get(destination)
-        if cached is not None:
-            cached_port, writer = cached
-            if cached_port == port and not writer.is_closing():
-                return writer
-            writer.close()
-            silo.peers.pop(destination, None)
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        silo.peers[destination] = (port, writer)
-        return writer
+            return  # destination is down: dropped, like the sim
+        link = silo.peers.get(destination)
+        if link is None or link.port != port:
+            if link is not None:
+                link.close()  # the peer restarted on a new port
+            link = silo.peers[destination] = _PeerLink(silo, destination, port)
+            link.connect_task = self._loop.create_task(
+                link.connect(), name=f"connect:{silo.server_id}->{destination}")
+        link.send(message)
 
-    async def _serve_peer(self, silo: AsyncioSilo,
-                          reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
+    def _encode_batch(self, batch: list[Message]) -> bytes:
+        """Pickle one frame's worth of messages.  An unserializable
+        message can never cross the wire: it alone is counted and dropped
+        (its caller's timeout fires), the rest of the batch still goes."""
         try:
-            while True:
-                header = await reader.readexactly(_FRAME_HEADER.size)
-                (length,) = _FRAME_HEADER.unpack(header)
-                payload = await reader.readexactly(length)
-                message = pickle.loads(payload)
-                silo.receive(message)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass
-        except asyncio.CancelledError:
-            # Shutdown cancels reader tasks mid-readexactly; finishing
-            # normally here keeps streams' connection_made callback from
-            # re-raising the cancellation into the loop's exception
-            # handler (noise, not signal, during teardown).
-            pass
-        finally:
-            writer.close()
+            payload = pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:  # noqa: BLE001 — pickle raises many types
+            batch = [m for m in batch if self._copy_message(m) is not None]
+            payload = pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
+        self.tcp_frames += 1
+        self.tcp_frame_messages += len(batch)
+        return payload
 
     async def _open_server(self, silo: AsyncioSilo) -> None:
-        server = await asyncio.start_server(
-            lambda r, w: self._serve_peer(silo, r, w), "127.0.0.1", 0)
+        server = await self._loop.create_server(
+            lambda: _PeerLink(silo), "127.0.0.1", 0)
         silo.tcp_server = server
         self._ports[silo.server_id] = server.sockets[0].getsockname()[1]
 
@@ -1119,6 +1201,8 @@ class AsyncioBackend(Backend):
                 await asyncio.gather(*tasks, return_exceptions=True)
             for silo in self.silos:
                 silo._close_transport()
+            # Aborted transports close their sockets on the next iteration.
+            await asyncio.sleep(0)
 
         try:
             if not self._loop.is_closed():

@@ -199,6 +199,108 @@ def test_sleep_tell_call_all():
 
 
 # ----------------------------------------------------------------------
+# TCP transport: one framed link per peer
+# ----------------------------------------------------------------------
+class BurstActor(Actor):
+    """Sender and sink of Tell bursts; ``slow_echo``/``ask`` make a call
+    whose response is still owed when the caller's silo dies."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def note(self, payload):
+        self.seen.append(payload)
+
+    def burst(self, sink_key, payloads, unpicklable=None):
+        for payload in payloads:
+            if payload == unpicklable:
+                payload = lambda: None  # noqa: E731 — cannot cross a silo
+            yield Tell(ActorRef("burst", sink_key), "note", payload)
+
+    def slow_echo(self, n):
+        yield Sleep(0.05)
+        return n
+
+    def ask(self, n):
+        return (yield Call(ActorRef("burst", "slow"), "slow_echo", n))
+
+
+def _burst_cluster(transport, **kwargs):
+    cluster = _cluster(transport=transport, **kwargs)
+    be = cluster.runtime
+    be.register_actor("burst", BurstActor)
+    cluster.start()
+    return cluster, be
+
+
+def _spawn(be, key, server):
+    ref = be.ref("burst", key)
+    be.spawn(ref, server=server)
+    return ref
+
+
+def _seen(be, ref):
+    return be.silos[be.locate(ref.id)].activations[ref.id].instance.seen
+
+
+def test_tcp_cold_peer_burst_arrives_in_order_on_one_connection():
+    cluster, be = _burst_cluster("tcp")
+    with cluster:
+        source = _spawn(be, "source", 0)
+        sink = _spawn(be, "sink", 1)
+        _call(be, source, "burst", "sink", list(range(50)))
+        assert be.run_until_idle()
+        assert _seen(be, sink) == list(range(50))
+        assert len(be.silos[1].inbound) == 1
+        assert be.silos[0].peers[1].connect_task.done()
+
+
+@pytest.mark.parametrize("transport", ["tcp", "inproc-copy"])
+def test_unpicklable_message_is_dropped_alone(transport):
+    cluster, be = _burst_cluster(transport)
+    with cluster:
+        source = _spawn(be, "source", 0)
+        sink = _spawn(be, "sink", 1)
+        _call(be, source, "burst", "sink", [0, 1, 2, 3, 4], 2)
+        assert be.run_until_idle()
+        assert _seen(be, sink) == [0, 1, 3, 4]
+        assert be.pickle_copy_failures == 1
+
+
+def test_tcp_fail_restart_reconnects_and_leaves_no_outbox():
+    cluster, be = _burst_cluster("tcp", call_timeout=0.2)
+    with cluster:
+        _spawn(be, "slow", 0)
+        asker = _spawn(be, "asker", 1)
+        assert _call(be, asker, "ask", 1) == 1
+        old_link = be.silos[0].peers[1]
+
+        # Silo 1 dies while silo 0 still owes it a response: the response
+        # is dropped (no port to send it to), not parked in an outbox.
+        be.call(asker, "ask", 2)
+        be.clock.schedule(0.01, be.fail_silo, 1)
+        be.flush()
+        assert be.run_until_idle()
+        assert be.requests_timed_out == 1
+        assert 1 not in be._ports and 1 not in be.silos[0].peers
+        assert not be.silos[1].peers and not be.silos[1].inbound
+        assert old_link.transport.is_closing()
+
+        be.restart_silo(1)
+        sink = _spawn(be, "sink", 1)
+        source = _spawn(be, "source", 0)
+        _call(be, source, "burst", "sink", [7, 8, 9])
+        assert _call(be, _spawn(be, "asker2", 1), "ask", 3) == 3
+        assert be.run_until_idle()
+        assert _seen(be, sink) == [7, 8, 9]
+        new_link = be.silos[0].peers[1]
+        assert new_link is not old_link and new_link.port == be._ports[1]
+        assert not any(link.outbox for silo in be.silos
+                       for link in silo.peers.values())
+
+
+# ----------------------------------------------------------------------
 # build_cluster surface
 # ----------------------------------------------------------------------
 def test_unknown_backend_rejected():
