@@ -5,8 +5,8 @@
 * :class:`SimBackend` — the discrete-event simulator (the reference
   implementation; seeded digests are bit-identical to pre-backend
   builds).
-* :class:`AsyncioBackend` — the real runtime: per-activation asyncio
-  mailboxes, TCP (or in-process) transport between silos, wall-clock
+* :class:`AsyncioBackend` — the real runtime: a callback turn machine
+  per silo, TCP (or in-process) transport between silos, wall-clock
   timers, and :class:`SupervisionPolicy` crash handling layered on the
   same :class:`~repro.faults.plan.FaultPlan` crash vocabulary.
 

@@ -8,18 +8,23 @@ simulated primitive         asyncio primitive
 ==========================  =============================================
 event-heap virtual time     the loop's wall clock (``loop.time()``)
 ``sim.schedule(d, fn)``     ``loop.call_later(d, fn)``
-per-activation work queue   per-activation ``asyncio.Queue`` + pump task
-worker-stage turn segment   a coroutine driving the actor generator
-``yield Call(...)``         ``await`` on a pending-response future
-``yield All([...])``        concurrent awaits joined in call order
-``yield Sleep(d)``          ``await asyncio.sleep(d)``
+per-activation work queue   one ``ready`` deque per silo under one armed
+                            ``call_soon``; non-reentrant actors park mail
+worker-stage turn segment   a plain function stepping the generator to its
+                            next yield, then parking a ``_Turn``
+``yield Call(...)``         the ``_Turn`` waits in ``silo.pending``; the
+                            response (or the silo's one deadline heap:
+                            lazy deletion, one timer) pushes its resume
+``yield All([...])``        one pending slot per call, joined in call order
+``yield Sleep(d)``          one ``call_later`` pushing the resume
 modeled network transit     TCP frames (below) or an in-process hop
                             (``loop.call_soon``)
 modeled serialization cost  actual ``pickle`` bytes on the TCP path
-silo crash (model flag)     cancel the silo's tasks, close its sockets
+silo crash (model flag)     bump ``silo.epoch`` (stale resumes are dropped),
+                            clear ready/pending/heap, close its sockets
 ==========================  =============================================
 
-Silos are task groups on one loop by default (``transport="inproc"``);
+Silos share one loop and one process (``transport="inproc"`` by default);
 ``transport="tcp"`` gives every silo a real listening socket on
 127.0.0.1 and routes every cross-silo message through the network stack,
 so a "remote" call pays genuine serialize → socket → deserialize.
@@ -59,6 +64,8 @@ from __future__ import annotations
 import asyncio
 import pickle
 import struct
+from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Hashable, Optional
 
 from ..actor.actor import Actor, is_generator_method
@@ -117,29 +124,46 @@ class WallClock:
 
 
 class AsyncioActivation:
-    """A live actor on one asyncio silo: instance + mailbox + pump."""
+    """A live actor on one asyncio silo: instance + turn bookkeeping."""
 
-    __slots__ = ("actor_id", "instance", "mailbox", "pump_task",
-                 "turn_tasks", "stopped", "restarts", "messages_handled",
-                 "open_turns")
+    __slots__ = ("actor_id", "instance", "mailbox", "busy", "stopped",
+                 "restarts", "messages_handled", "queued", "open_turns")
 
     def __init__(self, actor_id: ActorId, instance: Actor):
         self.actor_id = actor_id
         self.instance = instance
-        self.mailbox: asyncio.Queue = asyncio.Queue()
-        self.pump_task: Optional[asyncio.Task] = None
-        self.turn_tasks: set[asyncio.Task] = set()
+        # REENTRANT = False only: mail that arrives while a turn is open
+        # or queued (``busy``, reserved at enqueue time) parks here.
+        self.mailbox: Optional[deque[Message]] = (
+            None if type(instance).REENTRANT else deque())
+        self.busy = False
         self.stopped = False          # supervision verdict "stop"
         self.restarts = 0             # supervision restarts of this actor
         self.messages_handled = 0
+        self.queued = 0               # enqueued, turn not yet started
         self.open_turns = 0
 
     @property
     def idle(self) -> bool:
-        return self.mailbox.empty() and self.open_turns == 0
+        return self.queued == 0 and self.open_turns == 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"AsyncioActivation({self.actor_id})"
+
+
+class _Turn:
+    """A generator turn parked at a yield (the sim's ``_Continuation``).
+    ``epoch`` is its silo's when it started: a resume carrying a stale
+    one is dropped.  ``results``/``remaining``: the open ``All`` join."""
+
+    __slots__ = ("activation", "origin", "generator", "epoch", "results",
+                 "remaining")
+
+    def __init__(self, activation, origin, generator, epoch):
+        self.activation, self.origin = activation, origin
+        self.generator, self.epoch = generator, epoch
+        self.results: Optional[list] = None
+        self.remaining = 0
 
 
 class _WorkerShim:
@@ -157,7 +181,7 @@ class _WorkerShim:
 
     @property
     def queue_length(self) -> int:
-        return sum(a.mailbox.qsize() for a in self._silo.activations.values())
+        return self._silo.queued
 
     @property
     def busy_threads(self) -> int:
@@ -223,7 +247,7 @@ class _PeerLink(asyncio.Protocol):
     def __init__(self, silo: "AsyncioSilo", destination: Optional[int] = None,
                  port: Optional[int] = None):
         self.silo = silo
-        self.loop = silo.backend._loop
+        self.loop = silo.loop
         self.destination = destination
         self.port = port
         self.transport: Optional[asyncio.Transport] = None
@@ -293,7 +317,7 @@ class _PeerLink(asyncio.Protocol):
 
 
 class AsyncioSilo:
-    """One silo: a group of activation tasks, plus an optional TCP port.
+    """One silo: activations, their turn machine, an optional TCP port.
 
     Mirrors the membership flags and counters of the simulated
     :class:`~repro.actor.server.Silo` that workloads/pools/benches read
@@ -303,17 +327,29 @@ class AsyncioSilo:
 
     def __init__(self, backend: "AsyncioBackend", server_id: int):
         self.backend = backend
+        self.loop = backend._loop
         self.server_id = server_id
         self.dead = False
         self.draining = False
         self.activations: dict[ActorId, AsyncioActivation] = {}
-        # call_id -> future for calls *issued from* this silo's actors.
-        self.pending: dict[int, asyncio.Future] = {}
+        # (activation, message) turn starts and (turn, value, throw)
+        # resumes, drained by one armed call_soon(_drain).
+        self.ready: deque[tuple] = deque()
+        self.armed = False
+        self.epoch = 0                # bumped by fail(): stale resumes drop
+        # call_id -> (turn, slot, call, issued_at) for calls *issued
+        # from* this silo's actors; their timeouts as a (deadline, call_id)
+        # min-heap with lazy deletion (an answered call's entry stays
+        # until it surfaces or the heap is rebuilt) under one timer.
+        self.pending: dict[int, tuple] = {}
+        self.deadlines: list[tuple[float, int]] = []
+        self.deadline_timer: Optional[asyncio.TimerHandle] = None
         # destination silo -> outbound link (its outbox + connection);
         # and the links this silo's server accepted.
         self.peers: dict[int, _PeerLink] = {}
         self.inbound: set[_PeerLink] = set()
         self.tcp_server: Optional[asyncio.AbstractServer] = None
+        self.queued = 0               # enqueued, turn not yet started
         self.open_turns = 0
         self.msgs_local = 0
         self.msgs_remote = 0
@@ -328,8 +364,10 @@ class AsyncioSilo:
 
     @property
     def idle(self) -> bool:
-        return (self.open_turns == 0 and not self.pending
-                and all(a.mailbox.empty() for a in self.activations.values())
+        # queued covers turn starts on ``ready`` and parked mailboxes;
+        # a resume on ``ready`` belongs to an open turn.
+        return (self.open_turns == 0 and self.queued == 0
+                and not self.pending
                 and not any(link.outbox for link in self.peers.values()))
 
     # ------------------------------------------------------------------
@@ -393,14 +431,230 @@ class AsyncioSilo:
         self.dispatch(message)
 
     def _enqueue(self, activation: AsyncioActivation, message: Message) -> None:
-        activation.mailbox.put_nowait(message)
+        self.queued += 1
+        activation.queued += 1
+        if activation.mailbox is not None:  # REENTRANT = False
+            if activation.busy:
+                activation.mailbox.append(message)
+                return
+            activation.busy = True
+        self._push((activation, message))
 
     def resolve_response(self, response: Message) -> None:
-        future = self.pending.pop(response.call_id, None)
-        if future is None or future.done():
+        entry = self.pending.pop(response.call_id, None)
+        if entry is None:
             self.backend.late_responses += 1
             return
-        future.set_result(response.result)
+        turn, slot, _call, issued_at = entry
+        backend = self.backend
+        backend.call_latency.record(backend._clock.now - issued_at)
+        self._land(turn, slot, response.result)
+
+    # ------------------------------------------------------------------
+    # Turn machine: ready deque -> turn segment -> parked _Turn
+    # ------------------------------------------------------------------
+    def _push(self, item: tuple) -> None:
+        self.ready.append(item)
+        if not self.armed:
+            self.armed = True
+            self.loop.call_soon(self._drain)
+
+    def _drain(self) -> None:
+        """Run what was ready on entry; later arrivals get the next loop
+        iteration, so sockets and timers are polled between batches and
+        no turn runs inside its sender's stack frame."""
+        ready = self.ready
+        batch = len(ready)
+        self.backend.turn_drains += 1
+        self.backend.turns_run += batch
+        try:
+            while batch and ready:  # fail() mid-batch empties ``ready``
+                batch -= 1
+                item = ready.popleft()
+                if len(item) == 2:
+                    self._start_turn(*item)
+                else:
+                    self._step(*item)
+        finally:
+            if ready:
+                self.loop.call_soon(self._drain)
+            else:
+                self.armed = False
+
+    def _start_turn(self, activation: AsyncioActivation, message: Message) -> None:
+        self.queued -= 1
+        activation.queued -= 1
+        activation.open_turns += 1
+        self.open_turns += 1
+        try:
+            if activation.stopped:
+                raise ActorError(f"actor {activation.actor_id} was stopped "
+                                 "by its supervisor")
+            activation.messages_handled += 1
+            instance = activation.instance
+            method = getattr(instance, message.method, None)
+            if method is None:
+                raise ActorError(f"actor {activation.actor_id} has no "
+                                 f"method {message.method!r}")
+            result = method(*message.args)
+        except ActorError as error:
+            result = error
+        except Exception as error:  # noqa: BLE001 — supervision seam
+            result = self.backend._actor_crashed(self, activation, message, error)
+        else:
+            if is_generator_method(type(instance), message.method):
+                self._step(_Turn(activation, message, result, self.epoch), None, False)
+                return
+        self._complete_turn(activation, message, result)
+
+    def _step(self, turn: _Turn, value: Any, throw: bool) -> None:
+        """One turn segment: step the generator to its next suspending
+        yield — the same Call / All / Tell / Sleep vocabulary the
+        simulated ``Silo._advance_turn`` runs — and park the turn."""
+        activation, origin = turn.activation, turn.origin
+        backend = self.backend
+        generator = turn.generator
+        try:
+            while True:
+                if throw:
+                    throw = False
+                    yielded = generator.throw(value)
+                else:
+                    yielded = generator.send(value)
+                value = None
+                if isinstance(yielded, Call):
+                    backend._probe_payload(activation, generator, yielded.args)
+                    self._issue(turn, 0, yielded)
+                    return
+                if isinstance(yielded, All):
+                    turn.remaining = len(yielded.calls)
+                    turn.results = [None] * turn.remaining
+                    for slot, call in enumerate(yielded.calls):
+                        backend._probe_payload(activation, generator, call.args)
+                        self._issue(turn, slot, call)
+                    return
+                if isinstance(yielded, Sleep):
+                    self.loop.call_later(
+                        yielded.duration * backend.config.time_scale,
+                        self._resume, turn, None, False)
+                    return
+                if not isinstance(yielded, Tell):
+                    raise TypeError(
+                        f"actor {activation.actor_id} yielded {yielded!r}; "
+                        "expected Call, All, Sleep, or Tell")
+                # Fire-and-forget: dispatch and keep stepping.
+                backend._probe_payload(activation, generator, yielded.args)
+                self.dispatch(Message(
+                    MessageKind.ONEWAY, yielded.target.id, yielded.method,
+                    yielded.args, yielded.size, sender=activation.actor_id,
+                    created_at=backend._clock.now))
+        except StopIteration as stop:
+            result = stop.value
+        except ActorError as error:
+            result = error  # uncaught in the turn: it is the turn's result
+        except Exception as error:  # noqa: BLE001 — supervision seam
+            result = backend._actor_crashed(self, activation, origin, error)
+        self._complete_turn(activation, origin, result)
+
+    def _issue(self, turn: _Turn, slot: int, call: Call) -> None:
+        """One actor-to-actor call: park ``(turn, slot)`` under a fresh
+        call id, put its timeout on the deadline heap, dispatch."""
+        backend = self.backend
+        deadlines, pending = self.deadlines, self.pending
+        if len(deadlines) > 2 * len(pending) + 64:
+            # Mostly answered calls by now: keep what is pending.
+            deadlines[:] = [d for d in deadlines if d[1] in pending]
+            heapify(deadlines)
+        call_id = next_call_id()
+        now = backend._clock.now
+        pending[call_id] = (turn, slot, call, now)
+        timeout = (call.timeout if call.timeout is not None
+                   else backend.call_timeout)
+        if timeout is not None:
+            heappush(deadlines, (now + timeout, call_id))
+            if deadlines[0][1] == call_id:  # the new earliest: (re)arm
+                if self.deadline_timer is not None:
+                    self.deadline_timer.cancel()
+                self.deadline_timer = self.loop.call_later(
+                    timeout, self._expire)
+        self.dispatch(Message(
+            MessageKind.CALL, call.target.id, call.method, call.args,
+            call.size, call_id, sender=turn.activation.actor_id,
+            reply_to_server=self.server_id, created_at=now,
+            response_size=call.response_size))
+
+    def _expire(self) -> None:
+        """The deadline timer: time out every pending call that is due,
+        skip answered ones, re-arm for the earliest still pending."""
+        self.deadline_timer = None
+        deadlines, pending = self.deadlines, self.pending
+        backend = self.backend
+        now = backend._clock.now
+        while deadlines:
+            deadline, call_id = deadlines[0]
+            if call_id in pending:
+                if deadline > now:
+                    self.deadline_timer = self.loop.call_later(
+                        deadline - now, self._expire)
+                    return
+                turn, slot, call, _issued_at = pending.pop(call_id)
+                self._land(turn, slot, CallTimeout(
+                    call.target.id, call.method, backend.call_timeout
+                    if call.timeout is None else call.timeout))
+            heappop(deadlines)
+
+    def _disarm(self) -> None:
+        """Nothing is pending: drop answered calls' entries and the timer."""
+        self.deadlines.clear()
+        if self.deadline_timer is not None:
+            self.deadline_timer.cancel()
+            self.deadline_timer = None
+
+    def _land(self, turn: _Turn, slot: int, result: Any) -> None:
+        """A call's result (response or timeout) lands in its slot; the
+        last one to land resumes the turn — an ``All`` with the results
+        in call order, or throwing the first error in call order."""
+        results = turn.results
+        if results is not None:
+            results[slot] = result
+            turn.remaining -= 1
+            if turn.remaining:
+                return
+            turn.results = None
+            result = next((r for r in results if isinstance(r, ActorError)),
+                          results)
+        self._resume(turn, result, isinstance(result, ActorError))
+
+    def _resume(self, turn: _Turn, value: Any, throw: bool) -> None:
+        if turn.epoch == self.epoch:  # else: its silo crashed meanwhile
+            self._push((turn, value, throw))
+
+    def _complete_turn(self, activation: AsyncioActivation, origin: Message,
+                       result: Any) -> None:
+        if self.dead:
+            return  # the turn's crash escalated: fail() reset everything
+        activation.open_turns -= 1
+        self.open_turns -= 1
+        if activation.busy:  # REENTRANT = False: next parked mail, if any
+            if activation.mailbox:
+                self._push((activation, activation.mailbox.popleft()))
+            else:
+                activation.busy = False
+        backend = self.backend
+        if origin.kind is MessageKind.CLIENT_REQUEST:
+            backend._complete_client(origin, result)
+        elif origin.kind is not MessageKind.ONEWAY:
+            response = origin.make_response(
+                result, size=origin.response_size, server_id=self.server_id)
+            destination = origin.reply_to_server
+            if destination == self.server_id:
+                self.msgs_local += 1
+                backend.msgs_local += 1
+                self.resolve_response(response)
+            else:
+                self.msgs_remote += 1
+                backend.msgs_remote += 1
+                backend._transport_send(self, destination, response)
 
     # ------------------------------------------------------------------
     # Activation lifecycle
@@ -419,9 +673,6 @@ class AsyncioSilo:
         activation = AsyncioActivation(actor_id, instance)
         self.activations[actor_id] = activation
         instance.on_activate()
-        activation.pump_task = backend._loop.create_task(
-            backend._pump(self, activation),
-            name=f"pump:{actor_id}")
         return activation
 
     def deactivate_actor(self, actor_id: ActorId,
@@ -438,8 +689,6 @@ class AsyncioSilo:
             backend.discarded.add(actor_id)
         else:
             backend.storage[actor_id] = activation.instance.capture_state()
-        if activation.pump_task is not None:
-            activation.pump_task.cancel()
         del self.activations[actor_id]
         backend.directory.unregister(actor_id)
         return True
@@ -448,35 +697,25 @@ class AsyncioSilo:
     # Failure / membership
     # ------------------------------------------------------------------
     def fail(self) -> None:
-        """Crash: volatile state lost, tasks cancelled, sockets closed.
+        """Crash: volatile state lost, open turns gone, sockets closed.
 
         Actors hosted here re-activate elsewhere on their next call,
         restored from last persisted state — the §2 contract, same as
-        the simulated silo."""
+        the simulated silo.  Bumping ``epoch`` orphans every parked turn:
+        no ``Sleep`` timer can resume one, even after ``restart()``."""
         if self.dead:
             return
         self.dead = True
         self.draining = False
+        self.epoch += 1
         backend = self.backend
-        for actor_id in list(self.activations):
+        for actor_id in self.activations:
             backend.directory.unregister(actor_id)
-        current = None
-        try:
-            current = asyncio.current_task()
-        except RuntimeError:  # pragma: no cover - no running loop
-            pass
-        for activation in self.activations.values():
-            if (activation.pump_task is not None
-                    and activation.pump_task is not current):
-                activation.pump_task.cancel()
-            for task in list(activation.turn_tasks):
-                if task is not current:
-                    task.cancel()
         self.activations.clear()
-        for future in self.pending.values():
-            if not future.done():
-                future.cancel()
+        self.ready.clear()
         self.pending.clear()
+        self._disarm()
+        self.queued = self.open_turns = 0
         self._close_transport()
 
     def restart(self) -> None:
@@ -500,7 +739,7 @@ class AsyncioSilo:
 
 
 class AsyncioBackend(Backend):
-    """The real runtime: silos as asyncio task groups on one loop.
+    """The real runtime: silos as callback turn machines on one loop.
 
     Args:
         config: the shared :class:`~repro.actor.runtime.ClusterConfig`;
@@ -566,6 +805,8 @@ class AsyncioBackend(Backend):
         self.pickle_copy_failures = 0
         self.tcp_frames = 0           # frames written / messages in them:
         self.tcp_frame_messages = 0   # their ratio is the mean batch size
+        self.turn_drains = 0          # ready-deque drains / turn segments
+        self.turns_run = 0            # run in them: the mean ready batch
         self.failovers = 0
         self.migrations_total = 0
         self.actor_crashes = 0
@@ -720,7 +961,8 @@ class AsyncioBackend(Backend):
         return True
 
     def _drain_poll(self, server: int, poll: float,
-                    on_complete: Optional[Callable[[int], None]]) -> None:
+                    on_complete: Optional[Callable[[int], None]],
+                    was_empty: bool = False) -> None:
         silo = self.silos[server]
         if silo.dead:
             if on_complete is not None:
@@ -731,7 +973,12 @@ class AsyncioBackend(Backend):
         for actor_id in list(silo.activations):
             if silo.deactivate_actor(actor_id):
                 self.migrations_total += 1
-        if not silo.activations and silo.open_turns == 0 and not silo.pending:
+        # Empty is not yet gone: a request routed here just before the
+        # last eviction may still be in flight, and only a live silo
+        # forwards it.  Decommission after one further poll spent empty.
+        empty = (not silo.activations and silo.idle
+                 and not self.directory.count(server))
+        if empty and was_empty:
             silo.dead = True
             silo.draining = False
             silo._close_transport()
@@ -739,7 +986,8 @@ class AsyncioBackend(Backend):
             if on_complete is not None:
                 on_complete(server)
             return
-        self._clock.schedule(poll, self._drain_poll, server, poll, on_complete)
+        self._clock.schedule(poll, self._drain_poll, server, poll,
+                             on_complete, empty)
 
     # ------------------------------------------------------------------
     # Client traffic
@@ -812,179 +1060,6 @@ class AsyncioBackend(Backend):
             future.set_result(error)
         if hook is not None:
             hook(self._clock.now - t0, error)
-
-    # ------------------------------------------------------------------
-    # Turn execution: mailbox pump -> turn coroutine -> generator driver
-    # ------------------------------------------------------------------
-    async def _pump(self, silo: AsyncioSilo, activation: AsyncioActivation) -> None:
-        """One task per activation: pops the mailbox in FIFO order and
-        starts turns — concurrently for reentrant actors (the default),
-        strictly one-at-a-time otherwise (Orleans' turn contract)."""
-        try:
-            while True:
-                message = await activation.mailbox.get()
-                if activation.stopped:
-                    self._respond(silo, message, ActorError(
-                        f"actor {activation.actor_id} was stopped by its "
-                        f"supervisor"))
-                    continue
-                if type(activation.instance).REENTRANT:
-                    task = self._loop.create_task(
-                        self._turn(silo, activation, message),
-                        name=f"turn:{activation.actor_id}.{message.method}")
-                    activation.turn_tasks.add(task)
-                    task.add_done_callback(activation.turn_tasks.discard)
-                else:
-                    await self._turn(silo, activation, message)
-        except asyncio.CancelledError:
-            raise
-
-    async def _turn(self, silo: AsyncioSilo, activation: AsyncioActivation,
-                    message: Message) -> None:
-        activation.messages_handled += 1
-        activation.open_turns += 1
-        silo.open_turns += 1
-        try:
-            method = getattr(activation.instance, message.method, None)
-            if method is None:
-                result: Any = ActorError(
-                    f"actor {activation.actor_id} has no method "
-                    f"{message.method!r}")
-            else:
-                try:
-                    if is_generator_method(type(activation.instance),
-                                           message.method):
-                        result = await self._drive(
-                            silo, activation, method(*message.args))
-                    else:
-                        result = method(*message.args)
-                except ActorError as error:
-                    result = error
-                except asyncio.CancelledError:
-                    raise
-                except Exception as error:  # noqa: BLE001 — supervision seam
-                    result = self._actor_crashed(
-                        silo, activation, message, error)
-        finally:
-            activation.open_turns -= 1
-            silo.open_turns -= 1
-        self._respond(silo, message, result)
-
-    async def _drive(self, silo: AsyncioSilo, activation: AsyncioActivation,
-                     generator) -> Any:
-        """Interpret the generator-coroutine protocol — the same Call /
-        All / Tell / Sleep vocabulary the simulated turn executor runs,
-        with awaits where the simulator queues resumes."""
-        send_value: Any = None
-        throw = False
-        while True:
-            try:
-                if throw:
-                    throw = False
-                    yielded = generator.throw(send_value)
-                else:
-                    yielded = generator.send(send_value)
-            except StopIteration as stop:
-                return stop.value
-            if isinstance(yielded, Tell):
-                self._probe_payload(activation, generator, yielded.args)
-                oneway = Message(
-                    kind=MessageKind.ONEWAY,
-                    target=yielded.target.id,
-                    method=yielded.method,
-                    args=yielded.args,
-                    size=yielded.size,
-                    sender=activation.actor_id,
-                    created_at=self._clock.now,
-                )
-                silo.dispatch(oneway)
-                send_value = None
-                continue
-            if isinstance(yielded, Sleep):
-                await asyncio.sleep(yielded.duration * self.config.time_scale)
-                send_value = None
-                continue
-            if isinstance(yielded, Call):
-                self._probe_payload(activation, generator, yielded.args)
-                result = await self._issue_call(silo, activation, yielded)
-                if isinstance(result, ActorError):
-                    send_value, throw = result, True
-                else:
-                    send_value = result
-                continue
-            if isinstance(yielded, All):
-                for call in yielded.calls:
-                    self._probe_payload(activation, generator, call.args)
-                results = await asyncio.gather(
-                    *(self._issue_call(silo, activation, call)
-                      for call in yielded.calls))
-                errors = [r for r in results if isinstance(r, ActorError)]
-                if errors:
-                    send_value, throw = errors[0], True  # first error wins
-                else:
-                    send_value = list(results)
-                continue
-            raise TypeError(
-                f"actor {activation.actor_id} yielded {yielded!r}; expected "
-                "Call, All, Sleep, or Tell")
-
-    async def _issue_call(self, silo: AsyncioSilo,
-                          activation: AsyncioActivation, call: Call) -> Any:
-        """One actor-to-actor call: dispatch, await the response future.
-        Never raises — errors (including timeouts) return as values for
-        the driver to throw at the yield point."""
-        call_id = next_call_id()
-        future = self._loop.create_future()
-        silo.pending[call_id] = future
-        message = Message(
-            kind=MessageKind.CALL,
-            target=call.target.id,
-            method=call.method,
-            args=call.args,
-            size=call.size,
-            call_id=call_id,
-            sender=activation.actor_id,
-            reply_to_server=silo.server_id,
-            created_at=self._clock.now,
-            response_size=call.response_size,
-        )
-        issued_at = self._clock.now
-        silo.dispatch(message)
-        timeout = (call.timeout if call.timeout is not None
-                   else self.call_timeout)
-        try:
-            if timeout is not None:
-                result = await asyncio.wait_for(future, timeout)
-            else:
-                result = await future
-        except (asyncio.TimeoutError, asyncio.CancelledError) as error:
-            silo.pending.pop(call_id, None)
-            if isinstance(error, asyncio.CancelledError) and silo.dead:
-                raise  # our own silo died under us: the turn is gone
-            if isinstance(error, asyncio.CancelledError) and not future.cancelled():
-                raise  # external cancellation (shutdown), not a timeout
-            return CallTimeout(call.target.id, call.method, timeout or 0.0)
-        self.call_latency.record(self._clock.now - issued_at)
-        return result
-
-    def _respond(self, silo: AsyncioSilo, message: Message, result: Any) -> None:
-        if message.kind is MessageKind.ONEWAY or silo.dead:
-            return
-        if message.kind is MessageKind.CLIENT_REQUEST:
-            self._complete_client(message, result)
-            return
-        response = message.make_response(
-            result, size=message.response_size, server_id=silo.server_id)
-        destination = message.reply_to_server
-        assert destination is not None
-        if destination == silo.server_id:
-            silo.msgs_local += 1
-            self.msgs_local += 1
-            silo.resolve_response(response)
-        else:
-            silo.msgs_remote += 1
-            self.msgs_remote += 1
-            self._transport_send(silo, destination, response)
 
     # ------------------------------------------------------------------
     # Supervision
@@ -1167,6 +1242,8 @@ class AsyncioBackend(Backend):
                     # (call_soon hops, tcp frames) get a chance to land.
                     settled += 1
                     if settled >= 2:
+                        for silo in self.silos:
+                            silo._disarm()
                         return True
                 else:
                     settled = 0

@@ -10,7 +10,7 @@ its seeded RNG registry.  Below the line live two concrete engines:
   (:class:`~repro.actor.runtime.ActorRuntime`), the **reference
   implementation**: deterministic, seeded, bit-identical digests.
 * :class:`~repro.backend.asyncio_backend.AsyncioBackend` — the real
-  runtime: silos as asyncio task groups, per-activation mailboxes, TCP
+  runtime: silos as callback turn machines on one loop, TCP
   sockets between silos, wall-clock timers, and supervision policies.
 
 The split is ROADMAP item 2 — "the substitution table in reverse": the

@@ -59,6 +59,10 @@ def _cluster(**kwargs):
                          backend="asyncio", **kwargs)
 
 
+def _instance(be, ref):
+    return be.silos[be.locate(ref.id)].activations[ref.id].instance
+
+
 def _call(backend, ref, method, *args):
     results = []
     backend.call(ref, method, *args,
@@ -199,6 +203,232 @@ def test_sleep_tell_call_all():
 
 
 # ----------------------------------------------------------------------
+# The turn machine: ready deque, parked turns, deadline heap, epochs
+# ----------------------------------------------------------------------
+class TurnActor(Actor):
+    """Callee and caller for the turn-machine tests.  ``log`` records
+    turn starts/ends; ``WOKE`` outlives the instance (a crashed silo
+    takes the instance with it)."""
+
+    WOKE: list = []
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def echo_after(self, delay, n):
+        yield Sleep(delay)
+        return n
+
+    def work(self, n):
+        self.log.append(("start", n))
+        yield Call(ActorRef("turn", "gate"), "echo_after", 0.01, n)
+        self.log.append(("end", n))
+
+    def fan(self, target_type, count):
+        for n in range(count):
+            yield Tell(ActorRef(target_type, "worker"), "work", n)
+
+    def join(self, straggler_delay):
+        try:
+            yield All([
+                Call(ActorRef("counter", 0), "bump"),
+                Call(ActorRef("turn", "gate"), "echo_after",
+                     straggler_delay, 7, timeout=0.05),
+                Call(ActorRef("counter", 0), "bump"),
+            ])
+        except ActorError as error:
+            self.log.append(error)
+            return "timed out"
+        finally:
+            self.log.append("resumed")
+        return "joined"
+
+    def nap(self, delay):
+        yield Sleep(delay)
+        TurnActor.WOKE.append(self.key)
+
+    def hammer(self, calls):
+        for _ in range(calls):
+            yield Call(ActorRef("counter", 0), "bump")
+        return calls
+
+    def bad_yield(self):
+        yield "not a call"
+
+
+class SerialTurnActor(TurnActor):
+    REENTRANT = False
+
+
+def _turn_cluster(**kwargs):
+    cluster = _cluster(**kwargs)
+    be = cluster.runtime
+    be.register_actor("turn", TurnActor)
+    be.register_actor("serial", SerialTurnActor)
+    be.register_actor("counter", CounterActor)
+    cluster.start()
+    return cluster, be
+
+
+@pytest.mark.parametrize("actor_type, interleaved", [("serial", False),
+                                                     ("turn", True)])
+def test_non_reentrant_turns_run_one_at_a_time_in_arrival_order(
+        actor_type, interleaved):
+    cluster, be = _turn_cluster()
+    with cluster:
+        be.spawn(be.ref("turn", "gate"), server=0)
+        driver = be.ref("turn", "driver")
+        be.spawn(driver, server=0)
+        worker = be.ref(actor_type, "worker")
+        be.spawn(worker, server=1)
+        _call(be, driver, "fan", actor_type, 5)
+        assert be.run_until_idle()
+        log = _instance(be, worker).log
+        starts = [("start", n) for n in range(5)]
+        ends = [("end", n) for n in range(5)]
+        if interleaved:
+            # Every turn opened before the first (10 ms) call returned.
+            assert log[:5] == starts and sorted(log[5:]) == ends
+        else:
+            # The first turn is parked on its Call while four more
+            # messages arrive: none starts until the one before ended.
+            assert log == [e for pair in zip(starts, ends) for e in pair]
+        activation = be.silos[1].activations[worker.id]
+        assert activation.idle and not activation.busy
+        assert be.silos[1].worker.queue_length == 0
+
+
+def test_all_with_a_timed_out_slot_throws_once_and_ignores_the_straggler():
+    cluster, be = _turn_cluster()
+    with cluster:
+        be.spawn(be.ref("turn", "gate"), server=1)
+        be.spawn(be.ref("counter", 0), server=1)
+        be.spawn(be.ref("turn", "joiner"), server=0)
+        joiner = be.ref("turn", "joiner")
+        assert _call(be, joiner, "join", 0.15) == "timed out"
+        log = _instance(be, joiner).log
+        assert len(log) == 2 and log[1] == "resumed"
+        assert isinstance(log[0], ActorError) and "echo_after" in str(log[0])
+        assert be.late_responses == 0
+        # The straggler answers 100 ms after its slot timed out: counted,
+        # and the finished turn is not resumed a second time.
+        assert be.run_until_idle()
+        assert be.late_responses == 1
+        assert _instance(be, joiner).log == log
+        assert _instance(be, be.ref("counter", 0)).count == 2
+        # No straggler: the same All joins in call order.
+        assert _call(be, joiner, "join", 0.0) == "joined"
+
+
+def test_sleeping_turn_of_a_failed_then_restarted_silo_never_resumes():
+    TurnActor.WOKE.clear()
+    cluster, be = _turn_cluster()
+    with cluster:
+        be.spawn(be.ref("turn", "old"), server=0)
+        be.send(be.ref("turn", "old"), "nap", 0.05)
+        cluster.run(until=be.clock.now + 0.01)
+        assert be.silos[0].open_turns == 1
+        be.fail_silo(0)
+        be.restart_silo(0)
+        assert be.silos[0].epoch == 1 and be.silos[0].open_turns == 0
+        # A turn started after the restart sleeps and wakes as usual;
+        # the old one's timer fires into a stale epoch and is dropped.
+        be.spawn(be.ref("turn", "new"), server=0)
+        be.send(be.ref("turn", "new"), "nap", 0.02)
+        cluster.run(until=be.clock.now + 0.08)
+        assert be.run_until_idle()
+        assert TurnActor.WOKE == ["new"]
+        assert all(s.open_turns == 0 and not s.ready for s in be.silos)
+
+
+def test_deadline_heap_stays_compact_and_disarms_when_idle():
+    cluster, be = _turn_cluster()
+    with cluster:
+        be.spawn(be.ref("counter", 0), server=1)
+        hammer = be.ref("turn", "hammer")
+        be.spawn(hammer, server=0)
+        silo = be.silos[0]
+        worst = []
+
+        def sample():
+            worst.append(len(silo.deadlines) - 2 * len(silo.pending))
+            if be.inflight_requests:
+                be.clock.schedule(0.002, sample)
+
+        be.clock.schedule(0.002, sample)
+        assert _call(be, hammer, "hammer", 10_000) == 10_000
+        # 10,000 answered calls under the default 5 s timeout: none of
+        # their deadlines has come due, yet the heap never held more
+        # than the pending calls twice over plus the compaction slack.
+        assert be.call_timeout == 5.0 and len(worst) > 10
+        assert max(worst) <= 65 and max(worst) > 0  # compaction did run
+        assert len(silo.deadlines) <= 2 * len(silo.pending) + 65
+        assert be.run_until_idle()
+        for s in be.silos:
+            assert not s.ready and not s.pending and not s.deadlines
+            assert s.deadline_timer is None
+        assert be.turns_run >= 2 * 10_000 and 0 < be.turn_drains <= be.turns_run
+
+
+def test_plain_unknown_and_misyielding_methods():
+    cluster, be = _turn_cluster()
+    with cluster:
+        ref = be.ref("turn", "plain")
+        be.spawn(ref, server=0)
+        assert _call(be, be.ref("counter", 0), "bump") == 1  # not a generator
+        missing = _call(be, ref, "no_such_method")
+        assert isinstance(missing, ActorError)
+        assert not isinstance(missing, ActorCrashed)
+        assert "has no method 'no_such_method'" in str(missing)
+        crash = _call(be, ref, "bad_yield")         # yields a non-Call
+        assert isinstance(crash, ActorCrashed)
+        assert isinstance(crash.cause, TypeError)
+        assert be.supervisor.restarts == 1
+        assert be.run_until_idle()
+        assert be.silos[0].open_turns == 0
+
+
+# ----------------------------------------------------------------------
+# Drain: nothing in flight is lost at decommission
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_drain_forwards_requests_routed_just_before_the_last_eviction(
+        transport):
+    cluster = _cluster(transport=transport, call_timeout=0.5)
+    with cluster:
+        be = cluster.runtime
+        be.register_actor("counter", CounterActor)
+        cluster.start()
+        refs = [be.ref("counter", i) for i in range(5)]
+        for ref in refs:
+            be.spawn(ref, server=0)
+        results, drained = [], []
+
+        def burst():
+            # The directory still says "silo 0" for every target; the
+            # drain poll that evicts them all runs before these land.
+            for ref in refs:
+                be.client_request(
+                    ref, "bump", on_complete=lambda _l, r: results.append(r))
+
+        assert be.drain_silo(0, poll=0.01, on_complete=drained.append)
+        be.clock.schedule(0.01 - 2e-5, burst)
+        cluster.run(until=be.clock.now + 0.02)
+        be.flush()
+        assert be.run_until_idle()
+        assert results == [1] * 5
+        assert be.requests_completed == 5 and be.requests_timed_out == 0
+        cluster.run(until=be.clock.now + 0.03)
+        assert drained == [0] and be.silos[0].dead
+        assert be.silos_drained == 1
+        for ref in refs:  # persisted: at eviction, or now on the survivor
+            assert be.locate(ref.id) in (None, 1)
+            assert be.locate(ref.id) is None or be.deactivate(ref.id)
+        assert sum(be.storage[ref.id]["count"] for ref in refs) == 5
+
+
+# ----------------------------------------------------------------------
 # TCP transport: one framed link per peer
 # ----------------------------------------------------------------------
 class BurstActor(Actor):
@@ -241,7 +471,7 @@ def _spawn(be, key, server):
 
 
 def _seen(be, ref):
-    return be.silos[be.locate(ref.id)].activations[ref.id].instance.seen
+    return _instance(be, ref).seen
 
 
 def test_tcp_cold_peer_burst_arrives_in_order_on_one_connection():
