@@ -16,12 +16,11 @@ bit-identical to a build without the resilience layer.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Optional, Type
 
 from ..bench.metrics import HistogramRecorder, LatencyRecorder
-from ..faults.resilience import AdmissionConfig, ResilienceConfig
+from ..faults.resilience import ResilienceConfig
 from ..obs.events import RetryEvent, ShedEvent, SiloScaleEvent
 from ..sim.engine import Simulator
 from ..sim.network import Network
@@ -56,14 +55,11 @@ class ClusterConfig:
         resume_compute: CPU cost of resuming a suspended turn.
         client_response_size: bytes of a client-bound response.
         location_cache_capacity: per-silo hint cache size.
-        max_receiver_queue: deprecated — use
-            ``ResilienceConfig(admission=AdmissionConfig(receiver_queue=...))``.
         time_scale: multiply every simulated duration (costs, network,
             waits) by this factor; drive the workload at rate/time_scale
             and the system sits at the *same* utilization with the same
             latency shape while simulating time_scale-fold fewer events.
             Benches report latencies divided back by time_scale.
-        call_timeout: deprecated — use ``ResilienceConfig(call_timeout=...)``.
         seed: root seed for every RNG substream.
     """
 
@@ -78,11 +74,9 @@ class ClusterConfig:
     resume_compute: float = 5e-6
     client_response_size: int = 256
     location_cache_capacity: int = 100_000
-    max_receiver_queue: Optional[int] = None
     time_scale: float = 1.0
     idle_collection_age: Optional[float] = None
     idle_collection_period: float = 30.0
-    call_timeout: Optional[float] = None
     seed: int = 0
 
 
@@ -137,7 +131,6 @@ class ActorRuntime:
         self.serialization = self.config.serialization.scaled(ts)
         self.resume_compute = self.config.resume_compute * ts
 
-        resilience = self._fold_deprecated_config(resilience)
         self.resilience = resilience
         self.retry_policy = resilience.retry if resilience else None
         self.admission = resilience.admission if resilience else None
@@ -213,26 +206,6 @@ class ActorRuntime:
         self._inflight: dict[int, Optional[_ClientRequest]] = {}
         # Admission window: insertion-ordered, so drop_oldest is O(1).
         self._admitted: dict[_ClientRequest, None] = {}
-
-    def _fold_deprecated_config(
-        self, resilience: Optional[ResilienceConfig]
-    ) -> Optional[ResilienceConfig]:
-        """Deprecation shim for ClusterConfig.{call_timeout,max_receiver_queue}."""
-        cfg = self.config
-        if cfg.call_timeout is None and cfg.max_receiver_queue is None:
-            return resilience
-        warnings.warn(
-            "ClusterConfig.call_timeout and ClusterConfig.max_receiver_queue "
-            "are deprecated; pass ResilienceConfig(call_timeout=..., "
-            "admission=AdmissionConfig(receiver_queue=...)) instead",
-            DeprecationWarning, stacklevel=3,
-        )
-        if resilience is not None:
-            return resilience  # explicit config wins over deprecated knobs
-        admission = (AdmissionConfig(receiver_queue=cfg.max_receiver_queue)
-                     if cfg.max_receiver_queue is not None else None)
-        return ResilienceConfig(call_timeout=cfg.call_timeout,
-                                admission=admission)
 
     # ------------------------------------------------------------------
     # Setup

@@ -2,11 +2,11 @@
 
 Two halves of one guarantee.  The linter (:mod:`repro.analysis.linter`)
 machine-checks at rest what the digest tests check at runtime: seeded
-runs must be bit-identical, actors must own only their state, internal
-code must not lean on deprecated API.  The sanitizer
-(:mod:`repro.analysis.sanitizer`) watches a live cluster for the dynamic
-versions of the same hazards — same-instant cross-activation state
-conflicts, shared RNG stream draws, and hash-order-dependent results.
+runs must be bit-identical, actors must own only their state.  The
+sanitizer (:mod:`repro.analysis.sanitizer`) watches a live cluster for
+the dynamic versions of the same hazards — same-instant
+cross-activation state conflicts, shared RNG stream draws, and
+hash-order-dependent results.
 
 Exposed through ``repro lint`` (see ``python -m repro lint --help``).
 """

@@ -7,16 +7,16 @@ hash and the entry's stat fields are refreshed.  Entries also carry a
 ruleset signature (rule names + selection + package version) so adding
 or selecting rules invalidates stale results.
 
-The project-wide passes (FLOW/XB/PAR) are interprocedural — any file
+The project-wide passes (FLOW/XB) are interprocedural — any file
 can change another file's findings — so they cannot be cached per file.
 :class:`ProjectCache` caches them at the only granularity that is
 sound: the whole tree.  One ``project.json`` entry keyed by the ruleset
 signature plus a *tree signature* (sha256 over every file's path and
 content hash, in sorted order) stores each pass's raw findings and
-side documents (interaction graph, lookahead report); any edit to any
-file changes the tree signature and invalidates every project entry at
-once.  Waivers and rule selection are re-applied by the linter on load,
-so the cache stores analysis results, not policy.
+side documents (the interaction graph); any edit to any file changes
+the tree signature and invalidates every project entry at once.
+Waivers and rule selection are re-applied by the linter on load, so the
+cache stores analysis results, not policy.
 """
 
 from __future__ import annotations
@@ -144,11 +144,11 @@ class ProjectCache:
     """Whole-tree cache for the project-wide passes (see module doc).
 
     ``get``/``put`` trade ``{"findings": [Finding, ...], **extras}``
-    per family ("flow", "xbackend", "par"); extras are JSON documents
-    (the interaction-graph dict, the lookahead report).  ``save()``
-    persists staged results; entries from a previous run with the same
-    signatures survive a partial run (e.g. ``--flow`` then
-    ``--flow --par`` reuses the flow entry and adds the par one).
+    per family ("flow", "xbackend"); extras are JSON documents (the
+    interaction-graph dict).  ``save()`` persists staged results;
+    entries from a previous run with the same signatures survive a
+    partial run (e.g. ``--flow`` then ``--flow --xbackend`` reuses the
+    flow entry and adds the xbackend one).
     """
 
     _SCHEMA = 1

@@ -1,15 +1,14 @@
 """Shared static ⊇ dynamic coverage machinery.
 
-Three passes ship a dynamic cross-check in the same tradition: the
-FLOW graph check (observed comm edges ⊆ static interaction graph), the
-XB payload check (observed aliasing/pickle hazards covered by static
-XB findings), and the PAR window check (observed same-window cross-silo
-deliveries explained by static PAR findings).  Each drives a seeded
-slice with a probe armed and demands the static over-approximation
-covers everything the run observed.  The generic halves — reading the
-tree, mapping findings back to ``(class, method, rule)`` sites, diffing
-dynamic events against that coverage, and diffing plain item sets —
-live here so the three drivers stay thin and agree on report shape.
+Two passes ship a dynamic cross-check in the same tradition: the
+FLOW graph check (observed comm edges ⊆ static interaction graph) and
+the XB payload check (observed aliasing/pickle hazards covered by
+static XB findings).  Each drives a seeded slice with a probe armed
+and demands the static over-approximation covers everything the run
+observed.  The generic halves — reading the tree, mapping findings
+back to ``(class, method, rule)`` sites, diffing dynamic events against
+that coverage, and diffing plain item sets — live here so the two
+drivers stay thin and agree on report shape.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from .findings import Finding
 from .flow.index import ProjectIndex
 
 __all__ = ["Coverage", "read_sources", "static_coverage",
-           "crosscheck_events", "crosscheck_presence",
-           "missing_from_static"]
+           "crosscheck_events", "missing_from_static"]
 
 Coverage = Set[Tuple[str, str, str]]        # (class, method, rule)
 
@@ -77,33 +75,6 @@ def crosscheck_events(coverage: Coverage, events: Sequence,
         if rule is None:
             continue
         if (event.sender, event.method, rule) not in coverage:
-            entry = event.to_dict()
-            entry["expected_rule"] = rule
-            uncovered.append(entry)
-    return {
-        "schema": 1,
-        "ok": not uncovered,
-        "dynamic_events": [e.to_dict() for e in events],
-        "uncovered": uncovered,
-    }
-
-
-def crosscheck_presence(findings: Iterable[Finding], events: Sequence,
-                        rule: str) -> dict:
-    """Config-level coverage: every dynamic event is covered iff the
-    static findings contain at least one ``rule`` finding *anywhere* in
-    the analyzed sources.
-
-    Used when the dynamic event carries no sender class/method to match
-    site-by-site (the PAR window shadow records silo ids, not code
-    locations): the hazard is a property of the driven *configuration*,
-    so one static finding against that configuration explains every
-    event it produces.
-    """
-    covered = any(f.rule == rule for f in findings)
-    uncovered: List[dict] = []
-    if not covered:
-        for event in events:
             entry = event.to_dict()
             entry["expected_rule"] = rule
             uncovered.append(entry)

@@ -5,7 +5,7 @@ The contract matching the other ``repro`` subcommands: the run *fails*
 still listed (with their justification) so the report is an audit trail
 of every exemption in the tree.
 
-Four passes share the report.  The per-file pass runs every registered
+Three passes share the report.  The per-file pass runs every registered
 :class:`~repro.analysis.framework.Rule` on one module at a time (and is
 the part the ``--cache`` per-file result cache can skip).  The opt-in
 flow pass (``flow=True``) builds the project-wide index + interaction
@@ -13,9 +13,7 @@ graph from :mod:`repro.analysis.flow` over the *same* file set and
 merges the interprocedural FLOW findings in; waivers apply to them
 identically.  The opt-in cross-backend pass (``xbackend=True``) runs
 the XB portability rules from :mod:`repro.analysis.xbackend` over the
-same index machinery, and the opt-in parallel-readiness pass
-(``par=True``) runs the PAR sharding rules + lookahead inference from
-:mod:`repro.analysis.par` — same waiver semantics throughout.  With
+same index machinery — same waiver semantics throughout.  With
 ``cache_dir`` set, the project-wide passes are cached too, keyed by a
 whole-tree signature (every file's hash), so a clean re-run skips the
 interprocedural work entirely.
@@ -39,7 +37,7 @@ __all__ = ["LintReport", "lint_source", "lint_file", "lint_paths",
            "waiver_audit", "DEFAULT_ROOTS"]
 
 #: The tree the repo-wide pass covers.  ``tests/`` is deliberately out:
-#: tests exercise deprecated shims and nondeterminism on purpose.
+#: tests exercise nondeterminism on purpose.
 DEFAULT_ROOTS = ("src/repro", "benchmarks", "examples")
 
 _SKIP_DIRS = {"__pycache__", ".git", ".ruff_cache", ".pytest_cache", "fixtures"}
@@ -60,8 +58,6 @@ class LintReport:
     #: The InteractionGraph when the flow pass ran (lint_paths(flow=True));
     #: a read-only GraphView on a warm project-cache hit.
     flow_graph: Optional[object] = None
-    #: The lookahead report when the PAR pass ran (lint_paths(par=True)).
-    par_report: Optional[dict] = None
 
     @property
     def active(self) -> list[Finding]:
@@ -215,20 +211,18 @@ def _collect_files(paths: Sequence[str],
 def _ruleset_signature(rules: Optional[Iterable[str]]) -> str:
     """Cache key component covering *what analysis would run*: the
     analysis-version stamp (bumped on any rule-logic change), every
-    registered rule name in every family (per-file, FLOW, XB, PAR — a
-    new rule in any family must invalidate cached results), the package
+    registered rule name in every family (per-file, FLOW, XB — a new
+    rule in any family must invalidate cached results), the package
     version, and the rule selection."""
     import hashlib
 
     from .flow.rules import all_flow_rules
-    from .par.rules import all_par_rules
     from .version import ANALYSIS_VERSION
     from .xbackend.rules import all_xb_rules
 
     names = sorted(r.name for r in all_rules())
     names += sorted(r.name for r in all_flow_rules())
     names += sorted(r.name for r in all_xb_rules())
-    names += sorted(r.name for r in all_par_rules())
     selected = sorted(rules) if rules is not None else ["*"]
     try:
         from .. import __version__ as version
@@ -243,7 +237,6 @@ def lint_paths(paths: Sequence[str] = DEFAULT_ROOTS, base: str = ".",
                rules: Optional[Iterable[str]] = None,
                flow: bool = False,
                xbackend: bool = False,
-               par: bool = False,
                cache_dir: Optional[str] = None) -> LintReport:
     """Lint every ``.py`` file under each of ``paths`` (files or dirs),
     resolved against ``base``; findings report base-relative paths.
@@ -252,11 +245,9 @@ def lint_paths(paths: Sequence[str] = DEFAULT_ROOTS, base: str = ".",
     same file set and merges the interprocedural FLOW findings.
     ``xbackend=True`` runs the cross-backend portability pass (the XB
     family) over the same file set and merges its findings.
-    ``par=True`` runs the parallel-sharding readiness pass (the PAR
-    family + lookahead report) over the same file set.
     ``cache_dir`` enables the per-file result cache *and* the
     project-level cache: project-wide pass results (raw findings,
-    interaction-graph document, lookahead report) are keyed by a
+    interaction-graph document) are keyed by a
     whole-tree signature over every file's content hash, so a clean
     re-run skips the interprocedural fixpoint entirely.  Waivers and
     rule selection are re-applied on every load — they derive from the
@@ -292,7 +283,7 @@ def lint_paths(paths: Sequence[str] = DEFAULT_ROOTS, base: str = ".",
 
     selected = set(rules) if rules is not None else None
     waiver_map = None
-    if flow or xbackend or par:
+    if flow or xbackend:
         waiver_map = {rel: parse_waivers(src) for rel, src in sources}
 
     def _merge_project_findings(findings: Iterable[Finding]) -> None:
@@ -307,7 +298,7 @@ def lint_paths(paths: Sequence[str] = DEFAULT_ROOTS, base: str = ".",
         report.findings.extend(merged)
 
     project = None
-    if cache is not None and (flow or xbackend or par):
+    if cache is not None and (flow or xbackend):
         from .cache import ProjectCache
         project = ProjectCache(cache_dir, cache.signature, sources)
 
@@ -349,21 +340,6 @@ def lint_paths(paths: Sequence[str] = DEFAULT_ROOTS, base: str = ".",
             if project is not None:
                 project.put("xbackend", xb_findings, {})
         _merge_project_findings(xb_findings)
-
-    if par:
-        cached = _project_get("par")
-        if cached is not None:
-            par_findings = cached["findings"]
-            report.par_report = cached["lookahead"]
-        else:
-            from .par import analyze_par, lookahead_report
-
-            par_index, par_graph, par_findings = analyze_par(sources)
-            report.par_report = lookahead_report(par_index, par_graph)
-            if project is not None:
-                project.put("par", par_findings,
-                            {"lookahead": report.par_report})
-        _merge_project_findings(par_findings)
 
     if project is not None:
         project.save()

@@ -9,8 +9,7 @@ Three families, mirroring the reproduction's invariants:
   their activation's state, never block a SEDA stage thread on real I/O,
   and communicate through ``Call``/``Tell`` rather than direct method
   invocation on a reference.
-* ``API-*`` — internal code must not use API surfaces we have already
-  deprecated, and the package's declared exports must actually exist.
+* ``API-*`` — the package's declared exports must actually exist.
 
 Rules are static heuristics: they over-approximate on purpose and rely
 on ``# repro: waive[RULE] -- why`` comments for the (few) intentional
@@ -607,56 +606,6 @@ class DirectSendRule(Rule):
                                   f"{node.func.value.id}.{node.func.attr}() on "
                                   "an ActorRef — yield Call/Tell through the "
                                   "runtime instead")
-
-
-# ----------------------------------------------------------------------
-# API-DEPRECATED
-# ----------------------------------------------------------------------
-_DEPRECATED_KWARGS = {
-    "ClusterConfig": {"call_timeout", "max_receiver_queue"},
-    "ActOp": {"partitioning", "thread_allocation"},
-    "Stage": {"tracer"},
-}
-
-
-@register
-class DeprecatedApiRule(Rule):
-    name = "API-DEPRECATED"
-    severity = Severity.WARNING
-    description = "internal use of PR-3 deprecated flat kwargs"
-    rationale = (
-        "The flat kwargs were shimmed with DeprecationWarnings in PR 3; "
-        "internal code keeping them alive prevents ever removing the shims. "
-        "Use build_cluster's layered configs (ResilienceConfig, ActOpConfig)."
-    )
-
-    def visit_Call(self, node: ast.Call) -> None:
-        chain = _attr_chain(node.func)
-        if chain is not None:
-            short = chain.split(".")[-1]
-            banned = _DEPRECATED_KWARGS.get(short)
-            if banned:
-                for kw in node.keywords:
-                    if kw.arg in banned:
-                        self.report(node, f"{short}({kw.arg}=...) is a "
-                                          "deprecated flat kwarg — use the "
-                                          "layered build_cluster config")
-        self.generic_visit(node)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and target.attr == "tracer"
-                and not (
-                    isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                )
-            ):
-                self.report(node, "assigning .tracer uses the deprecated "
-                                  "single-callback shim — append to "
-                                  ".observers instead")
-        self.generic_visit(node)
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,6 @@ __all__ = [
     "Conflict",
     "OrderProbe",
     "PayloadEvent",
-    "WindowEvent",
     "current",
     "detect_order_dependence",
 ]
@@ -108,36 +107,6 @@ class PayloadEvent:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "sender": self.sender,
                 "method": self.method, "detail": self.detail}
-
-
-@dataclass(frozen=True)
-class WindowEvent:
-    """One cross-silo delivery landing inside an already-closed window.
-
-    The dynamic cousin of the static ``PAR-*`` rules: the window-shadow
-    mode (:class:`repro.analysis.par.WindowShadow`) partitions the
-    serial event stream into per-silo conservative lookahead windows of
-    width ``window`` and records an event whenever a message sent from
-    one silo arrives at a *different* silo within the same window — a
-    delivery a parallel sharded execution, whose silos have already
-    sealed that window, could not replay.  The crosscheck in
-    :mod:`repro.analysis.par.crosscheck` demands every such event be
-    explained by a static PAR finding (static ⊇ dynamic).
-    """
-
-    src: Optional[int]            # sending silo id (None = client side)
-    dst: Optional[int]            # receiving silo id
-    t_send: float                 # virtual send time
-    latency: float                # drawn delivery latency
-    window: float                 # window width the shadow was armed with
-    window_index: int             # window the send (and arrival) fell in
-
-    def to_dict(self) -> dict:
-        return {
-            "src": self.src, "dst": self.dst,
-            "t_send": self.t_send, "latency": self.latency,
-            "window": self.window, "window_index": self.window_index,
-        }
 
 
 @dataclass(frozen=True)
@@ -211,7 +180,6 @@ class Sanitizer:
         self._injected: list[Conflict] = []
         self.rng_draws: Counter = Counter()
         self.payload_events: list[PayloadEvent] = []
-        self.window_events: list[WindowEvent] = []
         self.accesses = 0
         self.events_seen = 0
         self._armed = False
@@ -388,12 +356,6 @@ class Sanitizer:
         self.payload_events.append(
             PayloadEvent("unpicklable", sender, method, detail))
 
-    def record_window_event(self, event: WindowEvent) -> None:
-        """Window shadow: a cross-silo delivery landed inside the same
-        conservative lookahead window it was sent in — an arrival the
-        sharded engine's already-sealed windows could not accept."""
-        self.window_events.append(event)
-
     def record_inflight_eviction(self, owner, age: float) -> None:
         """``drop_oldest`` evicted a *dispatched* request: server work is
         racing client-side abandonment — the sustained-overload livelock
@@ -472,7 +434,6 @@ class Sanitizer:
             "conflicts": [c.to_dict() for c in conflicts],
             "rng_hazards": [c.to_dict() for c in hazards],
             "payload_events": [e.to_dict() for e in self.payload_events],
-            "window_events": [e.to_dict() for e in self.window_events],
         }
 
 

@@ -22,4 +22,5 @@ __all__ = ["ANALYSIS_VERSION"]
 #:          "3" — PAR parallel-sharding readiness family + lookahead
 #:                inference; signature gains the PAR rule-name list and
 #:                the cache gains project-level (whole-tree) entries.
-ANALYSIS_VERSION = "3"
+#:          "4" — PAR family and the deprecated-API rule removed.
+ANALYSIS_VERSION = "4"

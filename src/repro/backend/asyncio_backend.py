@@ -1008,6 +1008,10 @@ class AsyncioBackend(Backend):
         result)``); additionally returns an ``asyncio.Future`` callers
         may await inside the loop or drain via :meth:`flush`.
         """
+        # Pick the gateway before registering anything: with every silo
+        # failed this raises, and nothing may be left pending behind it.
+        gateway = self.silos[self.pick_live_server(
+            self._gateway_rng.randrange(self.num_servers))]
         call_id = next_call_id()
         future = self._loop.create_future()
         timer = None
@@ -1017,8 +1021,6 @@ class AsyncioBackend(Backend):
                 call_id, ref.id, method)
         self._client_pending[call_id] = (self._clock.now, future,
                                          on_complete, timer)
-        gateway = self.silos[self.pick_live_server(
-            self._gateway_rng.randrange(self.num_servers))]
         message = Message(
             kind=MessageKind.CLIENT_REQUEST,
             target=ref.id,

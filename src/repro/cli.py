@@ -354,29 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
                            "covered by a static XB finding (static ⊇ "
                            "dynamic); write the report JSON here; implies "
                            "--xbackend")
-    lint.add_argument("--par", action="store_true",
-                      help="also run the parallel-sharding readiness pass "
-                           "(PAR rules: zero lookahead, global mutable "
-                           "state, cross-silo conflicts, non-mergeable "
-                           "metrics, unportable silo state)")
-    lint.add_argument("--par-graph", metavar="PATH", default=None,
-                      help="write the lookahead report (network models, "
-                           "per-edge lookahead, inferred window bound) "
-                           "here; implies --par")
-    lint.add_argument("--par-check", metavar="PATH", default=None,
-                      help="drive seeded Halo and Stageflow slices with "
-                           "the window-barrier shadow armed and verify "
-                           "every same-window cross-silo delivery is "
-                           "covered by a static PAR finding (static ⊇ "
-                           "dynamic); write the report JSON here; implies "
-                           "--par")
     lint.add_argument("--waivers", action="store_true",
                       help="report every active '# repro: waive[...]' "
                            "(file, rules, justification) and exit")
     lint.add_argument("--cache", action="store_true",
                       help="cache per-file results under .repro-lint-cache/ "
                            "keyed by mtime+hash; project-wide passes "
-                           "(--flow/--xbackend/--par) are cached whole-tree "
+                           "(--flow/--xbackend) are cached whole-tree "
                            "keyed by a tree signature")
     lint.add_argument("--requests", type=int, default=2_000,
                       help="sanitizer/graph-check: client requests to drive "
@@ -1003,7 +987,6 @@ def _run_lint(args: argparse.Namespace) -> int:
 
     from .analysis import DEFAULT_ROOTS, all_rules, lint_paths
     from .analysis.flow import all_flow_rules
-    from .analysis.par import all_par_rules
     from .analysis.xbackend import all_xb_rules
 
     if args.list_rules:
@@ -1011,7 +994,6 @@ def _run_lint(args: argparse.Namespace) -> int:
             ("file", all_rules()),
             ("flow", all_flow_rules()),
             ("xbackend", all_xb_rules()),
-            ("par", all_par_rules()),
         ]
         inventory = [
             {"family": family, "name": r.name,
@@ -1045,20 +1027,15 @@ def _run_lint(args: argparse.Namespace) -> int:
     flow = args.flow or args.flow_graph is not None \
         or args.graph_check is not None
     xbackend = args.xbackend or args.xb_check is not None
-    par = args.par or args.par_graph is not None \
-        or args.par_check is not None
     cache_dir = ".repro-lint-cache" if args.cache else None
     report = lint_paths(args.paths or DEFAULT_ROOTS, rules=args.rules,
-                        flow=flow, xbackend=xbackend, par=par,
-                        cache_dir=cache_dir)
+                        flow=flow, xbackend=xbackend, cache_dir=cache_dir)
     doc: dict = {"schema": 1, "lint": report.to_dict()}
     ok = report.ok
 
     graph = report.flow_graph
     if graph is not None:
         doc["flow_graph"] = graph.to_dict()
-    if report.par_report is not None:
-        doc["par_lookahead"] = report.par_report
 
     san_report = None
     if args.sanitize:
@@ -1083,15 +1060,6 @@ def _run_lint(args: argparse.Namespace) -> int:
         doc["xb_check"] = xb_report
         ok = ok and xb_report["ok"]
 
-    par_check_report = None
-    if args.par_check is not None:
-        from .analysis.par import crosscheck_windows
-
-        par_check_report = crosscheck_windows(
-            args.paths or DEFAULT_ROOTS, requests=args.requests,
-            seed=args.seed)
-        doc["par_check"] = par_check_report
-        ok = ok and par_check_report["ok"]
     doc["ok"] = ok
 
     out = sys.stderr if args.json_path == "-" else sys.stdout
@@ -1101,7 +1069,7 @@ def _run_lint(args: argparse.Namespace) -> int:
               f.justification or ""] for f in report.waived]
     cache_note = (f", cache {report.cache_hits} hit/"
                   f"{report.cache_misses} miss" if args.cache else "")
-    if args.cache and (flow or xbackend or par):
+    if args.cache and (flow or xbackend):
         cache_note += (f", project {report.project_cache_hits} hit/"
                        f"{report.project_cache_misses} miss")
     print(render_table(
@@ -1140,25 +1108,6 @@ def _run_lint(args: argparse.Namespace) -> int:
             json.dump(xb_report, fh, indent=2)
             fh.write("\n")
         print(f"xbackend crosscheck written to {args.xb_check}", file=out)
-    if report.par_report is not None:
-        la = report.par_report
-        print(f"\npar: {la['resolved_models']} network model(s) resolved "
-              f"({la['unresolved_models']} unresolved), "
-              f"{len(la['edges'])} type edge(s), "
-              f"window bound {la['window']:.6g}s", file=out)
-        if args.par_graph is not None:
-            with open(args.par_graph, "w") as fh:
-                json.dump(la, fh, indent=2)
-                fh.write("\n")
-            print(f"lookahead report written to {args.par_graph}", file=out)
-    if par_check_report is not None:
-        from .analysis.par import format_par_crosscheck
-
-        print(format_par_crosscheck(par_check_report), file=out)
-        with open(args.par_check, "w") as fh:
-            json.dump(par_check_report, fh, indent=2)
-            fh.write("\n")
-        print(f"par window crosscheck written to {args.par_check}", file=out)
     if san_report is not None:
         print(f"\nsanitizer: {san_report['requests_completed']} requests, "
               f"{san_report['events_seen']} events, "

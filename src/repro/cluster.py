@@ -42,7 +42,6 @@ enforce it).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -140,7 +139,7 @@ class Cluster:
 
 def build_cluster(
     config: Optional[ClusterConfig] = None,
-    *legacy: Any,
+    *,
     backend: str = "sim",
     resilience: Optional[ResilienceConfig] = None,
     actop: Optional[ActOpConfig] = None,
@@ -150,7 +149,6 @@ def build_cluster(
     supervision: Optional[SupervisionPolicy] = None,
     transport: str = "inproc",
     call_timeout: Optional[float] = None,
-    **deprecated: Any,
 ) -> Cluster:
     """Compose a cluster from the config layers — the single construction
     path for either engine.
@@ -183,13 +181,7 @@ def build_cluster(
     Returns a :class:`Cluster`; call :meth:`Cluster.start` (or just
     :meth:`Cluster.run`) to arm the backend, optimizer, fault plan, and
     autoscaler.
-
-    Deprecated forms (kept as warning shims, behaviour unchanged):
-    positional ``resilience``/``actop``/``faults`` after the config, and
-    the old ``cluster=`` keyword for the first argument.
     """
-    config, resilience, actop, faults = _fold_legacy_arguments(
-        config, legacy, resilience, actop, faults, deprecated)
     if backend not in BACKENDS:
         raise BackendError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}")
@@ -250,49 +242,3 @@ def _build_asyncio(config, *, resilience, actop, faults, autoscale, sim,
     injector = (AsyncioFaultInjector(engine, faults)
                 if faults is not None and not faults.empty else None)
     return Cluster(runtime=engine, injector=injector, backend=engine)
-
-
-def _fold_legacy_arguments(config, legacy, resilience, actop, faults,
-                           deprecated):
-    """Deprecation shims for the pre-backend ``build_cluster`` signature.
-
-    Warn exactly once per call, behave identically — the contract every
-    shim in this tree honours (tests/integration/test_deprecation_shims).
-    """
-    if "cluster" in deprecated:
-        if config is not None:
-            raise TypeError(
-                "build_cluster() got both a positional config and the "
-                "deprecated cluster= keyword")
-        config = deprecated.pop("cluster")
-        warnings.warn(
-            "build_cluster(cluster=...) is deprecated; the first argument "
-            "is now named config (pass it positionally or as config=...)",
-            DeprecationWarning, stacklevel=3)
-    if deprecated:
-        unexpected = ", ".join(sorted(deprecated))
-        raise TypeError(
-            f"build_cluster() got unexpected keyword arguments: {unexpected}")
-    if legacy:
-        if len(legacy) > 3:
-            raise TypeError(
-                f"build_cluster() takes at most 4 positional arguments "
-                f"({1 + len(legacy)} given)")
-        warnings.warn(
-            "positional resilience/actop/faults arguments to "
-            "build_cluster() are deprecated; pass them as keywords "
-            "(resilience=..., actop=..., faults=...)",
-            DeprecationWarning, stacklevel=3)
-        for value, name, current in zip(
-                legacy, ("resilience", "actop", "faults"),
-                (resilience, actop, faults)):
-            if current is not None:
-                raise TypeError(
-                    f"build_cluster() got multiple values for {name!r}")
-            if name == "resilience":
-                resilience = value
-            elif name == "actop":
-                actop = value
-            else:
-                faults = value
-    return config, resilience, actop, faults

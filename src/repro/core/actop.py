@@ -11,14 +11,11 @@ Either can be enabled alone — the evaluation benches exercise all three
 combinations, mirroring Figs. 10, 11(a) and 11(b).
 
 Configuration goes through :class:`ActOpConfig`, one of the layered
-configs consumed by :func:`repro.cluster.build_cluster`; the old
-``ActOp(runtime, partitioning=..., thread_allocation=...)`` keyword form
-still works but emits a :class:`DeprecationWarning`.
+configs consumed by :func:`repro.cluster.build_cluster`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,23 +63,7 @@ class ActOp:
         self,
         runtime: ActorRuntime,
         config: Optional[ActOpConfig] = None,
-        *,
-        partitioning: Optional[PartitioningConfig] = None,
-        thread_allocation: Optional[ThreadControllerConfig] = None,
     ):
-        if partitioning is not None or thread_allocation is not None:
-            warnings.warn(
-                "ActOp(runtime, partitioning=..., thread_allocation=...) is "
-                "deprecated; pass ActOpConfig(partitioning=..., "
-                "thread_allocation=...) instead",
-                DeprecationWarning, stacklevel=2,
-            )
-            if config is not None:
-                raise ValueError(
-                    "pass either an ActOpConfig or the deprecated keyword "
-                    "arguments, not both")
-            config = ActOpConfig(partitioning=partitioning,
-                                 thread_allocation=thread_allocation)
         if config is None or not config.enabled:
             raise ValueError("enable at least one of the two optimizations")
         self.config = config

@@ -90,7 +90,7 @@ class AdmissionConfig:
             abandons the oldest in-flight request to admit the new one
             (fresher work is likelier to still matter to its caller).
         receiver_queue: per-silo receiver-stage bound on queued client
-            requests (absorbs the old ``ClusterConfig.max_receiver_queue``).
+            requests.
         stage_soft_limit: queue depth at which silo stages start
             reporting backpressure (None = no signal).
     """
@@ -117,9 +117,8 @@ class ResilienceConfig:
     """Everything between "request issued" and "caller sees an outcome".
 
     Attributes:
-        call_timeout: per-attempt timeout in unscaled seconds (absorbs
-            the old ``ClusterConfig.call_timeout``; also the default for
-            actor-to-actor calls).
+        call_timeout: per-attempt timeout in unscaled seconds (also the
+            default for actor-to-actor calls).
         request_deadline: end-to-end client-request budget in unscaled
             seconds; retries stop once it would be exceeded.
         retry: retry policy for timed-out client requests (None = fail

@@ -8,11 +8,11 @@ and the windowed-sampling machinery that controllers consume.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional
+from typing import Mapping
 
 from ..sim.cpu import CpuPool
 from ..sim.engine import Simulator
-from .stage import Stage, StageEvent, StatsWindow
+from .stage import Stage, StatsWindow
 
 __all__ = ["StagedServer"]
 
@@ -57,12 +57,10 @@ class StagedServer:
         name: str,
         threads: int = 1,
         blocking: bool = False,
-        tracer: Optional[Callable[[Stage, StageEvent], None]] = None,
     ) -> Stage:
         if name in self.stages:
             raise ValueError(f"stage {name!r} already exists")
-        # repro: waive[API-DEPRECATED] -- the shim's own forwarding path; warns only when a tracer is actually passed
-        stage = Stage(self.sim, self.cpu, name, threads, blocking=blocking, tracer=tracer)
+        stage = Stage(self.sim, self.cpu, name, threads, blocking=blocking)
         self.stages[name] = stage
         return stage
 

@@ -19,7 +19,6 @@ inferred.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -159,9 +158,6 @@ class Stage:
         blocking: whether events of this stage may carry a synchronous
             wait component (the paper's S0 — stages *known* to never block
             — is the complement of this flag).
-        tracer: deprecated single-callback form of :attr:`observers`;
-            append ``hook(stage, event)`` callables to ``observers``
-            instead.
     """
 
     # Armed race sanitizer; class-level None so the disarmed completion
@@ -175,7 +171,6 @@ class Stage:
         name: str,
         threads: int = 1,
         blocking: bool = False,
-        tracer: Optional[Callable[["Stage", StageEvent], None]] = None,
     ):
         if threads < 1:
             raise ValueError("a stage needs at least one thread")
@@ -187,9 +182,6 @@ class Stage:
         #: registration order after the stats update, before the event's
         #: own callback.  Hooks must observe only (no scheduling, no RNG).
         self.observers: list[Callable[["Stage", StageEvent], None]] = []
-        self._legacy_tracer: Optional[Callable[["Stage", StageEvent], None]] = None
-        if tracer is not None:
-            self.tracer = tracer
         self.stats = StageStats()
         #: Queue depth at which :attr:`backpressure` starts reporting a
         #: non-zero signal (None disables it).  Set cluster-wide via
@@ -200,27 +192,6 @@ class Stage:
         self._busy = 0
         self._queue: deque[StageEvent] = deque()
         cpu.register_threads(threads)
-
-    # ------------------------------------------------------------------
-    # Completion hooks
-    # ------------------------------------------------------------------
-    @property
-    def tracer(self) -> Optional[Callable[["Stage", StageEvent], None]]:
-        """Deprecated: the single-callback predecessor of :attr:`observers`."""
-        return self._legacy_tracer
-
-    @tracer.setter
-    def tracer(self, callback: Optional[Callable[["Stage", StageEvent], None]]) -> None:
-        warnings.warn(
-            "Stage.tracer is deprecated; append to Stage.observers instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self._legacy_tracer is not None:
-            self.observers.remove(self._legacy_tracer)
-        self._legacy_tracer = callback
-        if callback is not None:
-            self.observers.append(callback)
 
     # ------------------------------------------------------------------
     # Thread-pool control (the knob §5 optimizes)

@@ -46,12 +46,6 @@ class Network:
         # installed only when a fault plan has network actions, so the
         # plain path below stays byte-identical for fault-free runs.
         self.faults = None
-        # Optional window-shadow hook (a repro.analysis.par.WindowShadow);
-        # observes (src, dst, send time, latency) per delivery while the
-        # PAR sanitizer mode is armed.  Pure recording — it never draws
-        # from an RNG or schedules an event, so the digest is unchanged
-        # even when attached; when None the cost is one attribute load.
-        self.shadow = None
 
     def latency(self) -> float:
         """Draw a one-way delivery latency."""
@@ -82,6 +76,4 @@ class Network:
         else:
             latency = self.latency()
             self.sim.defer(latency, callback, *args)
-        if self.shadow is not None:
-            self.shadow.observe(src, dst, self.sim.now, latency)
         return latency

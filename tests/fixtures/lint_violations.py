@@ -6,7 +6,7 @@ fires and that ``repro lint`` exits non-zero on a dirty file.  The
 ``fixtures`` directory is excluded from the default lint roots, so the
 repo-wide pass stays clean.
 
-The ``Actor``/``ActorRef``/``ClusterConfig`` stand-ins keep the file
+The ``Actor``/``ActorRef`` stand-ins keep the file
 self-contained (the rules match on names, not on imports).
 """
 
@@ -51,11 +51,6 @@ class ActorRef:
     """Stand-in reference type."""
 
 
-def ClusterConfig(**kwargs):
-    """Stand-in for the real config; the rule matches the name."""
-    return kwargs
-
-
 class RogueActor(Actor):
     def poke(self, other):
         other.count = 1  # ACT-FOREIGN-STATE: writes a non-self param
@@ -65,7 +60,3 @@ class RogueActor(Actor):
 
     def shortcut(self, ref: ActorRef):
         return ref.ping()  # ACT-DIRECT-SEND: bypasses Call/Tell
-
-
-def deprecated_api():
-    return ClusterConfig(call_timeout=0.5)  # API-DEPRECATED

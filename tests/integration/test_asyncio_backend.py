@@ -173,6 +173,26 @@ def test_crash_plan_runs_on_asyncio():
         assert be.locate(ref.id) == 0
 
 
+def test_request_against_a_fully_failed_cluster_leaves_nothing_pending():
+    with _cluster(call_timeout=0.2) as cluster:
+        be = cluster.runtime
+        be.register_actor("counter", CounterActor)
+        cluster.start()
+        be.fail_silo(0)
+        be.fail_silo(1)
+        outcomes = []
+        with pytest.raises(RuntimeError, match="every silo"):
+            be.call(be.ref("counter", 0), "bump",
+                    on_complete=lambda _lat, res: outcomes.append(res))
+        # The raise is the whole outcome: no pending entry to hold the
+        # cluster busy, no timer reporting a CallTimeout for a request
+        # that was never issued.
+        assert be.inflight_requests == 0
+        assert be.run_until_idle(timeout=0.1)
+        cluster.run(until=0.3)  # past call_timeout
+        assert outcomes == [] and be.requests_timed_out == 0
+
+
 def test_network_fault_actions_are_rejected_at_build_time():
     plan = FaultPlan().degrade(at=1.0, until=2.0, drop=0.5)
     with pytest.raises(BackendError, match="LinkDegradation"):

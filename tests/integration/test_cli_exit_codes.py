@@ -26,8 +26,6 @@ CASES = [
     ("lint-ok", ["lint", "src/repro/analysis/findings.py"], 0),
     ("lint-xbackend-ok",   # repo tree carries zero unwaived XB findings
      ["lint", "--xbackend", "src/repro/analysis/findings.py"], 0),
-    ("lint-par-ok",        # ... and zero unwaived PAR findings
-     ["lint", "--par", "src/repro/analysis/findings.py"], 0),
     # ---- completed-with-findings -> 1
     ("trace-empty-window",  # no traced request completes in 10ms
      ["trace", "--workload", "halo", "--players", "60", "--servers", "2",
@@ -44,15 +42,13 @@ CASES = [
     ("lint-xbackend-findings",
      ["lint", "--xbackend",
       os.path.join("tests", "fixtures", "xbackend_violations.py")], 1),
-    ("lint-par-findings",
-     ["lint", "--par",
-      os.path.join("tests", "fixtures", "par_violations.py")], 1),
     # ---- argparse rejection -> 2
     ("perf-bad-choice", ["perf", "--only", "nonesuch"], 2),
     ("perf-bad-transport", ["perf", "--transport", "nonesuch"], 2),
     ("trace-bad-choice", ["trace", "--workload", "nonesuch"], 2),
     ("faults-bad-spec", ["faults", "--kill", "notaspec"], 2),
     ("lint-bad-flag", ["lint", "--bogus"], 2),
+    ("lint-par-removed", ["lint", "--par"], 2),   # deleted with the PAR stack
 ]
 
 

@@ -82,9 +82,9 @@ def test_waiver_audit_is_fully_justified():
         assert entry["justification"], entry
 
 
-def test_waiver_audit_reports_xb_and_par_waivers(tmp_path):
+def test_waiver_audit_reports_xb_and_flow_waivers(tmp_path):
     # The audit must surface waivers of every family, not just the
-    # per-file rules — a sharding or portability waiver is exactly the
+    # per-file rules — a deadlock or portability waiver is exactly the
     # kind reviewers need to see.
     (tmp_path / "mod.py").write_text(
         "class StreamActor:\n"
@@ -92,16 +92,15 @@ def test_waiver_audit_reports_xb_and_par_waivers(tmp_path):
         "        # repro: waive[XB-UNPICKLABLE-PAYLOAD] -- audit fixture\n"
         "        yield (x for x in range(3))\n"
         "\n"
-        "\n"
-        "def boot():\n"
-        "    # repro: waive[PAR-ZERO-LOOKAHEAD] -- audit fixture\n"
-        "    return ClusterConfig(network_latency=0.0)\n"
+        "    def relay(self):\n"
+        "        # repro: waive[FLOW-CALL-CYCLE] -- audit fixture\n"
+        "        yield Call(self.self_ref, 'relay')\n"
     )
     doc = waiver_audit([str(tmp_path)], base=str(tmp_path))
     assert doc["count"] == 2
     assert doc["unjustified"] == 0
     rules = {rule for entry in doc["waivers"] for rule in entry["rules"]}
-    assert rules == {"XB-UNPICKLABLE-PAYLOAD", "PAR-ZERO-LOOKAHEAD"}
+    assert rules == {"XB-UNPICKLABLE-PAYLOAD", "FLOW-CALL-CYCLE"}
     for entry in doc["waivers"]:
         assert entry["justification"] == "audit fixture"
 
@@ -162,7 +161,6 @@ def test_cli_list_rules_includes_the_flow_family():
     for name in FLOW_RULES:
         assert name in proc.stdout
     assert "[flow]" in proc.stdout
-    assert "[par]" in proc.stdout
 
 
 def test_cli_list_rules_json_inventory_follows_the_convention():
@@ -174,13 +172,11 @@ def test_cli_list_rules_json_inventory_follows_the_convention():
     assert doc["schema"] == 1
     rows = doc["rules"]
     families = {r["family"] for r in rows}
-    assert families == {"file", "flow", "xbackend", "par"}
+    assert families == {"file", "flow", "xbackend"}
     for row in rows:
         assert row["name"] and row["description"]
         assert row["severity"] in ("error", "warning")
-    par = [r["name"] for r in rows if r["family"] == "par"]
-    assert sorted(par) == [
-        "PAR-CROSS-SILO-CONFLICT", "PAR-GLOBAL-MUTABLE",
-        "PAR-NONMERGEABLE-METRIC", "PAR-UNPORTABLE-SILO-STATE",
-        "PAR-ZERO-LOOKAHEAD"]
+    names = [r["name"] for r in rows]
+    assert not [n for n in names if n.startswith("PAR-")]
+    assert "API-DEPRECATED" not in names
     assert "registered lint rules" in proc.stderr

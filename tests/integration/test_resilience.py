@@ -3,8 +3,8 @@
 Covers the late-response double-completion regression (a response
 arriving after its timeout must be discarded, not re-completed), retry
 under transient faults, retry-budget and deadline exhaustion, admission
-control under both shed policies, and the deprecation shims for the old
-``ClusterConfig`` / ``ActOp`` keyword APIs.
+control under both shed policies, and that the pre-layering flat forms
+are rejected by Python's own ``TypeError``.
 """
 
 import pytest
@@ -13,7 +13,7 @@ from repro.actor.actor import Actor
 from repro.actor.errors import CallTimeout, RequestShed
 from repro.actor.runtime import ActorRuntime, ClusterConfig
 from repro.cluster import build_cluster
-from repro.core.actop import ActOp, ActOpConfig
+from repro.core.actop import ActOp
 from repro.core.partitioning.coordinator import PartitioningConfig
 from repro.faults import (
     AdmissionConfig,
@@ -22,6 +22,9 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.obs import Observability
+from repro.seda.stage import Stage
+from repro.sim.cpu import CpuPool
+from repro.sim.engine import Simulator
 
 
 class Echo(Actor):
@@ -257,32 +260,22 @@ def test_admission_frees_slots_on_completion():
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims.
+# The pre-layering flat forms are gone: Python's own TypeError, no shim.
 # ----------------------------------------------------------------------
-def test_deprecated_cluster_config_knobs_fold_into_resilience():
-    with pytest.warns(DeprecationWarning):
-        rt = ActorRuntime(ClusterConfig(num_servers=1, seed=0,
-                                        call_timeout=0.5,
-                                        max_receiver_queue=7))
-    assert rt.resilience is not None
-    assert rt.resilience.call_timeout == 0.5
-    assert rt.call_timeout == 0.5 * rt.time_scale
-    assert rt.max_receiver_queue == 7
+def _stage_with_tracer():
+    sim = Simulator()
+    return Stage(sim, CpuPool(sim, 2), "s", tracer=print)
 
 
-def test_explicit_resilience_wins_over_deprecated_knobs():
-    with pytest.warns(DeprecationWarning):
-        rt = ActorRuntime(
-            ClusterConfig(num_servers=1, seed=0, call_timeout=0.5),
-            resilience=ResilienceConfig(call_timeout=2.0))
-    assert rt.resilience.call_timeout == 2.0
-
-
-def test_deprecated_actop_kwargs_still_work():
-    rt = ActorRuntime(ClusterConfig(num_servers=2, seed=0))
-    with pytest.warns(DeprecationWarning):
-        actop = ActOp(rt, partitioning=PartitioningConfig())
-    assert actop.agents
-    with pytest.raises(ValueError), pytest.warns(DeprecationWarning):
-        ActOp(rt, ActOpConfig(partitioning=PartitioningConfig()),
-              partitioning=PartitioningConfig())
+@pytest.mark.parametrize("build", [
+    lambda: ClusterConfig(call_timeout=0.5),
+    lambda: build_cluster(ClusterConfig(num_servers=1), ResilienceConfig()),
+    lambda: build_cluster(cluster=ClusterConfig(num_servers=1)),
+    _stage_with_tracer,
+    lambda: ActOp(ActorRuntime(ClusterConfig(num_servers=1)),
+                  partitioning=PartitioningConfig()),
+], ids=["cluster-config-knob", "positional-layer", "cluster-keyword",
+        "stage-tracer", "actop-keywords"])
+def test_removed_flat_forms_raise_type_error(build):
+    with pytest.raises(TypeError):
+        build()

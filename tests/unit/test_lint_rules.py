@@ -60,11 +60,6 @@ CASES = {
         "    def go(self, ref: ActorRef):\n"
         "        yield Call(ref, 'ping')\n",
     ),
-    "API-DEPRECATED": (
-        "cfg = ClusterConfig(call_timeout=0.5)\n",
-        "cfg = ClusterConfig(num_servers=4)\n"
-        "res = ResilienceConfig(call_timeout=0.5)\n",
-    ),
     "API-EXPORT-ALL": (
         "__all__ = ['present', 'missing']\npresent = 1\n",
         "__all__ = ['present']\npresent = 1\n",

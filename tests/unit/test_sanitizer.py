@@ -143,10 +143,9 @@ def test_report_schema():
     report = Sanitizer().report()
     assert set(report) == {"ok", "events_seen", "accesses", "distinct_sites",
                            "rng_draws", "conflicts", "rng_hazards",
-                           "payload_events", "window_events"}
+                           "payload_events"}
     assert report["ok"] is True
     assert report["payload_events"] == []
-    assert report["window_events"] == []
 
 
 def test_payload_events_are_recorded_but_do_not_fail_the_report():

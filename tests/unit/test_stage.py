@@ -157,24 +157,6 @@ def test_multiple_observers_fire_in_registration_order():
     assert order == ["first", "second", "callback"]
 
 
-def test_legacy_tracer_kwarg_is_deprecated_but_works():
-    traced = []
-    with pytest.deprecated_call():
-        sim, cpu, stage = make_stage(
-            tracer=lambda st, ev: traced.append(ev.cpu_time))
-    assert stage.tracer is not None
-    stage.submit(1.5, lambda ev: None)
-    sim.run()
-    assert traced == [pytest.approx(1.5)]
-    # Replacing the legacy tracer swaps, not stacks.
-    with pytest.deprecated_call():
-        stage.tracer = lambda st, ev: traced.append(-1.0)
-    assert len(stage.observers) == 1
-    with pytest.deprecated_call():
-        stage.tracer = None
-    assert stage.observers == []
-
-
 def test_queue_length_property():
     sim, cpu, stage = make_stage(threads=1)
     for _ in range(3):
