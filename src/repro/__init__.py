@@ -33,9 +33,10 @@ The package splits into the paper's contribution and its substrates:
 * :mod:`repro.analysis` — the hygiene toolchain: an AST lint pass over
   the tree's determinism/actor/API invariants and an opt-in runtime
   race sanitizer; ``repro lint`` on the CLI.
-* :mod:`repro.backend` — one actor API, two engines: the deterministic
-  simulator (``SimBackend``, the reference) and a real asyncio runtime
-  (``AsyncioBackend``: task-group silos, TCP transport, wall-clock
+* :mod:`repro.backend` — one actor API, two engines over one runtime
+  core (:mod:`repro.actor.core`): the deterministic simulator
+  (``ActorRuntime``, the reference) and a real asyncio runtime
+  (``AsyncioBackend``: callback turn machines, TCP transport, wall-clock
   timers, supervision); select via ``build_cluster(backend=...)``.
 
 The package ships a ``py.typed`` marker: the inline annotations are the
@@ -61,7 +62,6 @@ from .backend import (
     AsyncioBackend,
     Backend,
     BackendError,
-    SimBackend,
     SupervisionPolicy,
 )
 from .actor import (
@@ -160,7 +160,6 @@ __all__ = [
     "RouterActor",
     "Sanitizer",
     "SerializationModel",
-    "SimBackend",
     "Simulator",
     "Sleep",
     "Span",

@@ -6,7 +6,7 @@ pluggable placement policies, SEDA-staged silos with RPC/LPC message
 paths, and the transparent opportunistic migration machinery of §4.3.
 """
 
-from .activation import Activation, WorkItem, WorkKind
+from .activation import Activation
 from .actor import DEFAULT_COMPUTE, DEFAULT_RESUME_COMPUTE, Actor, idempotent
 from .calls import All, Call, Sleep, Tell
 from .directory import Directory, LocationCache
@@ -53,7 +53,5 @@ __all__ = [
     "Tell",
     "Silo",
     "Sleep",
-    "WorkItem",
-    "WorkKind",
     "idempotent",
 ]

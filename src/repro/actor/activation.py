@@ -15,44 +15,24 @@ constant factor of deque at every realistic depth.
 
 from __future__ import annotations
 
-from enum import Enum, auto
 from typing import Any, Optional
 
 from .actor import Actor
 from .ids import ActorId
-from .messages import Message
 
-__all__ = ["Activation", "WorkItem", "WorkKind"]
+__all__ = ["Activation", "WorkItem"]
 
+# One turn segment waiting its turn inside the actor:
+# ``(continuation, value, throw, copied)``.  A new turn has no
+# continuation yet and carries its triggering request as ``value``; a
+# resume names the suspended turn, the value to send into its generator,
+# and whether to raise it inside instead.  ``copied``: the bytes a
+# same-silo sender deep-copied to hand this over (actor isolation,
+# Fig. 3's LPC path), None when it came off the wire or a timer — the
+# core records it, the simulator prices it.  A plain tuple: two are
+# built per call, and a slotted class costs ten times as much to make.
+WorkItem = tuple[Any, Any, bool, Optional[int]]
 
-class WorkKind(Enum):
-    START = auto()    # begin a new turn for an incoming request
-    RESUME = auto()   # resume a turn suspended at a yield point
-
-
-class WorkItem:
-    """One compute-stage segment waiting its turn inside the actor."""
-
-    __slots__ = ("kind", "message", "continuation", "value", "compute", "wait",
-                 "throw")
-
-    def __init__(
-        self,
-        kind: WorkKind,
-        compute: float,
-        wait: float = 0.0,
-        message: Optional[Message] = None,
-        continuation: Any = None,
-        value: Any = None,
-        throw: bool = False,
-    ):
-        self.kind = kind
-        self.compute = compute
-        self.wait = wait
-        self.message = message          # START: the triggering request
-        self.continuation = continuation  # RESUME: the suspended turn
-        self.value = value              # RESUME: value to send into the generator
-        self.throw = throw              # RESUME: raise value inside instead
 
 class Activation:
     """A live actor on one silo."""
@@ -67,8 +47,8 @@ class Activation:
         "deactivating",
         "discard_state",
         "deactivation_hint",
-        "messages_handled",
         "last_active",
+        "stopped",
     )
 
     def __init__(self, actor_id: ActorId, instance: Actor):
@@ -81,28 +61,24 @@ class Activation:
         self.deactivating = False
         self.discard_state = False   # deactivate without persisting state
         self.deactivation_hint: Optional[int] = None
-        self.messages_handled = 0
-        self.last_active = 0.0       # sim time of the last enqueued work
+        self.last_active = 0.0       # when the last enqueued request was sent
+        self.stopped = False         # a supervisor's "stop" verdict: refuse turns
 
     # ------------------------------------------------------------------
-    @property
-    def reentrant(self) -> bool:
-        return type(self.instance).REENTRANT
-
     def next_eligible(self) -> Optional[WorkItem]:
         """Pop the next runnable work item, honoring reentrancy rules.
 
-        RESUME items are always eligible (they belong to already-open
-        turns).  START items are eligible when the actor is reentrant or
-        no turn is open.  FIFO order is preserved among eligible items;
-        a blocked START does not block later RESUMEs.
+        Resumes are always eligible (they belong to already-open turns).
+        New turns are eligible when the actor is reentrant or no turn is
+        open.  FIFO order is preserved among eligible items; a blocked
+        new turn does not block later resumes.
         """
         if not self.queue or self.segment_running:
             return None
-        if self.reentrant:
+        if type(self.instance).REENTRANT:
             return self.queue.pop(0)
         for idx, item in enumerate(self.queue):
-            if item.kind is WorkKind.RESUME or self.open_turns == 0:
+            if item[0] is not None or self.open_turns == 0:
                 del self.queue[idx]
                 return item
         return None

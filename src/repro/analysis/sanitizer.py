@@ -35,6 +35,7 @@ exists beyond a class-level ``None`` and the hot paths are unchanged
 from __future__ import annotations
 
 import contextlib
+import pickle
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
@@ -223,17 +224,18 @@ class Sanitizer:
             sim = runtime.sim
         if sim is not None:
             self.sim = sim
-            self._wire(sim)
+            self.hook(sim)
         if runtime is not None:
-            self._wire(runtime)
+            self.hook(runtime)
             for silo in runtime.silos:
-                self._wire(silo)
+                self.hook(silo)
                 for stage in (silo.receiver, silo.worker,
                               silo.server_sender, silo.client_sender):
-                    self._wire(stage)
+                    self.hook(stage)
         return self
 
-    def _wire(self, obj) -> None:
+    def hook(self, obj) -> None:
+        """Point ``obj._san`` at this sanitizer until :meth:`disarm`."""
         obj._san = self
         self._wired.append((obj, "_san"))
 
@@ -355,6 +357,38 @@ class Sanitizer:
         it can cross the inproc transport by reference but never TCP."""
         self.payload_events.append(
             PayloadEvent("unpicklable", sender, method, detail))
+
+    def probe_payload(self, instance, generator, args: tuple) -> None:
+        """A turn of ``instance`` is about to send ``args``: look for the
+        dynamic cousins of the XB rules — an argument the sender's own
+        state still references (shared inproc, copied over TCP:
+        XB-ALIASED-MUTABLE) and arguments pickle rejects outright
+        (XB-UNPICKLABLE-PAYLOAD)."""
+        if not args:
+            return
+        sender = type(instance).__name__
+        method = getattr(generator, "__name__", "<turn>")
+        mutable_ids = {id(v) for v in instance.__dict__.values()
+                       if isinstance(v, (list, dict, set, bytearray))}
+
+        def aliases_state(obj: Any) -> bool:
+            return id(obj) in mutable_ids
+
+        for arg in args:
+            hit = aliases_state(arg)
+            if not hit and isinstance(arg, (list, tuple, set)):
+                hit = any(aliases_state(e) for e in arg)
+            elif not hit and isinstance(arg, dict):
+                hit = any(aliases_state(v) for v in arg.values())
+            if hit:
+                self.record_payload_alias(
+                    sender, method,
+                    f"payload {type(arg).__name__} aliases sender state")
+                break
+        try:
+            pickle.dumps(args, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as err:  # noqa: BLE001 — pickle raises many types
+            self.record_unpicklable_payload(sender, method, repr(err))
 
     def record_inflight_eviction(self, owner, age: float) -> None:
         """``drop_oldest`` evicted a *dispatched* request: server work is

@@ -12,10 +12,10 @@ wiring.  The layered API separates the concerns:
 * :class:`~repro.core.actop.ActOpConfig` — the optimizer: partitioning
   and/or thread allocation.
 * :class:`~repro.faults.plan.FaultPlan` — scheduled chaos.
-* ``backend`` — which engine runs it all: the deterministic simulator
-  (``"sim"``, the reference implementation) or the real asyncio runtime
-  (``"asyncio"``: task-group silos, TCP transport, wall-clock time,
-  supervision) — ROADMAP item 2's substitution table in reverse.
+* ``backend`` — which engine drives the one runtime core: the
+  deterministic simulator (``"sim"``, the reference implementation) or
+  the real asyncio runtime (``"asyncio"``: callback turn machines, TCP
+  transport, wall-clock time, supervision).
 
 ::
 
@@ -50,12 +50,10 @@ from .autoscale.config import AutoscaleConfig
 from .autoscale.controller import AutoscaleController
 from .backend.asyncio_backend import DEFAULT_CALL_TIMEOUT, AsyncioBackend
 from .backend.base import Backend, BackendError
-from .backend.faults import AsyncioFaultInjector
-from .backend.sim import SimBackend
 from .backend.supervision import SupervisionPolicy
 from .core.actop import ActOp, ActOpConfig
 from .faults.injector import FaultInjector
-from .faults.plan import FaultPlan
+from .faults.plan import FaultPlan, LinkDegradation, NetworkPartition, SlowSilo
 from .faults.resilience import ResilienceConfig
 from .sim.engine import Simulator
 
@@ -63,9 +61,14 @@ __all__ = ["BACKENDS", "Cluster", "build_cluster"]
 
 BACKENDS = ("sim", "asyncio")
 
-# Layers only the simulator implements today; naming them in the asyncio
-# error keeps the failure actionable.
-_SIM_ONLY = "actop, autoscale, and a shared sim are simulator-only layers"
+# What only the simulator runs today; naming it in the asyncio error
+# keeps the failure actionable.  Partitioning runs on both.  The rest is
+# core code the asyncio driver inherits but nothing has exercised there
+# yet (thread allocation needs stage executors): lifting each is its own
+# issue.
+_SIM_ONLY = ("thread allocation, autoscale, a shared sim, "
+             "retry/deadline/admission and modeled-network faults are "
+             "simulator-only layers")
 
 
 @dataclass
@@ -75,8 +78,9 @@ class Cluster:
 
     ``runtime`` is the backend-neutral object workloads drive — the
     :class:`~repro.actor.runtime.ActorRuntime` on the simulator, the
-    :class:`~repro.backend.asyncio_backend.AsyncioBackend` facade on the
-    real runtime; both expose the same registration/traffic surface.
+    :class:`~repro.backend.asyncio_backend.AsyncioBackend` on the real
+    runtime; both are drivers of one :class:`~repro.actor.core.ClusterCore`
+    (and ``backend`` is the same object).
     ``actop``, ``injector``, and ``autoscale`` are None when their layer
     was not configured.  :meth:`start` arms whatever is present
     (idempotence is the caller's concern — call it once).  The cluster
@@ -86,7 +90,7 @@ class Cluster:
 
     runtime: Any
     actop: Optional[ActOp] = None
-    injector: Optional[Any] = None
+    injector: Optional[FaultInjector] = None
     autoscale: Optional[AutoscaleController] = None
     backend: Optional[Backend] = None
     _started: bool = field(default=False, repr=False)
@@ -161,11 +165,12 @@ def build_cluster(
             sim runtime takes its bit-identical fast path).  The asyncio
             backend honours ``call_timeout`` only and rejects the rest.
         actop: optimizer configuration; None or a disabled config builds
-            no optimizer (sim only).
+            no optimizer.  Partitioning runs on either backend, thread
+            allocation on the simulator only.
         faults: fault plan; None or an empty plan installs nothing.  On
-            asyncio only the crash/membership vocabulary is supported —
-            network-model actions raise :class:`BackendError` at build
-            time.
+            asyncio the crash/membership/staleness vocabulary is
+            supported — network- and CPU-model actions raise
+            :class:`BackendError` at build time.
         autoscale: elastic-scaling configuration; None builds no
             controller (sim only).
         sim: an existing simulator to share (tests compose several
@@ -214,12 +219,13 @@ def build_cluster(
     controller = (AutoscaleController(runtime, autoscale, actop=optimizer)
                   if autoscale is not None else None)
     return Cluster(runtime=runtime, actop=optimizer, injector=injector,
-                   autoscale=controller, backend=SimBackend(runtime))
+                   autoscale=controller, backend=runtime)
 
 
 def _build_asyncio(config, *, resilience, actop, faults, autoscale, sim,
                    supervision, transport, call_timeout) -> Cluster:
-    if actop is not None or autoscale is not None or sim is not None:
+    if (autoscale is not None or sim is not None
+            or (actop is not None and actop.thread_allocation is not None)):
         raise BackendError(
             f"backend='asyncio' does not support these layers yet "
             f"({_SIM_ONLY}); build with backend='sim' or drop them")
@@ -230,15 +236,25 @@ def _build_asyncio(config, *, resilience, actop, faults, autoscale, sim,
         if unsupported:
             raise BackendError(
                 f"backend='asyncio' supports ResilienceConfig.call_timeout "
-                f"only; unsupported fields set: {', '.join(unsupported)}")
+                f"only ({_SIM_ONLY}); unsupported fields set: "
+                f"{', '.join(unsupported)}")
         if call_timeout is None:
             call_timeout = resilience.call_timeout
+    for action in faults or ():
+        if isinstance(action, (SlowSilo, NetworkPartition, LinkDegradation)):
+            raise BackendError(
+                f"the asyncio backend cannot inject "
+                f"{type(action).__name__}: its network and CPUs are real, "
+                f"not modeled ({_SIM_ONLY})")
     engine = AsyncioBackend(
         config or ClusterConfig(),
         supervision=supervision,
         transport=transport,
         call_timeout=(call_timeout if call_timeout is not None
                       else DEFAULT_CALL_TIMEOUT))
-    injector = (AsyncioFaultInjector(engine, faults)
+    optimizer = (ActOp(engine, actop)
+                 if actop is not None and actop.enabled else None)
+    injector = (FaultInjector(engine, faults)
                 if faults is not None and not faults.empty else None)
-    return Cluster(runtime=engine, injector=injector, backend=engine)
+    return Cluster(runtime=engine, actop=optimizer, injector=injector,
+                   backend=engine)

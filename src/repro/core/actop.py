@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..actor.runtime import ActorRuntime
+from ..actor.core import ClusterCore
 from .partitioning.coordinator import PartitionAgent, PartitioningConfig
 from .threads.controller import ModelBasedController
 
@@ -61,7 +61,7 @@ class ActOp:
 
     def __init__(
         self,
-        runtime: ActorRuntime,
+        runtime: ClusterCore,
         config: Optional[ActOpConfig] = None,
     ):
         if config is None or not config.enabled:

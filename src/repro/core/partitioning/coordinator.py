@@ -17,9 +17,10 @@ Each silo runs one :class:`PartitionAgent`.  The agent
 * executes the resulting migrations through the silo's transparent
   opportunistic mechanism.
 
-Control messages ride the simulated network but bypass the SEDA stages —
-they are small, infrequent, and the paper never charges them against the
-data path.
+Control messages take the runtime's control hop (``send_control``: one
+modeled network transit on the simulator, a loop callback on the real
+runtime) and bypass the data path — they are small, infrequent, and the
+paper never charges them against it.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ class PartitionAgent:
             initiator_size=my_size,
         )
         peer_agent = self.peers[proposal.peer]
-        self.runtime.network.deliver(
+        self.runtime.send_control(
             _CONTROL_MESSAGE_SIZE,
             peer_agent._receive_request,
             request,
@@ -249,7 +250,7 @@ class PartitionAgent:
         index: int,
     ) -> None:
         response = self.serve_request(request)
-        self.runtime.network.deliver(
+        self.runtime.send_control(
             _CONTROL_MESSAGE_SIZE,
             initiator_agent._receive_response,
             request,

@@ -1,10 +1,15 @@
 """The fault injector: turns a :class:`FaultPlan` into scheduled chaos.
 
 ``FaultInjector(runtime, plan).start()`` schedules every action of the
-plan against the runtime's simulator (times relative to the instant
-``start()`` runs).  Windowed actions (partitions, degradations, slow
-silos) get a begin and an end event; instantaneous ones (crash, restart,
-staleness) fire once.
+plan on the runtime's clock — simulated seconds on the simulator, wall
+seconds on the asyncio runtime (times relative to the instant
+``start()`` runs).  One injector drives both engines: crash, restart,
+add, drain and directory staleness go through the runtime core's verbs;
+the modeled-network and modeled-CPU actions exist on the simulator only
+and ``build_cluster`` rejects them for ``backend="asyncio"`` at build
+time.  Windowed actions (partitions, degradations, slow silos) get a
+begin and an end event; instantaneous ones (crash, restart, staleness)
+fire once.
 
 Determinism & neutrality
 ------------------------
@@ -140,8 +145,8 @@ class FaultInjector:
         if self.plan.has_network_faults:
             self.link_faults = LinkFaultModel(runtime.network, runtime.rng)
             runtime.network.faults = self.link_faults
-        # Plan times are simulator seconds (the same clock as
-        # ``runtime.run(until=...)`` and the harness warmup/duration),
+        # Plan times are seconds on the runtime's clock (the same one
+        # as ``runtime.run(until=...)`` and the harness warmup/duration),
         # offset from the instant start() runs.
         for action in self.plan.actions:
             runtime.sim.schedule(action.at, self._begin, action)

@@ -260,23 +260,12 @@ class ActorPool:
             if location is None or rt.silos[location].dead:
                 loads.append(0.0)
                 continue
-            silo = rt.silos[location]
-            # Host-silo contention only: worker-stage occupancy (queued
-            # + running per thread) and the CPU run queue.  A replica
-            # behind a saturated (or slowed) silo scores high even when
-            # its own mailbox is empty — the turns it would run are
-            # stuck at the stage and core level, not the actor level.
-            # Deliberately NOT the replica's mailbox depth: that echoes
-            # the routers' own past choices half a period late, which is
-            # the classic stale-signal herd oscillator (and the fresh
-            # per-shard in-flight counts already cover it).
-            worker = silo.worker
-            stage_occupancy = ((worker.queue_length + worker.busy_threads)
-                               / max(1, worker.threads))
-            cpu = silo.server.cpu
-            cpu_pressure = cpu.run_queue_length / cpu.processors
-            loads.append(self.LOAD_WEIGHT
-                         * (stage_occupancy + cpu_pressure))
+            # Host-silo contention only (``silo.load()``).  Deliberately
+            # NOT the replica's mailbox depth: that echoes the routers'
+            # own past choices half a period late, which is the classic
+            # stale-signal herd oscillator (and the fresh per-shard
+            # in-flight counts already cover it).
+            loads.append(self.LOAD_WEIGHT * rt.silos[location].load())
         for ref in self.router_refs:
             rt.client_request(ref, "report_load", tuple(loads),
                               size=64, response_size=64)

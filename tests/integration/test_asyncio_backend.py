@@ -17,7 +17,7 @@ from repro import (
 from repro.actor.actor import Actor
 from repro.actor.calls import All, Call, Sleep, Tell
 from repro.actor.ids import ActorRef
-from repro.core import ActOpConfig
+from repro.core import ActOpConfig, ThreadControllerConfig
 from repro.autoscale import AutoscaleConfig
 from repro.sim import Simulator
 
@@ -314,9 +314,8 @@ def test_non_reentrant_turns_run_one_at_a_time_in_arrival_order(
             # The first turn is parked on its Call while four more
             # messages arrive: none starts until the one before ended.
             assert log == [e for pair in zip(starts, ends) for e in pair]
-        activation = be.silos[1].activations[worker.id]
-        assert activation.idle and not activation.busy
-        assert be.silos[1].worker.queue_length == 0
+        assert be.silos[1].activations[worker.id].quiescent
+        assert be.silos[1].idle and be.silos[1].load() == 0.0
 
 
 def test_all_with_a_timed_out_slot_throws_once_and_ignores_the_straggler():
@@ -348,18 +347,20 @@ def test_sleeping_turn_of_a_failed_then_restarted_silo_never_resumes():
         be.spawn(be.ref("turn", "old"), server=0)
         be.send(be.ref("turn", "old"), "nap", 0.05)
         cluster.run(until=be.clock.now + 0.01)
-        assert be.silos[0].open_turns == 1
+        old = be.silos[0].activations[be.ref("turn", "old").id]
+        assert old.open_turns == 1 and not be.silos[0].idle
         be.fail_silo(0)
         be.restart_silo(0)
-        assert be.silos[0].epoch == 1 and be.silos[0].open_turns == 0
+        assert not be.silos[0].activations and be.silos[0].idle
         # A turn started after the restart sleeps and wakes as usual;
-        # the old one's timer fires into a stale epoch and is dropped.
+        # the old one's timer finds its pending entry gone and is dropped.
         be.spawn(be.ref("turn", "new"), server=0)
         be.send(be.ref("turn", "new"), "nap", 0.02)
         cluster.run(until=be.clock.now + 0.08)
         assert be.run_until_idle()
         assert TurnActor.WOKE == ["new"]
-        assert all(s.open_turns == 0 and not s.ready for s in be.silos)
+        assert old.open_turns == 1  # never resumed, never completed
+        assert all(s.idle for s in be.silos)
 
 
 def test_deadline_heap_stays_compact_and_disarms_when_idle():
@@ -372,7 +373,7 @@ def test_deadline_heap_stays_compact_and_disarms_when_idle():
         worst = []
 
         def sample():
-            worst.append(len(silo.deadlines) - 2 * len(silo.pending))
+            worst.append(len(silo.deadlines) - 2 * len(silo._pending))
             if be.inflight_requests:
                 be.clock.schedule(0.002, sample)
 
@@ -383,11 +384,10 @@ def test_deadline_heap_stays_compact_and_disarms_when_idle():
         # than the pending calls twice over plus the compaction slack.
         assert be.call_timeout == 5.0 and len(worst) > 10
         assert max(worst) <= 65 and max(worst) > 0  # compaction did run
-        assert len(silo.deadlines) <= 2 * len(silo.pending) + 65
+        assert len(silo.deadlines) <= 2 * len(silo._pending) + 65
         assert be.run_until_idle()
         for s in be.silos:
-            assert not s.ready and not s.pending and not s.deadlines
-            assert s.deadline_timer is None
+            assert s.idle and not s.deadlines and s.deadline_timer is None
         assert be.turns_run >= 2 * 10_000 and 0 < be.turn_drains <= be.turns_run
 
 
@@ -406,7 +406,8 @@ def test_plain_unknown_and_misyielding_methods():
         assert isinstance(crash.cause, TypeError)
         assert be.supervisor.restarts == 1
         assert be.run_until_idle()
-        assert be.silos[0].open_turns == 0
+        assert _instance(be, ref).id == ref.id  # restarted in place
+        assert be.silos[0].activations[ref.id].quiescent
 
 
 # ----------------------------------------------------------------------
@@ -424,17 +425,14 @@ def test_drain_forwards_requests_routed_just_before_the_last_eviction(
         for ref in refs:
             be.spawn(ref, server=0)
         results, drained = [], []
-
-        def burst():
-            # The directory still says "silo 0" for every target; the
-            # drain poll that evicts them all runs before these land.
-            for ref in refs:
-                be.client_request(
-                    ref, "bump", on_complete=lambda _l, r: results.append(r))
-
+        # The directory says "silo 0" for every target when these are
+        # issued; the drain that follows evicts the idle ones at once,
+        # before the requests still on the wire (tcp, through the other
+        # silo's gateway) have landed.
+        for ref in refs:
+            be.client_request(
+                ref, "bump", on_complete=lambda _l, r: results.append(r))
         assert be.drain_silo(0, poll=0.01, on_complete=drained.append)
-        be.clock.schedule(0.01 - 2e-5, burst)
-        cluster.run(until=be.clock.now + 0.02)
         be.flush()
         assert be.run_until_idle()
         assert results == [1] * 5
@@ -559,7 +557,7 @@ def test_unknown_backend_rejected():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"actop": ActOpConfig()},
+    {"actop": ActOpConfig(thread_allocation=ThreadControllerConfig())},
     {"autoscale": AutoscaleConfig()},
     {"sim": Simulator()},
 ])

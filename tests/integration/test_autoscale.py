@@ -5,7 +5,8 @@ The controller's contract, exercised on live clusters:
 * a flash crowd grows the fleet and the lull after drains it back;
 * registered pools resize with the fleet (one integrated plan);
 * ``FaultPlan.add_silo`` / ``drain_silo`` share the runtime's elastic
-  vocabulary, and a drain racing a flash crowd loses no requests;
+  vocabulary, and a drain racing a flash crowd loses no requests — nor,
+  on either backend, one that is still on the wire when the silo empties;
 * scaling emits paired begin/commit ``ScalePlanEvent``s plus
   ``SiloScaleEvent`` / ``PoolResizeEvent``, and attaching the event log
   is digest-neutral;
@@ -15,6 +16,8 @@ The controller's contract, exercised on live clusters:
 """
 
 import hashlib
+
+import pytest
 
 from repro.actor.actor import Actor
 from repro.actor.runtime import ActorRuntime, ClusterConfig
@@ -137,6 +140,46 @@ def test_drain_racing_flash_crowd_loses_nothing():
     assert workload.failed == 0
     # The drained silo's pool replicas re-homed to the survivors.
     assert rt.census()[1] == 0
+
+
+LATENCY = ClusterConfig().network_latency
+
+
+@pytest.mark.parametrize("backend, options, poll", [
+    ("sim", {}, 0.75 * LATENCY),
+    ("asyncio", {"transport": "tcp"}, 0.01),
+], ids=["sim", "asyncio"])
+def test_drain_completes_requests_on_the_wire_when_the_silo_empties(
+        backend, options, poll):
+    """Every request below is resolved to silo 0 while its target is
+    still hosted there; the drain then empties the silo before any of
+    them lands (on asyncio: those that entered through the other silo's
+    gateway).  Empty is not yet gone: only a live silo forwards them, so
+    it decommissions after one *further* poll spent empty — here the
+    poll that follows their arrival."""
+    cluster = build_cluster(
+        ClusterConfig(num_servers=2, seed=0, network_jitter=0.0),
+        backend=backend, **options)
+    with cluster:
+        rt = cluster.runtime
+        rt.register_actor("echo", Echo)
+        cluster.start()
+        refs = [rt.ref("echo", i) for i in range(8)]
+        for ref in refs:
+            rt.activate(ref.id, 0)
+        results, drained = [], []
+        for ref in refs:
+            rt.client_request(ref, "ping",
+                              on_complete=lambda lat, res: results.append(res))
+        assert rt.drain_silo(0, poll=poll, on_complete=drained.append)
+        if backend == "sim":
+            assert rt.silos[0].quiesced and rt.inflight_requests == 8
+        cluster.run(until=rt.sim.now + 0.3)
+        assert results == ["pong"] * 8
+        assert rt.requests_completed == 8 and rt.inflight_requests == 0
+        assert drained == [0] and rt.silos[0].dead and rt.silos_drained == 1
+        # Re-placed on the survivor, or evicted after serving and not yet.
+        assert all(rt.locate(ref.id) in (1, None) for ref in refs)
 
 
 # ----------------------------------------------------------------------

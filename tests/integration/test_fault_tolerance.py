@@ -9,9 +9,10 @@ out, and propagate application errors across actor boundaries.
 import pytest
 
 from repro.actor.actor import Actor
-from repro.actor.calls import All, Call
+from repro.actor.calls import All, Call, Sleep
 from repro.actor.errors import ActorError, CallTimeout
 from repro.actor.runtime import ActorRuntime, ClusterConfig
+from repro.cluster import build_cluster
 from repro.faults.resilience import ResilienceConfig
 
 
@@ -177,6 +178,52 @@ def test_fan_out_with_one_crashed_member_raises_timeout():
 # ----------------------------------------------------------------------
 # Silo failure and state loss
 # ----------------------------------------------------------------------
+class Napper(Actor):
+    RESUMED: list = []  # outlives the instance a crash takes away
+
+    def nap(self, seconds):
+        yield Sleep(seconds)
+        Napper.RESUMED.append(self.key)
+        return "done"
+
+
+@pytest.mark.parametrize("backend", ["sim", "asyncio"])
+def test_turn_parked_at_sleep_across_fail_and_restart_never_resumes(backend):
+    """Stale work never runs after a crash, on either driver: the parked
+    turn's wake-up finds its pending entry gone, so it neither resumes
+    on the zombie activation nor answers its client — even though the
+    silo is back up when the timer fires."""
+    Napper.RESUMED.clear()
+    cluster = build_cluster(ClusterConfig(num_servers=2, seed=0),
+                            backend=backend,
+                            resilience=ResilienceConfig(call_timeout=0.2))
+    with cluster:
+        rt = cluster.runtime
+        rt.register_actor("napper", Napper)
+        cluster.start()
+        ref = rt.ref("napper", "old")
+        rt.activate(ref.id, 0)
+        outcomes = []
+        rt.client_request(ref, "nap", 0.05,
+                          on_complete=lambda _lat, res: outcomes.append(res))
+        cluster.run(until=rt.sim.now + 0.02)
+        zombie = rt.silos[0].activations[ref.id]
+        assert zombie.open_turns == 1
+        rt.fail_silo(0)
+        rt.restart_silo(0)
+        assert not rt.silos[0].activations
+        cluster.run(until=rt.sim.now + 0.4)  # past the nap and the timeout
+        assert Napper.RESUMED == []
+        assert len(outcomes) == 1 and isinstance(outcomes[0], CallTimeout)
+        assert rt.requests_completed == 0 and rt.requests_timed_out == 1
+        assert zombie.open_turns == 1  # never resumed, never completed
+        # The restarted silo serves new turns as usual.
+        rt.client_request(rt.ref("napper", "new"), "nap", 0.01,
+                          on_complete=lambda _lat, res: outcomes.append(res))
+        cluster.run(until=rt.sim.now + 0.1)
+        assert outcomes[1:] == ["done"] and Napper.RESUMED == ["new"]
+
+
 def test_failed_actor_reinstantiated_on_next_call():
     rt = make_runtime()
     vault = rt.ref("vault", 1)

@@ -5,6 +5,7 @@ import pytest
 from repro.actor.actor import Actor
 from repro.actor.calls import Call
 from repro.actor.runtime import ActorRuntime, ClusterConfig
+from repro.cluster import build_cluster
 from repro.core.actop import ActOp, ActOpConfig
 from repro.core.partitioning.coordinator import PartitionAgent, PartitioningConfig
 
@@ -158,3 +159,81 @@ def test_exchange_counters_track_activity():
     accepted = sum(a.exchanges_accepted for a in actop.agents)
     assert initiated > 0
     assert accepted > 0
+
+
+class Tally(Actor):
+    """A partner whose ack count is durable and whose scratch is not."""
+
+    PERSISTED = ("acks",)
+
+    def __init__(self):
+        super().__init__()
+        self.acks = 0
+        self.scratch = 0
+
+    def ack(self):
+        self.acks += 1
+        self.scratch += 1
+        return self.acks
+
+
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_partitioning_converges_on_the_asyncio_runtime(transport):
+    """Alg. 1 inside the real runtime: actors that talk in fixed pairs
+    start wherever random placement put them (about two pairs in three
+    split across silos) and the agents — folding the silos' CommTables,
+    exchanging over the control hop, migrating through the core — pull
+    the pairs together while requests keep flowing over real sockets."""
+    cluster = build_cluster(
+        ClusterConfig(num_servers=3, seed=5), backend="asyncio",
+        transport=transport,
+        actop=ActOpConfig(partitioning=fast_config(
+            round_period=0.05, stats_period=0.025, cooldown=0.02,
+            warmup=0.1)))
+    with cluster:
+        rt = cluster.runtime
+        rt.register_actor("chatter", Chatter)
+        rt.register_actor("partner", Tally)
+        cluster.start()
+        pairs = [(rt.ref("chatter", i), rt.ref("partner", i))
+                 for i in range(12)]
+        outcomes, rounds = [], 0
+
+        def window(seconds):
+            """Poke every pair each 5 ms for ``seconds``; the window's
+            remote message fraction."""
+            nonlocal rounds
+            local0, remote0 = rt.msgs_local, rt.msgs_remote
+            until = rt.sim.now + seconds
+            while rt.sim.now < until:
+                rounds += 1
+                for chatter, partner in pairs:
+                    rt.client_request(
+                        chatter, "poke", partner,
+                        on_complete=lambda _lat, res: outcomes.append(res))
+                cluster.run(until=rt.sim.now + 0.005)
+            remote = rt.msgs_remote - remote0
+            return remote / (remote + rt.msgs_local - local0)
+
+        start = window(0.1)  # agents are still warming up
+        assert start > 0.4 and rt.migrations_total == 0
+        for _ in range(40):  # at most ~8 s of wall time
+            if window(0.2) < start / 2:
+                break
+        else:
+            pytest.fail(f"remote fraction never fell below {start / 2:.2f}")
+        assert rt.migrations_total > 0
+        assert rt.run_until_idle()
+        # Every request completed exactly once, with the pair's own count.
+        assert len(outcomes) == rt.requests_completed == 12 * rounds
+        assert rt.requests_timed_out == 0 and rt.late_responses == 0
+        assert sorted(outcomes) == sorted(list(range(1, rounds + 1)) * 12)
+        # Durable state followed every migrated partner; scratch did not.
+        migrated = 0
+        for _chatter, partner in pairs:
+            location = rt.locate(partner.id)
+            state = (rt.storage[partner.id] if location is None else vars(
+                rt.silos[location].activations[partner.id].instance))
+            assert state["acks"] == rounds
+            migrated += state.get("scratch", 0) < rounds
+        assert migrated > 0

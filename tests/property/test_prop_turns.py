@@ -1,13 +1,19 @@
-"""Property test: the two turn machines agree on random call trees.
+"""Property test: the two drivers of the runtime core agree on random
+call trees, with random migrations and crashes between the bursts.
 
-The simulator's ``Silo._advance_turn`` and the asyncio backend's
-``AsyncioSilo._step`` interpret the same Call / All / Tell generator
+The simulator and the asyncio runtime drive one interpreter
+(``SiloCore._advance_turn``) over the same Call / All / Tell generator
 protocol.  For any acyclic call tree — every node its own actor,
 reentrant or not, reaching its children by sequential ``Call``s, one
-``All``, or ``Tell``s — driven by several concurrent client requests,
-both must return the same logical result, visit every actor the same
-number of times, move the same number of actor messages, and complete
-every client request exactly once.
+``All``, or ``Tell``s — driven in bursts of concurrent client requests,
+with a random ``migrate`` or ``fail`` + ``restart`` after each burst,
+both must return the same logical results, leave every actor on the
+same silo with the same visit count (a migrated actor lands where its
+hints say and carries its count along, a crashed one falls back to what
+it last persisted), move the same number of actor messages, and
+complete every client request exactly once.  Placement is by hash, so
+where an actor lives does not depend on the order concurrent requests
+first touched it.
 """
 
 from hypothesis import given, settings
@@ -17,6 +23,7 @@ from repro import ClusterConfig, build_cluster
 from repro.actor.actor import Actor
 from repro.actor.calls import All, Call, Tell
 from repro.actor.ids import ActorRef
+from repro.actor.placement import HashPlacement
 
 
 class TreeNode(Actor):
@@ -72,42 +79,69 @@ def _size(spec) -> tuple[int, int]:
     return calls, tells
 
 
-def _run(backend_name: str, seed: int, spec, requests: int) -> dict:
+def _nodes(spec) -> list[tuple]:
+    kind, key, _mode, children = spec
+    return [(kind, key)] + [n for child in children for n in _nodes(child)]
+
+
+_OPS = st.one_of(
+    st.none(),
+    st.tuples(st.just("migrate"), st.integers(0, 39), st.integers(0, 2)),
+    st.tuples(st.just("crash"), st.integers(0, 2)))
+
+
+def _run(backend_name: str, seed: int, spec, bursts) -> dict:
     cluster = build_cluster(ClusterConfig(num_servers=3, seed=seed),
                             backend=backend_name)
     with cluster:
         be = cluster.backend
         be.register_actor("node", TreeNode)
         be.register_actor("serial", SerialTreeNode)
+        be.set_placement(HashPlacement())
         cluster.start()
-        kind, key, mode, children = spec
-        results = []
-        for _ in range(requests):
-            be.call(be.ref(kind, key), "run", mode, children,
-                    on_complete=lambda _lat, res: results.append(res))
-        cluster.run()
         rt = cluster.runtime
-        visits = {actor_id.key: activation.instance.visits
+        kind, key, mode, children = spec
+        nodes = _nodes(spec)
+        results = []
+        for requests, op in bursts:
+            for _ in range(requests):
+                be.call(be.ref(kind, key), "run", mode, children,
+                        on_complete=lambda _lat, res: results.append(res))
+            cluster.run()
+            if op is not None and op[0] == "migrate":
+                actor_id = be.ref(*nodes[op[1] % len(nodes)]).id
+                if rt.locate(actor_id) is not None:
+                    rt.silos[rt.locate(actor_id)].migrate(actor_id, op[2])
+            elif op is not None:
+                rt.fail_silo(op[1])
+                rt.restart_silo(op[1])
+        visits = {actor_id.key: (silo.server_id, activation.instance.visits)
                   for silo in rt.silos
                   for actor_id, activation in silo.activations.items()}
+        assert rt.requests_completed == len(results)
+        assert rt.requests_timed_out == 0 and rt.late_responses == 0
+        assert rt.inflight_requests == 0
+        for silo in rt.silos:
+            assert silo.idle and not silo._call_timers
+            assert all(a.quiescent for a in silo.activations.values())
         if backend_name == "asyncio":
-            assert rt.requests_completed == requests
-            assert rt.requests_timed_out == 0 and rt.late_responses == 0
-            for silo in rt.silos:
-                assert not silo.pending and not silo.ready
-                assert not silo.deadlines and silo.deadline_timer is None
-                assert silo.open_turns == 0 and silo.queued == 0
+            assert not any(silo.deadlines or silo.deadline_timer
+                           for silo in rt.silos)
         return {"results": results, "visits": visits,
-                "messages": rt.msgs_local + rt.msgs_remote}
+                "messages": rt.msgs_local + rt.msgs_remote,
+                "migrations": rt.migrations_total}
 
 
-@given(tree=_trees(3), seed=st.integers(0, 1_000), requests=st.integers(1, 3))
+@given(tree=_trees(3), seed=st.integers(0, 1_000),
+       bursts=st.lists(st.tuples(st.integers(1, 3), _OPS),
+                       min_size=1, max_size=3))
 @settings(max_examples=60, deadline=None)
-def test_call_trees_agree_across_turn_machines(tree, seed, requests):
+def test_call_trees_agree_across_turn_machines(tree, seed, bursts):
     spec = _spec(tree)
-    sim = _run("sim", seed, spec, requests)
-    aio = _run("asyncio", seed, spec, requests)
+    sim = _run("sim", seed, spec, bursts)
+    aio = _run("asyncio", seed, spec, bursts)
     assert sim == aio
+    requests = sum(n for n, _op in bursts)
     assert len(aio["results"]) == requests
     calls, tells = _size(spec)
     assert aio["messages"] == requests * (2 * calls + tells)

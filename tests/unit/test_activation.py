@@ -1,6 +1,8 @@
-"""Unit tests for activation work-queue and reentrancy semantics."""
+"""Unit tests for activation work-queue and reentrancy semantics, and
+the guard that keeps the two drivers from growing their own copy of the
+runtime core again."""
 
-from repro.actor.activation import Activation, WorkItem, WorkKind
+from repro.actor.activation import Activation
 from repro.actor.actor import Actor
 from repro.actor.ids import ActorId
 
@@ -18,11 +20,11 @@ def make_activation(cls=ReentrantActor):
 
 
 def start_item():
-    return WorkItem(WorkKind.START, compute=1.0, message=None)
+    return (None, object(), False, 256)  # a new turn for a request
 
 
 def resume_item():
-    return WorkItem(WorkKind.RESUME, compute=0.1, continuation=object())
+    return (object(), "value", False, None)  # resume of a parked turn
 
 
 def test_fifo_when_reentrant():
@@ -133,3 +135,44 @@ def test_quiescence_conditions():
     assert not act.quiescent
     act.pending_calls = 0
     assert act.quiescent
+
+
+def test_drivers_do_not_reimplement_the_core():
+    """One implementation per concept: a driver may define the hooks the
+    core declares and its own machinery, never a name the core owns."""
+    from repro.actor.core import ClusterCore, SiloCore
+    from repro.actor.runtime import ActorRuntime
+    from repro.actor.server import Silo
+    from repro.backend.asyncio_backend import AsyncioBackend, AsyncioSilo
+
+    silo_hooks = {"_pump", "_send_remote", "_reply_to_client",
+                  "_arm_deadline", "_turn_crashed", "_on_down", "_on_up",
+                  "_driver_idle", "load"}
+    cluster_hooks = {"name", "_ingress", "send_control", "run", "start",
+                     "shutdown"}
+    for core, hooks, drivers, must_own in [
+        (SiloCore, silo_hooks, (Silo, AsyncioSilo),
+         {"_route", "_resolve_or_place", "_dispatch_request",
+          "_enqueue_invocation", "_segment_done", "_start_turn",
+          "_advance_turn", "_resolve_call", "_complete_turn",
+          "_handle_response", "_call_timed_out", "host", "migrate",
+          "deactivate", "collect_idle", "_maybe_finalize_deactivation",
+          "fail", "restart", "decommission", "quiesced", "idle"}),
+        (ClusterCore, cluster_hooks, (ActorRuntime, AsyncioBackend),
+         {"register_actor", "ref", "spawn", "send", "call", "activate",
+          "locate", "deactivate", "census", "pick_live_server", "add_silo",
+          "drain_silo", "_drain_poll", "fail_silo", "restart_silo",
+          "client_request", "complete_client_request",
+          "_client_request_timed_out", "inflight_requests"}),
+    ]:
+        owned = {name for name in vars(core)
+                 if not name.startswith("__")} - hooks
+        assert must_own <= owned
+        for driver in drivers:
+            assert issubclass(driver, core)
+            assert not owned & set(vars(driver)), (
+                driver.__name__, sorted(owned & set(vars(driver))))
+            # ...and every hook the core only declares is filled in.
+            optional = {"_arm_deadline", "_on_down", "_on_up", "start",
+                        "shutdown"}
+            assert hooks - optional <= set(vars(driver)), driver.__name__
