@@ -40,26 +40,10 @@ def _run(admission, label="shedding"):
         seed=7,
         label=label if admission is not None else "baseline",
     )
-    rt = exp.runtime
-    ts = exp.time_scale
-    exp.workload.start()
-    exp.cluster.start()
-    rt.run(until=WARMUP)
-
-    def window(until):
-        rt.reset_latency_stats()
-        done0, shed0 = rt.requests_completed, rt.requests_shed
-        rt.run(until=until)
-        lat = rt.client_latency
-        return {
-            "p99_ms": 1e3 * (lat.p99 if lat.count else 0.0) / ts,
-            "served": rt.requests_completed - done0,
-            "shed": rt.requests_shed - shed0,
-        }
-
-    pre = window(WARMUP + PRE_WINDOW)
-    exp.workload.config.request_rate = OVERLOAD_RATE / ts
-    over = window(WARMUP + PRE_WINDOW + OVERLOAD_WINDOW)
+    pre = exp.measure_window(WARMUP, WARMUP + PRE_WINDOW)
+    exp.workload.config.request_rate = OVERLOAD_RATE / exp.time_scale
+    over = exp.measure_window(WARMUP + PRE_WINDOW,
+                              WARMUP + PRE_WINDOW + OVERLOAD_WINDOW)
     return pre, over
 
 
@@ -79,10 +63,10 @@ def test_shedding_holds_p99_through_overload(benchmark, show):
 
     rows = []
     for label, (pre, over) in results.items():
-        rows.append([f"{label} pre-ramp", pre["p99_ms"], pre["served"],
-                     pre["shed"]])
-        rows.append([f"{label} overload", over["p99_ms"], over["served"],
-                     over["shed"]])
+        rows.append([f"{label} pre-ramp", 1e3 * pre.p99, pre.requests,
+                     pre.shed])
+        rows.append([f"{label} overload", 1e3 * over.p99, over.requests,
+                     over.shed])
     show(render_table(
         ["window", "p99 ms", "served", "shed"],
         rows,
@@ -96,27 +80,27 @@ def test_shedding_holds_p99_through_overload(benchmark, show):
     drop_pre, drop_over = results["drop_oldest"]
     # Without admission control, overload diverges (queueing delay grows
     # with the backlog for the entire window).
-    assert base_over["p99_ms"] > 10 * base_pre["p99_ms"]
+    assert base_over.p99 > 10 * base_pre.p99
     # With it, the served-request p99 stays within 2x of pre-ramp...
-    assert shed_over["p99_ms"] <= 2 * shed_pre["p99_ms"]
+    assert shed_over.p99 <= 2 * shed_pre.p99
     # ...while the excess is shed explicitly and goodput holds near the
     # service capacity (the baseline "serves" more only by answering
     # seconds late).
-    assert shed_over["shed"] > 0
-    assert shed_over["served"] > 0.9 * base_over["served"]
+    assert shed_over.shed > 0
+    assert shed_over.requests > 0.9 * base_over.requests
     # drop_oldest no longer livelocks: in-flight work is never evicted,
     # so under the sustained ramp it serves like reject does instead of
     # abandoning every admitted request.
-    assert drop_over["p99_ms"] <= 2 * drop_pre["p99_ms"]
-    assert drop_over["shed"] > 0
-    assert drop_over["served"] > 0.9 * shed_over["served"]
+    assert drop_over.p99 <= 2 * drop_pre.p99
+    assert drop_over.shed > 0
+    assert drop_over.requests > 0.9 * shed_over.requests
     benchmark.extra_info.update(
-        base_pre_p99=round(base_pre["p99_ms"], 3),
-        base_over_p99=round(base_over["p99_ms"], 3),
-        shed_pre_p99=round(shed_pre["p99_ms"], 3),
-        shed_over_p99=round(shed_over["p99_ms"], 3),
-        drop_pre_p99=round(drop_pre["p99_ms"], 3),
-        drop_over_p99=round(drop_over["p99_ms"], 3),
-        shed=shed_over["shed"],
-        drop_shed=drop_over["shed"],
+        base_pre_p99=round(1e3 * base_pre.p99, 3),
+        base_over_p99=round(1e3 * base_over.p99, 3),
+        shed_pre_p99=round(1e3 * shed_pre.p99, 3),
+        shed_over_p99=round(1e3 * shed_over.p99, 3),
+        drop_pre_p99=round(1e3 * drop_pre.p99, 3),
+        drop_over_p99=round(1e3 * drop_over.p99, 3),
+        shed=shed_over.shed,
+        drop_shed=drop_over.shed,
     )

@@ -39,30 +39,7 @@ def _run():
         label="recovery",
     )
     rt = exp.runtime
-    ts = exp.time_scale
-    exp.workload.start()
-    exp.cluster.start()
-    rt.run(until=WARMUP)
-
-    def window(until):
-        rt.reset_latency_stats()
-        local0, remote0 = rt.msgs_local, rt.msgs_remote
-        timed0, retry0 = rt.requests_timed_out, rt.request_retries
-        fail0 = rt.failovers
-        rt.run(until=until)
-        lat = rt.client_latency
-        d_remote = rt.msgs_remote - remote0
-        total = (rt.msgs_local - local0) + d_remote
-        return {
-            "requests": lat.count,
-            "p99_ms": 1e3 * (lat.p99 if lat.count else 0.0) / ts,
-            "remote_fraction": d_remote / total if total else 0.0,
-            "timed_out": rt.requests_timed_out - timed0,
-            "retries": rt.request_retries - retry0,
-            "failovers": rt.failovers - fail0,
-        }
-
-    pre = window(WARMUP + PRE_WINDOW)
+    pre = exp.measure_window(WARMUP, WARMUP + PRE_WINDOW)
 
     # Probe the cluster mid-outage without splitting the fault window
     # (a split would swallow the failover burst between the windows).
@@ -73,8 +50,8 @@ def _run():
         probe["dead"] = rt.silos[VICTIM].dead
 
     rt.sim.schedule(T_KILL + 5.0 - rt.sim.now, snapshot_mid_outage)
-    fault = window(SETTLE_UNTIL)
-    post = window(SETTLE_UNTIL + POST_WINDOW)
+    fault = exp.measure_window(WARMUP + PRE_WINDOW, SETTLE_UNTIL)
+    post = exp.measure_window(SETTLE_UNTIL, SETTLE_UNTIL + POST_WINDOW)
     return exp, pre, fault, post, probe["census"], probe["dead"]
 
 
@@ -83,8 +60,8 @@ def test_cluster_recovers_from_silo_crash(benchmark, show):
         _run, rounds=1, iterations=1)
     rt = exp.runtime
 
-    rows = [[name, w["requests"], w["p99_ms"], 100 * w["remote_fraction"],
-             w["timed_out"], w["retries"], w["failovers"]]
+    rows = [[name, w.requests, 1e3 * w.p99, 100 * w.remote_fraction,
+             w.timed_out, w.retries, w.failovers]
             for name, w in (("pre-fault", pre), ("fault", fault),
                             ("post-recovery", post))]
     show(render_table(
@@ -101,8 +78,8 @@ def test_cluster_recovers_from_silo_crash(benchmark, show):
     assert mid_census[VICTIM] == 0
     # The displaced actors failed over (re-placed on the survivors) and
     # traffic kept flowing through the outage.
-    assert fault["failovers"] > 0
-    assert fault["requests"] > 0
+    assert fault.failovers > 0
+    assert fault.requests > 0
     # No request hangs: whatever is still in flight at the end is
     # bounded by one timeout's worth of traffic, not a leak.
     assert rt.inflight_requests < 500
@@ -111,19 +88,19 @@ def test_cluster_recovers_from_silo_crash(benchmark, show):
     # faults` CLI applies for near-zero baselines — ActOp pushes the
     # pre-fault remote fraction under 5%, where pure-relative tolerance
     # would be sub-noise).
-    drift = abs(post["remote_fraction"] - pre["remote_fraction"])
-    assert drift <= max(0.10 * pre["remote_fraction"], 0.02), (pre, post)
+    drift = abs(post.remote_fraction - pre.remote_fraction)
+    assert drift <= max(0.10 * pre.remote_fraction, 0.02), (pre, post)
     # And the revived silo is hosting actors again.
     assert not rt.silos[VICTIM].dead
     assert rt.census()[VICTIM] > 0
 
-    show(f"\n  remote fraction: pre {pre['remote_fraction']:.3f} -> "
-         f"post {post['remote_fraction']:.3f} (drift {drift:.3f}); "
+    show(f"\n  remote fraction: pre {pre.remote_fraction:.3f} -> "
+         f"post {post.remote_fraction:.3f} (drift {drift:.3f}); "
          f"victim re-hosts {rt.census()[VICTIM]} actors")
     benchmark.extra_info.update(
-        pre_remote=round(pre["remote_fraction"], 4),
-        post_remote=round(post["remote_fraction"], 4),
-        failovers=fault["failovers"],
-        timeouts=fault["timed_out"],
-        retries=fault["retries"],
+        pre_remote=round(pre.remote_fraction, 4),
+        post_remote=round(post.remote_fraction, 4),
+        failovers=fault.failovers,
+        timeouts=fault.timed_out,
+        retries=fault.retries,
     )

@@ -520,7 +520,7 @@ class ClusterCore:
             if self.call_timeout is not None:
                 self._client_timers[call_id] = self.sim.schedule(
                     self.call_timeout, self._client_request_timed_out,
-                    call_id, ref.id, method)
+                    call_id, ref.id, method, self.call_timeout)
             self._ingress(gateway, destination, message)
             return
 
@@ -566,7 +566,7 @@ class ClusterCore:
         if timeout is not None:
             self._client_timers[call_id] = self.sim.schedule(
                 timeout, self._client_request_timed_out,
-                call_id, state.ref.id, state.method,
+                call_id, state.ref.id, state.method, timeout,
             )
         self._ingress(gateway, destination, message)
 
@@ -597,7 +597,10 @@ class ClusterCore:
         if hook is not None:
             hook(latency, response.result)
 
-    def _client_request_timed_out(self, call_id: int, target, method: str) -> None:
+    def _client_request_timed_out(self, call_id: int, target, method: str,
+                                  timeout: float) -> None:
+        """``timeout`` is the budget this attempt's timer was armed with
+        (``call_timeout``, or what the request deadline left of it)."""
         state = self._inflight.pop(call_id, _MISSING)
         if state is _MISSING:
             return  # already resolved; stale timer
@@ -630,11 +633,8 @@ class ClusterCore:
             self._release(state)
         hook = self._client_hooks.pop(call_id, None)
         if hook is not None:
-            hook(
-                self.call_timeout or 0.0,
-                CallTimeout(target, method,
-                            (self.call_timeout or 0.0) / self.time_scale),
-            )
+            hook(timeout,
+                 CallTimeout(target, method, timeout / self.time_scale))
 
     def _should_retry(self, state: _ClientRequest) -> bool:
         policy = self.retry_policy

@@ -92,10 +92,6 @@ class ActorRuntime(ClusterCore):
             jitter=self.config.network_jitter,
         )
         self.silos = [Silo(self, i) for i in range(self.config.num_servers)]
-        if self.admission is not None and self.admission.stage_soft_limit:
-            for silo in self.silos:
-                for stage in silo.server.stages.values():
-                    stage.soft_limit = self.admission.stage_soft_limit
 
     # ------------------------------------------------------------------
     # Driver hooks: the modeled client->host and control-plane hops
@@ -121,12 +117,14 @@ class ActorRuntime(ClusterCore):
     # Measurement hooks
     # ------------------------------------------------------------------
     def mean_cpu_utilization(self, busy_before: list[float], time_before: float) -> float:
-        """Cluster-mean CPU utilization since a snapshot (see silo pools)."""
+        """Mean CPU utilization since a snapshot over the silos live now
+        (a parked or crashed silo is not capacity; see silo pools)."""
         utils = [
             silo.server.cpu.utilization(before, time_before)
             for silo, before in zip(self.silos, busy_before)
+            if not silo.dead
         ]
-        return sum(utils) / len(utils)
+        return sum(utils) / len(utils) if utils else 0.0
 
     def cpu_busy_snapshot(self) -> list[float]:
         return [silo.server.cpu.busy_time for silo in self.silos]

@@ -31,10 +31,6 @@ class AutoscaleConfig:
         warmup: seconds before the first control tick.
         drain_poll: quiescence polling period handed to
             :meth:`~repro.actor.runtime.ActorRuntime.drain_silo`.
-        rebalance: trigger an ActOp partitioning round on every live
-            silo after each plan's membership/pool change, folding
-            locality repair into the same reconfiguration (the
-            integrated scaling+rebalancing of arXiv:1602.03770).
     """
 
     period: float = 2.0
@@ -46,7 +42,6 @@ class AutoscaleConfig:
     cooldown: float = 4.0
     warmup: float = 2.0
     drain_poll: float = 0.25
-    rebalance: bool = True
 
     def __post_init__(self) -> None:
         if self.period <= 0:

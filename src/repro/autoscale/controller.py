@@ -241,7 +241,11 @@ class AutoscaleController:
             pool.resize(max(1, round(ratio * active)))
 
     def _rebalance(self) -> None:
-        if self.actop is None or not self.config.rebalance:
+        """Kick an ActOp partitioning round on every live silo after a
+        plan's membership/pool change, folding locality repair into the
+        same reconfiguration (the integrated scaling+rebalancing of
+        arXiv:1602.03770)."""
+        if self.actop is None:
             return
         sim = self.runtime.sim
         for i, agent in enumerate(self.actop.agents):

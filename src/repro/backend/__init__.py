@@ -18,7 +18,7 @@ Select an engine through the one construction path::
 
 from .asyncio_backend import DEFAULT_CALL_TIMEOUT, AsyncioBackend, WallClock
 from .base import Backend, BackendError, Clock
-from .bench import PingerActor, PongerActor, ping_latency
+from .bench import PingerActor, PongerActor
 from .supervision import SupervisionPolicy, Supervisor
 
 __all__ = [
@@ -32,5 +32,4 @@ __all__ = [
     "SupervisionPolicy",
     "Supervisor",
     "WallClock",
-    "ping_latency",
 ]

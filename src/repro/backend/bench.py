@@ -1,30 +1,21 @@
-"""Ping-latency microbenchmark for the asyncio backend.
+"""The ping actor pair of the end-to-end benchmark's latency workload.
 
-Two silos, one :class:`PingerActor` pinned to silo 0, one
-:class:`PongerActor` pinned to silo 1; every client request drives one
-cross-silo round trip (``ping -> Call(pong) -> response``).  Over the
-TCP transport each round trip pays two real socket hops with pickle
-framing — the number this reports is the floor of what the real runtime
-adds over the pure-python actor machinery, the asyncio counterpart of
-``repro perf``'s event-engine microbenchmarks.
-
-``repro perf --backend asyncio`` runs this and honours the ``--json``
-convention; CI's ``asyncio-smoke`` job archives the document.
+One :class:`PingerActor` and one :class:`PongerActor`; every client
+request drives one round trip (``ping -> Call(pong) -> response``).
+``benchmarks/e2e/workloads.py`` pins them to two silos, so over the TCP
+transport each round trip pays two real socket hops with pickle framing
+(``aio_ping_tcp``: the floor of what the real runtime adds over the
+pure-python actor machinery); the backend parity tests run the same pair
+on every engine.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Optional
-
 from ..actor.actor import Actor, idempotent
 from ..actor.calls import Call
 from ..actor.ids import ActorRef
-from ..actor.runtime import ClusterConfig
-from ..bench.metrics import percentile
-from .asyncio_backend import AsyncioBackend
 
-__all__ = ["PingerActor", "PongerActor", "ping_latency"]
+__all__ = ["PingerActor", "PongerActor"]
 
 
 class PongerActor(Actor):
@@ -60,64 +51,3 @@ class PingerActor(Actor):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PingerActor(pings={self.pings})"
-
-
-def ping_latency(pings: int = 1000, *, silos: int = 2,
-                 transport: str = "tcp", seed: int = 0,
-                 warmup: int = 50,
-                 backend: Optional[AsyncioBackend] = None) -> dict:
-    """Sequential cross-silo round trips; returns the JSON summary doc.
-
-    Each request completes before the next is issued, so every recorded
-    latency is one uncontended round trip (client hop + actor turn +
-    cross-silo call + response), not a queueing artifact.
-    """
-    if pings < 1:
-        raise ValueError("pings must be >= 1")
-    owns_backend = backend is None
-    if backend is None:
-        backend = AsyncioBackend(
-            ClusterConfig(num_servers=max(2, silos), seed=seed),
-            transport=transport)
-    backend.register_actor("pinger", PingerActor)
-    backend.register_actor("ponger", PongerActor)
-    backend.start()
-    pinger = backend.ref("pinger", 0)
-    backend.spawn(pinger, server=0)
-    backend.spawn(backend.ref("ponger", 0), server=1)
-
-    latencies: list[float] = []
-
-    def one_ping(n: int, record: bool) -> None:
-        backend.client_request(
-            pinger, "ping", n, size=64, response_size=64,
-            on_complete=(lambda latency, result:
-                         latencies.append(latency)) if record else None)
-        backend.flush()
-
-    for n in range(warmup):
-        one_ping(n, record=False)
-    wall_start = time.perf_counter()  # repro: waive[DET-WALLCLOCK] -- real-runtime benchmark: wall time IS the measurement
-    for n in range(pings):
-        one_ping(n, record=True)
-    wall = time.perf_counter() - wall_start  # repro: waive[DET-WALLCLOCK] -- real-runtime benchmark: wall time IS the measurement
-
-    doc = {
-        "schema": 1,
-        "kind": "asyncio_ping",
-        "backend": "asyncio",
-        "transport": backend.transport,
-        "silos": backend.num_servers,
-        "pings": pings,
-        "completed": len(latencies),
-        "mean_ms": round(sum(latencies) / len(latencies) * 1e3, 4),
-        "p50_ms": round(percentile(latencies, 50.0) * 1e3, 4),
-        "p99_ms": round(percentile(latencies, 99.0) * 1e3, 4),
-        "wall_s": round(wall, 3),
-        "throughput_rps": round(pings / wall, 1) if wall > 0 else None,
-        "msgs_remote": backend.msgs_remote,
-        "msgs_local": backend.msgs_local,
-    }
-    if owns_backend:
-        backend.shutdown()
-    return doc

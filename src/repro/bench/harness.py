@@ -127,26 +127,42 @@ def improvement(baseline: float, optimized: float) -> float:
 
 
 class _ExperimentBase:
-    """Warmup / measure / collect shared across the three drivers."""
+    """Start / measure shared across the four drivers.
+
+    Subclasses build ``self.cluster`` and ``self.workload``;
+    :meth:`measure_window` is the one place a window is measured — the
+    single-window ``run()`` drivers, the phased studies (``repro
+    faults`` / ``repro autoscale``, the recovery / shedding / autoscale
+    benches) all go through it.
+    """
 
     def __init__(self, runtime: ActorRuntime, time_scale: float, label: str):
         self.runtime = runtime
         self.time_scale = time_scale
         self.label = label
         self.sampler: Optional[ClusterSampler] = None
+        self._started = False
 
-    def _measure(
-        self,
-        warmup: float,
-        duration: float,
-        sample_period: Optional[float] = None,
-        cdf_points: int = 0,
-    ) -> ExperimentResult:
+    def start(self) -> "_ExperimentBase":
+        """Start the workload, then arm the cluster (idempotent)."""
+        if not self._started:
+            self._started = True
+            self.workload.start()
+            self.cluster.start()
+        return self
+
+    def measure_window(self, start: float, end: float,
+                       cdf_points: int = 0) -> ExperimentResult:
+        """Run to absolute time ``start``, reset the recorders and
+        snapshot the counters, run to ``end``, and report the difference.
+
+        Windows may be contiguous (``start`` == the previous ``end``) or
+        leave a gap; CPU utilization is averaged over the silos live at
+        ``end``.
+        """
+        self.start()
         rt = self.runtime
-        if sample_period is not None:
-            self.sampler = ClusterSampler(rt, period=sample_period)
-            self.sampler.start()
-        rt.run(until=warmup)
+        rt.run(until=start)
         rt.reset_latency_stats()
         local0, remote0 = rt.msgs_local, rt.msgs_remote
         migrations0 = rt.migrations_total
@@ -157,7 +173,7 @@ class _ExperimentBase:
         failovers0 = rt.failovers
         busy0 = rt.cpu_busy_snapshot()
         t0 = rt.sim.now
-        rt.run(until=warmup + duration)
+        rt.run(until=end)
 
         ts = self.time_scale
         lat = rt.client_latency
@@ -267,9 +283,11 @@ class HaloExperiment(_ExperimentBase):
         sample_period: Optional[float] = None,
         cdf_points: int = 0,
     ) -> ExperimentResult:
-        self.workload.start()
-        self.cluster.start()
-        return self._measure(warmup, duration, sample_period, cdf_points)
+        self.start()
+        if sample_period is not None:
+            self.sampler = ClusterSampler(self.runtime, period=sample_period)
+            self.sampler.start()
+        return self.measure_window(warmup, warmup + duration, cdf_points)
 
 
 class HeartbeatExperiment(_ExperimentBase):
@@ -314,9 +332,7 @@ class HeartbeatExperiment(_ExperimentBase):
 
     def run(self, warmup: float = 25.0, duration: float = 35.0,
             cdf_points: int = 0) -> ExperimentResult:
-        self.workload.start()
-        self.cluster.start()
-        return self._measure(warmup, duration, cdf_points=cdf_points)
+        return self.measure_window(warmup, warmup + duration, cdf_points)
 
 
 class StageflowExperiment(_ExperimentBase):
@@ -324,8 +340,8 @@ class StageflowExperiment(_ExperimentBase):
 
     Unlike the single-window drivers this one is *phased*: a flash-crowd
     or diurnal study measures several absolute windows over one run, so
-    callers :meth:`start` once and then call :meth:`measure_window` per
-    phase.  ``autoscale=AutoscaleConfig(...)`` arms the elastic
+    callers call :meth:`measure_window` per phase (there is no
+    ``run()``).  ``autoscale=AutoscaleConfig(...)`` arms the elastic
     controller (reachable afterwards as ``self.controller``);
     ``autoscale=None`` is the peak-provisioned fixed baseline.
     """
@@ -363,21 +379,15 @@ class StageflowExperiment(_ExperimentBase):
         # when the controller derives its replicas-per-silo ratios.
         self.workload = StageflowWorkload(cluster.runtime, config,
                                           autoscale=cluster.autoscale)
-        self._started = False
 
     def start(self) -> "StageflowExperiment":
-        """Arm the cluster (parks surplus silos under autoscale), then
-        deploy the pools over the resulting live set."""
+        """Arm the cluster first (parks surplus silos under autoscale),
+        then deploy the pools over the resulting live set."""
         if not self._started:
             self._started = True
             self.cluster.start()
             self.workload.start()
         return self
-
-    def measure_window(self, start: float, end: float) -> ExperimentResult:
-        """Run to absolute time ``start``, reset stats, measure to ``end``."""
-        self.start()
-        return self._measure(start, end - start)
 
     def silo_seconds(self) -> float:
         """Provisioned capacity so far: powered-silo-seconds (the study's
@@ -423,6 +433,4 @@ class CounterExperiment(_ExperimentBase):
 
     def run(self, warmup: float = 10.0, duration: float = 20.0,
             cdf_points: int = 0) -> ExperimentResult:
-        self.workload.start()
-        self.cluster.start()
-        return self._measure(warmup, duration, cdf_points=cdf_points)
+        return self.measure_window(warmup, warmup + duration, cdf_points)

@@ -1,8 +1,7 @@
-"""Performance microbenchmarks behind ``repro perf``.
+"""Isolated kernels of the simulation hot path.
 
-Every perf-focused PR should land with before/after numbers from this
-suite.  It measures the three layers of the simulation hot path in
-isolation plus end-to-end:
+Each function drives one layer with nothing else running and returns
+``(units_done, wall_seconds, extras)``:
 
 * ``event_loop``       — raw engine throughput: chains of self-
   rescheduling callbacks (schedule + heap pop per event).
@@ -13,47 +12,27 @@ isolation plus end-to-end:
 * ``stage_pipeline``   — the SEDA stage -> CpuPool -> stage work-item
   cycle (two stages over a shared 8-core pool).
 * ``histogram``        — streaming :class:`HistogramRecorder` record
-  throughput vs the reservoir recorder.
-* ``halo_end_to_end``  — a small seeded Halo cluster; reports simulator
-  events per wall-clock second, the number the Fig.-10 benches are
-  bounded by.
+  throughput.
 * ``spacesaving``      — weighted offers into the Space-Saving summary
-  under constant eviction pressure, for both the dict reference and the
-  array backend; ``extras`` reports the final heap length, the direct
-  witness of the offer() heap-churn fix.
+  under constant eviction pressure; ``extras`` reports the final heap
+  length, the direct witness of the offer() heap-churn fix.
 
-Every benchmark result carries ``peak_rss_bytes`` (process peak at the
-end of the run, via ``resource.getrusage``) and ``alloc_blocks_delta``
-(``sys.getallocatedblocks`` across the run) so BENCH_*.json captures the
-memory trajectory alongside throughput; the actor-count scaling curve
-with per-point RSS lives in :mod:`repro.bench.scale` behind
-``repro perf --scaling``.
-
-All benchmarks are deterministic in *simulated* behaviour (fixed seeds);
-only wall-clock throughput varies between machines.  Results are emitted
-as machine-readable JSON (see :func:`run_suite`) so successive runs can
-be diffed:
-
-    PYTHONPATH=src python -m repro perf --json perf.json
-    PYTHONPATH=src python -m repro perf --smoke        # CI-sized run
-
-An opt-in cProfile hook (``--profile DIR``) dumps per-benchmark pstats
-files for drill-down.
+All kernels are deterministic in *simulated* behaviour; only wall-clock
+throughput varies between machines.  There is no runner here: the
+end-to-end benchmark (``benchmarks/e2e/isolated.py``) times these in
+reference seconds and reports them as its per-layer ``ns_per_*`` rows,
+and ``benchmarks/perf/test_perf_suite.py`` calls them directly as
+regression tripwires.
 """
 
 from __future__ import annotations
 
-import cProfile
-import json
-import platform
-import resource
-import sys
 import time
-from typing import Any, Callable, Optional
+from typing import Callable
 
 from ..sim.engine import Simulator
 
-__all__ = ["BENCHMARKS", "run_benchmark", "run_suite", "render_results"]
+__all__ = ["BENCHMARKS"]
 
 
 # ----------------------------------------------------------------------
@@ -138,169 +117,34 @@ def bench_histogram(samples: int = 500_000) -> tuple[int, float, dict]:
     }
 
 
-def bench_halo_end_to_end(
-    players: int = 200, servers: int = 4, horizon: float = 20.0
-) -> tuple[int, float, dict]:
-    from .harness import HaloExperiment
-
-    exp = HaloExperiment(players=players, num_servers=servers, seed=1)
-    exp.workload.start()
-    start = time.perf_counter()
-    exp.runtime.run(until=horizon)
-    elapsed = time.perf_counter() - start
-    events = exp.runtime.sim.events_processed
-    return events, elapsed, {
-        "players": players,
-        "servers": servers,
-        "requests": exp.runtime.requests_completed,
-    }
-
-
 def bench_spacesaving(offers: int = 300_000, capacity: int = 256
                       ) -> tuple[int, float, dict]:
-    from ..graph.arrayback import ArraySpaceSaving
     from ..graph.spacesaving import SpaceSaving
 
     # Deterministic key stream over 16x capacity distinct keys: steady
     # mix of in-place increments (the churn-fix path) and evictions.
     keys = [(i * 2654435761) % (capacity * 16) for i in range(8192)]
-
-    def drive(summary):
-        offer = summary.offer
-        start = time.perf_counter()
-        for i in range(offers):
-            offer(keys[i & 8191], 1.5)
-        return time.perf_counter() - start
-
-    dict_summary = SpaceSaving(capacity)
-    dict_seconds = drive(dict_summary)
-    array_summary = ArraySpaceSaving(capacity)
-    array_seconds = drive(array_summary)
-    return offers, dict_seconds, {
+    summary = SpaceSaving(capacity)
+    offer = summary.offer
+    start = time.perf_counter()
+    for i in range(offers):
+        offer(keys[i & 8191], 1.5)
+    elapsed = time.perf_counter() - start
+    return offers, elapsed, {
         "capacity": capacity,
         # Pre-fix this was ~offers long (one push per increment);
         # post-fix it stays O(capacity).
-        "dict_final_heap_len": len(dict_summary._heap),
-        "array_final_heap_len": len(array_summary._heap),
-        "array_rate_per_sec": round(offers / array_seconds, 1)
-        if array_seconds > 0 else 0.0,
+        "final_heap_len": len(summary._heap),
     }
 
 
-# name -> (callable, full kwargs, smoke kwargs)
-BENCHMARKS: dict[str, tuple[Callable[..., tuple[int, float, dict]], dict, dict]] = {
-    "event_loop": (bench_event_loop, {"events": 200_000}, {"events": 20_000}),
-    "cancellation": (bench_cancellation, {"events": 100_000}, {"events": 10_000}),
-    "stage_pipeline": (bench_stage_pipeline, {"items": 100_000}, {"items": 10_000}),
-    "histogram": (bench_histogram, {"samples": 500_000}, {"samples": 50_000}),
-    "halo_end_to_end": (
-        bench_halo_end_to_end,
-        {"players": 200, "horizon": 20.0},
-        {"players": 100, "horizon": 5.0},
-    ),
-    "spacesaving": (
-        bench_spacesaving,
-        {"offers": 300_000},
-        {"offers": 30_000},
-    ),
+# name -> (kernel,): the frozen end-to-end contract reads
+# ``BENCHMARKS[name][0]`` (benchmarks/e2e/isolated.py), so the tuple
+# shape stays until a [benchmark] PR unpins it.
+BENCHMARKS: dict[str, tuple[Callable[..., tuple[int, float, dict]]]] = {
+    "event_loop": (bench_event_loop,),
+    "cancellation": (bench_cancellation,),
+    "stage_pipeline": (bench_stage_pipeline,),
+    "histogram": (bench_histogram,),
+    "spacesaving": (bench_spacesaving,),
 }
-
-
-def _peak_rss_bytes() -> int:
-    scale = 1024 if sys.platform != "darwin" else 1
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale
-
-
-def run_benchmark(
-    name: str,
-    smoke: bool = False,
-    repeat: int = 3,
-    profile_dir: Optional[str] = None,
-) -> dict[str, Any]:
-    """Run one benchmark ``repeat`` times; report the best rate.
-
-    Best-of-N is the standard microbenchmark reduction: it filters out
-    scheduler noise, which only ever slows a run down.
-    """
-    fn, full_kwargs, smoke_kwargs = BENCHMARKS[name]
-    kwargs = smoke_kwargs if smoke else full_kwargs
-    runs = []
-    extras: dict = {}
-    alloc_before = sys.getallocatedblocks()
-    for i in range(max(1, repeat)):
-        if profile_dir is not None and i == 0:
-            profiler = cProfile.Profile()
-            profiler.enable()
-            units, seconds, extras = fn(**kwargs)
-            profiler.disable()
-            import os
-
-            os.makedirs(profile_dir, exist_ok=True)
-            profiler.dump_stats(os.path.join(profile_dir, f"{name}.pstats"))
-        else:
-            units, seconds, extras = fn(**kwargs)
-        runs.append({"units": units, "seconds": seconds,
-                     "rate": units / seconds if seconds > 0 else 0.0})
-    best = max(runs, key=lambda r: r["rate"])
-    return {
-        "name": name,
-        "params": kwargs,
-        "repeat": len(runs),
-        "units": best["units"],
-        "seconds": round(best["seconds"], 6),
-        "rate_per_sec": round(best["rate"], 1),
-        "all_rates_per_sec": [round(r["rate"], 1) for r in runs],
-        # Memory trajectory (satellite of the 1M-actor work): process
-        # peak is monotone across the suite, so compare points across
-        # runs of the SAME suite order, or run --only <name>.
-        "peak_rss_bytes": _peak_rss_bytes(),
-        "alloc_blocks_delta": sys.getallocatedblocks() - alloc_before,
-        "extras": extras,
-    }
-
-
-def run_suite(
-    smoke: bool = False,
-    repeat: int = 3,
-    only: Optional[list[str]] = None,
-    profile_dir: Optional[str] = None,
-) -> dict[str, Any]:
-    """Run the whole suite; returns a JSON-serializable result document."""
-    names = list(BENCHMARKS) if not only else [n for n in only if n in BENCHMARKS]
-    if only:
-        unknown = set(only) - set(BENCHMARKS)
-        if unknown:
-            raise ValueError(f"unknown benchmark(s): {sorted(unknown)}")
-    results = [run_benchmark(n, smoke=smoke, repeat=repeat, profile_dir=profile_dir)
-               for n in names]
-    return {
-        "schema": 2,
-        "mode": "smoke" if smoke else "full",
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "benchmarks": {r["name"]: r for r in results},
-    }
-
-
-def render_results(doc: dict[str, Any]) -> str:
-    """Human-readable companion to the JSON document."""
-    from .reporting import render_table
-
-    rows = []
-    for name, r in doc["benchmarks"].items():
-        rows.append([
-            name,
-            f"{r['units']:,}",
-            r["seconds"],
-            f"{r['rate_per_sec']:,.0f}",
-        ])
-    return render_table(
-        ["benchmark", "units", "best seconds", "units/sec"],
-        rows,
-        title=f"repro perf ({doc['mode']}) — python {doc['python']}",
-        floatfmt=".4f",
-    )
-
-
-def main_json(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)

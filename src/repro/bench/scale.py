@@ -21,7 +21,7 @@ not mean a 100× bigger message load on the same 10 silos.
 ``peak_rss_bytes`` is process-lifetime peak, so a curve measured
 in-process would attribute the 1M point's memory to the 10k point.
 :func:`run_scaling_curve` therefore runs each point in a fresh
-subprocess (``repro perf --scale-point N --json -``) by default.
+subprocess (``repro perf --scale-point N --json -``).
 
 Gate thresholds live here and are enforced both by ``repro perf
 --scaling --gate`` (the CI scale-smoke job) and by
@@ -176,28 +176,19 @@ def _run_point_subprocess(actors: int, horizon: float) -> dict[str, Any]:
 def run_scaling_curve(
     points: Optional[Sequence[int]] = None,
     horizon: float = 30.0,
-    isolate: bool = True,
 ) -> dict[str, Any]:
-    """Measure the full actor-count scaling curve.
-
-    With ``isolate`` (default) each point runs in its own subprocess so
-    ``peak_rss_bytes`` is that point's own peak; in-process mode exists
-    for environments where spawning interpreters is unwelcome, and
-    over-reports RSS for every point after the largest-so-far.
-    """
+    """Measure the full actor-count scaling curve, one subprocess per
+    point so ``peak_rss_bytes`` is that point's own peak."""
     measured = []
     for actors in points or DEFAULT_POINTS:
-        if isolate:
-            point = _run_point_subprocess(actors, horizon)
-        else:
-            point = run_scale_point(actors, horizon=horizon)
+        point = _run_point_subprocess(actors, horizon)
         point["violations"] = gate_violations(point)
         measured.append(point)
     return {
         "schema": 2,
         "kind": "scaling",
         "gate_rss_bytes_per_actor": RSS_PER_ACTOR_GATE_BYTES,
-        "isolated": isolate,
+        "isolated": True,
         "points": measured,
         "gate_passed": all(not p["violations"] for p in measured),
     }

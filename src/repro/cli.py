@@ -6,8 +6,9 @@ any code:
 * ``halo``       — the cluster workload A/B (random vs ActOp), §6.1-style;
 * ``heartbeat``  — the single-server thread-allocation experiment, §6.2;
 * ``partition``  — offline partitioner comparison on a synthetic graph;
-* ``perf``       — simulation-core microbenchmarks with JSON output
-  (see :mod:`repro.bench.perf`); every perf PR lands with these numbers;
+* ``perf``       — the actor-count scaling curve (10k/100k/1M seeded
+  Halo, peak RSS per actor, ``--gate``; see :mod:`repro.bench.scale`).
+  Host performance is measured by ``benchmarks/e2e/run.py``, not here;
 * ``trace``      — run a workload with :mod:`repro.obs` causal tracing,
   export a Chrome trace-event file (loadable in Perfetto or
   ``chrome://tracing``), and cross-check the trace-derived latency
@@ -29,22 +30,23 @@ any code:
   peak-provisioned baseline instead).
 
 Each prints a result table to stdout; a run that produced no usable
-result exits non-zero.  ``perf``, ``trace``, and ``faults`` share the
-``--json PATH`` convention (``'-'`` writes pure JSON to stdout, the
-table to stderr).  They are smoke-level entry points (the full
+result exits non-zero.  ``perf``, ``trace``, ``faults``, ``autoscale``
+and ``lint`` share the ``--json PATH`` convention (``'-'`` writes pure
+JSON to stdout, the table to stderr) through one emitter
+(:func:`_emit`).  They are smoke-level entry points (the full
 reproduction lives in ``benchmarks/``).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 import time
 from typing import Optional, Sequence
 
 from . import __version__
-from .bench import perf as perf_suite
 from .bench.harness import HaloExperiment, HeartbeatExperiment, improvement
 from .bench.reporting import render_table
 from .core.partitioning.offline import OfflinePartitioner
@@ -72,34 +74,6 @@ def _scale_parent(players: int, servers: int, seed: int) -> argparse.ArgumentPar
     return parent
 
 
-def _backend_parent() -> argparse.ArgumentParser:
-    """The shared ``--backend`` flag (perf/trace/faults/autoscale).
-
-    Every experiment subcommand advertises the engine choice even where
-    only the simulator is implemented today — the unsupported combination
-    fails with one consistent, actionable message (see
-    :func:`_require_sim_backend`) instead of an unknown-flag error.
-    """
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--backend", choices=("sim", "asyncio"),
-                        default="sim",
-                        help="engine: the deterministic simulator (default) "
-                             "or the real asyncio runtime")
-    return parent
-
-
-def _require_sim_backend(args: argparse.Namespace, command: str) -> Optional[int]:
-    """Return an exit code when ``--backend asyncio`` was asked of a
-    simulator-only subcommand, else None."""
-    if args.backend == "asyncio":
-        print(f"repro {command}: --backend asyncio is not supported here "
-              f"(this experiment needs the simulated network/optimizer "
-              f"layers); supported: repro perf --backend asyncio",
-              file=sys.stderr)
-        return 2
-    return None
-
-
 def _window_parent(warmup: Optional[float],
                    duration: float) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
@@ -109,6 +83,14 @@ def _window_parent(warmup: Optional[float],
                                 if warmup is None else ""))
     parent.add_argument("--duration", type=float, default=duration,
                         help="simulated seconds per measurement window")
+    return parent
+
+
+def _json_parent() -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--json", dest="json_path", metavar="PATH",
+                        help="write the JSON document here ('-' for stdout; "
+                             "the table then moves to stderr)")
     return parent
 
 
@@ -155,6 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run only the ActOp configuration")
     halo.add_argument("--threads", action="store_true",
                       help="also enable the thread-allocation optimizer")
+    halo.set_defaults(run=_run_halo)
 
     hb = sub.add_parser("heartbeat", help="single-server thread allocation")
     hb.add_argument("--rate", type=float, default=15_000.0)
@@ -162,54 +145,35 @@ def build_parser() -> argparse.ArgumentParser:
     hb.add_argument("--io-wait", type=float, default=0.0,
                     help="synchronous blocking seconds per beat")
     hb.add_argument("--seed", type=int, default=3)
+    hb.set_defaults(run=_run_heartbeat)
 
-    perf = sub.add_parser("perf", help="simulation-core microbenchmarks",
-                          parents=[_backend_parent()])
-    perf.add_argument("--smoke", action="store_true",
-                      help="CI-sized quick run (seconds, not minutes)")
-    perf.add_argument("--repeat", type=int, default=3,
-                      help="runs per benchmark; best rate is reported")
-    perf.add_argument("--only", nargs="+", metavar="NAME",
-                      choices=sorted(perf_suite.BENCHMARKS),
-                      help="run only the named benchmarks "
-                           f"(choices: {', '.join(sorted(perf_suite.BENCHMARKS))})")
-    perf.add_argument("--json", dest="json_path", metavar="PATH",
-                      help="write the JSON document here ('-' for stdout)")
-    perf.add_argument("--profile", dest="profile_dir", metavar="DIR",
-                      help="opt-in cProfile: dump per-benchmark .pstats "
-                           "files into DIR (profiles the first repeat)")
-    perf.add_argument("--scaling", action="store_true",
+    perf = sub.add_parser(
+        "perf", help="actor-count scaling curve with the peak-RSS gate",
+        parents=[_json_parent()])
+    mode = perf.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--scaling", action="store_true",
                       help="run the actor-count scaling curve "
-                           "(10k/100k/1M seeded Halo on 10 silos) instead "
-                           "of the microbenchmark suite")
-    perf.add_argument("--points", nargs="+", type=int, metavar="ACTORS",
-                      help="override the scaling-curve actor counts")
-    perf.add_argument("--scale-point", dest="scale_point", type=int,
+                           "(10k/100k/1M seeded Halo on 10 silos), one "
+                           "subprocess per point")
+    mode.add_argument("--scale-point", dest="scale_point", type=int,
                       metavar="ACTORS",
                       help="measure ONE scaling point in this process "
                            "(used by --scaling to isolate per-point RSS)")
+    perf.add_argument("--points", nargs="+", type=int, metavar="ACTORS",
+                      help="override the scaling-curve actor counts")
     perf.add_argument("--horizon", type=float, default=30.0,
                       help="simulated seconds per scaling point")
     perf.add_argument("--gate", action="store_true",
                       help="exit non-zero if any scaling point exceeds "
                            "the peak-RSS-per-actor gate")
-    perf.add_argument("--no-isolate", dest="isolate", action="store_false",
-                      help="measure scaling points in-process instead of "
-                           "one subprocess each (peak RSS then compounds)")
-    perf.add_argument("--pings", type=int, default=1000,
-                      help="asyncio backend: round trips to measure")
-    perf.add_argument("--transport", choices=("inproc", "inproc-copy", "tcp"),
-                      default="tcp",
-                      help="asyncio backend: inter-silo transport "
-                           "(inproc-copy = in-process hop with TCP's "
-                           "pickle copy semantics)")
+    perf.set_defaults(run=_run_perf)
 
     trace = sub.add_parser(
         "trace",
         help="run a workload under causal tracing; export a Chrome trace",
         parents=[_scale_parent(players=200, servers=4, seed=1),
                  _window_parent(warmup=5.0, duration=10.0),
-                 _backend_parent()])
+                 _json_parent()])
     trace.add_argument("--workload", choices=("halo", "heartbeat", "counter"),
                        default="halo")
     trace.add_argument("--rate", type=float, default=None,
@@ -225,15 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Chrome trace-event output file")
     trace.add_argument("--jsonl", metavar="PATH", default=None,
                        help="also stream spans+events as JSON lines to PATH")
-    trace.add_argument("--json", dest="json_path", metavar="PATH",
-                       help="write the summary JSON here ('-' for stdout)")
+    trace.set_defaults(run=_run_trace)
 
     faults = sub.add_parser(
         "faults",
         help="chaos run: Halo under a fault plan with client resilience",
         parents=[_scale_parent(players=1_000, servers=10, seed=1),
                  _window_parent(warmup=20.0, duration=20.0),
-                 _backend_parent()])
+                 _json_parent()])
     faults.add_argument("--load", type=float, default=0.7,
                         help="fraction of the 80%%-CPU operating point "
                              "(below saturation so recovery is attributable "
@@ -267,14 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="what to do at the admission cap")
     faults.add_argument("--actop", action="store_true",
                         help="enable both ActOp optimizers")
-    faults.add_argument("--json", dest="json_path", metavar="PATH",
-                        help="write the summary JSON here ('-' for stdout)")
+    faults.set_defaults(run=_run_faults)
 
     auto = sub.add_parser(
         "autoscale",
         help="elastic scaling: the Stageflow pipeline under an arrival "
              "curve with the grow/shrink controller",
-        parents=[_backend_parent()])
+        parents=[_json_parent()])
     auto.add_argument("--servers", type=int, default=6,
                       help="fleet size — the controller's scale-out ceiling")
     auto.add_argument("--processors", type=int, default=2,
@@ -315,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     auto.add_argument("--fixed", action="store_true",
                       help="baseline: no controller, all --servers silos "
                            "active for the whole run")
-    auto.add_argument("--json", dest="json_path", metavar="PATH",
-                      help="write the summary JSON here ('-' for stdout)")
+    auto.set_defaults(run=_run_autoscale)
 
     lint = sub.add_parser(
         "lint",
-        help="determinism/actor/API hygiene lint + runtime race sanitizer")
+        help="determinism/actor/API hygiene lint + runtime race sanitizer",
+        parents=[_json_parent()])
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files or directories to lint (default: "
                            "src/repro benchmarks examples)")
@@ -367,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "through the Halo slice")
     lint.add_argument("--seed", type=int, default=5,
                       help="sanitizer/graph-check: cluster seed")
-    lint.add_argument("--json", dest="json_path", metavar="PATH",
-                      help="write the JSON report here ('-' for stdout)")
+    lint.set_defaults(run=_run_lint)
 
     part = sub.add_parser("partition", help="offline partitioner comparison")
     part.add_argument("--graph", choices=("clustered", "powerlaw", "random"),
@@ -381,11 +342,32 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("alg1", "multilevel", "jabeja", "streaming"),
         default=["alg1", "multilevel", "jabeja", "streaming"],
     )
-    part.add_argument("--backend", choices=("dict", "array"), default="dict",
-                      help="graph representation: the nested-dict reference "
-                           "or the array-backed paper-scale variant "
-                           "(property-tested equivalent)")
+    part.set_defaults(run=_run_partition)
     return parser
+
+
+# ----------------------------------------------------------------------
+# The one table + ``--json`` emitter every subcommand reports through.
+# ----------------------------------------------------------------------
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def _emit(args: argparse.Namespace, lines: Sequence[str], doc: dict,
+          label: str = "summary JSON") -> None:
+    """Print the human-readable ``lines``, then write ``doc`` where
+    ``--json`` says.  ``--json -`` keeps stdout pure JSON so it pipes;
+    the table still reaches the terminal via stderr."""
+    to_stdout = args.json_path == "-"
+    out = sys.stderr if to_stdout else sys.stdout
+    print("\n".join(lines), file=out)
+    if to_stdout:
+        print(json.dumps(doc, indent=2))
+    elif args.json_path:
+        _write_json(args.json_path, doc)
+        print(f"{label} written to {args.json_path}", file=out)
 
 
 # ----------------------------------------------------------------------
@@ -450,22 +432,15 @@ def _run_heartbeat(args: argparse.Namespace) -> int:
 
 
 def _run_partition(args: argparse.Namespace) -> int:
-    from .graph.arrayback import ArrayCommGraph
-    from .graph.comm_graph import CommGraph
-
-    factory = ArrayCommGraph if args.backend == "array" else CommGraph
     rng = random.Random(args.seed)
     if args.graph == "clustered":
         clusters = max(2, args.vertices // 9)
         graph = clustered_graph(clusters, 9, intra_weight=10.0,
-                                inter_edges_per_cluster=1, rng=rng,
-                                graph_factory=factory)
+                                inter_edges_per_cluster=1, rng=rng)
     elif args.graph == "powerlaw":
-        graph = power_law_graph(args.vertices, attach=2, rng=rng,
-                                graph_factory=factory)
+        graph = power_law_graph(args.vertices, attach=2, rng=rng)
     else:
-        graph = random_graph(args.vertices, mean_degree=6.0, rng=rng,
-                             graph_factory=factory)
+        graph = random_graph(args.vertices, mean_degree=6.0, rng=rng)
 
     vertices = list(graph.vertices())
     rng.shuffle(vertices)
@@ -507,12 +482,6 @@ def _run_partition(args: argparse.Namespace) -> int:
 
 
 def _run_trace(args: argparse.Namespace) -> int:
-    import json
-
-    exit_code = _require_sim_backend(args, "trace")
-    if exit_code is not None:
-        return exit_code
-
     from .bench.harness import CounterExperiment
     from .obs import (
         Observability,
@@ -586,29 +555,21 @@ def _run_trace(args: argparse.Namespace) -> int:
         "jsonl_lines": jsonl_lines,
     }
 
-    out = sys.stderr if args.json_path == "-" else sys.stdout
-    print(render_table(
+    lines = [render_table(
         ["component", "% of e2e"],
         [[name, share] for name, share in shares.items()],
         title=f"trace({args.workload}) — {tracer.requests_finished} traced "
               f"requests, {len(tracer.spans)} spans, "
               f"{len(obs.events)} runtime events",
-    ), file=out)
+    )]
     if check_error is not None:
-        print(f"\nrecorder cross-check: max relative error "
-              f"{check_error:.2e} (must be < 1e-2)", file=out)
-    print(f"Chrome trace written to {args.chrome} "
-          f"(open in Perfetto or chrome://tracing)", file=out)
+        lines.append(f"\nrecorder cross-check: max relative error "
+                     f"{check_error:.2e} (must be < 1e-2)")
+    lines.append(f"Chrome trace written to {args.chrome} "
+                 f"(open in Perfetto or chrome://tracing)")
     if args.jsonl:
-        print(f"{jsonl_lines} JSONL records written to {args.jsonl}", file=out)
-
-    if args.json_path == "-":
-        print(json.dumps(summary, indent=2))
-    elif args.json_path:
-        with open(args.json_path, "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-        print(f"summary JSON written to {args.json_path}", file=out)
+        lines.append(f"{jsonl_lines} JSONL records written to {args.jsonl}")
+    _emit(args, lines, summary)
 
     if tracer.requests_finished == 0 or not tracer.spans:
         print("trace failed: no traced request completed "
@@ -622,12 +583,6 @@ def _run_trace(args: argparse.Namespace) -> int:
 
 
 def _run_faults(args: argparse.Namespace) -> int:
-    import json
-
-    exit_code = _require_sim_backend(args, "faults")
-    if exit_code is not None:
-        return exit_code
-
     from .faults import (
         AdmissionConfig,
         FaultPlan,
@@ -675,34 +630,23 @@ def _run_faults(args: argparse.Namespace) -> int:
         resilience=resilience, faults=plan, label="faults",
     )
     rt = exp.runtime
-    exp.workload.start()
-    exp.cluster.start()
-    rt.run(until=args.warmup)
 
-    def measure(until: float) -> dict:
-        rt.reset_latency_stats()
-        local0, remote0 = rt.msgs_local, rt.msgs_remote
-        timed0, retried0 = rt.requests_timed_out, rt.request_retries
-        shed0, failed0 = rt.requests_shed, rt.failovers
-        rt.run(until=until)
-        lat = rt.client_latency
-        d_remote = rt.msgs_remote - remote0
-        total = (rt.msgs_local - local0) + d_remote
-        ts = exp.time_scale
+    def measure(start: float, end: float) -> dict:
+        w = exp.measure_window(start, end)
         return {
-            "requests": lat.count,
-            "median_ms": 1e3 * (lat.median if lat.count else 0.0) / ts,
-            "p99_ms": 1e3 * (lat.p99 if lat.count else 0.0) / ts,
-            "remote_fraction": d_remote / total if total else 0.0,
-            "timed_out": rt.requests_timed_out - timed0,
-            "retries": rt.request_retries - retried0,
-            "shed": rt.requests_shed - shed0,
-            "failovers": rt.failovers - failed0,
+            "requests": w.requests,
+            "median_ms": 1e3 * w.median,
+            "p99_ms": 1e3 * w.p99,
+            "remote_fraction": w.remote_fraction,
+            "timed_out": w.timed_out,
+            "retries": w.retries,
+            "shed": w.shed,
+            "failovers": w.failovers,
         }
 
-    pre = measure(offset)
-    during = measure(offset + fault_len)
-    post = measure(offset + fault_len + args.duration)
+    pre = measure(args.warmup, offset)
+    during = measure(offset, offset + fault_len)
+    post = measure(offset + fault_len, offset + fault_len + args.duration)
 
     # Recovery criterion: the remote-message fraction — the cluster's
     # locality fingerprint — must land back within 10% of its pre-fault
@@ -739,7 +683,6 @@ def _run_faults(args: argparse.Namespace) -> int:
         "recovered": recovered,
     }
 
-    out = sys.stderr if args.json_path == "-" else sys.stdout
     rows = [
         [name, w["requests"], w["median_ms"], w["p99_ms"],
          100 * w["remote_fraction"], w["timed_out"], w["retries"],
@@ -747,25 +690,19 @@ def _run_faults(args: argparse.Namespace) -> int:
         for name, w in (("pre-fault", pre), ("fault", during),
                         ("post-recovery", post))
     ]
-    print(render_table(
-        ["window", "requests", "median ms", "p99 ms", "remote %",
-         "timeouts", "retries", "shed", "failovers"],
-        rows,
-        title=f"faults — {len(plan)} planned actions, {args.servers} "
-              f"servers, load {args.load:.2f}",
-    ), file=out)
     verdict = "recovered" if recovered else "NOT recovered"
-    print(f"\nremote fraction: pre {pre_rf:.3f} -> post {post_rf:.3f} "
-          f"({verdict}; tolerance 10%), {rt.inflight_requests} requests "
-          f"still in flight", file=out)
-
-    if args.json_path == "-":
-        print(json.dumps(summary, indent=2))
-    elif args.json_path:
-        with open(args.json_path, "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-        print(f"summary JSON written to {args.json_path}", file=out)
+    _emit(args, [
+        render_table(
+            ["window", "requests", "median ms", "p99 ms", "remote %",
+             "timeouts", "retries", "shed", "failovers"],
+            rows,
+            title=f"faults — {len(plan)} planned actions, {args.servers} "
+                  f"servers, load {args.load:.2f}",
+        ),
+        f"\nremote fraction: pre {pre_rf:.3f} -> post {post_rf:.3f} "
+        f"({verdict}; tolerance 10%), {rt.inflight_requests} requests "
+        f"still in flight",
+    ], summary)
 
     if pre["requests"] == 0 or post["requests"] == 0:
         print("faults failed: a measurement window completed no requests",
@@ -779,16 +716,9 @@ def _run_faults(args: argparse.Namespace) -> int:
 
 
 def _run_autoscale(args: argparse.Namespace) -> int:
-    import json
-
-    exit_code = _require_sim_backend(args, "autoscale")
-    if exit_code is not None:
-        return exit_code
-
-    from .actor.runtime import ClusterConfig
     from .autoscale import AutoscaleConfig
-    from .cluster import build_cluster
-    from .workloads.stageflow import StageflowConfig, StageflowWorkload
+    from .bench.harness import StageflowExperiment
+    from .workloads.stageflow import StageflowConfig
 
     if args.fixed:
         autoscale = None
@@ -799,72 +729,56 @@ def _run_autoscale(args: argparse.Namespace) -> int:
             initial_silos=args.initial, cooldown=args.cooldown,
             warmup=min(args.warmup, 2.0),
         )
-    cluster = build_cluster(
-        ClusterConfig(num_servers=args.servers, processors=args.processors,
-                      seed=args.seed),
-        autoscale=autoscale,
-    )
-    rt = cluster.runtime
-    workload = StageflowWorkload(
-        rt,
+    exp = StageflowExperiment(
         StageflowConfig(policy=args.policy, base_rate=args.rate,
                         curve=args.curve, flash_at=args.flash_at,
                         flash_duration=args.flash_duration,
                         flash_multiplier=args.flash_multiplier,
                         diurnal_period=args.diurnal_period),
-        autoscale=cluster.autoscale,
+        autoscale=autoscale, num_servers=args.servers,
+        processors=args.processors, seed=args.seed,
     )
-    # start() order matters: the controller parks the surplus silos
-    # before the pools deploy their replicas over the live set.
-    cluster.start()
-    workload.start()
+    rt = exp.runtime
+    workload = exp.workload
 
     # Timeline.  flash: steady | surge+recovery | post; other curves:
     # three equal windows.
     if args.curve == "flash":
         surge_end = args.flash_at + args.flash_duration + args.settle
-        bounds = [(f"steady [{args.warmup:g}, {args.flash_at:g})",
-                   args.flash_at),
-                  (f"surge+recovery [{args.flash_at:g}, {surge_end:g})",
-                   surge_end),
-                  (f"post [{surge_end:g}, {surge_end + args.duration:g})",
-                   surge_end + args.duration)]
+        edges = [args.warmup, args.flash_at, surge_end,
+                 surge_end + args.duration]
+        names = [f"{phase} [{start:g}, {end:g})" for phase, start, end in
+                 zip(("steady", "surge+recovery", "post"), edges, edges[1:])]
     else:
-        bounds = [(f"window {i + 1}", args.warmup + (i + 1) * args.duration)
-                  for i in range(3)]
+        edges = [args.warmup + i * args.duration for i in range(4)]
+        names = [f"window {i + 1}" for i in range(3)]
 
-    rt.run(until=args.warmup)
-    busy_snapshot = {"busy": rt.cpu_busy_snapshot(), "t": rt.sim.now}
+    # Warm up first: the workload's own counters are snapshotted per
+    # window below, and the first window must not include the warm-up.
+    exp.start()
+    rt.run(until=edges[0])
 
-    def measure(until: float) -> dict:
-        rt.reset_latency_stats()
+    def measure(start: float, end: float) -> dict:
         completed0, failed0 = workload.completed, workload.failed
-        rt.run(until=until)
-        live = [(silo, before) for silo, before
-                in zip(rt.silos, busy_snapshot["busy"]) if not silo.dead]
-        util = (sum(s.server.cpu.utilization(b, busy_snapshot["t"])
-                    for s, b in live) / len(live)) if live else 0.0
-        busy_snapshot["busy"] = rt.cpu_busy_snapshot()
-        busy_snapshot["t"] = rt.sim.now
-        lat = rt.client_latency
+        w = exp.measure_window(start, end)
         return {
-            "requests": lat.count,
+            "requests": w.requests,
             "failed": workload.failed - failed0,
             "completed": workload.completed - completed0,
-            "median_ms": 1e3 * (lat.median if lat.count else 0.0),
-            "p99_ms": 1e3 * (lat.p99 if lat.count else 0.0),
-            "mean_utilization": util,
+            "median_ms": 1e3 * w.median,
+            "p99_ms": 1e3 * w.p99,
+            "mean_utilization": w.cpu_utilization,
             "active_silos": rt.active_servers,
         }
 
-    windows = [(name, measure(until)) for name, until in bounds]
+    windows = [(name, measure(start, end))
+               for name, start, end in zip(names, edges, edges[1:])]
     workload.stop()
-    until = bounds[-1][1]
+    until = edges[-1]
 
-    ctrl = cluster.autoscale
+    ctrl = exp.controller
+    silo_seconds = exp.silo_seconds()
     if ctrl is not None:
-        ctrl.stop()
-        silo_seconds = ctrl.silo_seconds
         # Re-convergence: over the final quarter of the run the
         # controller's measured utilization must sit back inside the
         # band (5% tolerance) — or below it with the fleet already at
@@ -875,7 +789,6 @@ def _run_autoscale(args: argparse.Namespace) -> int:
             tail_util >= args.low - 0.05
             or ctrl.active <= args.min_silos)
     else:
-        silo_seconds = args.servers * until
         tail_util = windows[-1][1]["mean_utilization"]
         reconverged = None
 
@@ -900,9 +813,8 @@ def _run_autoscale(args: argparse.Namespace) -> int:
         "controller": ctrl.summary() if ctrl is not None else None,
     }
 
-    out = sys.stderr if args.json_path == "-" else sys.stdout
     mode = "fixed baseline" if args.fixed else "autoscale"
-    print(render_table(
+    lines = [render_table(
         ["window", "requests", "failed", "median ms", "p99 ms",
          "mean CPU %", "silos"],
         [[name, w["requests"], w["failed"], w["median_ms"], w["p99_ms"],
@@ -910,27 +822,21 @@ def _run_autoscale(args: argparse.Namespace) -> int:
          for name, w in windows],
         title=f"stageflow {args.curve} — {mode}, {args.policy} policy, "
               f"{args.rate:g} req/s base, fleet {args.servers}",
-    ), file=out)
+    )]
     if ctrl is not None:
-        for t, util, active, action in ctrl.decisions:
-            print(f"  t={t:6.2f}s  util={util:.2f}  -> {action:<10} "
-                  f"({active} active)", file=out)
+        lines += [f"  t={t:6.2f}s  util={util:.2f}  -> {action:<10} "
+                  f"({active} active)"
+                  for t, util, active, action in ctrl.decisions]
         verdict = "re-converged" if reconverged else "did NOT re-converge"
-        print(f"\n{ctrl.plans_committed}/{ctrl.plans_begun} plans committed, "
-              f"{ctrl.grows} grows / {ctrl.shrinks} shrinks; "
-              f"tail utilization {tail_util:.2f} {verdict} into "
-              f"[{args.low:.2f}, {args.high:.2f}]; "
-              f"{silo_seconds:.1f} silo-seconds", file=out)
+        lines.append(
+            f"\n{ctrl.plans_committed}/{ctrl.plans_begun} plans committed, "
+            f"{ctrl.grows} grows / {ctrl.shrinks} shrinks; "
+            f"tail utilization {tail_util:.2f} {verdict} into "
+            f"[{args.low:.2f}, {args.high:.2f}]; "
+            f"{silo_seconds:.1f} silo-seconds")
     else:
-        print(f"\nfixed fleet: {silo_seconds:.1f} silo-seconds", file=out)
-
-    if args.json_path == "-":
-        print(json.dumps(summary, indent=2))
-    elif args.json_path:
-        with open(args.json_path, "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-        print(f"summary JSON written to {args.json_path}", file=out)
+        lines.append(f"\nfixed fleet: {silo_seconds:.1f} silo-seconds")
+    _emit(args, lines, summary)
 
     if any(w["requests"] == 0 for _, w in windows):
         print("autoscale failed: a measurement window completed no requests",
@@ -983,8 +889,6 @@ def _sanitizer_slice(requests: int, seed: int) -> dict:
 
 
 def _run_lint(args: argparse.Namespace) -> int:
-    import json
-
     from .analysis import DEFAULT_ROOTS, all_rules, lint_paths
     from .analysis.flow import all_flow_rules
     from .analysis.xbackend import all_xb_rules
@@ -1000,25 +904,16 @@ def _run_lint(args: argparse.Namespace) -> int:
              "severity": str(r.severity), "description": r.description}
             for family, rules in families for r in rules
         ]
-        out = sys.stderr if args.json_path == "-" else sys.stdout
         rows = [[r["name"], r["severity"],
                  r["description"] if r["family"] == "file"
                  else f"[{r['family']}] {r['description']}"]
                 for r in inventory]
         counts = ", ".join(f"{sum(1 for r in inventory if r['family'] == f)} "
                            f"{f}" for f, _ in families[1:])
-        print(render_table(
+        _emit(args, [render_table(
             ["rule", "severity", "description"], rows,
             title=f"{len(rows)} registered lint rules ({counts})",
-        ), file=out)
-        doc = {"schema": 1, "rules": inventory}
-        if args.json_path == "-":
-            print(json.dumps(doc, indent=2))
-        elif args.json_path:
-            with open(args.json_path, "w") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
-            print(f"rule inventory written to {args.json_path}", file=out)
+        )], {"schema": 1, "rules": inventory}, label="rule inventory")
         return 0
 
     if args.waivers:
@@ -1062,7 +957,6 @@ def _run_lint(args: argparse.Namespace) -> int:
 
     doc["ok"] = ok
 
-    out = sys.stderr if args.json_path == "-" else sys.stdout
     rows = [[f.rule, f"{f.path}:{f.line}", f.message]
             for f in report.active]
     rows += [[f"{f.rule} (waived)", f"{f.path}:{f.line}",
@@ -1072,62 +966,48 @@ def _run_lint(args: argparse.Namespace) -> int:
     if args.cache and (flow or xbackend):
         cache_note += (f", project {report.project_cache_hits} hit/"
                        f"{report.project_cache_misses} miss")
-    print(render_table(
+    lines = [render_table(
         ["rule", "location", "detail"],
         rows or [["-", "-", "no findings"]],
         title=f"repro lint — {report.files_checked} files, "
               f"{len(report.active)} active, {len(report.waived)} waived"
               f"{cache_note}",
-    ), file=out)
+    )]
     if graph is not None:
         edges = graph.type_edge_weights()
-        print(f"\nflow: {len(graph.actor_edges())} actor-edge site(s), "
-              f"{len(edges)} type edge(s), "
-              f"{len(graph.client_sites())} client entry point(s)",
-              file=out)
+        lines.append(
+            f"\nflow: {len(graph.actor_edges())} actor-edge site(s), "
+            f"{len(edges)} type edge(s), "
+            f"{len(graph.client_sites())} client entry point(s)")
         if args.flow_graph is not None:
-            with open(args.flow_graph, "w") as fh:
-                json.dump(graph.to_dict(), fh, indent=2)
-                fh.write("\n")
-            print(f"static interaction graph written to {args.flow_graph}",
-                  file=out)
+            _write_json(args.flow_graph, graph.to_dict())
+            lines.append(
+                f"static interaction graph written to {args.flow_graph}")
     if check_report is not None:
         from .analysis.flow import format_crosscheck
 
-        for line in format_crosscheck(check_report):
-            print(line, file=out)
-        with open(args.graph_check, "w") as fh:
-            json.dump(check_report, fh, indent=2)
-            fh.write("\n")
-        print(f"graph-check diff written to {args.graph_check}", file=out)
+        lines += format_crosscheck(check_report)
+        _write_json(args.graph_check, check_report)
+        lines.append(f"graph-check diff written to {args.graph_check}")
     if xb_report is not None:
         from .analysis.xbackend import format_xb_crosscheck
 
-        print(format_xb_crosscheck(xb_report), file=out)
-        with open(args.xb_check, "w") as fh:
-            json.dump(xb_report, fh, indent=2)
-            fh.write("\n")
-        print(f"xbackend crosscheck written to {args.xb_check}", file=out)
+        lines.append(format_xb_crosscheck(xb_report))
+        _write_json(args.xb_check, xb_report)
+        lines.append(f"xbackend crosscheck written to {args.xb_check}")
     if san_report is not None:
-        print(f"\nsanitizer: {san_report['requests_completed']} requests, "
-              f"{san_report['events_seen']} events, "
-              f"{san_report['accesses']} accesses, "
-              f"{len(san_report['conflicts'])} conflicts, "
-              f"{len(san_report['rng_hazards'])} rng hazards; order probe "
-              f"{'DIVERGED' if san_report['order_probe']['order_dependent'] else 'clean'}",
-              file=out)
-        for conflict in san_report["conflicts"]:
-            print(f"  conflict: {conflict['owner']}.{conflict['field']} "
-                  f"at t={conflict['time']:.6f} — {conflict['note'] or conflict['accesses']}",
-                  file=out)
-
-    if args.json_path == "-":
-        print(json.dumps(doc, indent=2))
-    elif args.json_path:
-        with open(args.json_path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        print(f"JSON report written to {args.json_path}", file=out)
+        lines.append(
+            f"\nsanitizer: {san_report['requests_completed']} requests, "
+            f"{san_report['events_seen']} events, "
+            f"{san_report['accesses']} accesses, "
+            f"{len(san_report['conflicts'])} conflicts, "
+            f"{len(san_report['rng_hazards'])} rng hazards; order probe "
+            f"{'DIVERGED' if san_report['order_probe']['order_dependent'] else 'clean'}")
+        lines += [
+            f"  conflict: {conflict['owner']}.{conflict['field']} "
+            f"at t={conflict['time']:.6f} — {conflict['note'] or conflict['accesses']}"
+            for conflict in san_report["conflicts"]]
+    _emit(args, lines, doc, label="JSON report")
 
     if not ok:
         print("lint failed: unwaived findings, sanitizer conflicts, or "
@@ -1137,145 +1017,49 @@ def _run_lint(args: argparse.Namespace) -> int:
 
 
 def _run_waiver_audit(args: argparse.Namespace) -> int:
-    import json
-
     from .analysis import DEFAULT_ROOTS
     from .analysis.linter import waiver_audit
 
     audit = waiver_audit(args.paths or DEFAULT_ROOTS)
-    doc = {"schema": 1, "waiver_audit": audit}
-    out = sys.stderr if args.json_path == "-" else sys.stdout
     rows = [[",".join(w["rules"]), f"{w['path']}:{w['line']}",
              w["justification"] or "(MISSING JUSTIFICATION)"]
             for w in audit["waivers"]]
-    print(render_table(
+    _emit(args, [render_table(
         ["rules", "location", "justification"],
         rows or [["-", "-", "no waivers in tree"]],
         title=f"waiver audit — {audit['count']} active waiver(s), "
               f"{audit['unjustified']} unjustified",
-    ), file=out)
-    if args.json_path == "-":
-        print(json.dumps(doc, indent=2))
-    elif args.json_path:
-        with open(args.json_path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        print(f"JSON report written to {args.json_path}", file=out)
+    )], {"schema": 1, "waiver_audit": audit}, label="JSON report")
     return 0
 
 
 def _run_perf(args: argparse.Namespace) -> int:
-    from .bench import perf
-
-    if args.backend == "asyncio":
-        return _run_perf_asyncio(args)
-    if args.scale_point or args.scaling:
-        return _run_perf_scaling(args)
-    try:
-        doc = perf.run_suite(
-            smoke=args.smoke,
-            repeat=args.repeat,
-            only=args.only,
-            profile_dir=args.profile_dir,
-        )
-    except Exception as exc:  # failed run -> non-zero exit, not a traceback
-        print(f"perf suite failed: {exc}", file=sys.stderr)
-        return 1
-    if args.json_path == "-":
-        # Keep stdout pure JSON so the output can be piped; the human
-        # table still reaches the terminal via stderr.
-        print(perf.render_results(doc), file=sys.stderr)
-        if args.profile_dir:
-            print(f"cProfile stats in {args.profile_dir}/<benchmark>.pstats "
-                  f"(inspect with python -m pstats)", file=sys.stderr)
-        print(perf.main_json(doc))
-        return 0
-    print(perf.render_results(doc))
-    if args.json_path:
-        with open(args.json_path, "w") as fh:
-            fh.write(perf.main_json(doc) + "\n")
-        print(f"\nJSON written to {args.json_path}")
-    if args.profile_dir:
-        print(f"cProfile stats in {args.profile_dir}/<benchmark>.pstats "
-              f"(inspect with python -m pstats)")
-    return 0
-
-
-def _run_perf_asyncio(args: argparse.Namespace) -> int:
-    import json
-
-    from .backend.bench import ping_latency
-
-    if args.scaling or args.scale_point:
-        print("repro perf: --scaling is simulator-only; the asyncio "
-              "benchmark is the 2-silo ping-latency run", file=sys.stderr)
-        return 2
-    try:
-        doc = ping_latency(pings=args.pings, transport=args.transport)
-    except Exception as exc:  # failed run -> non-zero exit, not a traceback
-        print(f"asyncio ping bench failed: {exc}", file=sys.stderr)
-        return 1
-    table = (f"asyncio ping ({doc['transport']}, {doc['silos']} silos): "
-             f"{doc['completed']}/{doc['pings']} completed, "
-             f"mean {doc['mean_ms']:.3f} ms, p50 {doc['p50_ms']:.3f} ms, "
-             f"p99 {doc['p99_ms']:.3f} ms, "
-             f"{doc['throughput_rps']:,} req/s")
-    payload = json.dumps(doc, indent=2, sort_keys=True)
-    if args.json_path == "-":
-        print(table, file=sys.stderr)
-        print(payload)
-        return 0
-    print(table)
-    if args.json_path:
-        with open(args.json_path, "w") as fh:
-            fh.write(payload + "\n")
-        print(f"\nJSON written to {args.json_path}")
-    return 0
-
-
-def _run_perf_scaling(args: argparse.Namespace) -> int:
-    import json
-
     from .bench import scale
 
     try:
-        if args.scale_point:
-            point = scale.run_scale_point(args.scale_point,
+        if args.scaling:
+            doc = scale.run_scaling_curve(points=args.points,
                                           horizon=args.horizon)
+            violations = [v for p in doc["points"] for v in p["violations"]]
+            table = scale.render_curve(doc)
+        else:
+            p = scale.run_scale_point(args.scale_point, horizon=args.horizon)
             doc = {
                 "schema": 2,
                 "kind": "scale_point",
                 "gate_rss_bytes_per_actor": scale.RSS_PER_ACTOR_GATE_BYTES,
-                "point": point,
+                "point": p,
             }
-            violations = scale.gate_violations(point)
-        else:
-            doc = scale.run_scaling_curve(points=args.points,
-                                          horizon=args.horizon,
-                                          isolate=args.isolate)
-            violations = [v for p in doc["points"] for v in p["violations"]]
+            violations = scale.gate_violations(p)
+            table = (f"{p['actors']:,} actors: {p['wall_seconds']:.1f}s wall "
+                     f"({p['bootstrap_seconds']:.1f}s bootstrap), "
+                     f"{p['events']:,} events, "
+                     f"{p['peak_rss_bytes'] / 2**20:,.0f} MiB peak RSS "
+                     f"({p['rss_bytes_per_actor']:,.0f} B/actor)")
     except Exception as exc:  # failed run -> non-zero exit, not a traceback
         print(f"scaling bench failed: {exc}", file=sys.stderr)
         return 1
-    if args.scaling:
-        table = scale.render_curve(doc)
-    else:
-        p = doc["point"]
-        table = (f"{p['actors']:,} actors: {p['wall_seconds']:.1f}s wall "
-                 f"({p['bootstrap_seconds']:.1f}s bootstrap), "
-                 f"{p['events']:,} events, "
-                 f"{p['peak_rss_bytes'] / 2**20:,.0f} MiB peak RSS "
-                 f"({p['rss_bytes_per_actor']:,.0f} B/actor)")
-    payload = json.dumps(doc, indent=2, sort_keys=True)
-    if args.json_path == "-":
-        print(table, file=sys.stderr)
-        print(payload)
-    else:
-        print(table)
-        if args.json_path:
-            with open(args.json_path, "w") as fh:
-                fh.write(payload + "\n")
-            print(f"\nJSON written to {args.json_path}")
+    _emit(args, [table], doc, label="JSON")
     for violation in violations:
         print(f"GATE: {violation}", file=sys.stderr)
     if args.gate and violations:
@@ -1285,23 +1069,7 @@ def _run_perf_scaling(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "halo":
-        return _run_halo(args)
-    if args.command == "heartbeat":
-        return _run_heartbeat(args)
-    if args.command == "partition":
-        return _run_partition(args)
-    if args.command == "perf":
-        return _run_perf(args)
-    if args.command == "trace":
-        return _run_trace(args)
-    if args.command == "faults":
-        return _run_faults(args)
-    if args.command == "autoscale":
-        return _run_autoscale(args)
-    if args.command == "lint":
-        return _run_lint(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -136,10 +136,6 @@ class Cluster:
     def config(self) -> ClusterConfig:
         return self.runtime.config
 
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name if self.backend is not None else "sim"
-
 
 def build_cluster(
     config: Optional[ClusterConfig] = None,

@@ -46,12 +46,6 @@ class _PeriodicController:
         self.thread_history: dict[str, TimeSeries] = {
             name: TimeSeries(name) for name in server.stages
         }
-        # Per-stage backpressure samples (all zeros unless the cluster
-        # configured AdmissionConfig.stage_soft_limit); controllers can
-        # read it as an overload indicator without perturbing the run.
-        self.backpressure_history: dict[str, TimeSeries] = {
-            name: TimeSeries(name) for name in server.stages
-        }
         self.ticks = 0
         self._running = False
         # Optional repro.obs EventLog; ActOp.start() wires it when an
@@ -79,7 +73,6 @@ class _PeriodicController:
         for name, stage in self.server.stages.items():
             self.queue_history[name].record(now, stage.queue_length)
             self.thread_history[name].record(now, stage.threads)
-            self.backpressure_history[name].record(now, stage.backpressure)
 
     def _control(self) -> None:  # pragma: no cover - overridden
         raise NotImplementedError

@@ -12,8 +12,7 @@ cluster ("callers see timeouts, not hangs") but never spells out:
   per-attempt ``call_timeout``; retries never extend past it.
 * :class:`AdmissionConfig` — a bounded client-request admission window
   with a load-shedding policy (``reject`` new arrivals vs. ``drop_oldest``
-  in-flight), plus the per-silo receiver-queue bound and the SEDA
-  soft-limit that feeds the backpressure signal.
+  in-flight), plus the per-silo receiver-queue bound.
 
 ``ResilienceConfig`` composes all three; every field defaults to "off",
 and a runtime built with ``resilience=None`` takes a fast path that is
@@ -91,14 +90,11 @@ class AdmissionConfig:
             (fresher work is likelier to still matter to its caller).
         receiver_queue: per-silo receiver-stage bound on queued client
             requests.
-        stage_soft_limit: queue depth at which silo stages start
-            reporting backpressure (None = no signal).
     """
 
     capacity: Optional[int] = None
     policy: str = "reject"
     receiver_queue: Optional[int] = None
-    stage_soft_limit: Optional[int] = None
 
     def __post_init__(self):
         if self.policy not in SHED_POLICIES:
@@ -108,8 +104,6 @@ class AdmissionConfig:
             raise ValueError("capacity must be >= 1")
         if self.receiver_queue is not None and self.receiver_queue < 0:
             raise ValueError("receiver_queue must be >= 0")
-        if self.stage_soft_limit is not None and self.stage_soft_limit < 1:
-            raise ValueError("stage_soft_limit must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,6 @@
 synthetic generators, quality metrics, and the comparator partitioners
 (centralized multilevel and Ja-Be-Ja)."""
 
-from .arrayback import ArrayCommGraph, ArraySpaceSaving
 from .comm_graph import CommGraph
 from .generators import (
     clustered_graph,
@@ -24,8 +23,6 @@ from .spacesaving import SpaceSaving
 from .streaming import STREAMING_HEURISTICS, streaming_partition
 
 __all__ = [
-    "ArrayCommGraph",
-    "ArraySpaceSaving",
     "CommGraph",
     "JabejaResult",
     "SpaceSaving",

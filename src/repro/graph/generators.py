@@ -37,7 +37,6 @@ def clustered_graph(
     inter_weight: float = 1.0,
     rng: Optional[random.Random] = None,
     hub_and_spoke: bool = True,
-    graph_factory=CommGraph,
 ) -> CommGraph:
     """Clusters of heavily-communicating vertices, lightly cross-linked.
 
@@ -49,7 +48,7 @@ def clustered_graph(
     if num_clusters < 1 or cluster_size < 2:
         raise ValueError("need >= 1 cluster of size >= 2")
     rng = rng or random.Random(0)
-    graph = graph_factory()
+    graph = CommGraph()
     clusters: list[list[int]] = []
     next_id = 0
     for _ in range(num_clusters):
@@ -77,8 +76,7 @@ def clustered_graph(
 
 
 def ring_of_cliques(num_cliques: int, clique_size: int, bridge_weight: float = 1.0,
-                    clique_weight: float = 5.0,
-                    graph_factory=CommGraph) -> CommGraph:
+                    clique_weight: float = 5.0) -> CommGraph:
     """Cliques joined in a ring by single light edges.
 
     The optimal n-way cut (n dividing num_cliques) cuts only bridge
@@ -86,7 +84,7 @@ def ring_of_cliques(num_cliques: int, clique_size: int, bridge_weight: float = 1
     """
     if num_cliques < 2 or clique_size < 2:
         raise ValueError("need >= 2 cliques of size >= 2")
-    graph = graph_factory()
+    graph = CommGraph()
     for c in range(num_cliques):
         base = c * clique_size
         for i in range(clique_size):
@@ -104,13 +102,12 @@ def random_graph(
     mean_degree: float = 4.0,
     weight_range: tuple[float, float] = (1.0, 5.0),
     rng: Optional[random.Random] = None,
-    graph_factory=CommGraph,
 ) -> CommGraph:
     """Erdős–Rényi G(n, m) with uniform random weights."""
     if n < 2:
         raise ValueError("need at least two vertices")
     rng = rng or random.Random(0)
-    graph = graph_factory()
+    graph = CommGraph()
     for v in range(n):
         graph.add_vertex(v)
     m = int(n * mean_degree / 2)
@@ -130,13 +127,12 @@ def power_law_graph(
     n: int,
     attach: int = 2,
     rng: Optional[random.Random] = None,
-    graph_factory=CommGraph,
 ) -> CommGraph:
     """Barabási–Albert preferential attachment (hub-heavy degree law)."""
     if n < attach + 1:
         raise ValueError("need n > attach")
     rng = rng or random.Random(0)
-    graph = graph_factory()
+    graph = CommGraph()
     targets = list(range(attach + 1))
     for i in range(attach + 1):
         for j in range(i + 1, attach + 1):
@@ -155,12 +151,11 @@ def power_law_graph(
     return graph
 
 
-def grid_graph(rows: int, cols: int, weight: float = 1.0,
-               graph_factory=CommGraph) -> CommGraph:
+def grid_graph(rows: int, cols: int, weight: float = 1.0) -> CommGraph:
     """A rows x cols 4-neighbor mesh."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
-    graph = graph_factory()
+    graph = CommGraph()
     def vid(r: int, c: int) -> int:
         return r * cols + c
     for r in range(rows):

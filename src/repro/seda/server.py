@@ -80,16 +80,6 @@ class StagedServer:
     def total_threads(self) -> int:
         return sum(st.threads for st in self.stages.values())
 
-    def backpressure(self) -> dict[str, float]:
-        """Per-stage instantaneous backpressure (see :attr:`Stage.backpressure`)."""
-        return {name: st.backpressure for name, st in self.stages.items()}
-
-    @property
-    def max_backpressure(self) -> float:
-        """The server's worst stage backpressure right now."""
-        return max((st.backpressure for st in self.stages.values()),
-                   default=0.0)
-
     # ------------------------------------------------------------------
     # Windowed sampling (what controllers and estimators consume)
     # ------------------------------------------------------------------

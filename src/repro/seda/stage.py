@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from ..sim.cpu import CpuBurst, CpuPool
 from ..sim.engine import Simulator
@@ -183,10 +183,6 @@ class Stage:
         #: own callback.  Hooks must observe only (no scheduling, no RNG).
         self.observers: list[Callable[["Stage", StageEvent], None]] = []
         self.stats = StageStats()
-        #: Queue depth at which :attr:`backpressure` starts reporting a
-        #: non-zero signal (None disables it).  Set cluster-wide via
-        #: ``AdmissionConfig.stage_soft_limit``.
-        self.soft_limit: Optional[int] = None
 
         self._threads = threads
         self._busy = 0
@@ -219,23 +215,6 @@ class Stage:
     @property
     def busy_threads(self) -> int:
         return self._busy
-
-    @property
-    def backpressure(self) -> float:
-        """Instantaneous overload signal in [0, 1].
-
-        0.0 below the soft limit (or with no limit configured); ramps
-        linearly to 1.0 as the queue reaches twice the limit.  Thread
-        controllers and admission policies may observe this without any
-        effect on the simulation (it is a pure read).
-        """
-        limit = self.soft_limit
-        if limit is None:
-            return 0.0
-        excess = len(self._queue) - limit
-        if excess <= 0:
-            return 0.0
-        return min(1.0, excess / limit)
 
     def submit(
         self,

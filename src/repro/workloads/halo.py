@@ -144,7 +144,6 @@ class HaloConfig:
     matchmaking_period: float = 1.0
     request_size: int = 256
     response_size: int = 128
-    bootstrap: bool = True               # start with a full population
     # Paper-scale switches (defaults preserve the original message-driven
     # behavior bit for bit; the scale benches flip them):
     direct_bootstrap: bool = False       # install bootstrap games without messages
@@ -225,8 +224,7 @@ class HaloWorkload:
     # ------------------------------------------------------------------
     def start(self) -> None:
         self._running = True
-        if self.config.bootstrap:
-            self._bootstrap()
+        self._bootstrap()
         self._schedule_arrival()
         self.runtime.sim.schedule(self.config.matchmaking_period, self._matchmaking_tick)
         self._schedule_request()

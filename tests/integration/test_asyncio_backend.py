@@ -579,7 +579,7 @@ def test_resilience_call_timeout_carries_to_asyncio():
                             resilience=ResilienceConfig(call_timeout=1.5))
     with cluster:
         assert cluster.runtime.call_timeout == 1.5
-        assert cluster.backend_name == "asyncio"
+        assert cluster.runtime.name == "asyncio"
 
 
 @pytest.mark.parametrize("kwargs", [

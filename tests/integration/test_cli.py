@@ -64,16 +64,17 @@ def test_perf_command_smoke(capsys, tmp_path):
 
     out_path = tmp_path / "perf.json"
     code = main([
-        "perf", "--smoke", "--repeat", "1", "--only", "event_loop",
+        "perf", "--scale-point", "2000", "--horizon", "1",
         "--json", str(out_path),
     ])
     assert code == 0
     out = capsys.readouterr().out
-    assert "event_loop" in out
+    assert "2,000 actors" in out and "peak RSS" in out
     doc = json.loads(out_path.read_text())
-    assert doc["schema"] == 2
-    assert doc["benchmarks"]["event_loop"]["rate_per_sec"] > 0
-    assert doc["benchmarks"]["event_loop"]["peak_rss_bytes"] > 0
+    assert doc["schema"] == 2 and doc["kind"] == "scale_point"
+    assert doc["point"]["actors"] == 2000
+    assert doc["point"]["events"] > 0
+    assert doc["point"]["peak_rss_bytes"] > 0
 
 
 def test_trace_command_smoke(capsys, tmp_path):

@@ -14,8 +14,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(
 
 CASES = [
     # ---- success -> 0
-    ("perf-ok",
-     ["perf", "--smoke", "--only", "histogram", "--repeat", "1"], 0),
+    ("perf-ok", ["perf", "--scale-point", "2000", "--horizon", "1"], 0),
     ("trace-ok",
      ["trace", "--workload", "halo", "--players", "60", "--servers", "2",
       "--warmup", "1", "--duration", "2"], 0),
@@ -43,7 +42,8 @@ CASES = [
      ["lint", "--xbackend",
       os.path.join("tests", "fixtures", "xbackend_violations.py")], 1),
     # ---- argparse rejection -> 2
-    ("perf-bad-choice", ["perf", "--only", "nonesuch"], 2),
+    ("perf-bad-points", ["perf", "--scaling", "--points", "notanint"], 2),
+    # the ping harness went with the micro-suite runner: e2e measures both
     ("perf-bad-transport", ["perf", "--transport", "nonesuch"], 2),
     ("trace-bad-choice", ["trace", "--workload", "nonesuch"], 2),
     ("faults-bad-spec", ["faults", "--kill", "notaspec"], 2),

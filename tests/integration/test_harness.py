@@ -2,14 +2,17 @@
 
 import pytest
 
+from repro.autoscale import AutoscaleConfig
 from repro.bench.harness import (
     CounterExperiment,
     HeartbeatExperiment,
     HaloExperiment,
+    StageflowExperiment,
     halo_partitioning_config,
     halo_thread_config,
     improvement,
 )
+from repro.workloads.stageflow import StageflowConfig
 
 
 def test_improvement_metric():
@@ -66,3 +69,24 @@ def test_halo_experiment_small_end_to_end():
     assert result.sampler is not None
     assert len(result.sampler.remote_share) > 0
     assert result.call_median > 0
+
+
+def test_cpu_utilization_is_the_mean_over_live_silos():
+    """2 live of 6 under autoscale: parked silos are not capacity, so the
+    window reports the live mean, not a third of it."""
+    exp = StageflowExperiment(
+        StageflowConfig(curve="flat", base_rate=300.0),
+        autoscale=AutoscaleConfig(period=0.5, min_silos=2, initial_silos=2,
+                                  cooldown=1.0),
+        num_servers=6, processors=2, seed=3)
+    rt = exp.start().runtime
+    rt.run(until=2.0)
+    busy0 = rt.cpu_busy_snapshot()
+    result = exp.measure_window(2.0, 6.0)
+    live = [s for s in rt.silos if not s.dead]
+    assert len(live) == 2 and exp.controller.plans_begun == 0
+    assert sum(rt.cpu_busy_snapshot()[2:]) == 0.0   # parked: never ran
+    expected = sum(s.server.cpu.busy_time - busy0[s.server_id]
+                   for s in live) / (len(live) * 2 * 4.0)
+    assert result.cpu_utilization == pytest.approx(expected)
+    assert 0.2 < result.cpu_utilization < 0.7

@@ -166,6 +166,30 @@ def test_request_deadline_caps_the_retry_storm():
     assert rt.inflight_requests == 0
 
 
+def test_deadline_only_timeout_reports_the_budget_that_was_armed():
+    """With a request deadline and no ``call_timeout`` the timer is armed
+    with what the deadline leaves; the hook used to be told ``0.0``."""
+    cluster = build_cluster(
+        ClusterConfig(num_servers=2, seed=4),
+        resilience=ResilienceConfig(request_deadline=0.2),
+        faults=FaultPlan().degrade(0.0, 100.0, drop=1.0),
+    )
+    rt = cluster.runtime
+    rt.register_actor("echo", Echo)
+    outcomes = []
+    rt.client_request(rt.ref("echo", 0), "ping",
+                      on_complete=lambda lat, res: outcomes.append(
+                          (rt.sim.now, lat, res)))
+    cluster.start()
+    rt.run(until=1.0)
+    (at, latency, result), = outcomes
+    assert at == pytest.approx(0.2)
+    assert isinstance(result, CallTimeout)
+    assert latency == pytest.approx(0.2)
+    assert result.timeout == pytest.approx(0.2)
+    assert "timed out after 0.2s" in str(result)
+
+
 # ----------------------------------------------------------------------
 # Admission control.
 # ----------------------------------------------------------------------

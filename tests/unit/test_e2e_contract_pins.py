@@ -1,0 +1,102 @@
+"""What the frozen end-to-end benchmark reaches for in ``src/`` still exists.
+
+``benchmarks/e2e/`` may not be edited by the PRs it judges, so a deletion
+pass that removes a name it imports, patches or calls breaks the ledger
+— in the pipeline, after the PR is written.  These checks read the
+benchmark's sources with ``ast`` (nothing under ``benchmarks/e2e`` is
+imported or run) and fail in tier-1 instead.
+"""
+
+import ast
+import dataclasses
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
+SOURCES = sorted(E2E.glob("*.py"))
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((E2E / name).read_text())
+
+
+def _repro_imports(tree: ast.Module) -> dict[str, tuple[str, str]]:
+    """Local name -> (module, attribute) for every ``from repro… import``."""
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "repro":
+            for alias in node.names:
+                found[alias.asname or alias.name] = (node.module, alias.name)
+    return found
+
+
+def _resolve(module: str, name: str):
+    owner = importlib.import_module(module)
+    if hasattr(owner, name):
+        return getattr(owner, name)
+    return importlib.import_module(f"{module}.{name}")   # a submodule
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {
+        "isolated.py", "run.py", "tracer.py", "workloads.py"}
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_every_repro_import_resolves(source):
+    tree = ast.parse(source.read_text())
+    imports = _repro_imports(tree)
+    resolved = {local: _resolve(*target) for local, target in imports.items()}
+    # ... and so does every attribute read off an imported module
+    # (``scale_bench.PAPER_REQUEST_RATE``).
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            owner = resolved.get(node.value.id)
+            if isinstance(owner, types.ModuleType):
+                assert hasattr(owner, node.attr), (
+                    f"{source.name}: {node.value.id}.{node.attr}")
+
+
+def test_every_tracer_patch_target_exists():
+    tree = _tree("tracer.py")
+    imports = _repro_imports(tree)
+    patches = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "PATCHES"
+                for t in node.targets))
+    assert len(patches.elts) >= 10
+    for entry in patches.elts:
+        cls = _resolve(*imports[entry.elts[0].id])
+        method = entry.elts[1].value
+        assert callable(getattr(cls, method, None)), (cls.__name__, method)
+
+
+def test_isolated_kernels_accept_their_kwargs():
+    from repro.bench.perf import BENCHMARKS
+
+    calls = [node for node in ast.walk(_tree("isolated.py"))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_perf"]
+    names = {call.args[0].value for call in calls}
+    assert names == {"event_loop", "cancellation", "stage_pipeline",
+                     "histogram", "spacesaving"}
+    for call in calls:
+        kernel = BENCHMARKS[call.args[0].value][0]
+        result = kernel(**{kw.arg: 500 for kw in call.keywords})
+        units, seconds = result[:2]
+        assert units >= 500 and seconds > 0.0
+
+
+def test_workload_constructions_still_accepted():
+    from repro.cluster import Cluster
+    from repro.workloads.halo import HaloConfig
+
+    config = HaloConfig(direct_bootstrap=True, lazy_idle_pool=True)
+    assert config.direct_bootstrap and config.lazy_idle_pool
+    assert {"runtime", "backend", "actop"} <= {
+        f.name for f in dataclasses.fields(Cluster)}
