@@ -13,7 +13,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Hashable
 
-from .transfer_score import transfer_score
 from .view import PartitionView
 
 __all__ = ["Candidate", "candidate_set", "rank_peers", "PeerProposal"]
@@ -46,31 +45,65 @@ class PeerProposal:
         return sum(c.score for c in self.candidates)
 
 
-def candidate_set(view: PartitionView, target: ServerId, k: int) -> list[Candidate]:
-    """Top-k positive-score local vertices for migration to ``target``.
+def _score_pass(view: PartitionView):
+    """R_{p,q}(v) for every local v toward every peer q, in one walk.
 
-    Each candidate ships its edge list and the proposer's location beliefs
-    so the receiver can recompute scores against fresher knowledge
-    (§4.2: q "may decide to reject some or even all of the vertices").
+    Each neighbour map is walked once and each endpoint located once.
+    Per vertex, ``local`` accumulates the ``-w`` of local endpoints;
+    peer q's running score starts from ``local`` at q's first incident
+    edge and from then on takes every ``-w`` (local endpoint) and ``+w``
+    (endpoint at q) in edge order — the float sequence
+    :func:`transfer_score` performs for the pair, so the scores are
+    bit-identical to it.
+
+    Returns ``(by_peer, located)``: per peer the positive ``(score, v)``
+    pairs in ``local_vertices()`` order, and per vertex its resolved
+    endpoint locations in edge order.
     """
+    me = view.server_id
+    locate = view.locate
+    by_peer: dict[ServerId, list[tuple[float, Vertex]]] = {}
+    located: dict[Vertex, dict[Vertex, ServerId]] = {}
+    for v, neighbors in view.edges.items():
+        local = 0.0
+        running: dict[ServerId, float] = {}
+        locations = located[v] = {}
+        for u, w in neighbors.items():
+            loc = locate(u)
+            if loc is None:
+                continue
+            locations[u] = loc
+            if loc == me:
+                local -= w
+                for q in running:
+                    running[q] -= w
+            else:
+                running[loc] = running.get(loc, local) + w
+        for q, score in running.items():
+            if score > 0:
+                by_peer.setdefault(q, []).append((score, v))
+    return by_peer, located
+
+
+def _top_candidates(view: PartitionView, scored, located, k: int) -> list[Candidate]:
+    """The k best of one peer's scored vertices, shipped with their edge
+    lists and the proposer's location beliefs so the receiver can
+    recompute scores against fresher knowledge (§4.2: q "may decide to
+    reject some or even all of the vertices")."""
+    return [
+        Candidate(v, score, dict(view.neighbors(v)), dict(located[v]))
+        for score, v in heapq.nlargest(k, scored, key=lambda sv: sv[0])
+    ]
+
+
+def candidate_set(view: PartitionView, target: ServerId, k: int) -> list[Candidate]:
+    """Top-k positive-score local vertices for migration to ``target``."""
     if k < 1:
         return []
-    scored: list[tuple[float, Vertex]] = []
-    for v in view.local_vertices():
-        score = transfer_score(view.neighbors(v), view.locate, view.server_id, target)
-        if score > 0:
-            scored.append((score, v))
-    top = heapq.nlargest(k, scored, key=lambda sv: sv[0])
-    out = []
-    for score, v in top:
-        edges = dict(view.neighbors(v))
-        locations = {}
-        for u in edges:
-            loc = view.locate(u)
-            if loc is not None:
-                locations[u] = loc
-        out.append(Candidate(v, score, edges, locations))
-    return out
+    if target == view.server_id:
+        raise ValueError("source and target servers must differ")
+    by_peer, located = _score_pass(view)
+    return _top_candidates(view, by_peer.get(target, ()), located, k)
 
 
 def rank_peers(view: PartitionView, k: int) -> list[PeerProposal]:
@@ -80,10 +113,13 @@ def rank_peers(view: PartitionView, k: int) -> list[PeerProposal]:
     (§4.2: "p attempts an exchange with a remote server which would lead
     to the second best cost reduction, and proceeds ...").
     """
-    proposals = []
-    for q in view.peers():
-        cands = candidate_set(view, q, k)
-        if cands:
-            proposals.append(PeerProposal(q, cands))
+    if k < 1:
+        return []
+    by_peer, located = _score_pass(view)
+    proposals = [
+        PeerProposal(q, _top_candidates(view, by_peer[q], located, k))
+        for q in view.peers()
+        if q in by_peer
+    ]
     proposals.sort(key=lambda pr: pr.total_score, reverse=True)
     return proposals

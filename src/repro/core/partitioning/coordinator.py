@@ -262,16 +262,16 @@ class PartitionAgent:
 
     def serve_request(self, request: ExchangeRequest) -> ExchangeResponse:
         """q's side of Alg. 1, including cooldown and T0 migrations."""
-        recently = (
-            self.runtime.sim.now - self.last_exchange_time < self.config.cooldown
-        )
-        view = self.build_view()
+        if self.runtime.sim.now - self.last_exchange_time < self.config.cooldown:
+            # Decided before the view is built: most requests in a busy
+            # cluster end here, and a view costs as much as a fold.
+            return ExchangeResponse(accepted=False, rejection_reason="cooldown")
         response = handle_request(
-            view,
+            self.build_view(),
             request,
             k=self.candidate_k(),
             delta=self.config.delta,
-            exchanged_recently=recently,
+            exchanged_recently=False,
         )
         if response.accepted and response.outcome is not None:
             for vertex in response.outcome.returned:

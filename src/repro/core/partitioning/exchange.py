@@ -13,7 +13,8 @@ procedure:
 3. after each marked move, update the scores of every remaining candidate
    that shares an edge with the moved vertex (a p→q move raises the score
    of its S-side neighbors by 2w and lowers its T-side neighbors' by 2w,
-   and symmetrically);
+   and symmetrically) — found through an index of which candidates name
+   which vertex, so a move costs O(its degree), not O(candidates);
 4. stop when no positive-score move is feasible.
 
 Only positive-score vertices are ever marked, which is what gives
@@ -61,6 +62,14 @@ class _Side:
             self.score[cand.vertex] = cand.score
             self.edges[cand.vertex] = cand.edges
             heapq.heappush(self._heap, (-cand.score, next(seq), cand.vertex))
+        # Candidate order, and which candidates' shipped lists name a
+        # vertex (in that order): what `touching` walks instead of the
+        # whole side.
+        self.rank = {v: i for i, v in enumerate(self.score)}
+        self.naming: dict[Vertex, list[Vertex]] = {}
+        for u, nbrs in self.edges.items():
+            for x in nbrs:
+                self.naming.setdefault(x, []).append(u)
 
     def push(self, v: Vertex) -> None:
         heapq.heappush(self._heap, (-self.score[v], next(self._seq), v))
@@ -80,18 +89,25 @@ class _Side:
     def mark(self, v: Vertex) -> None:
         self.marked.add(v)
 
+    def touching(self, v: Vertex, own: Mapping[Vertex, float]):
+        """``(u, w)`` for this side's unmarked candidates sharing an edge
+        with the moved vertex ``v`` (whose shipped list is ``own``), in
+        candidate order.  The weight is the one u's list gives, else v's
+        — either endpoint may be the only one that sampled the edge."""
+        touched = self.naming.get(v, ())
+        unnamed = [u for u in own if u in self.edges and v not in self.edges[u]]
+        if unnamed:
+            touched = sorted(itertools.chain(touched, unnamed),
+                             key=self.rank.__getitem__)
+        for u in touched:
+            if u not in self.marked:
+                w = self.edges[u].get(v, 0.0) or own.get(u, 0.0)
+                if w:
+                    yield u, w
+
     def bump(self, v: Vertex, delta: float) -> None:
-        if v in self.score and v not in self.marked:
-            self.score[v] += delta
-            self.push(v)
-
-
-def _edge_weight(side_a: _Side, a: Vertex, side_b: _Side, b: Vertex) -> float:
-    """Weight of edge (a, b) as known by either endpoint's shipped list."""
-    w = side_a.edges.get(a, {}).get(b, 0.0)
-    if w:
-        return w
-    return side_b.edges.get(b, {}).get(a, 0.0)
+        self.score[v] += delta
+        self.push(v)
 
 
 def greedy_exchange(
@@ -170,38 +186,23 @@ def greedy_exchange(
             break  # nothing positive is feasible
 
         if take_s:
-            v, score = best_s  # type: ignore[misc]
-            s_side.mark(v)
+            (v, score), moved, other = best_s, s_side, t_side  # type: ignore[misc]
             outcome.accepted.append(v)
-            outcome.estimated_gain += score
             moved_to_q += vsize(v)
-            # v moved p -> q: S-side neighbors (still at p) gain 2w — their
-            # edge to v flips from local-at-p to would-be-local-at-q;
-            # T-side neighbors (at q, leaving for p) lose 2w.
-            for u in list(s_side.score):
-                if u is not v and u not in s_side.marked:
-                    w = _edge_weight(s_side, u, s_side, v)
-                    if w:
-                        s_side.bump(u, 2.0 * w)
-            for u in list(t_side.score):
-                if u not in t_side.marked:
-                    w = _edge_weight(t_side, u, s_side, v)
-                    if w:
-                        t_side.bump(u, -2.0 * w)
         else:
-            v, score = best_t  # type: ignore[misc]
-            t_side.mark(v)
+            (v, score), moved, other = best_t, t_side, s_side  # type: ignore[misc]
             outcome.returned.append(v)
-            outcome.estimated_gain += score
             moved_to_p += vsize(v)
-            for u in list(t_side.score):
-                if u is not v and u not in t_side.marked:
-                    w = _edge_weight(t_side, u, t_side, v)
-                    if w:
-                        t_side.bump(u, 2.0 * w)
-            for u in list(s_side.score):
-                if u not in s_side.marked:
-                    w = _edge_weight(s_side, u, t_side, v)
-                    if w:
-                        s_side.bump(u, -2.0 * w)
+        moved.mark(v)
+        outcome.estimated_gain += score
+        # v left its side: neighbors it leaves behind gain 2w — their edge
+        # to v flips from local to would-be-local at the destination;
+        # neighbors on the other side (heading the opposite way) lose 2w.
+        # Each side is bumped in candidate order: the pushes draw from the
+        # sequence counter that breaks ties in that side's heap.
+        own = moved.edges[v]
+        for u, w in moved.touching(v, own):
+            moved.bump(u, 2.0 * w)
+        for u, w in other.touching(v, own):
+            other.bump(u, -2.0 * w)
     return outcome

@@ -143,6 +143,32 @@ def test_cooldown_rejects_rapid_exchanges():
     assert response.rejection_reason == "cooldown"
 
 
+def test_cooldown_rejection_builds_no_view(monkeypatch):
+    """A request the cooldown rejects costs the responder no view: the
+    rejection is decided before ``build_view`` (on the real runtime a
+    view is a millisecond of event-loop stall), and the same agent builds
+    exactly one once the cooldown has passed."""
+    rt = make_cluster(servers=2)
+    agent = PartitionAgent(rt, rt.silos[1], fast_config(cooldown=5.0))
+    views = []
+    build_view = PartitionAgent.build_view
+    monkeypatch.setattr(PartitionAgent, "build_view",
+                        lambda self: views.append(self) or build_view(self))
+    from repro.core.partitioning.protocol import ExchangeRequest
+
+    request = ExchangeRequest(0, 1, [], 0)
+    agent.last_exchange_time = 0.0
+    rt.sim.schedule(1.0, lambda: None)
+    rt.run()
+    response = agent.serve_request(request)
+    assert (response.accepted, response.rejection_reason) == (False, "cooldown")
+    assert views == []
+    rt.sim.schedule(5.0, lambda: None)
+    rt.run()
+    assert agent.serve_request(request).accepted
+    assert views == [agent]
+
+
 def test_exchange_counters_track_activity():
     rt = make_cluster(servers=2, seed=4)
     pairs = []

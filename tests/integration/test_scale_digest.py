@@ -15,6 +15,8 @@ event: any reordering, insertion, or removal of events changes it.
 import hashlib
 
 from repro.bench.harness import HaloExperiment
+from repro.obs import Observability
+from repro.obs.events import ExchangeEvent, MigrationEvent
 
 # Captured at PR 6 from the pre-change tree (and verified unchanged
 # after it): players/servers/seed/horizon as in each test below.
@@ -22,6 +24,11 @@ MINI_DIGEST = "d4149165647d66d97d3b04ca45d70e0ff5fd89fe8fe82fbf3488e5b4d33dcc20"
 MINI_EVENTS = 2974
 PART_DIGEST = "e903b85b681992fe1fcf237b2970686efef25dec69afb7736e61be0b68506de9"
 PART_EVENTS = 22213
+# Captured at dcbed33 (PR 20's parent), before the partition round was
+# made O(sampled edges): every exchange and migration decision of the
+# slice below, in emission order.
+DECISION_DIGEST = "46117e438913c3b1b539fce8b4a6ab4fe9a9cdc726b19d4105c1f1631251e97a"
+DECISION_COUNTS = (47, 28, 242)  # exchange attempts, accepted, migrations
 TENK_DIGEST = "c06142004a1217b126360d4b98860649fd6bf51ed1bd1eaad59fda06f2d75dd1"
 TENK_EVENTS = 57634
 
@@ -51,6 +58,33 @@ def test_partitioning_on_digest_pinned():
     digest, events = _trace(players=300, servers=4, seed=3, horizon=8.0,
                             partitioning=True)
     assert (digest, events) == (PART_DIGEST, PART_EVENTS)
+
+
+def test_partitioning_decisions_pinned():
+    """The seeded exchange and migration list is the oracle for Alg. 1.
+    ``PART_DIGEST`` hashes event *times* and its 8 s slice ends before
+    the 15 s partitioning warmup (folds only); this one hashes the
+    *decisions* of a slice that runs past it, so a failure here means
+    some exchange or migration changed, and the counts say which kind."""
+    exp = HaloExperiment(players=300, num_servers=4, seed=3, partitioning=True)
+    obs = Observability(exp.runtime, sample_rate=0.0)
+    exp.workload.start()
+    exp.cluster.start()
+    exp.runtime.run(until=24.0)
+    records = []
+    for e in obs.events:
+        if isinstance(e, ExchangeEvent):
+            records.append(("exchange", e.time, e.initiator, e.target,
+                            e.accepted, e.moves, e.sent, e.received,
+                            repr(e.estimated_gain), e.reason))
+        elif isinstance(e, MigrationEvent):
+            records.append(("migration", e.time, e.actor, e.source,
+                            e.destination))
+    exchanges = [r for r in records if r[0] == "exchange"]
+    counts = (len(exchanges), sum(r[4] for r in exchanges),
+              len(records) - len(exchanges))
+    digest = hashlib.sha256("".join(map(repr, records)).encode()).hexdigest()
+    assert (digest, counts) == (DECISION_DIGEST, DECISION_COUNTS)
 
 
 def test_10k_actor_digest_pinned():

@@ -5,7 +5,13 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.partitioning.candidate import candidate_set, rank_peers
+from repro.core.partitioning.candidate import (
+    Candidate,
+    PeerProposal,
+    _score_pass,
+    candidate_set,
+    rank_peers,
+)
 from repro.core.partitioning.transfer_score import transfer_score
 from repro.core.partitioning.view import PartitionView
 
@@ -77,3 +83,63 @@ def test_rank_peers_ordering_and_completeness(view_and_servers, k):
     for target in range(1, servers):
         has_candidates = bool(candidate_set(view, target, k))
         assert (target in listed) == has_candidates
+
+
+@st.composite
+def partial_views(draw):
+    """Partial, stale views: 2-6 servers, endpoints whose location is
+    unknown (``None``), on a server nobody counts as a peer, or local but
+    without sampled edges of their own, all interleaved with local
+    vertices in one neighbour map; weights are floats whose sum depends
+    on the order of addition, or small integers (tied scores)."""
+    servers = draw(st.integers(2, 6))
+    n_local = draw(st.integers(0, 8))
+    n_remote = draw(st.integers(1, 10))
+    location = st.one_of(st.none(), st.integers(0, servers))
+    remote_locs = {f"r{i}": draw(location) for i in range(n_remote)}
+    weight = draw(st.sampled_from([
+        st.floats(1e-3, 1e3, allow_nan=False), st.integers(1, 3).map(float)]))
+    endpoints = [f"v{i}" for i in range(n_local)] + list(remote_locs)
+    edges = {}
+    for i in range(n_local):
+        edges[f"v{i}"] = {
+            u: draw(weight) for u in draw(st.permutations(endpoints))
+            if u != f"v{i}" and draw(st.booleans())
+        }
+    sizes = {p: draw(st.integers(0, 20)) for p in range(servers)}
+    return PartitionView(0, edges, remote_locs.get, sizes[0], sizes)
+
+
+def reference_candidate_set(view, target, k):
+    """The per-pair form: one ``transfer_score`` per (vertex, peer)."""
+    scored = []
+    for v in view.local_vertices():
+        score = transfer_score(view.neighbors(v), view.locate, view.server_id, target)
+        if score > 0:
+            scored.append((score, v))
+    out = []
+    for score, v in heapq.nlargest(k, scored, key=lambda sv: sv[0]):
+        edges = dict(view.neighbors(v))
+        locations = {u: view.locate(u) for u in edges if view.locate(u) is not None}
+        out.append(Candidate(v, score, edges, locations))
+    return scored, out
+
+
+@given(partial_views(), st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_shared_pass_equals_transfer_score_per_pair(view, k):
+    by_peer, _ = _score_pass(view)
+    reference = {}
+    for target in view.peers():
+        scored, cands = reference_candidate_set(view, target, k)
+        # Bit for bit and in local_vertices() order: == on floats is exact.
+        assert by_peer.get(target, []) == scored
+        assert candidate_set(view, target, k) == cands
+        if cands:
+            reference[target] = cands
+    # Peers in view order, stably sorted by total score; every field of
+    # every candidate (repr also compares dict order).
+    expected = sorted(
+        (PeerProposal(q, cands) for q, cands in reference.items()),
+        key=lambda pr: pr.total_score, reverse=True)
+    assert repr(rank_peers(view, k)) == repr(expected)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from repro.core.partitioning.candidate import Candidate
 from repro.core.partitioning.exchange import greedy_exchange
 
+from .fullscan_exchange import fullscan_greedy_exchange
+
 
 @st.composite
 def exchange_instances(draw):
@@ -76,3 +78,59 @@ def test_deterministic(instance):
     second = greedy_exchange(s, t, size_p, size_q, delta)
     assert first.accepted == second.accepted
     assert first.returned == second.returned
+
+
+@st.composite
+def oracle_instances(draw):
+    """Instances that exercise every way the adjacency walk could part
+    from the full scan: an edge in one endpoint's list only or with a
+    different weight in each, small-integer weights and scores (heap
+    ties, so push order decides), zero weights (fall through to the other
+    endpoint's list), endpoints that are nobody's candidate, a vertex
+    offered by both sides, a candidate listed twice."""
+    n_s = draw(st.integers(0, 9))
+    n_t = draw(st.integers(0, 9))
+    s_names = [f"s{i}" for i in range(n_s)]
+    t_names = [f"t{i}" for i in range(n_t)]
+    everyone = s_names + t_names + ["x0", "x1"]
+    if draw(st.booleans()):
+        weight = st.integers(0, 3).map(float)
+        score = st.integers(-2, 5).map(float)
+    else:
+        weight = st.floats(0.1, 5.0, allow_nan=False)
+        score = st.floats(-10, 10, allow_nan=False)
+
+    def cands(names):
+        names = list(names)
+        if names and draw(st.booleans()):
+            names.append(draw(st.sampled_from(s_names + t_names)))
+        out = []
+        for name in names:
+            edges = {}
+            for other in draw(st.permutations(everyone)):
+                if other != name and draw(st.booleans()):
+                    edges[other] = draw(weight)
+            out.append(Candidate(name, draw(score), edges))
+        return out
+
+    options = {}
+    if draw(st.booleans()):
+        options["max_moves"] = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        options["vertex_sizes"] = {
+            name: draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+            for name in s_names + t_names if draw(st.booleans())
+        }
+    return (cands(s_names), cands(t_names), draw(st.integers(0, 40)),
+            draw(st.integers(0, 40)), draw(st.integers(0, 10)), options)
+
+
+@given(oracle_instances())
+@settings(max_examples=400, deadline=None)
+def test_adjacency_walk_equals_full_scan(instance):
+    s, t, size_p, size_q, delta, options = instance
+    got = greedy_exchange(s, t, size_p, size_q, delta, **options)
+    want = fullscan_greedy_exchange(s, t, size_p, size_q, delta, **options)
+    assert got.accepted == want.accepted
+    assert got.returned == want.returned
+    assert repr(got.estimated_gain) == repr(want.estimated_gain)
