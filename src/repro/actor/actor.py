@@ -34,11 +34,12 @@ def idempotent(method):
 
     A retrying :class:`~repro.faults.resilience.ResilienceConfig` may
     re-send a timed-out request whose first attempt already executed.
-    This marker documents (and lets the ``FLOW-RETRY-NONIDEMPOTENT``
-    lint rule verify) that replaying the method converges — e.g. a
+    This marker documents that replaying the method converges — e.g. a
     last-writer-wins status write, or a monotonic counter that is only
     read as a liveness signal, never as an exact count.  It has no
-    runtime effect.
+    runtime effect: a method that is *not* replay-safe is protected by
+    issuing its requests with ``idempotent=False``, which
+    ``RetryPolicy(idempotent_only=True)`` never re-sends.
     """
     method.__repro_idempotent__ = True
     return method
@@ -71,8 +72,7 @@ class Actor:
       snapshots exactly those fields (instead of the whole ``__dict__``),
       so deactivation, migration, and supervision restarts restore only
       the declared set — any other field reverts to its ``__init__``
-      value.  The ``XB-UNPERSISTED-RESTORE`` lint rule flags methods
-      that mutate non-underscore fields outside the declared set.
+      value.
     """
 
     COMPUTE: ClassVar[dict[str, float]] = {}

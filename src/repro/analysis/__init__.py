@@ -22,10 +22,8 @@ from .sanitizer import (
     current,
     detect_order_dependence,
 )
-from .version import ANALYSIS_VERSION
 
 __all__ = [
-    "ANALYSIS_VERSION",
     "PayloadEvent",
     "Finding",
     "Severity",

@@ -67,19 +67,6 @@ class Finding:
         mark = " (waived)" if self.waived else ""
         return f"{self.path}:{self.line}: {self.rule} [{self.severity}]{mark} {self.message}"
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Finding":
-        """Inverse of :meth:`to_dict` (used by the lint result cache)."""
-        return cls(
-            rule=doc["rule"],
-            severity=Severity(doc["severity"]),
-            path=doc["path"],
-            line=doc["line"],
-            message=doc["message"],
-            waived=doc.get("waived", False),
-            justification=doc.get("justification"),
-        )
-
 
 WAIVER_RE = re.compile(
     r"#\s*repro:\s*waive\[(?P<rules>[A-Z*][A-Z0-9*,\-\s]*)\]"

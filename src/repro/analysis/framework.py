@@ -13,7 +13,7 @@ import ast
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Type
 
-from .findings import Finding, Severity
+from .findings import Finding, Severity, Waiver
 
 __all__ = ["LintContext", "Rule", "register", "all_rules", "get_rule"]
 
@@ -27,6 +27,7 @@ class LintContext:
     path: str                    # path as reported in findings (repo-relative)
     source: str
     tree: ast.Module
+    waivers: list[Waiver]        # the file's waiver comments, tokenized once
 
     @property
     def module_parts(self) -> tuple[str, ...]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Optional
 
-from .findings import Finding, Severity, parse_waivers
+from .findings import Finding, Severity
 from .framework import LintContext, Rule, register
 
 __all__ = ["WAIVER_JUSTIFY"]
@@ -707,7 +707,7 @@ class WaiverJustificationRule(Rule):
     )
 
     def run(self):
-        for waiver in parse_waivers(self.ctx.source):
+        for waiver in self.ctx.waivers:
             if not waiver.justification:
                 self.findings.append(
                     Finding(

@@ -22,6 +22,12 @@ cousins of the static ``DET-*``/``ACT-*`` rules:
   scheduling changes, e.g. shared ``network.jitter`` draws from both
   sender stages) rather than conflicts, and do not fail the run.
 
+* **Payload hazards.**  Every ``Call``/``Tell`` a turn sends is probed
+  (:meth:`Sanitizer.probe_payload`): an argument the sender's own state
+  still references is shared on the inproc transport and copied over
+  TCP, and an argument ``pickle`` rejects cannot cross TCP at all.
+  Either is a :class:`PayloadEvent` and fails the report.
+
 * **Set-iteration order dependence.**  :func:`detect_order_dependence`
   re-runs a probe under salted ``ActorId`` hashing; any digest change
   proves something iterated a hash-ordered container.
@@ -91,13 +97,12 @@ class Conflict:
 class PayloadEvent:
     """One cross-backend payload hazard observed at a real send site.
 
-    The dynamic cousin of the static ``XB-*`` rules: the asyncio
-    backend's payload probe records an event when a message payload is
-    aliased by the sender's own state (``kind="alias"`` — shared by
-    reference inproc, copied over TCP) or fails ``pickle.dumps``
-    (``kind="unpicklable"`` — cannot cross the TCP transport at all).
-    The crosscheck in :mod:`repro.analysis.xbackend.crosscheck` demands
-    every such event be covered by a static finding (static ⊇ dynamic).
+    The payload probe (:meth:`Sanitizer.probe_payload`) records an event
+    when a message payload is aliased by the sender's own state
+    (``kind="alias"`` — shared by reference inproc, copied over TCP) or
+    fails ``pickle.dumps`` (``kind="unpicklable"`` — cannot cross the
+    TCP transport at all).  Any event fails the sanitizer report: the
+    program means different things on different transports.
     """
 
     kind: str                     # "alias" | "unpicklable"
@@ -359,11 +364,9 @@ class Sanitizer:
             PayloadEvent("unpicklable", sender, method, detail))
 
     def probe_payload(self, instance, generator, args: tuple) -> None:
-        """A turn of ``instance`` is about to send ``args``: look for the
-        dynamic cousins of the XB rules — an argument the sender's own
-        state still references (shared inproc, copied over TCP:
-        XB-ALIASED-MUTABLE) and arguments pickle rejects outright
-        (XB-UNPICKLABLE-PAYLOAD)."""
+        """A turn of ``instance`` is about to send ``args``: look for an
+        argument the sender's own state still references (shared inproc,
+        copied over TCP) and for arguments pickle rejects outright."""
         if not args:
             return
         sender = type(instance).__name__
@@ -460,7 +463,7 @@ class Sanitizer:
     def report(self) -> dict:
         conflicts, hazards = self._derive()
         return {
-            "ok": not conflicts,
+            "ok": not conflicts and not self.payload_events,
             "events_seen": self.events_seen,
             "accesses": self.accesses,
             "distinct_sites": len(self._records),

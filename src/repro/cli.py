@@ -293,42 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--sanitize", action="store_true",
                       help="also run a Halo slice with the runtime race "
                            "sanitizer armed and a salted-hash order probe")
-    lint.add_argument("--flow", action="store_true",
-                      help="also run the interprocedural message-flow pass "
-                           "(static actor interaction graph + FLOW rules)")
-    lint.add_argument("--flow-graph", metavar="PATH", default=None,
-                      help="write the static actor interaction graph "
-                           "(comm_graph edge format JSON) here; implies "
-                           "--flow")
-    lint.add_argument("--graph-check", metavar="PATH", default=None,
-                      help="drive a seeded Halo slice and verify every "
-                           "observed comm edge exists in the static graph "
-                           "(static ⊇ dynamic); write the diff JSON here; "
-                           "implies --flow")
-    lint.add_argument("--xbackend", action="store_true",
-                      help="also run the cross-backend portability pass "
-                           "(XB rules: payload aliasing, picklability, "
-                           "turn-split atomicity, persisted-state drift)")
-    lint.add_argument("--xb-check", metavar="PATH", default=None,
-                      help="drive the asyncio parity programs on the "
-                           "deep-copy inproc transport with the payload "
-                           "probe armed and verify every dynamic event is "
-                           "covered by a static XB finding (static ⊇ "
-                           "dynamic); write the report JSON here; implies "
-                           "--xbackend")
     lint.add_argument("--waivers", action="store_true",
                       help="report every active '# repro: waive[...]' "
-                           "(file, rules, justification) and exit")
-    lint.add_argument("--cache", action="store_true",
-                      help="cache per-file results under .repro-lint-cache/ "
-                           "keyed by mtime+hash; project-wide passes "
-                           "(--flow/--xbackend) are cached whole-tree "
-                           "keyed by a tree signature")
+                           "(file, rules, justification) and exit; "
+                           "non-zero if one is unjustified or suppresses "
+                           "nothing")
     lint.add_argument("--requests", type=int, default=2_000,
-                      help="sanitizer/graph-check: client requests to drive "
-                           "through the Halo slice")
+                      help="sanitizer: client requests to drive through "
+                           "the Halo slice")
     lint.add_argument("--seed", type=int, default=5,
-                      help="sanitizer/graph-check: cluster seed")
+                      help="sanitizer: cluster seed")
     lint.set_defaults(run=_run_lint)
 
     part = sub.add_parser("partition", help="offline partitioner comparison")
@@ -890,47 +864,26 @@ def _sanitizer_slice(requests: int, seed: int) -> dict:
 
 def _run_lint(args: argparse.Namespace) -> int:
     from .analysis import DEFAULT_ROOTS, all_rules, lint_paths
-    from .analysis.flow import all_flow_rules
-    from .analysis.xbackend import all_xb_rules
 
     if args.list_rules:
-        families = [
-            ("file", all_rules()),
-            ("flow", all_flow_rules()),
-            ("xbackend", all_xb_rules()),
-        ]
         inventory = [
-            {"family": family, "name": r.name,
-             "severity": str(r.severity), "description": r.description}
-            for family, rules in families for r in rules
+            {"name": r.name, "severity": str(r.severity),
+             "description": r.description}
+            for r in all_rules()
         ]
-        rows = [[r["name"], r["severity"],
-                 r["description"] if r["family"] == "file"
-                 else f"[{r['family']}] {r['description']}"]
-                for r in inventory]
-        counts = ", ".join(f"{sum(1 for r in inventory if r['family'] == f)} "
-                           f"{f}" for f, _ in families[1:])
         _emit(args, [render_table(
-            ["rule", "severity", "description"], rows,
-            title=f"{len(rows)} registered lint rules ({counts})",
-        )], {"schema": 1, "rules": inventory}, label="rule inventory")
+            ["rule", "severity", "description"],
+            [list(r.values()) for r in inventory],
+            title=f"{len(inventory)} registered lint rules",
+        )], {"schema": 2, "rules": inventory}, label="rule inventory")
         return 0
 
     if args.waivers:
         return _run_waiver_audit(args)
 
-    flow = args.flow or args.flow_graph is not None \
-        or args.graph_check is not None
-    xbackend = args.xbackend or args.xb_check is not None
-    cache_dir = ".repro-lint-cache" if args.cache else None
-    report = lint_paths(args.paths or DEFAULT_ROOTS, rules=args.rules,
-                        flow=flow, xbackend=xbackend, cache_dir=cache_dir)
+    report = lint_paths(args.paths or DEFAULT_ROOTS, rules=args.rules)
     doc: dict = {"schema": 1, "lint": report.to_dict()}
     ok = report.ok
-
-    graph = report.flow_graph
-    if graph is not None:
-        doc["flow_graph"] = graph.to_dict()
 
     san_report = None
     if args.sanitize:
@@ -938,80 +891,41 @@ def _run_lint(args: argparse.Namespace) -> int:
         doc["sanitizer"] = san_report
         ok = ok and san_report["ok"]
 
-    check_report = None
-    if args.graph_check is not None and graph is not None:
-        from .analysis.flow import crosscheck_halo
-
-        check_report = crosscheck_halo(graph, requests=args.requests,
-                                       seed=args.seed)
-        doc["graph_check"] = check_report
-        ok = ok and check_report["ok"]
-
-    xb_report = None
-    if args.xb_check is not None:
-        from .analysis.xbackend import crosscheck_parity
-
-        xb_report = crosscheck_parity(args.paths or DEFAULT_ROOTS)
-        doc["xb_check"] = xb_report
-        ok = ok and xb_report["ok"]
-
     doc["ok"] = ok
 
     rows = [[f.rule, f"{f.path}:{f.line}", f.message]
             for f in report.active]
     rows += [[f"{f.rule} (waived)", f"{f.path}:{f.line}",
               f.justification or ""] for f in report.waived]
-    cache_note = (f", cache {report.cache_hits} hit/"
-                  f"{report.cache_misses} miss" if args.cache else "")
-    if args.cache and (flow or xbackend):
-        cache_note += (f", project {report.project_cache_hits} hit/"
-                       f"{report.project_cache_misses} miss")
     lines = [render_table(
         ["rule", "location", "detail"],
         rows or [["-", "-", "no findings"]],
         title=f"repro lint — {report.files_checked} files, "
-              f"{len(report.active)} active, {len(report.waived)} waived"
-              f"{cache_note}",
+              f"{len(report.active)} active, {len(report.waived)} waived",
     )]
-    if graph is not None:
-        edges = graph.type_edge_weights()
-        lines.append(
-            f"\nflow: {len(graph.actor_edges())} actor-edge site(s), "
-            f"{len(edges)} type edge(s), "
-            f"{len(graph.client_sites())} client entry point(s)")
-        if args.flow_graph is not None:
-            _write_json(args.flow_graph, graph.to_dict())
-            lines.append(
-                f"static interaction graph written to {args.flow_graph}")
-    if check_report is not None:
-        from .analysis.flow import format_crosscheck
-
-        lines += format_crosscheck(check_report)
-        _write_json(args.graph_check, check_report)
-        lines.append(f"graph-check diff written to {args.graph_check}")
-    if xb_report is not None:
-        from .analysis.xbackend import format_xb_crosscheck
-
-        lines.append(format_xb_crosscheck(xb_report))
-        _write_json(args.xb_check, xb_report)
-        lines.append(f"xbackend crosscheck written to {args.xb_check}")
     if san_report is not None:
         lines.append(
             f"\nsanitizer: {san_report['requests_completed']} requests, "
             f"{san_report['events_seen']} events, "
             f"{san_report['accesses']} accesses, "
             f"{len(san_report['conflicts'])} conflicts, "
+            f"{len(san_report['payload_events'])} payload events, "
             f"{len(san_report['rng_hazards'])} rng hazards; order probe "
             f"{'DIVERGED' if san_report['order_probe']['order_dependent'] else 'clean'}")
         lines += [
             f"  conflict: {conflict['owner']}.{conflict['field']} "
             f"at t={conflict['time']:.6f} — {conflict['note'] or conflict['accesses']}"
             for conflict in san_report["conflicts"]]
+        lines += [
+            f"  payload: {event['kind']} from {event['sender']}."
+            f"{event['method']} — {event['detail']}"
+            for event in san_report["payload_events"]]
     _emit(args, lines, doc, label="JSON report")
 
     if not ok:
-        print("lint failed: unwaived findings, sanitizer conflicts, or "
-              "cross-check divergence (see report above)", file=sys.stderr)
+        print("lint failed: unwaived findings, sanitizer conflicts or payload "
+              "events, or order-probe divergence (see report above)",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -1021,15 +935,27 @@ def _run_waiver_audit(args: argparse.Namespace) -> int:
     from .analysis.linter import waiver_audit
 
     audit = waiver_audit(args.paths or DEFAULT_ROOTS)
-    rows = [[",".join(w["rules"]), f"{w['path']}:{w['line']}",
-             w["justification"] or "(MISSING JUSTIFICATION)"]
+
+    def note(w: dict) -> str:
+        if not w["justified"]:
+            return "(MISSING JUSTIFICATION)"
+        if not w["used"]:
+            return f"(SUPPRESSES NOTHING) {w['justification']}"
+        return w["justification"]
+
+    rows = [[",".join(w["rules"]), f"{w['path']}:{w['line']}", note(w)]
             for w in audit["waivers"]]
     _emit(args, [render_table(
         ["rules", "location", "justification"],
         rows or [["-", "-", "no waivers in tree"]],
         title=f"waiver audit — {audit['count']} active waiver(s), "
-              f"{audit['unjustified']} unjustified",
+              f"{audit['unjustified']} unjustified, "
+              f"{audit['unused']} unused",
     )], {"schema": 1, "waiver_audit": audit}, label="JSON report")
+    if audit["unjustified"] or audit["unused"]:
+        print("waiver audit failed: every waiver must carry a justification "
+              "and suppress a finding (see report above)", file=sys.stderr)
+        return 1
     return 0
 
 

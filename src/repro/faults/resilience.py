@@ -43,13 +43,9 @@ class RetryPolicy:
     ``max_attempts`` counts total dispatches (1 = no retries).  With
     ``idempotent_only`` (the default), requests issued with
     ``idempotent=False`` fail on their first timeout — re-dispatching a
-    non-idempotent operation could double-apply it.
-
-    The static side of the same contract: ``repro lint --flow`` traces
-    every retryable ``client_request`` through the actor interaction
-    graph and flags state mutations reachable without an
-    ``@repro.idempotent`` marker (``FLOW-RETRY-NONIDEMPOTENT``), so a
-    replay hazard is caught at lint time, not in a fault drill.
+    non-idempotent operation could double-apply it.  Nothing infers
+    replay safety: the issuer declares it per request, and
+    ``@repro.idempotent`` on a method is documentation only.
     """
 
     max_attempts: int = 3

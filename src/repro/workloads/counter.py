@@ -87,6 +87,6 @@ class CounterWorkload:
             response_size=self.config.response_size,
             # An increment is NOT replay-safe: a retried request would
             # double-count.  Declaring it keeps idempotent-only retry
-            # policies from ever replaying one (FLOW-RETRY-NONIDEMPOTENT).
+            # policies from ever replaying one.
             idempotent=False,
         )

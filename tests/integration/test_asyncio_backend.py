@@ -55,8 +55,8 @@ class ComboActor(Actor):
 
 
 def _cluster(**kwargs):
-    return build_cluster(ClusterConfig(num_servers=2, seed=3),
-                         backend="asyncio", **kwargs)
+    kwargs.setdefault("backend", "asyncio")
+    return build_cluster(ClusterConfig(num_servers=2, seed=3), **kwargs)
 
 
 def _instance(be, ref):
@@ -291,29 +291,39 @@ def _turn_cluster(**kwargs):
     return cluster, be
 
 
+@pytest.mark.parametrize("backend", ["sim", "asyncio"])
 @pytest.mark.parametrize("actor_type, interleaved", [("serial", False),
                                                      ("turn", True)])
 def test_non_reentrant_turns_run_one_at_a_time_in_arrival_order(
-        actor_type, interleaved):
-    cluster, be = _turn_cluster()
+        actor_type, interleaved, backend):
+    # Both engines share one turn interpreter (SiloCore._advance_turn), so
+    # a yield suspends the turn on the simulator exactly as on asyncio:
+    # reentrant turns interleave on both, REENTRANT = False serialises
+    # both.  The simulator's network jitter may reorder the five Tells in
+    # flight, so the shape is asserted, not the arrival order.
+    cluster, be = _turn_cluster(backend=backend)
     with cluster:
         be.spawn(be.ref("turn", "gate"), server=0)
         driver = be.ref("turn", "driver")
         be.spawn(driver, server=0)
         worker = be.ref(actor_type, "worker")
         be.spawn(worker, server=1)
-        _call(be, driver, "fan", actor_type, 5)
-        assert be.run_until_idle()
+        be.call(driver, "fan", actor_type, 5)
+        cluster.run()
         log = _instance(be, worker).log
-        starts = [("start", n) for n in range(5)]
-        ends = [("end", n) for n in range(5)]
+        order = [n for kind, n in log if kind == "start"]
+        assert sorted(order) == list(range(5))
+        # Every turn starts before it ends.
+        for n in range(5):
+            assert log.index(("start", n)) < log.index(("end", n))
         if interleaved:
             # Every turn opened before the first (10 ms) call returned.
-            assert log[:5] == starts and sorted(log[5:]) == ends
+            assert [kind for kind, _ in log] == ["start"] * 5 + ["end"] * 5
         else:
             # The first turn is parked on its Call while four more
             # messages arrive: none starts until the one before ended.
-            assert log == [e for pair in zip(starts, ends) for e in pair]
+            assert log == [(kind, n) for n in order
+                           for kind in ("start", "end")]
         assert be.silos[1].activations[worker.id].quiescent
         assert be.silos[1].idle and be.silos[1].load() == 0.0
 
@@ -408,6 +418,24 @@ def test_plain_unknown_and_misyielding_methods():
         assert be.run_until_idle()
         assert _instance(be, ref).id == ref.id  # restarted in place
         assert be.silos[0].activations[ref.id].quiescent
+
+
+def test_unknown_method_on_the_sim_raises_out_of_run():
+    # The simulator has no supervisor: a request naming a method the
+    # actor lacks (what the retired static unknown-method rule looked
+    # for) is a crashed turn, and the sim driver re-raises crashes
+    # — the run stops with the AttributeError instead of answering the
+    # caller with an ActorError as asyncio does above.
+    cluster, be = _turn_cluster(backend="sim")
+    with cluster:
+        ref = be.ref("turn", "plain")
+        be.spawn(ref, server=0)
+        results = []
+        be.call(ref, "no_such_method",
+                on_complete=lambda _lat, res: results.append(res))
+        with pytest.raises(AttributeError, match="no_such_method"):
+            cluster.run()
+        assert results == []
 
 
 # ----------------------------------------------------------------------

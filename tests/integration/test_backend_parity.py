@@ -11,6 +11,7 @@ split is exactly reproducible, not just statistically similar.
 import pytest
 
 from repro import ClusterConfig, FaultPlan, ResilienceConfig, build_cluster
+from repro.analysis.sanitizer import Sanitizer
 from repro.backend.bench import PingerActor, PongerActor
 from repro.workloads.stageflow import (
     StageSpec,
@@ -21,6 +22,12 @@ from repro.workloads.stageflow import (
 
 PINGS = 25
 SEED = 7
+
+
+def _pickle_copy_failures(rt) -> int:
+    """Messages the copying transports could not pickle (the simulator
+    copies nothing)."""
+    return getattr(rt, "pickle_copy_failures", 0)
 
 
 def _run_ping(backend_name: str, transport: str = "inproc") -> dict:
@@ -53,6 +60,7 @@ def _run_ping(backend_name: str, transport: str = "inproc") -> dict:
             "ponger_state": ponger.instance.capture_state(),
             "msgs_local": rt.msgs_local,
             "msgs_remote": rt.msgs_remote,
+            "pickle_copy_failures": _pickle_copy_failures(rt),
         }
 
 
@@ -108,6 +116,7 @@ def _run_stageflow(backend_name: str, requests: int = 40,
             "processed": processed,
             "msgs_local": rt.msgs_local,
             "msgs_remote": rt.msgs_remote,
+            "pickle_copy_failures": _pickle_copy_failures(rt),
         }
 
 
@@ -149,21 +158,16 @@ def test_stageflow_parity_inproc_copy():
 def test_inproc_copy_drops_nothing_on_the_parity_programs():
     # Every message the parity programs send must survive the pickle
     # round-trip — a nonzero failure count would mean the copy transport
-    # silently changed the program.
-    cluster = build_cluster(ClusterConfig(num_servers=2, seed=SEED),
-                            backend="asyncio", transport="inproc-copy")
-    with cluster:
-        be = cluster.backend
-        be.register_actor("pinger", PingerActor)
-        be.register_actor("ponger", PongerActor)
-        cluster.start()
-        be.spawn(be.ref("pinger", 0), server=0)
-        be.spawn(be.ref("ponger", 0), server=1)
-        for i in range(PINGS):
-            be.call(be.ref("pinger", 0), "ping", i, size=64,
-                    response_size=64)
-            cluster.run()
-        assert cluster.runtime.pickle_copy_failures == 0
+    # silently changed the program — and, with the sanitizer's payload
+    # probe armed, none may alias its sender's state: the dynamic check
+    # for what the retired XB payload rules guessed at statically.
+    san = Sanitizer()
+    with san.armed():
+        ping = _run_ping("asyncio", transport="inproc-copy")
+        flow = _run_stageflow("asyncio", transport="inproc-copy")
+    assert len(ping["results"]) == PINGS and flow["completed"] == 40
+    assert ping["pickle_copy_failures"] == flow["pickle_copy_failures"] == 0
+    assert san.payload_events == []
 
 
 def test_stageflow_parity():

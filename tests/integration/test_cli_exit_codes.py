@@ -23,8 +23,6 @@ CASES = [
       "--duration", "10", "--settle", "5", "--kill", "1@2",
       "--recover", "1@8", "--retries", "3", "--timeout", "0.5"], 0),
     ("lint-ok", ["lint", "src/repro/analysis/findings.py"], 0),
-    ("lint-xbackend-ok",   # repo tree carries zero unwaived XB findings
-     ["lint", "--xbackend", "src/repro/analysis/findings.py"], 0),
     # ---- completed-with-findings -> 1
     ("trace-empty-window",  # no traced request completes in 10ms
      ["trace", "--workload", "halo", "--players", "60", "--servers", "2",
@@ -35,12 +33,6 @@ CASES = [
       "--recover", "1@2", "--retries", "3", "--timeout", "0.5"], 1),
     ("lint-findings",
      ["lint", os.path.join("tests", "fixtures", "lint_violations.py")], 1),
-    ("lint-flow-findings",
-     ["lint", "--flow",
-      os.path.join("tests", "fixtures", "flow_violations.py")], 1),
-    ("lint-xbackend-findings",
-     ["lint", "--xbackend",
-      os.path.join("tests", "fixtures", "xbackend_violations.py")], 1),
     # ---- argparse rejection -> 2
     ("perf-bad-points", ["perf", "--scaling", "--points", "notanint"], 2),
     # the ping harness went with the micro-suite runner: e2e measures both
@@ -49,6 +41,10 @@ CASES = [
     ("faults-bad-spec", ["faults", "--kill", "notaspec"], 2),
     ("lint-bad-flag", ["lint", "--bogus"], 2),
     ("lint-par-removed", ["lint", "--par"], 2),   # deleted with the PAR stack
+    # deleted with the FLOW/XB passes and the lint caches (PR 22)
+    ("lint-flow-removed", ["lint", "--flow"], 2),
+    ("lint-xbackend-removed", ["lint", "--xbackend"], 2),
+    ("lint-cache-removed", ["lint", "--cache"], 2),
 ]
 
 

@@ -1,91 +1,37 @@
-"""The flow pass over the real tree: the repo flow-lints clean, the
-flow fixture fires exactly the FLOW family, and the static interaction
-graph covers every edge a seeded runtime slice actually observes
-(static ⊇ dynamic) — the property that makes the graph trustworthy as
-a partitioner planning input."""
+"""The waiver audit and the rule inventory over the real tree and
+through the CLI: every waiver in the tree is justified and suppresses
+something, a waiver left behind by a deleted rule fails the audit, and
+``--list-rules --json`` is the structured inventory of what is
+registered.  (The file keeps its name from the interprocedural flow pass
+it used to test; that pass was retired in PR 22.)"""
 
 import json
 import os
 import subprocess
 import sys
 
-import pytest
-
-from repro.analysis import DEFAULT_ROOTS, lint_paths
-from repro.analysis.flow import (
-    all_flow_rules,
-    analyze_files,
-    crosscheck_halo,
-)
-from repro.analysis.linter import _collect_files, waiver_audit
+from repro.analysis import DEFAULT_ROOTS, all_rules
+from repro.analysis.linter import waiver_audit
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
-FLOW_FIXTURE = os.path.join("tests", "fixtures", "flow_violations.py")
-FLOW_RULES = {r.name for r in all_flow_rules()}
-
-
-def _tree_sources():
-    out = []
-    for abspath, rel in _collect_files(DEFAULT_ROOTS, REPO):
-        with open(abspath, "r", encoding="utf-8") as fh:
-            out.append((rel, fh.read()))
-    return out
-
-
-def test_repo_tree_flow_lints_clean():
-    report = lint_paths(DEFAULT_ROOTS, base=REPO, flow=True)
-    assert report.files_checked > 50
-    assert report.ok, "\n".join(f.render() for f in report.active)
-    for finding in report.waived:
-        assert finding.justification, finding.render()
-
-
-def test_flow_fixture_fires_exactly_the_flow_family():
-    report = lint_paths([FLOW_FIXTURE], base=REPO, flow=True)
-    fired = [f.rule for f in report.active]
-    assert set(fired) == FLOW_RULES
-    assert len(fired) == len(FLOW_RULES)    # one specimen per rule
-
-
-def test_static_graph_derives_the_workload_interactions():
-    _, graph, _ = analyze_files(_tree_sources())
-    edges = {(e.caller_type, e.caller_method, e.target_type,
-              e.target_method) for e in graph.actor_edges()}
-    # The Halo workload's broadcast fan-out, both directions.
-    assert ("game", "broadcast_status", "player", "update") in edges
-    assert ("player", "request_status", "game", "broadcast_status") in edges
-    # The quickstart chat room is in the graph too (examples/ tree).
-    assert ("room", "broadcast", "user", "receive") in edges
-    # game <-> player is a Call cycle, but every participant is
-    # reentrant, so the FLOW-CALL-CYCLE rule must stay silent on it.
-    assert ["game", "player"] in [sorted(c) for c in graph.call_cycles()]
-
-
-def test_static_graph_covers_a_seeded_dynamic_slice():
-    _, graph, _ = analyze_files(_tree_sources())
-    report = crosscheck_halo(graph, requests=300, seed=5)
-    assert report["ok"], report["missing_from_static"]
-    assert report["slice"]["requests_completed"] >= 300
-    assert report["dynamic_edges"]          # the slice did observe edges
-    dynamic = {(u, v) for u, v, _ in report["dynamic_edges"]}
-    static = {(u, v) for u, v, _ in report["static_edges"]}
-    assert dynamic <= static
 
 
 def test_waiver_audit_is_fully_justified():
     doc = waiver_audit(DEFAULT_ROOTS, base=REPO)
     assert doc["count"] > 0
     assert doc["unjustified"] == 0
+    assert doc["unused"] == 0
     for entry in doc["waivers"]:
         assert entry["rules"], entry
         assert entry["justification"], entry
+        assert entry["used"], entry
 
 
 def test_waiver_audit_reports_xb_and_flow_waivers(tmp_path):
-    # The audit must surface waivers of every family, not just the
-    # per-file rules — a deadlock or portability waiver is exactly the
-    # kind reviewers need to see.
+    # The FLOW and XB rules are gone, so a waiver naming one can never
+    # suppress anything: the audit must still surface it — as unused —
+    # or deleting a rule family would leave dead exemptions behind.
     (tmp_path / "mod.py").write_text(
         "class StreamActor:\n"
         "    def publish(self):\n"
@@ -101,8 +47,10 @@ def test_waiver_audit_reports_xb_and_flow_waivers(tmp_path):
     assert doc["unjustified"] == 0
     rules = {rule for entry in doc["waivers"] for rule in entry["rules"]}
     assert rules == {"XB-UNPICKLABLE-PAYLOAD", "FLOW-CALL-CYCLE"}
+    assert doc["unused"] == 2
     for entry in doc["waivers"]:
         assert entry["justification"] == "audit fixture"
+        assert entry["used"] is False
 
 
 # ------------------------------------------------------------- the CLI
@@ -116,33 +64,6 @@ def _run_cli(*argv):
     )
 
 
-@pytest.mark.slow
-def test_cli_flow_graph_export(tmp_path):
-    graph_path = tmp_path / "flow-graph.json"
-    proc = _run_cli("--flow", "--flow-graph", str(graph_path), "--json", "-")
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert doc["ok"] is True
-    assert doc["flow_graph"]["format"] == "comm_graph/edges"
-    exported = json.loads(graph_path.read_text())
-    assert exported == doc["flow_graph"]
-    assert set(exported["vertices"]) >= {"game", "player", "room", "user"}
-    pairs = {tuple(e[:2]) for e in exported["edges"]}
-    assert ("game", "player") in pairs
-
-
-@pytest.mark.slow
-def test_cli_graph_check_writes_the_diff_artifact(tmp_path):
-    diff_path = tmp_path / "graph-diff.json"
-    proc = _run_cli("--flow", "--graph-check", str(diff_path),
-                    "--requests", "300", "--seed", "5")
-    assert proc.returncode == 0, proc.stderr
-    diff = json.loads(diff_path.read_text())
-    assert diff["ok"] is True
-    assert diff["missing_from_static"] == []
-    assert "graph cross-check" in proc.stdout
-
-
 def test_cli_waiver_audit(tmp_path):
     audit_path = tmp_path / "waivers.json"
     proc = _run_cli("--waivers", "--json", str(audit_path))
@@ -150,17 +71,32 @@ def test_cli_waiver_audit(tmp_path):
     doc = json.loads(audit_path.read_text())
     assert doc["schema"] == 1
     audit = doc["waiver_audit"]
-    assert audit["unjustified"] == 0
+    assert audit["unjustified"] == 0 and audit["unused"] == 0
     assert audit["count"] == len(audit["waivers"]) > 0
     assert "waiver" in proc.stdout
 
 
-def test_cli_list_rules_includes_the_flow_family():
-    proc = _run_cli("--list-rules")
-    assert proc.returncode == 0
-    for name in FLOW_RULES:
-        assert name in proc.stdout
-    assert "[flow]" in proc.stdout
+def test_cli_waiver_audit_fails_on_a_stale_waiver(tmp_path):
+    # One waiver that earns its keep, one left behind by a deleted rule.
+    (tmp_path / "mod.py").write_text(
+        "import time\n"
+        "\n"
+        "\n"
+        "def relay(ref):\n"
+        "    # repro: waive[FLOW-CALL-CYCLE] -- reentrant by construction\n"
+        "    yield ref\n"
+        "    return time.time()  # repro: waive[DET-WALLCLOCK] -- banner\n"
+    )
+    proc = _run_cli("--waivers", str(tmp_path), "--json", "-")
+    assert proc.returncode == 1, proc.stderr
+    audit = json.loads(proc.stdout)["waiver_audit"]
+    assert (audit["count"], audit["unjustified"], audit["unused"]) == (2, 0, 1)
+    stale, live = audit["waivers"]
+    assert stale["rules"] == ["FLOW-CALL-CYCLE"] and stale["used"] is False
+    assert live["rules"] == ["DET-WALLCLOCK"] and live["used"] is True
+    assert "SUPPRESSES NOTHING" in proc.stderr
+    # The same file lints clean: only the audit sees a dead exemption.
+    assert _run_cli(str(tmp_path)).returncode == 0
 
 
 def test_cli_list_rules_json_inventory_follows_the_convention():
@@ -169,14 +105,12 @@ def test_cli_list_rules_json_inventory_follows_the_convention():
     proc = _run_cli("--list-rules", "--json", "-")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2           # 1 carried a per-row "family"
     rows = doc["rules"]
-    families = {r["family"] for r in rows}
-    assert families == {"file", "flow", "xbackend"}
     for row in rows:
+        assert set(row) == {"name", "severity", "description"}
         assert row["name"] and row["description"]
         assert row["severity"] in ("error", "warning")
-    names = [r["name"] for r in rows]
-    assert not [n for n in names if n.startswith("PAR-")]
-    assert "API-DEPRECATED" not in names
+    # One family is left: exactly the registered per-file rules.
+    assert [r["name"] for r in rows] == [r.name for r in all_rules()]
     assert "registered lint rules" in proc.stderr

@@ -1,31 +1,19 @@
-"""The static ⊇ dynamic contract for the XB portability rules.
+"""The sanitizer's payload probe on a real send path.
 
-This file is its own fixture: the actor program below carries one
-deliberate payload-aliasing hazard and one unpicklable payload.  The
-tests drive it on the asyncio backend's deep-copy inproc transport with
-the sanitizer's payload probe armed, then statically analyze *this
-file* and demand every dynamic event is covered by a static XB finding
-at the same (sender class, method) — the same over-approximation
-contract the PR-5 interaction-graph check enforces for comm edges.
+The actor program below carries one deliberate payload-aliasing hazard
+and one unpicklable payload.  The test drives it on the asyncio
+backend's deep-copy inproc transport with the probe armed and demands
+both are recorded, attributed to the sending class and method, and fail
+the sanitizer report.  (The static payload rules this file used to
+cross-check were retired in PR 22; DESIGN.md has the replay table.)
 """
-
-import os
 
 from repro import ClusterConfig, build_cluster
 from repro.actor.actor import Actor
 from repro.actor.calls import Tell
 from repro.actor.ids import ActorRef
-from repro.analysis.sanitizer import PayloadEvent, Sanitizer
-from repro.analysis.xbackend import (
-    analyze_xbackend,
-    crosscheck_events,
-    crosscheck_parity,
-    static_coverage,
-)
+from repro.analysis.sanitizer import Sanitizer
 
-REPO = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))))
-SELF = os.path.abspath(__file__)
 SEED = 7
 
 
@@ -40,7 +28,7 @@ class SinkActor(Actor):
 
 
 class AliasingActor(Actor):
-    """Sends its own mutable list — the deliberate XB-ALIASED-MUTABLE."""
+    """Sends its own mutable list: shared inproc, copied over TCP."""
 
     def __init__(self):
         super().__init__()
@@ -54,13 +42,13 @@ class AliasingActor(Actor):
 
 
 class LeakyActor(Actor):
-    """Sends a generator — the deliberate XB-UNPICKLABLE-PAYLOAD."""
+    """Sends a generator: crosses inproc by reference, never TCP."""
 
     def ship(self):
         yield Tell(ActorRef("sink", 0), "take", (x for x in range(3)))
 
 
-def _drive_program() -> tuple[list, int]:
+def _drive_program() -> tuple[Sanitizer, int]:
     """Run the hazard program on inproc-copy with the probe armed."""
     san = Sanitizer()
     with san.armed():
@@ -80,54 +68,18 @@ def _drive_program() -> tuple[list, int]:
             be.call(be.ref("leaky", 0), "ship")
             cluster.run()
             failures = cluster.runtime.pickle_copy_failures
-    return list(san.payload_events), failures
-
-
-def _self_coverage():
-    with open(SELF, "r", encoding="utf-8") as fh:
-        source = fh.read()
-    index, findings = analyze_xbackend([(SELF, source)])
-    return static_coverage(index, findings), findings
+    return san, failures
 
 
 def test_probe_records_both_hazard_kinds():
-    events, failures = _drive_program()
-    kinds = {(e.kind, e.sender, e.method) for e in events}
+    san, failures = _drive_program()
+    kinds = {(e.kind, e.sender, e.method) for e in san.payload_events}
     assert ("alias", "AliasingActor", "share") in kinds
     assert ("unpicklable", "LeakyActor", "ship") in kinds
     # The generator payload cannot cross the deep-copy boundary — the
     # transport drops it exactly as TCP would.
     assert failures >= 1
-
-
-def test_static_findings_cover_every_dynamic_event():
-    coverage, findings = _self_coverage()
-    assert ("AliasingActor", "share", "XB-ALIASED-MUTABLE") in coverage
-    assert ("LeakyActor", "ship", "XB-UNPICKLABLE-PAYLOAD") in coverage
-
-    events, _failures = _drive_program()
-    report = crosscheck_events(coverage, events)
-    assert report["ok"], report["uncovered"]
-    assert len(report["dynamic_events"]) == len(events)
-
-
-def test_crosscheck_flags_uncovered_events():
-    coverage, _findings = _self_coverage()
-    phantom = PayloadEvent(kind="alias", sender="NoSuchActor",
-                           method="nowhere", detail="fabricated")
-    report = crosscheck_events(coverage, [phantom])
-    assert not report["ok"]
-    assert report["uncovered"][0]["expected_rule"] == "XB-ALIASED-MUTABLE"
-    assert report["uncovered"][0]["sender"] == "NoSuchActor"
-
-
-def test_repo_parity_suite_has_no_uncovered_events():
-    """The CI gate: the real parity programs, driven on the deep-copy
-    transport with the probe armed, produce no dynamic hazard the
-    static pass over src/repro does not already know about — and (the
-    tree being clean) no hazards at all."""
-    report = crosscheck_parity(base=REPO)
-    assert report["ok"], report["uncovered"]
-    assert report["uncovered"] == []
-    assert report["pickle_copy_failures"] == 0
-    assert report["files_analyzed"] > 0
+    # A payload hazard fails the report: `repro lint --sanitize` is the
+    # only gate left that sees one.
+    report = san.report()
+    assert report["conflicts"] == [] and report["ok"] is False

@@ -1,8 +1,13 @@
-"""Each lint rule: fires on the bad idiom, stays silent on the good one."""
+"""Each lint rule: fires on the bad idiom, stays silent on the good one;
+and the report's dedup/determinism contract — findings come out in
+(path, line, rule) order regardless of traversal order or duplicate
+sources."""
 
 import pytest
 
-from repro.analysis import all_rules, get_rule, lint_source
+from repro.analysis import all_rules, get_rule, lint_paths, lint_source
+from repro.analysis.findings import Finding, Severity
+from repro.analysis.linter import LintReport
 
 
 def rules_fired(source: str, path: str = "src/repro/fake.py") -> set:
@@ -161,3 +166,46 @@ def test_parse_error_is_an_active_finding():
     report = lint_source("def broken(:\n", "src/repro/x.py")
     assert not report.ok
     assert report.parse_errors[0].rule == "PARSE-ERROR"
+
+
+# ----------------------------------------------------------------------
+# Dedup + deterministic order
+# ----------------------------------------------------------------------
+def _finding(path, line, rule, message="m"):
+    return Finding(rule=rule, severity=Severity.ERROR, path=path,
+                   line=line, message=message)
+
+
+def test_finalize_dedupes_per_path_line_rule_and_sorts():
+    report = LintReport(findings=[
+        _finding("b.py", 2, "R-ONE"),
+        _finding("a.py", 9, "R-TWO", "zz"),
+        _finding("a.py", 9, "R-TWO", "aa"),   # same key: one survivor
+        _finding("a.py", 9, "R-ONE"),
+        _finding("a.py", 1, "R-TWO"),
+    ])
+    report.finalize()
+    keys = [(f.path, f.line, f.rule) for f in report.findings]
+    assert keys == [("a.py", 1, "R-TWO"), ("a.py", 9, "R-ONE"),
+                    ("a.py", 9, "R-TWO"), ("b.py", 2, "R-ONE")]
+    # The survivor of a duplicate key is the message-sorted first, not
+    # whichever arrived first.
+    assert report.findings[2].message == "aa"
+
+
+def test_lint_paths_order_is_traversal_independent(tmp_path):
+    violation = "import time\n\n\ndef now():\n    return time.time()\n"
+    sub = tmp_path / "pkg"
+    sub.mkdir()
+    for path in (tmp_path / "zz.py", tmp_path / "aa.py", sub / "mid.py"):
+        path.write_text(violation)
+
+    forward = lint_paths([str(tmp_path)], base=str(tmp_path))
+    # Overlapping roots in reverse order: same files seen again, some
+    # twice — the report must dedupe and come out identical.
+    shuffled = lint_paths(
+        [str(sub), str(tmp_path / "zz.py"), str(tmp_path)],
+        base=str(tmp_path))
+    assert shuffled.to_dict() == forward.to_dict()
+    paths = [f.path for f in forward.findings]
+    assert paths == sorted(paths) and len(paths) == 3

@@ -148,14 +148,15 @@ def test_report_schema():
     assert report["payload_events"] == []
 
 
-def test_payload_events_are_recorded_but_do_not_fail_the_report():
-    # The XB cross-check consumes these; whether they are *covered* is
-    # its verdict to make, so the sanitizer only records.
+def test_payload_events_fail_the_report():
+    # Nothing downstream adjudicates these any more: a payload that is
+    # shared on one transport and copied (or dropped) on another is a
+    # failed run, like a conflict.
     san = Sanitizer()
     san.record_payload_alias("RosterActor", "broadcast", "self.members")
     san.record_unpicklable_payload("StreamActor", "publish", "generator")
     report = san.report()
-    assert report["ok"] is True
+    assert report["conflicts"] == [] and report["ok"] is False
     kinds = [(e["kind"], e["sender"], e["method"])
              for e in report["payload_events"]]
     assert kinds == [("alias", "RosterActor", "broadcast"),
