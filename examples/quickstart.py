@@ -17,7 +17,6 @@ from repro import (
     Call,
     ClusterConfig,
     PartitioningConfig,
-    idempotent,
 )
 
 
@@ -35,7 +34,6 @@ class User(Actor):
         self.room = room_ref
         return True
 
-    @idempotent
     def receive(self, text):
         # Replay-safe: inbox is a delivery diagnostic, not an exact count.
         self.inbox += 1

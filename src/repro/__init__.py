@@ -79,7 +79,6 @@ from .actor import (
     SerializationModel,
     Sleep,
     Tell,
-    idempotent,
 )
 from .bench.metrics import (
     HistogramRecorder,
@@ -177,7 +176,6 @@ __all__ = [
     "Tracer",
     "build_cluster",
     "chrome_trace_document",
-    "idempotent",
     "lint_paths",
     "make_policy",
     "percentile",

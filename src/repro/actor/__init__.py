@@ -7,7 +7,7 @@ paths, and the transparent opportunistic migration machinery of §4.3.
 """
 
 from .activation import Activation
-from .actor import DEFAULT_COMPUTE, DEFAULT_RESUME_COMPUTE, Actor, idempotent
+from .actor import DEFAULT_COMPUTE, DEFAULT_RESUME_COMPUTE, Actor
 from .calls import All, Call, Sleep, Tell
 from .directory import Directory, LocationCache
 from .errors import ActorCrashed, ActorError, CallTimeout, RequestShed
@@ -53,5 +53,4 @@ __all__ = [
     "Tell",
     "Silo",
     "Sleep",
-    "idempotent",
 ]

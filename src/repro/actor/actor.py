@@ -22,27 +22,11 @@ from typing import Any, ClassVar, Optional
 
 from .ids import ActorId, ActorRef
 
-__all__ = ["Actor", "DEFAULT_COMPUTE", "DEFAULT_RESUME_COMPUTE", "idempotent",
+__all__ = ["Actor", "DEFAULT_COMPUTE", "DEFAULT_RESUME_COMPUTE",
            "is_generator_method"]
 
 DEFAULT_COMPUTE = 50e-6          # 50 µs of application logic per invocation
 DEFAULT_RESUME_COMPUTE = 5e-6    # 5 µs to resume a suspended turn
-
-
-def idempotent(method):
-    """Mark an actor method as safe to replay.
-
-    A retrying :class:`~repro.faults.resilience.ResilienceConfig` may
-    re-send a timed-out request whose first attempt already executed.
-    This marker documents that replaying the method converges — e.g. a
-    last-writer-wins status write, or a monotonic counter that is only
-    read as a liveness signal, never as an exact count.  It has no
-    runtime effect: a method that is *not* replay-safe is protected by
-    issuing its requests with ``idempotent=False``, which
-    ``RetryPolicy(idempotent_only=True)`` never re-sends.
-    """
-    method.__repro_idempotent__ = True
-    return method
 
 
 @functools.cache

@@ -26,10 +26,12 @@ Two drivers subclass the pair and supply only the mechanics, as plain
 ``_reply_to_client``      get a client-bound response out of the cluster
 ``_arm_deadline``         time out one pending call (default: one clock
                           timer per call)
-``_turn_crashed``         what a non-``ActorError`` escaping a turn means
 ``_on_down`` / ``_on_up``  release / reopen transport state
 ``_driver_idle``          nothing queued or in flight below the core
 ``load``                  host contention, for pool balancing
+``stages``                the SEDA stages turns and messages pass through,
+                          by name, for ``repro.obs`` to observe (default:
+                          none)
 ========================  ==============================================
 
 ``ClusterCore`` hooks: ``_ingress`` (a client message enters at a
@@ -43,7 +45,8 @@ delivery deep-copied ``n`` bytes) and the simulator prices it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Optional, Type
+from types import MappingProxyType
+from typing import Any, Callable, Hashable, Mapping, Optional, Type
 
 from ..bench.metrics import HistogramRecorder, LatencyRecorder
 from ..faults.resilience import ResilienceConfig
@@ -63,27 +66,25 @@ from .actor import Actor, is_generator_method
 from .calls import All, Call, Sleep, Tell
 from .commtable import CommTable
 from .directory import Directory, LocationCache
-from .errors import ActorError, CallTimeout, RequestShed
+from .errors import ActorCrashed, ActorError, CallTimeout, RequestShed
 from .ids import ActorId, ActorRef
 from .messages import Message, MessageKind, next_call_id
 from .placement import PlacementPolicy, RandomPlacement
 
 __all__ = ["ClusterCore", "SiloCore"]
 
-_MISSING = object()  # sentinel: call id not in flight (late / duplicate)
-
 
 class _ClientRequest:
-    """In-flight bookkeeping for one resilient client request.
+    """In-flight bookkeeping for one client request.
 
-    One instance spans every dispatch attempt; per-attempt artifacts
-    (call id, timer, trace context) are re-created by
+    One instance spans every dispatch attempt; the per-attempt fields
+    (``call_id``, ``timer``, ``trace``) are overwritten by
     :meth:`ClusterCore._dispatch_attempt`.
     """
 
     __slots__ = ("ref", "method", "args", "size", "response_size",
                  "on_complete", "idempotent", "t0", "deadline_at",
-                 "attempts", "call_id", "admitted", "backoff_timer")
+                 "attempts", "call_id", "timer", "trace", "backoff_timer")
 
     def __init__(self, ref: ActorRef, method: str, args: tuple, size: int,
                  response_size: int, on_complete, idempotent: bool,
@@ -99,7 +100,8 @@ class _ClientRequest:
         self.deadline_at = deadline_at
         self.attempts = 0
         self.call_id = -1
-        self.admitted = False
+        self.timer = None    # the last attempt's timeout
+        self.trace = None    # the live attempt's root trace context
         self.backoff_timer = None
 
 
@@ -119,7 +121,8 @@ class ClusterCore:
     _san = None
 
     def __init__(self, config, clock,
-                 resilience: Optional[ResilienceConfig] = None):
+                 resilience: Optional[ResilienceConfig] = None,
+                 supervisor=None):
         self.config = config
         if config.num_servers < 1:
             raise ValueError("need at least one server")
@@ -146,12 +149,9 @@ class ClusterCore:
         self.max_receiver_queue = (
             self.admission.receiver_queue if self.admission is not None else None
         )
-        # One attempt per request and nothing to admit: no per-request
-        # state to carry (at most a timer).
-        self._single_attempt = (self.retry_policy is None
-                                and self.admission is None
-                                and self.request_deadline is None)
-
+        # The :class:`~repro.backend.supervision.Supervisor` that decides
+        # what a crashed turn means; None: it is a bug in the model, raise.
+        self.supervisor = supervisor
         self.directory = Directory(config.num_servers)
         self.placement: PlacementPolicy = RandomPlacement(self.rng)
         self.actor_types: dict[str, Type[Actor]] = {}
@@ -166,7 +166,6 @@ class ClusterCore:
         # None means fully uninstrumented: every tracing branch below is
         # one attribute load + comparison.
         self.obs = None
-        self._client_traces: dict[int, Any] = {}
         self.silos: list = []
         self._gateway_rng = self.rng.stream("client.gateway")
         self._retry_rng = None  # lazily created "resilience.retry" stream
@@ -184,17 +183,18 @@ class ClusterCore:
         self.requests_shed = 0
         self.request_retries = 0
         self.late_responses = 0
+        self.actor_crashes = 0
         self.failovers = 0
         self.silos_added = 0
         self.silos_drained = 0
-        self._client_hooks: dict[int, Callable[[float, Any], None]] = {}
-        self._client_timers: dict[int, Any] = {}
-        # call_id -> _ClientRequest (resilient) or None (fast path).
-        # Responses whose call id is absent are late or duplicated and
-        # get discarded (counted in late_responses), never double-completed.
-        self._inflight: dict[int, Optional[_ClientRequest]] = {}
-        # Admission window: insertion-ordered, so drop_oldest is O(1).
-        self._admitted: dict[_ClientRequest, None] = {}
+        # call_id of the live attempt -> its request.  Responses whose
+        # call id is absent are late or duplicated and get discarded
+        # (counted in late_responses), never double-completed.
+        self._inflight: dict[int, _ClientRequest] = {}
+        # Every request between issue and outcome, dispatched or parked
+        # in retry backoff — the admission window.  Insertion-ordered, so
+        # drop_oldest finds its victim from the stale end.
+        self._open: dict[_ClientRequest, None] = {}
 
         if config.idle_collection_age is not None:
             self.sim.schedule(config.idle_collection_period,
@@ -490,60 +490,27 @@ class ClusterCore:
         shed.  ``idempotent=False`` marks the request unsafe to
         re-dispatch; the retry policy honours it.
         """
-        if self._single_attempt:
-            # Fast path: with ``resilience=None`` bit-identical to a
-            # runtime without the resilience layer (same calls, same
-            # order, no extra draws); a bare ``call_timeout`` adds its
-            # one timer where the resilient path below arms it.
-            gateway = self._pick_gateway()
-            destination = gateway._resolve_or_place(ref.id)
-            call_id = next_call_id()
-            obs = self.obs
-            ctx = (obs.tracer.begin_request(f"{ref.id}.{method}")
-                   if obs is not None else None)
-            message = Message(
-                kind=MessageKind.CLIENT_REQUEST,
-                target=ref.id,
-                method=method,
-                args=args,
-                size=size,
-                call_id=call_id,
-                created_at=self.sim.now,
-                response_size=response_size,
-                trace=ctx,
-            )
-            self._inflight[call_id] = None
-            if ctx is not None:
-                self._client_traces[call_id] = ctx
-            if on_complete is not None:
-                self._client_hooks[call_id] = on_complete
-            if self.call_timeout is not None:
-                self._client_timers[call_id] = self.sim.schedule(
-                    self.call_timeout, self._client_request_timed_out,
-                    call_id, ref.id, method, self.call_timeout)
-            self._ingress(gateway, destination, message)
-            return
-
         now = self.sim.now
         deadline_at = (now + self.request_deadline
                        if self.request_deadline is not None else None)
         state = _ClientRequest(ref, method, args, size, response_size,
                                on_complete, idempotent, now, deadline_at)
-        if not self._admit(state):
-            return
-        self._dispatch_attempt(state)
+        if self._admit(state):
+            self._dispatch_attempt(state, now)
 
-    def _dispatch_attempt(self, state: _ClientRequest) -> None:
-        """One dispatch of a resilient request (first try or retry)."""
+    def _dispatch_attempt(self, state: _ClientRequest, now: float) -> None:
+        """One dispatch of a request (first try or retry)."""
         state.attempts += 1
         gateway = self._pick_gateway()
         destination = gateway._resolve_or_place(state.ref.id)
         call_id = next_call_id()
         state.call_id = call_id
+        self._open[state] = None  # a retry keeps its place in the window
         self._inflight[call_id] = state
         obs = self.obs
-        ctx = (obs.tracer.begin_request(f"{state.ref.id}.{state.method}")
-               if obs is not None else None)
+        state.trace = ctx = (
+            obs.tracer.begin_request(f"{state.ref.id}.{state.method}")
+            if obs is not None else None)
         message = Message(
             kind=MessageKind.CLIENT_REQUEST,
             target=state.ref.id,
@@ -551,104 +518,99 @@ class ClusterCore:
             args=state.args,
             size=state.size,
             call_id=call_id,
-            created_at=self.sim.now,
+            created_at=now,
             response_size=state.response_size,
             trace=ctx,
         )
-        if ctx is not None:
-            self._client_traces[call_id] = ctx
-        if state.on_complete is not None:
-            self._client_hooks[call_id] = state.on_complete
         timeout = self.call_timeout
         if state.deadline_at is not None:
-            remaining = max(state.deadline_at - self.sim.now, 0.0)
+            remaining = max(state.deadline_at - now, 0.0)
             timeout = remaining if timeout is None else min(timeout, remaining)
         if timeout is not None:
-            self._client_timers[call_id] = self.sim.schedule(
-                timeout, self._client_request_timed_out,
-                call_id, state.ref.id, state.method, timeout,
-            )
+            state.timer = self.sim.schedule(
+                timeout, self._client_request_timed_out, call_id, timeout)
         self._ingress(gateway, destination, message)
 
     def complete_client_request(self, response: Message) -> None:
         """Called when a client response leaves the cluster."""
-        state = self._inflight.pop(response.call_id, _MISSING)
-        if state is _MISSING:
+        state = self._inflight.pop(response.call_id, None)
+        if state is None:
             # Late (the request already timed out / was shed) or a
             # network-duplicated delivery: discard, never double-complete.
             self.late_responses += 1
             return
-        timer = self._client_timers.pop(response.call_id, None)
-        if timer is not None:
-            timer.cancel()
-        ctx = self._client_traces.pop(response.call_id, None)
-        if ctx is not None and self.obs is not None:
-            self.obs.tracer.end_request(ctx)
-        if state is None:
-            latency = self.sim.now - response.created_at
-        else:
-            # Retried requests measure from first issue, not last attempt.
-            latency = self.sim.now - state.t0
-            self._release(state)
+        if state.timer is not None:
+            state.timer.cancel()
+        if state.trace is not None:
+            self._end_trace(state, None)
+        # Retried requests measure from first issue, not last attempt.
+        latency = self.sim.now - state.t0
+        del self._open[state]
         self.client_latency.record(latency)
         self.client_latency_hist.record(latency)
         self.requests_completed += 1
-        hook = self._client_hooks.pop(response.call_id, None)
-        if hook is not None:
-            hook(latency, response.result)
+        if state.on_complete is not None:
+            state.on_complete(latency, response.result)
 
-    def _client_request_timed_out(self, call_id: int, target, method: str,
-                                  timeout: float) -> None:
+    def _end_trace(self, state: _ClientRequest, error: Optional[str]) -> None:
+        ctx = state.trace
+        if ctx is not None:
+            state.trace = None
+            if self.obs is not None:
+                self.obs.tracer.end_request(ctx, error=error)
+
+    def _client_request_timed_out(self, call_id: int, timeout: float) -> None:
         """``timeout`` is the budget this attempt's timer was armed with
         (``call_timeout``, or what the request deadline left of it)."""
-        state = self._inflight.pop(call_id, _MISSING)
-        if state is _MISSING:
+        state = self._inflight.pop(call_id, None)
+        if state is None:
             return  # already resolved; stale timer
-        self._client_timers.pop(call_id, None)
-        ctx = self._client_traces.pop(call_id, None)
-        if state is not None and self._should_retry(state):
-            # This attempt is dead (its late response, if any, will be
-            # discarded via _inflight); the request lives on.
-            if ctx is not None and self.obs is not None:
-                self.obs.tracer.end_request(ctx, error="timeout")
-            self._client_hooks.pop(call_id, None)
+        # This attempt is dead: its late response, if any, will be
+        # discarded via _inflight.
+        self._end_trace(state, "timeout")
+        now = self.sim.now
+        deadline_at = state.deadline_at
+        if deadline_at is not None and now >= deadline_at:
+            self._time_out(state, self.request_deadline)
+        elif not self._should_retry(state):
+            self._time_out(state, timeout)
+        else:
             backoff = self.retry_policy.delay_for(
                 state.attempts, self._retry_stream()) * self.time_scale
-            if state.deadline_at is not None:
-                backoff = min(backoff, max(state.deadline_at - self.sim.now,
-                                           0.0))
+            if deadline_at is not None and now + backoff >= deadline_at:
+                # A retry dispatched at the deadline could never be
+                # answered: the request waits it out and ends there, once.
+                state.backoff_timer = self.sim.schedule(
+                    deadline_at - now, self._time_out, state,
+                    self.request_deadline)
+                return
             self.request_retries += 1
             obs = self.obs
             if obs is not None:
                 obs.events.emit(RetryEvent(
-                    self.sim.now, target=str(target), method=method,
+                    now, target=str(state.ref.id), method=state.method,
                     attempt=state.attempts, backoff=backoff))
             state.backoff_timer = self.sim.schedule(
                 backoff, self._retry_attempt, state)
-            return
-        if ctx is not None and self.obs is not None:
-            self.obs.tracer.end_request(ctx, error="timeout")
+
+    def _time_out(self, state: _ClientRequest, budget: float) -> None:
+        """The request's one terminal timeout, after ``budget`` clock
+        seconds (the last attempt's, or the whole request deadline)."""
+        state.backoff_timer = None
         self.requests_timed_out += 1
-        if state is not None:
-            self._release(state)
-        hook = self._client_hooks.pop(call_id, None)
-        if hook is not None:
-            hook(timeout,
-                 CallTimeout(target, method, timeout / self.time_scale))
+        del self._open[state]
+        if state.on_complete is not None:
+            state.on_complete(budget, CallTimeout(
+                state.ref.id, state.method, budget / self.time_scale))
 
     def _should_retry(self, state: _ClientRequest) -> bool:
         policy = self.retry_policy
-        if policy is None or state.attempts >= policy.max_attempts:
-            return False
-        if policy.idempotent_only and not state.idempotent:
-            return False
-        if state.deadline_at is not None and self.sim.now >= state.deadline_at:
-            return False
-        return True
+        return (policy is not None and state.attempts < policy.max_attempts
+                and (state.idempotent or not policy.idempotent_only))
 
     def _retry_attempt(self, state: _ClientRequest) -> None:
         state.backoff_timer = None
-        self._dispatch_attempt(state)
+        self._dispatch_attempt(state, self.sim.now)
 
     def _retry_stream(self):
         if self._retry_rng is None:
@@ -659,12 +621,11 @@ class ClusterCore:
     # Admission control (graceful degradation under overload)
     # ------------------------------------------------------------------
     def _admit(self, state: _ClientRequest) -> bool:
+        """Whether the window has (or can be made to have) room for one
+        more request; a refused ``state`` has been shed."""
         admission = self.admission
-        if admission is None or admission.capacity is None:
-            return True
-        if len(self._admitted) < admission.capacity:
-            self._admitted[state] = None
-            state.admitted = True
+        if (admission is None or admission.capacity is None
+                or len(self._open) < admission.capacity):
             return True
         if admission.policy == "reject":
             self._shed(state, "reject", victim_age=0.0)
@@ -678,20 +639,17 @@ class ClusterCore:
         # every admitted request is in flight, shedding the new arrival
         # is the only progress-preserving choice.
         victim = next(
-            (r for r in self._admitted if r.backoff_timer is not None), None
+            (r for r in self._open if r.backoff_timer is not None), None
         )
         if victim is None:
             self._shed(state, "drop_oldest", victim_age=0.0)
             return False
         self._abandon(victim)
-        self._admitted[state] = None
-        state.admitted = True
         return True
 
     def _abandon(self, victim: _ClientRequest) -> None:
         """Evict a request from the admission window."""
-        del self._admitted[victim]
-        victim.admitted = False
+        del self._open[victim]
         if victim.backoff_timer is not None:
             victim.backoff_timer.cancel()
             victim.backoff_timer = None
@@ -704,13 +662,9 @@ class ClusterCore:
                 san.record_inflight_eviction(
                     victim.ref.id, self.sim.now - victim.t0)
             self._inflight.pop(victim.call_id, None)
-            timer = self._client_timers.pop(victim.call_id, None)
-            if timer is not None:
-                timer.cancel()
-        ctx = self._client_traces.pop(victim.call_id, None)
-        if ctx is not None and self.obs is not None:
-            self.obs.tracer.end_request(ctx, error="shed")
-        self._client_hooks.pop(victim.call_id, None)
+            if victim.timer is not None:
+                victim.timer.cancel()
+            self._end_trace(victim, "shed")
         self._shed(victim, "drop_oldest",
                    victim_age=self.sim.now - victim.t0)
 
@@ -727,15 +681,10 @@ class ClusterCore:
                 victim_age,
                 RequestShed(state.ref.id, state.method, policy))
 
-    def _release(self, state: _ClientRequest) -> None:
-        if state.admitted:
-            self._admitted.pop(state, None)
-            state.admitted = False
-
     @property
     def inflight_requests(self) -> int:
         """Client requests currently between issue and outcome."""
-        return len(self._inflight)
+        return len(self._open)
 
     # ------------------------------------------------------------------
     # Measurement hooks
@@ -806,6 +755,9 @@ class SiloCore:
     # path to a single attribute load.
     _san = None
 
+    # Driver hook: stage name -> SEDA stage, for drivers that have them.
+    stages: Mapping[str, Any] = MappingProxyType({})
+
     def __init__(self, runtime: ClusterCore, server_id: int):
         self.runtime = runtime
         self.sim = runtime.sim
@@ -861,12 +813,6 @@ class SiloCore:
         checks ``_pending`` itself)."""
         return self.sim.schedule(timeout, self._call_timed_out, call_id,
                                  target, method, timeout)
-
-    def _turn_crashed(self, activation: Activation, origin: Message,
-                      error: Exception) -> Any:
-        """A non-``ActorError`` escaped a turn: raise (a bug in the
-        model), or decide the actor's fate and return the turn's result."""
-        raise NotImplementedError
 
     def _on_down(self) -> None:
         """The silo left service: drop what the driver holds for it."""
@@ -1022,7 +968,7 @@ class SiloCore:
             # Application-level failure: becomes the call's result and
             # re-raises at the caller's await point.
             result = error
-        except Exception as error:  # noqa: BLE001 — the driver's verdict
+        except Exception as error:  # noqa: BLE001 — the supervisor's verdict
             self._crash_turn(activation, message, error)
             return
         if is_generator_method(type(instance), message.method):
@@ -1033,9 +979,30 @@ class SiloCore:
 
     def _crash_turn(self, activation: Activation, origin: Message,
                     error: Exception) -> None:
-        result = self._turn_crashed(activation, origin, error)
-        if not self.dead:  # else the crash took the silo down with it
-            self._complete_turn(activation, origin, result)
+        """A non-``ActorError`` escaped a turn: the supervisor decides the
+        actor's fate, and the caller sees the crash as the turn's result."""
+        runtime = self.runtime
+        supervisor = runtime.supervisor
+        if supervisor is None:
+            raise error
+        if not hasattr(activation.instance, origin.method):
+            # A message nobody can handle is its sender's error.
+            result = ActorError(f"actor {activation.actor_id} has no "
+                                f"method {origin.method!r}")
+        else:
+            runtime.actor_crashes += 1
+            decision = supervisor.decide(activation.actor_id, self.sim.now)
+            if decision == "restart":
+                # In place: fresh instance, last persisted state.
+                activation.instance = self._new_instance(activation.actor_id)
+                activation.instance.on_activate()
+            elif decision == "stop":
+                activation.stopped = True
+            else:  # escalate: the failure is the silo's
+                self.fail()
+                return
+            result = ActorCrashed(activation.actor_id, origin.method, error)
+        self._complete_turn(activation, origin, result)
 
     def _advance_turn(self, turn: _Continuation, send_value: Any,
                       throw: bool) -> None:
@@ -1059,7 +1026,7 @@ class SiloCore:
                 # propagates to this turn's own caller.
                 self._complete_turn(activation, origin, error)
                 return
-            except Exception as error:  # noqa: BLE001 — the driver's verdict
+            except Exception as error:  # noqa: BLE001 — the supervisor's verdict
                 self._crash_turn(activation, origin, error)
                 return
             if not isinstance(yielded, Tell):

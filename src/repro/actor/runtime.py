@@ -10,9 +10,8 @@ per-server CPU.  It *is* the simulator's
 
 Client-side resilience (retry with backoff, end-to-end deadlines,
 bounded admission with load shedding) is configured through a
-:class:`~repro.faults.resilience.ResilienceConfig`; a runtime built with
-``resilience=None`` takes a fast path whose event sequence is
-bit-identical to a build without the resilience layer.
+:class:`~repro.faults.resilience.ResilienceConfig`; an absent layer adds
+no event and no RNG draw, so seeded digests do not depend on it.
 """
 
 from __future__ import annotations
@@ -79,9 +78,10 @@ class ActorRuntime(ClusterCore):
 
     def __init__(self, config: Optional[ClusterConfig] = None,
                  sim: Optional[Simulator] = None,
-                 resilience: Optional[ResilienceConfig] = None):
+                 resilience: Optional[ResilienceConfig] = None,
+                 supervisor=None):
         super().__init__(config or ClusterConfig(), sim or Simulator(),
-                         resilience)
+                         resilience, supervisor)
         ts = self.time_scale
         self.serialization = self.config.serialization.scaled(ts)
         self.resume_compute = self.config.resume_compute * ts

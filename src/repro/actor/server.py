@@ -13,8 +13,7 @@ serialize -> network -> deserialize -> compute, while a local call pays a
 deep copy and enqueues straight into the worker stage.  What the core
 records — a turn started, a turn resumed, ``n`` bytes copied — is priced
 here from the actor's ``COMPUTE`` / ``WAIT`` tables and the runtime's
-:class:`~repro.actor.serialization.SerializationModel`.  An exception
-escaping a turn is a bug in the model and crashes the run.
+:class:`~repro.actor.serialization.SerializationModel`.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ class Silo(SiloCore):
         self.worker = self.server.add_stage("worker", threads, blocking=True)
         self.server_sender = self.server.add_stage("server_sender", threads)
         self.client_sender = self.server.add_stage("client_sender", threads)
+        self.stages = self.server.stages
 
     # ------------------------------------------------------------------
     # Inbound path (from the network)
@@ -149,12 +149,8 @@ class Silo(SiloCore):
         if trace is not None:
             event.ctx = trace
 
-    def _turn_crashed(self, activation: Activation, origin: Message,
-                      error: Exception):
-        raise error
-
     def _driver_idle(self) -> bool:
-        for stage in self.server.stages.values():
+        for stage in self.stages.values():
             if stage.queue_length or stage.busy_threads:
                 return False
         return True

@@ -6,9 +6,10 @@
   it directly (the reference implementation).
 * :class:`AsyncioBackend` — the real runtime: the asyncio driver of
   :mod:`repro.actor.core` — a ready deque per silo, TCP (or in-process)
-  transport between silos, wall-clock timers, and
-  :class:`SupervisionPolicy` crash handling.  One
-  :class:`~repro.faults.injector.FaultInjector` drives both.
+  transport between silos, wall-clock timers.
+* :class:`SupervisionPolicy` — crash handling (restart / stop /
+  escalate), applied by the core under either engine.  One
+  :class:`~repro.faults.injector.FaultInjector` drives both as well.
 
 Select an engine through the one construction path::
 

@@ -20,7 +20,6 @@ gets a processor)           ``call_soon``; a segment is a plain function
 ``_ingress``                the gateway routes it, or ships it on
 ``_arm_deadline``           one ``(deadline, call_id)`` heap per silo:
                             lazy deletion, one armed timer
-``_turn_crashed``           a supervision event (restart/stop/escalate)
 ``_on_down``                clear ready/heap, close the silo's sockets
 ``send_control``            ``loop.call_soon``
 ==========================  =============================================
@@ -31,8 +30,8 @@ Silos share one loop and one process (``transport="inproc"`` by default);
 so a "remote" call pays genuine serialize → socket → deserialize.
 ``transport="inproc-copy"`` keeps the in-process hop but pickle
 round-trips every cross-silo message — TCP's copy semantics without the
-sockets, so the XB portability crosscheck can prove reference-sharing
-and copy delivery produce identical logical results.
+sockets: the reference the parity tests compare reference-sharing
+delivery against.
 
 The TCP wire form: a frame is a ``>I`` byte length followed by the
 ``pickle`` of a *list* of messages, and a ``Message`` pickles compactly
@@ -47,10 +46,10 @@ calls ``pause_writing`` messages stay in the outbox until
 ``data_received`` and hands each message to ``silo.deliver`` — no task
 per send, no coroutine per frame.
 
-What the real runtime adds that the simulator cannot: supervision
-(:mod:`repro.backend.supervision`) — application exceptions inside a
-turn are crash events with restart/stop/escalate semantics instead of
-run-aborting bugs.
+Supervision (:mod:`repro.backend.supervision`) is the core's; what
+differs here is the default: with no policy given the simulator raises
+an exception escaping a turn (a bug in the model), the real runtime
+restarts the actor — application code throws for real.
 """
 
 from __future__ import annotations
@@ -59,19 +58,19 @@ import asyncio
 import pickle
 import struct
 from collections import deque
+from dataclasses import replace
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
 from ..actor.activation import Activation
 from ..actor.core import ClusterCore, SiloCore
-from ..actor.errors import ActorCrashed, ActorError
 from ..actor.ids import ActorId
 from ..actor.messages import Message
 from ..actor.runtime import ClusterConfig
 from ..analysis.sanitizer import current as _sanitizer_current
 from ..faults.resilience import ResilienceConfig
 from .base import BackendError
-from .supervision import SupervisionPolicy, Supervisor
+from .supervision import Supervisor
 
 __all__ = ["AsyncioBackend", "WallClock", "DEFAULT_CALL_TIMEOUT"]
 
@@ -271,25 +270,6 @@ class AsyncioSilo(SiloCore):
             else:
                 self.armed = False
 
-    def _turn_crashed(self, activation: Activation, origin: Message,
-                      error: Exception) -> ActorError:
-        if not hasattr(activation.instance, origin.method):
-            # A message nobody can handle is its sender's error.
-            return ActorError(f"actor {activation.actor_id} has no "
-                              f"method {origin.method!r}")
-        runtime = self.runtime
-        runtime.actor_crashes += 1
-        decision = runtime.supervisor.decide(activation.actor_id, self.sim.now)
-        if decision == "restart":
-            # In place: fresh instance, last persisted state.
-            activation.instance = self._new_instance(activation.actor_id)
-            activation.instance.on_activate()
-        elif decision == "stop":
-            activation.stopped = True
-        else:  # escalate: the failure is the silo's
-            self.fail()
-        return ActorCrashed(activation.actor_id, origin.method, error)
-
     # ------------------------------------------------------------------
     # Messages in and out
     # ------------------------------------------------------------------
@@ -399,38 +379,40 @@ class AsyncioBackend(ClusterCore):
             — serialization tables, network latency — are the
             simulator's and are ignored: real pickling and real sockets
             charge themselves).
-        supervision: crash policy (default: restart with a budget of 3
-            per 30 s, then escalate).
+        resilience: retry / deadline / admission-capacity policies;
+            ``call_timeout`` (wall-clock seconds before an unanswered
+            call or client-request attempt fails with
+            :class:`~repro.actor.errors.CallTimeout`) defaults to
+            :data:`DEFAULT_CALL_TIMEOUT` rather than to "never".
+        supervisor: decides what a crashed turn means (default: restart
+            with a budget of 3 per 30 s, then escalate).
         transport: ``"inproc"`` (cross-silo hop = a call that queues the
             message at its destination; the fast default for tests),
-            ``"inproc-copy"`` (same hop, but
-            every cross-silo message is pickle round-tripped first —
-            TCP's copy semantics without the sockets, the validator for
-            the XB portability rules), or ``"tcp"`` (every silo listens
-            on 127.0.0.1 and cross-silo messages travel as
-            length-prefixed pickle frames over real sockets).
-        call_timeout: wall-clock seconds before an unanswered call or
-            client request fails with
-            :class:`~repro.actor.errors.CallTimeout`.
+            ``"inproc-copy"`` (same hop, but every cross-silo message
+            is pickle round-tripped first — TCP's copy semantics without
+            the sockets), or ``"tcp"`` (every silo listens on 127.0.0.1
+            and cross-silo messages travel as length-prefixed pickle
+            frames over real sockets).
     """
 
     name = "asyncio"
 
     def __init__(self, config: Optional[ClusterConfig] = None, *,
-                 supervision: Optional[SupervisionPolicy] = None,
-                 transport: str = "inproc",
-                 call_timeout: Optional[float] = DEFAULT_CALL_TIMEOUT):
+                 resilience: Optional[ResilienceConfig] = None,
+                 supervisor: Optional[Supervisor] = None,
+                 transport: str = "inproc"):
         if transport not in _TRANSPORTS:
             raise BackendError(
                 f"unknown transport {transport!r}; expected one of "
                 f"{_TRANSPORTS}")
         self.transport = transport
         self._loop = asyncio.new_event_loop()
-        super().__init__(
-            config or ClusterConfig(), WallClock(self._loop),
-            ResilienceConfig(call_timeout=call_timeout)
-            if call_timeout is not None else None)
-        self.supervisor = Supervisor(supervision)
+        resilience = resilience or ResilienceConfig()
+        if resilience.call_timeout is None:
+            resilience = replace(resilience,
+                                 call_timeout=DEFAULT_CALL_TIMEOUT)
+        super().__init__(config or ClusterConfig(), WallClock(self._loop),
+                         resilience, supervisor or Supervisor())
         self.silos = [AsyncioSilo(self, i)
                       for i in range(self.config.num_servers)]
         self._ports: dict[int, int] = {}
@@ -442,7 +424,6 @@ class AsyncioBackend(ClusterCore):
         self.tcp_frame_messages = 0   # their ratio is the mean batch size
         self.turn_drains = 0          # ready-deque drains / turn segments
         self.turns_run = 0            # run in them: the mean ready batch
-        self.actor_crashes = 0
 
     # ------------------------------------------------------------------
     # Driver hooks: client ingress and the control-plane hop
@@ -554,7 +535,7 @@ class AsyncioBackend(ClusterCore):
             deadline = self._loop.time() + timeout
             settled = 0
             while self._loop.time() < deadline:
-                if (not self._inflight
+                if (not self._open
                         and all(s.idle or s.dead for s in self.silos)):
                     # Two consecutive idle observations: tcp frames and
                     # armed drains get a chance to land.
@@ -575,13 +556,13 @@ class AsyncioBackend(ClusterCore):
         has resolved (completed or timed out)."""
         if not self._started:
             self.start()
-        waiting = set(self._inflight)
+        waiting = set(self._open)
 
         async def _resolved() -> None:
             deadline = self._loop.time() + timeout
             # One loop iteration per look: a request is seen resolved in
             # the iteration that resolved it, not a poll interval later.
-            while (not waiting.isdisjoint(self._inflight)
+            while (not waiting.isdisjoint(self._open)
                    and self._loop.time() < deadline):
                 await asyncio.sleep(0)
 

@@ -12,7 +12,7 @@ its seeded RNG registry.  Below the line one runtime core
   bit-identical digests.
 * :class:`~repro.backend.asyncio_backend.AsyncioBackend` — the real
   runtime: silos as callback turn machines on one loop, TCP
-  sockets between silos, wall-clock timers, and supervision policies.
+  sockets between silos, wall-clock timers.
 
 Both satisfy :class:`Backend` structurally (the core implements the
 seams once); neither inherits from it, so this module stays importable

@@ -11,7 +11,7 @@ on every engine.
 
 from __future__ import annotations
 
-from ..actor.actor import Actor, idempotent
+from ..actor.actor import Actor
 from ..actor.calls import Call
 from ..actor.ids import ActorRef
 
@@ -25,7 +25,6 @@ class PongerActor(Actor):
         super().__init__()
         self.bounces = 0
 
-    @idempotent
     def pong(self, n: int) -> int:
         self.bounces += 1
         return n
@@ -41,7 +40,6 @@ class PingerActor(Actor):
         super().__init__()
         self.pings = 0
 
-    @idempotent
     def ping(self, n: int):
         """Replay-safe: ``pings`` is a liveness counter, never an exact
         count, and the ponger's bounce is itself idempotent."""

@@ -1,9 +1,11 @@
 """Supervision policies: what happens when an actor turn crashes.
 
-The simulator treats any non-``ActorError`` exception inside a turn as a
-bug in the *simulation* and crashes the run loudly — correct for a
-deterministic model, useless for a live runtime where application code
-throws for real.  The asyncio backend therefore layers classic
+With no policy, a non-``ActorError`` exception inside a turn is a bug in
+the *simulation* and crashes the run loudly — correct for a
+deterministic model (the simulator's default), useless for a live
+runtime where application code throws for real (the asyncio driver
+defaults to ``restart``).  Given a policy, the runtime core
+(``SiloCore._crash_turn``, under either driver) layers classic
 supervision-tree semantics (Erlang/OTP restart strategies, as catalogued
 in the actor-model pattern notes) on top of the Orleans re-activation
 contract:
@@ -77,12 +79,12 @@ class SupervisionPolicy:
 
 
 class Supervisor:
-    """Per-backend crash bookkeeping: applies a :class:`SupervisionPolicy`.
+    """Per-cluster crash bookkeeping: applies a :class:`SupervisionPolicy`.
 
-    Pure decision logic — the backend executes the verdict (re-binding
-    the instance, marking the activation stopped, failing the silo).
-    Kept separate so the budget/window arithmetic is unit-testable
-    without an event loop.
+    Pure decision logic — the runtime core executes the verdict
+    (re-binding the instance, marking the activation stopped, failing
+    the silo).  Kept separate so the budget/window arithmetic is
+    unit-testable without a cluster.
     """
 
     def __init__(self, policy: Optional[SupervisionPolicy] = None):

@@ -1,21 +1,18 @@
 """``build_cluster``: the one entry point that composes the layered configs.
 
-Construction used to be scattered — ``ActorRuntime`` took machine knobs
-plus a couple of resilience fields, ``ActOp`` took two optional configs,
-fault plans had nowhere to live, and every bench re-implemented the
-wiring.  The layered API separates the concerns:
-
 * :class:`~repro.actor.runtime.ClusterConfig` — the machine: silos,
   processors, network, serialization, time scale, seed.
 * :class:`~repro.faults.resilience.ResilienceConfig` — behaviour between
   request and outcome: timeouts, deadlines, retry, admission/shedding.
+* :class:`~repro.backend.supervision.SupervisionPolicy` — what a crashed
+  turn means: restart, stop or escalate.
 * :class:`~repro.core.actop.ActOpConfig` — the optimizer: partitioning
   and/or thread allocation.
 * :class:`~repro.faults.plan.FaultPlan` — scheduled chaos.
 * ``backend`` — which engine drives the one runtime core: the
   deterministic simulator (``"sim"``, the reference implementation) or
   the real asyncio runtime (``"asyncio"``: callback turn machines, TCP
-  transport, wall-clock time, supervision).
+  transport, wall-clock time).
 
 ::
 
@@ -36,8 +33,9 @@ wiring.  The layered API separates the concerns:
 
 Every layer defaults to "absent", and absent layers add nothing to the
 run — a sim cluster built with only a ``ClusterConfig`` is bit-identical
-to a bare ``ActorRuntime`` (and to pre-backend builds; the digest pins
-enforce it).
+to a bare ``ActorRuntime`` (the digest pins enforce it).  The layers are
+the core's, so they run under either driver; what a driver refuses
+(:func:`_unsupported`) is what it physically lacks.
 """
 
 from __future__ import annotations
@@ -48,9 +46,9 @@ from typing import Any, Optional
 from .actor.runtime import ActorRuntime, ClusterConfig
 from .autoscale.config import AutoscaleConfig
 from .autoscale.controller import AutoscaleController
-from .backend.asyncio_backend import DEFAULT_CALL_TIMEOUT, AsyncioBackend
+from .backend.asyncio_backend import AsyncioBackend
 from .backend.base import Backend, BackendError
-from .backend.supervision import SupervisionPolicy
+from .backend.supervision import SupervisionPolicy, Supervisor
 from .core.actop import ActOp, ActOpConfig
 from .faults.injector import FaultInjector
 from .faults.plan import FaultPlan, LinkDegradation, NetworkPartition, SlowSilo
@@ -60,15 +58,6 @@ from .sim.engine import Simulator
 __all__ = ["BACKENDS", "Cluster", "build_cluster"]
 
 BACKENDS = ("sim", "asyncio")
-
-# What only the simulator runs today; naming it in the asyncio error
-# keeps the failure actionable.  Partitioning runs on both.  The rest is
-# core code the asyncio driver inherits but nothing has exercised there
-# yet (thread allocation needs stage executors): lifting each is its own
-# issue.
-_SIM_ONLY = ("thread allocation, autoscale, a shared sim, "
-             "retry/deadline/admission and modeled-network faults are "
-             "simulator-only layers")
 
 
 @dataclass
@@ -137,6 +126,42 @@ class Cluster:
         return self.runtime.config
 
 
+def _unsupported(backend, resilience, actop, faults, autoscale, sim,
+                 transport) -> Optional[str]:
+    """Why ``backend`` physically cannot run what was asked, or None.
+
+    The simulator has no sockets; the asyncio driver has no SEDA stages,
+    no simulator and no modeled network.  Everything else is the core's
+    and runs on both (DESIGN.md, "One runtime core, two drivers", has
+    this as a matrix).
+    """
+    if backend == "sim":
+        if transport != "inproc":
+            return ("transport= picks how bytes cross real sockets; the "
+                    "simulator models its own network")
+        return None
+    if actop is not None and actop.thread_allocation is not None:
+        return ("thread allocation sizes the thread pools of SEDA stages; "
+                "an asyncio silo runs its turns on one event loop and has "
+                "no stages")
+    if autoscale is not None:
+        return ("autoscale reads utilization off the modeled processors "
+                "behind SEDA stages; an asyncio silo has no stages")
+    if sim is not None:
+        return ("sim= shares a discrete-event simulator; the asyncio "
+                "driver runs on the wall clock")
+    for action in faults or ():
+        if isinstance(action, (SlowSilo, NetworkPartition, LinkDegradation)):
+            return (f"{type(action).__name__} perturbs the modeled network "
+                    "and processors; asyncio's sockets and CPU are real")
+    admission = resilience.admission if resilience is not None else None
+    if admission is not None and admission.receiver_queue is not None:
+        return ("AdmissionConfig.receiver_queue bounds the modeled receiver "
+                "stage's queue; an asyncio silo has no receiver stage "
+                "(AdmissionConfig.capacity works on both)")
+    return None
+
+
 def build_cluster(
     config: Optional[ClusterConfig] = None,
     *,
@@ -148,7 +173,6 @@ def build_cluster(
     sim: Optional[Simulator] = None,
     supervision: Optional[SupervisionPolicy] = None,
     transport: str = "inproc",
-    call_timeout: Optional[float] = None,
 ) -> Cluster:
     """Compose a cluster from the config layers — the single construction
     path for either engine.
@@ -156,58 +180,51 @@ def build_cluster(
     Args:
         config: machine configuration (defaults to the paper's testbed).
         backend: ``"sim"`` (deterministic discrete-event reference) or
-            ``"asyncio"`` (real tasks, sockets, wall-clock time).
-        resilience: retry/deadline/admission policies (None = off; the
-            sim runtime takes its bit-identical fast path).  The asyncio
-            backend honours ``call_timeout`` only and rejects the rest.
+            ``"asyncio"`` (real sockets, wall-clock time).
+        resilience: timeout/retry/deadline/admission policies (None =
+            off).  On asyncio ``call_timeout`` defaults to 5 s instead
+            of "never", and ``AdmissionConfig.receiver_queue`` is
+            refused (no receiver stage).
         actop: optimizer configuration; None or a disabled config builds
             no optimizer.  Partitioning runs on either backend, thread
-            allocation on the simulator only.
-        faults: fault plan; None or an empty plan installs nothing.  On
-            asyncio the crash/membership/staleness vocabulary is
-            supported — network- and CPU-model actions raise
-            :class:`BackendError` at build time.
+            allocation needs the simulator's SEDA stages.
+        faults: fault plan; None or an empty plan installs nothing.  The
+            crash/membership/staleness vocabulary runs on both; the
+            modeled-network and modeled-CPU actions on the simulator.
         autoscale: elastic-scaling configuration; None builds no
-            controller (sim only).
+            controller (needs the simulator's SEDA stages).
         sim: an existing simulator to share (tests compose several
             drivers on one clock; sim backend only).
-        supervision: crash policy for the asyncio backend
-            (restart/stop/escalate with a max-restart budget).
+        supervision: crash policy (restart/stop/escalate with a
+            max-restart budget).  None: on the simulator an exception
+            escaping a turn is a bug in the model and aborts the run; on
+            asyncio the default policy restarts the actor.
         transport: asyncio inter-silo transport, ``"inproc"``,
             ``"inproc-copy"`` (in-process hop with TCP's pickle
             deep-copy semantics), or ``"tcp"``.
-        call_timeout: asyncio wall-clock call timeout override (defaults
-            to ``resilience.call_timeout`` when given, else 5 s).
 
-    Returns a :class:`Cluster`; call :meth:`Cluster.start` (or just
+    Raises :class:`BackendError` — at build time, never mid run — for
+    what the chosen backend physically cannot run.  Returns a
+    :class:`Cluster`; call :meth:`Cluster.start` (or just
     :meth:`Cluster.run`) to arm the backend, optimizer, fault plan, and
     autoscaler.
     """
     if backend not in BACKENDS:
         raise BackendError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    reason = _unsupported(backend, resilience, actop, faults, autoscale, sim,
+                          transport)
+    if reason is not None:
+        raise BackendError(f"backend={backend!r} cannot run this: {reason}")
 
+    config = config or ClusterConfig()
+    supervisor = Supervisor(supervision) if supervision is not None else None
     if backend == "asyncio":
-        return _build_asyncio(config, resilience=resilience, actop=actop,
-                              faults=faults, autoscale=autoscale, sim=sim,
-                              supervision=supervision, transport=transport,
-                              call_timeout=call_timeout)
-
-    if supervision is not None:
-        raise BackendError(
-            "supervision policies apply to the asyncio backend only: the "
-            "simulator treats in-turn exceptions as bugs in the model "
-            "(pass backend='asyncio', or drop supervision=)")
-    if transport != "inproc":
-        raise BackendError(
-            "transport selection applies to the asyncio backend only "
-            "(the simulator models its own network)")
-    if call_timeout is not None:
-        raise BackendError(
-            "call_timeout= at build_cluster level is an asyncio knob; on "
-            "the simulator pass ResilienceConfig(call_timeout=...)")
-    runtime = ActorRuntime(config or ClusterConfig(), sim=sim,
-                           resilience=resilience)
+        runtime = AsyncioBackend(config, resilience=resilience,
+                                 supervisor=supervisor, transport=transport)
+    else:
+        runtime = ActorRuntime(config, sim=sim, resilience=resilience,
+                               supervisor=supervisor)
     optimizer = (ActOp(runtime, actop)
                  if actop is not None and actop.enabled else None)
     injector = (FaultInjector(runtime, faults)
@@ -216,41 +233,3 @@ def build_cluster(
                   if autoscale is not None else None)
     return Cluster(runtime=runtime, actop=optimizer, injector=injector,
                    autoscale=controller, backend=runtime)
-
-
-def _build_asyncio(config, *, resilience, actop, faults, autoscale, sim,
-                   supervision, transport, call_timeout) -> Cluster:
-    if (autoscale is not None or sim is not None
-            or (actop is not None and actop.thread_allocation is not None)):
-        raise BackendError(
-            f"backend='asyncio' does not support these layers yet "
-            f"({_SIM_ONLY}); build with backend='sim' or drop them")
-    if resilience is not None:
-        unsupported = [name for name in ("retry", "admission",
-                                         "request_deadline")
-                       if getattr(resilience, name, None) is not None]
-        if unsupported:
-            raise BackendError(
-                f"backend='asyncio' supports ResilienceConfig.call_timeout "
-                f"only ({_SIM_ONLY}); unsupported fields set: "
-                f"{', '.join(unsupported)}")
-        if call_timeout is None:
-            call_timeout = resilience.call_timeout
-    for action in faults or ():
-        if isinstance(action, (SlowSilo, NetworkPartition, LinkDegradation)):
-            raise BackendError(
-                f"the asyncio backend cannot inject "
-                f"{type(action).__name__}: its network and CPUs are real, "
-                f"not modeled ({_SIM_ONLY})")
-    engine = AsyncioBackend(
-        config or ClusterConfig(),
-        supervision=supervision,
-        transport=transport,
-        call_timeout=(call_timeout if call_timeout is not None
-                      else DEFAULT_CALL_TIMEOUT))
-    optimizer = (ActOp(engine, actop)
-                 if actop is not None and actop.enabled else None)
-    injector = (FaultInjector(engine, faults)
-                if faults is not None and not faults.empty else None)
-    return Cluster(runtime=engine, actop=optimizer, injector=injector,
-                   backend=engine)

@@ -98,7 +98,7 @@ class ActOp:
     def start(self) -> None:
         # Thread controllers have no runtime handle, so the event log is
         # wired here; partition agents read runtime.obs at emit time.
-        obs = getattr(self.runtime, "obs", None)
+        obs = self.runtime.obs
         if obs is not None:
             for controller in self.controllers:
                 controller.event_log = obs.events

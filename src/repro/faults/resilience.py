@@ -1,9 +1,9 @@
 """Client-side resilience policies: retries, deadlines, admission.
 
 These are pure configuration dataclasses; the mechanisms live in
-:class:`~repro.actor.runtime.ActorRuntime`.  They model the standard
-production toolkit the paper's §2 contract presumes around an actor
-cluster ("callers see timeouts, not hangs") but never spells out:
+:class:`~repro.actor.core.ClusterCore`, under either driver.  They model
+the standard production toolkit the paper's §2 contract presumes around
+an actor cluster ("callers see timeouts, not hangs") but never spells out:
 
 * :class:`RetryPolicy` — exponential backoff with jitter, capped
   attempts, idempotency-aware (non-idempotent requests are never
@@ -15,8 +15,7 @@ cluster ("callers see timeouts, not hangs") but never spells out:
   in-flight), plus the per-silo receiver-queue bound.
 
 ``ResilienceConfig`` composes all three; every field defaults to "off",
-and a runtime built with ``resilience=None`` takes a fast path that is
-bit-identical to a build without this module.
+and an "off" field adds no event and no RNG draw to a run.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ class RetryPolicy:
     ``idempotent_only`` (the default), requests issued with
     ``idempotent=False`` fail on their first timeout — re-dispatching a
     non-idempotent operation could double-apply it.  Nothing infers
-    replay safety: the issuer declares it per request, and
-    ``@repro.idempotent`` on a method is documentation only.
+    replay safety: the issuer declares it per request.
     """
 
     max_attempts: int = 3

@@ -1,11 +1,13 @@
 """The one-call wiring of tracing + event logging onto a live cluster.
 
 ``Observability(runtime)`` attaches a :class:`~repro.obs.tracer.Tracer`
-and an :class:`~repro.obs.events.EventLog` to an
-:class:`~repro.actor.runtime.ActorRuntime`: the runtime starts sampling
-client requests at injection, every silo stage reports traced events
-through its observer hooks, and the control plane (partitioning agents,
-thread controllers, migration machinery) emits structured events.
+and an :class:`~repro.obs.events.EventLog` to a
+:class:`~repro.actor.core.ClusterCore` under either driver: the runtime
+starts sampling client requests at injection, every stage a silo's
+driver has (``silo.stages``: four on the simulator, none on asyncio)
+reports traced events through its observer hooks, and the control plane
+(partitioning agents, thread controllers, migration machinery) emits
+structured events.
 ``detach()`` undoes all of it; a detached runtime is exactly as
 uninstrumented as one that never saw this module.
 """
@@ -26,20 +28,17 @@ class Observability:
     """Tracing + runtime-event collection for one cluster runtime.
 
     Args:
-        runtime: the :class:`~repro.actor.runtime.ActorRuntime` to
-            instrument.  At most one Observability may be attached to a
-            runtime at a time.
+        runtime: the cluster runtime to instrument (either driver).  At
+            most one Observability may be attached to a runtime at a
+            time.
         sample_rate: fraction of client requests to trace (systematic
             sampling; see :class:`~repro.obs.tracer.Tracer`).
         max_spans / max_events: buffer caps (drops are counted, not
             silent).
-        attach: attach immediately (default); pass False to construct
-            detached and call :meth:`attach` later.
     """
 
     def __init__(self, runtime, sample_rate: float = 1.0,
-                 max_spans: int = 2_000_000, max_events: int = 1_000_000,
-                 attach: bool = True):
+                 max_spans: int = 2_000_000, max_events: int = 1_000_000):
         self.runtime = runtime
         self.tracer = Tracer(runtime.sim, sample_rate=sample_rate,
                              max_spans=max_spans)
@@ -47,15 +46,14 @@ class Observability:
         self._stage_hooks: list[tuple[Any, Any]] = []
         self._recorder_snapshot: Optional[tuple[float, dict]] = None
         self.attached = False
-        if attach:
-            self.attach()
+        self.attach()
 
     # ------------------------------------------------------------------
     def attach(self) -> "Observability":
         """Wire this instance into the runtime and every silo stage."""
         if self.attached:
             return self
-        existing = getattr(self.runtime, "obs", None)
+        existing = self.runtime.obs
         if existing is not None and existing is not self:
             raise RuntimeError(
                 "runtime already has an Observability attached; detach it first"
@@ -63,7 +61,7 @@ class Observability:
         self.runtime.obs = self
         for silo in self.runtime.silos:
             hook = self._stage_observer(silo.server_id)
-            for stage in silo.server.stages.values():
+            for stage in silo.stages.values():
                 stage.observers.append(hook)
                 self._stage_hooks.append((stage, hook))
         self.attached = True
@@ -79,7 +77,7 @@ class Observability:
             except ValueError:  # pragma: no cover - stage replaced/reset
                 pass
         self._stage_hooks.clear()
-        if getattr(self.runtime, "obs", None) is self:
+        if self.runtime.obs is self:
             self.runtime.obs = None
         self.attached = False
 
@@ -115,7 +113,7 @@ class Observability:
         self._recorder_snapshot = (now, {
             silo.server_id: {
                 name: stage.stats.snapshot()
-                for name, stage in silo.server.stages.items()
+                for name, stage in silo.stages.items()
             }
             for silo in self.runtime.silos
         })
@@ -141,7 +139,7 @@ class Observability:
                     before.get(name, (0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)),
                     elapsed,
                 )
-                for name, stage in silo.server.stages.items()
+                for name, stage in silo.stages.items()
             }
         return windows
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from ..actor.actor import Actor, idempotent
+from ..actor.actor import Actor
 from ..actor.calls import Call
 from ..actor.errors import ActorError
 from ..actor.ids import ActorRef
@@ -74,7 +74,6 @@ class RouterActor(Actor):
         self.policy.resize(replicas)
         return replicas
 
-    @idempotent
     def set_replicas(self, replicas: int) -> int:
         """Resize the replica set; shrink only narrows the routing window
         (replicas beyond the limit stop receiving *new* requests but
@@ -89,7 +88,6 @@ class RouterActor(Actor):
             self.policy.resize(replicas)
         return replicas
 
-    @idempotent
     def report_load(self, loads: tuple) -> None:
         """Last-writer-wins load signal per replica (SEDA backpressure of
         each replica's host silo, gathered by :class:`ActorPool`)."""

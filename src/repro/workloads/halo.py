@@ -34,7 +34,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional
 
-from ..actor.actor import Actor, idempotent
+from ..actor.actor import Actor
 from ..actor.calls import All, Call
 from ..actor.ids import ActorRef
 from ..actor.runtime import ActorRuntime
@@ -65,7 +65,6 @@ class PlayerActor(Actor):
         self.game = None
         return True
 
-    @idempotent
     def update(self, payload: object) -> int:
         """Receive one broadcast event from the game.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..actor.actor import Actor, idempotent
+from ..actor.actor import Actor
 from ..actor.runtime import ActorRuntime
 
 __all__ = ["HeartbeatActor", "HeartbeatWorkload", "HeartbeatConfig"]
@@ -35,7 +35,6 @@ class HeartbeatActor(Actor):
         self.last_status: object = None
         self.beats = 0
 
-    @idempotent
     def beat(self, status: object) -> int:
         # Replay-safe: the status write is last-writer-wins and ``beats``
         # is only a liveness diagnostic, so a retried beat converges.

@@ -1,14 +1,17 @@
-"""The asyncio backend end to end: supervision, faults, the turn
-vocabulary, and the build_cluster error surface."""
+"""The asyncio backend end to end: supervision (on both drivers),
+faults, the turn vocabulary, and the build_cluster layer x driver
+matrix."""
 
 import pytest
 
 from repro import (
     ActorCrashed,
     ActorError,
+    AdmissionConfig,
     BackendError,
     ClusterConfig,
     FaultPlan,
+    PartitioningConfig,
     ResilienceConfig,
     RetryPolicy,
     SupervisionPolicy,
@@ -54,8 +57,10 @@ class ComboActor(Actor):
         return (first, both)
 
 
-def _cluster(**kwargs):
+def _cluster(call_timeout=None, **kwargs):
     kwargs.setdefault("backend", "asyncio")
+    if call_timeout is not None:
+        kwargs["resilience"] = ResilienceConfig(call_timeout=call_timeout)
     return build_cluster(ClusterConfig(num_servers=2, seed=3), **kwargs)
 
 
@@ -67,7 +72,9 @@ def _call(backend, ref, method, *args):
     results = []
     backend.call(ref, method, *args,
                  on_complete=lambda _lat, res: results.append(res))
-    backend.flush()
+    # Until that request resolved: asyncio's flush, or the simulator's
+    # event queue run dry.
+    getattr(backend, "flush", backend.run)()
     return results[0]
 
 
@@ -97,8 +104,9 @@ def test_restart_after_crash():
         assert _call(be, ref, "bump") == 1
 
 
-def test_restart_restores_persisted_state():
-    with _cluster() as cluster:
+def _restart_restores_persisted_state(backend):
+    with _cluster(backend=backend,
+                  supervision=SupervisionPolicy()) as cluster:
         be = cluster.runtime
         be.register_actor("counter", CounterActor)
         cluster.start()
@@ -114,8 +122,9 @@ def test_restart_restores_persisted_state():
         assert _call(be, ref, "bump") == 3
 
 
-def test_stop_strategy_rejects_after_crash():
-    with _cluster(supervision=SupervisionPolicy(strategy="stop")) as cluster:
+def _stop_strategy_rejects_after_crash(backend):
+    with _cluster(backend=backend,
+                  supervision=SupervisionPolicy(strategy="stop")) as cluster:
         be = cluster.runtime
         be.register_actor("counter", CounterActor)
         cluster.start()
@@ -128,10 +137,11 @@ def test_stop_strategy_rejects_after_crash():
         assert be.supervisor.stops == 1
 
 
-def test_escalation_on_budget_exhaustion_fails_silo():
+def _escalation_on_budget_exhaustion_fails_silo(backend):
     policy = SupervisionPolicy(max_restarts=1, window=60.0,
                                on_exhaustion="escalate")
-    with _cluster(supervision=policy, call_timeout=0.5) as cluster:
+    with _cluster(backend=backend, supervision=policy,
+                  call_timeout=0.5) as cluster:
         be = cluster.runtime
         be.register_actor("counter", CounterActor)
         cluster.start()
@@ -151,6 +161,31 @@ def test_escalation_on_budget_exhaustion_fails_silo():
         # surviving silo, fresh.
         assert _call(be, ref, "bump") == 1
         assert be.locate(ref.id) == 1
+        assert be.actor_crashes == 2 and be.inflight_requests == 0
+
+
+def test_restart_restores_persisted_state():
+    _restart_restores_persisted_state("asyncio")
+
+
+def test_stop_strategy_rejects_after_crash():
+    _stop_strategy_rejects_after_crash("asyncio")
+
+
+def test_escalation_on_budget_exhaustion_fails_silo():
+    _escalation_on_budget_exhaustion_fails_silo("asyncio")
+
+
+@pytest.mark.parametrize("verdict", [
+    _restart_restores_persisted_state,
+    _stop_strategy_rejects_after_crash,
+    _escalation_on_budget_exhaustion_fails_silo,
+], ids=["restart", "stop", "escalate"])
+def test_supervision_verdicts_on_the_simulator(verdict):
+    # The verdict is SiloCore._crash_turn's, so virtual time runs the
+    # same three cases; what differs is only that the simulator has no
+    # default policy (test_unknown_method_on_the_sim_raises_out_of_run).
+    verdict("sim")
 
 
 # ----------------------------------------------------------------------
@@ -191,13 +226,6 @@ def test_request_against_a_fully_failed_cluster_leaves_nothing_pending():
         assert be.run_until_idle(timeout=0.1)
         cluster.run(until=0.3)  # past call_timeout
         assert outcomes == [] and be.requests_timed_out == 0
-
-
-def test_network_fault_actions_are_rejected_at_build_time():
-    plan = FaultPlan().degrade(at=1.0, until=2.0, drop=0.5)
-    with pytest.raises(BackendError, match="LinkDegradation"):
-        build_cluster(ClusterConfig(num_servers=2), backend="asyncio",
-                      faults=plan)
 
 
 # ----------------------------------------------------------------------
@@ -421,11 +449,11 @@ def test_plain_unknown_and_misyielding_methods():
 
 
 def test_unknown_method_on_the_sim_raises_out_of_run():
-    # The simulator has no supervisor: a request naming a method the
-    # actor lacks (what the retired static unknown-method rule looked
-    # for) is a crashed turn, and the sim driver re-raises crashes
-    # — the run stops with the AttributeError instead of answering the
-    # caller with an ActorError as asyncio does above.
+    # The simulator has no default supervisor: a request naming a method
+    # the actor lacks (what the retired static unknown-method rule looked
+    # for) is a crashed turn, and with no policy the core re-raises
+    # crashes — the run stops with the AttributeError instead of
+    # answering the caller with an ActorError as asyncio does above.
     cluster, be = _turn_cluster(backend="sim")
     with cluster:
         ref = be.ref("turn", "plain")
@@ -584,22 +612,57 @@ def test_unknown_backend_rejected():
         build_cluster(ClusterConfig(), backend="threads")
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"actop": ActOpConfig(thread_allocation=ThreadControllerConfig())},
-    {"autoscale": AutoscaleConfig()},
-    {"sim": Simulator()},
-])
-def test_sim_only_layers_rejected_on_asyncio(kwargs):
-    with pytest.raises(BackendError, match="simulator-only"):
-        build_cluster(ClusterConfig(), backend="asyncio", **kwargs)
+# One row per layer: what build_cluster is asked for, and the physical
+# reason a driver gives for refusing it (a driver not named builds it).
+# DESIGN.md "One runtime core, two drivers" carries the same matrix.
+LAYERS = [
+    ("partitioning",
+     lambda: {"actop": ActOpConfig(partitioning=PartitioningConfig())}, {}),
+    ("thread-allocation",
+     lambda: {"actop": ActOpConfig(
+         thread_allocation=ThreadControllerConfig())},
+     {"asyncio": "no stages"}),
+    ("autoscale", lambda: {"autoscale": AutoscaleConfig()},
+     {"asyncio": "no stages"}),
+    ("shared-sim", lambda: {"sim": Simulator()}, {"asyncio": "wall clock"}),
+    ("retry-deadline-capacity",
+     lambda: {"resilience": ResilienceConfig(
+         call_timeout=0.5, request_deadline=2.0,
+         retry=RetryPolicy(max_attempts=3),
+         admission=AdmissionConfig(capacity=8))}, {}),
+    ("receiver-queue",
+     lambda: {"resilience": ResilienceConfig(
+         admission=AdmissionConfig(receiver_queue=8))},
+     {"asyncio": "no receiver stage"}),
+    ("supervision", lambda: {"supervision": SupervisionPolicy()}, {}),
+    ("crash-restart-faults",
+     lambda: {"faults": FaultPlan().crash(1.0, 1).restart(2.0, 1)
+              .drain_silo(3.0, 0).add_silo(4.0).stale_directory(5.0)}, {}),
+    ("slow-silo", lambda: {"faults": FaultPlan().slow_silo(1.0, 2.0, 0)},
+     {"asyncio": "SlowSilo perturbs the modeled"}),
+    ("partition",
+     lambda: {"faults": FaultPlan().partition(1.0, 2.0, [0], [1])},
+     {"asyncio": "NetworkPartition perturbs the modeled"}),
+    ("degrade",
+     lambda: {"faults": FaultPlan().degrade(1.0, 2.0, drop=0.5)},
+     {"asyncio": "LinkDegradation perturbs the modeled"}),
+    ("tcp-transport", lambda: {"transport": "tcp"},
+     {"sim": "real sockets"}),
+]
 
 
-def test_unsupported_resilience_rejected_on_asyncio():
-    resilience = ResilienceConfig(call_timeout=0.5,
-                                  retry=RetryPolicy(max_attempts=3))
-    with pytest.raises(BackendError, match="retry"):
-        build_cluster(ClusterConfig(), backend="asyncio",
-                      resilience=resilience)
+@pytest.mark.parametrize("backend", ["sim", "asyncio"])
+@pytest.mark.parametrize("kwargs, refusals",
+                         [layer[1:] for layer in LAYERS],
+                         ids=[layer[0] for layer in LAYERS])
+def test_layer_runs_or_names_its_physical_reason(kwargs, refusals, backend):
+    config = ClusterConfig(num_servers=2)
+    if backend in refusals:
+        with pytest.raises(BackendError, match=refusals[backend]):
+            build_cluster(config, backend=backend, **kwargs())
+    else:
+        with build_cluster(config, backend=backend, **kwargs()) as cluster:
+            assert cluster.runtime.name == backend
 
 
 def test_resilience_call_timeout_carries_to_asyncio():
@@ -608,16 +671,13 @@ def test_resilience_call_timeout_carries_to_asyncio():
     with cluster:
         assert cluster.runtime.call_timeout == 1.5
         assert cluster.runtime.name == "asyncio"
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"supervision": SupervisionPolicy()},
-    {"transport": "tcp"},
-    {"call_timeout": 1.0},
-])
-def test_asyncio_only_knobs_rejected_on_sim(kwargs):
-    with pytest.raises(BackendError, match="asyncio"):
-        build_cluster(ClusterConfig(), backend="sim", **kwargs)
+    # No call_timeout given: a real runtime still never waits forever.
+    cluster = build_cluster(
+        ClusterConfig(num_servers=2), backend="asyncio",
+        resilience=ResilienceConfig(retry=RetryPolicy(max_attempts=2)))
+    with cluster:
+        assert cluster.runtime.call_timeout == 5.0
+        assert cluster.runtime.retry_policy.max_attempts == 2
 
 
 def test_unknown_transport_rejected():

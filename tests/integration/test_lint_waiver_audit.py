@@ -2,8 +2,7 @@
 through the CLI: every waiver in the tree is justified and suppresses
 something, a waiver left behind by a deleted rule fails the audit, and
 ``--list-rules --json`` is the structured inventory of what is
-registered.  (The file keeps its name from the interprocedural flow pass
-it used to test; that pass was retired in PR 22.)"""
+registered."""
 
 import json
 import os

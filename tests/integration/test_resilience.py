@@ -3,13 +3,16 @@
 Covers the late-response double-completion regression (a response
 arriving after its timeout must be discarded, not re-completed), retry
 under transient faults, retry-budget and deadline exhaustion, admission
-control under both shed policies, and that the pre-layering flat forms
-are rejected by Python's own ``TypeError``.
+control under both shed policies — on the simulator (lossy links under
+virtual time) and on the asyncio driver (a silo crash mid-``Sleep`` and
+naps that outlast the timeout, on ``inproc`` and ``tcp``) — and that the
+pre-layering flat forms are rejected by Python's own ``TypeError``.
 """
 
 import pytest
 
 from repro.actor.actor import Actor
+from repro.actor.calls import Sleep
 from repro.actor.errors import CallTimeout, RequestShed
 from repro.actor.runtime import ActorRuntime, ClusterConfig
 from repro.cluster import build_cluster
@@ -41,8 +44,8 @@ class Heavy(Actor):
         return 1
 
 
-def _request(rt, ref, method, results, **kwargs):
-    rt.client_request(ref, method,
+def _request(rt, ref, method, results, args=(), **kwargs):
+    rt.client_request(ref, method, *args,
                       on_complete=lambda lat, res: results.append(res),
                       **kwargs)
 
@@ -190,6 +193,39 @@ def test_deadline_only_timeout_reports_the_budget_that_was_armed():
     assert "timed out after 0.2s" in str(result)
 
 
+def test_backoff_reaching_the_deadline_ends_the_request_there_once():
+    """A retry whose backoff reaches the request deadline used to be
+    dispatched anyway, with a zero timer: it counted a retry that could
+    never be answered and reported ``timed out after 0.0s``."""
+    cluster = build_cluster(
+        ClusterConfig(num_servers=2, seed=4),
+        resilience=ResilienceConfig(
+            call_timeout=0.06, request_deadline=0.2,
+            retry=RetryPolicy(max_attempts=50, base_delay=0.05)),
+        faults=FaultPlan().degrade(0.0, 100.0, drop=1.0),
+    )
+    rt = cluster.runtime
+    obs = Observability(rt)
+    rt.register_actor("echo", Echo)
+    outcomes = []
+    rt.sim.schedule(0.01, lambda: rt.client_request(
+        rt.ref("echo", 0), "ping",
+        on_complete=lambda lat, res: outcomes.append((rt.sim.now, lat, res))))
+    cluster.start()
+    rt.run(until=1.0)
+    # Attempt 1 times out at 0.07 and backs off 50-75 ms; attempt 2 times
+    # out by 0.205, and its 100-150 ms backoff overshoots 0.21.
+    (at, latency, result), = outcomes
+    assert at == pytest.approx(0.21)
+    assert isinstance(result, CallTimeout)
+    assert latency == pytest.approx(0.2)
+    assert "timed out after 0.2s" in str(result)
+    assert rt.request_retries == 1 and rt.requests_timed_out == 1
+    assert len([e for e in obs.events if type(e).KIND == "retry"]) == 1
+    assert obs.tracer.requests_seen == obs.tracer.requests_finished == 2
+    assert rt.inflight_requests == 0
+
+
 # ----------------------------------------------------------------------
 # Admission control.
 # ----------------------------------------------------------------------
@@ -281,6 +317,99 @@ def test_admission_frees_slots_on_completion():
     rt.run(until=3.0)
     assert results == [1, 1, 1]
     assert rt.requests_shed == 0
+
+
+# ----------------------------------------------------------------------
+# The same layer on the asyncio driver.  Every assertion is on counts and
+# outcomes, never on how fast the wall clock got there; flush() and
+# run_until_idle() wait up to 30 s for runs that take well under one.
+# ----------------------------------------------------------------------
+class Napper(Actor):
+    def nap(self, duration):
+        yield Sleep(duration)
+        return "rested"
+
+
+def _asyncio_cluster(transport, resilience, servers=2):
+    cluster = build_cluster(ClusterConfig(num_servers=servers, seed=6),
+                            backend="asyncio", transport=transport,
+                            resilience=resilience)
+    cluster.runtime.register_actor("napper", Napper)
+    cluster.start()
+    return cluster
+
+
+TRANSPORTS = pytest.mark.parametrize("transport", ["inproc", "tcp"])
+
+
+@TRANSPORTS
+def test_asyncio_retry_completes_on_the_replaced_actor(transport):
+    resilience = ResilienceConfig(
+        call_timeout=0.5, request_deadline=10.0,   # ten 50 ms naps
+        retry=RetryPolicy(max_attempts=3, base_delay=0.01),
+        admission=AdmissionConfig(capacity=1))
+    with _asyncio_cluster(transport, resilience) as cluster:
+        be = cluster.runtime
+        obs = Observability(be)
+        ref = be.ref("napper", 0)
+        be.spawn(ref, server=1)
+        first, second = [], []
+        # The silo dies under the sleeping turn (armed first, so its
+        # timer is due before the nap's however slow the hour): the
+        # attempt can only time out, and the retry re-places the actor
+        # on the survivor.
+        be.clock.schedule(0.01, be.fail_silo, 1)
+        _request(be, ref, "nap", first, args=(0.05,))
+        _request(be, ref, "nap", second, args=(0.05,))  # window is full
+        assert len(second) == 1 and isinstance(second[0], RequestShed)
+        be.flush()
+        assert first == ["rested"] and be.locate(ref.id) == 0
+        assert be.request_retries == 1 and be.requests_completed == 1
+        assert be.requests_shed == 1 and be.requests_timed_out == 0
+        assert be.run_until_idle() and be.inflight_requests == 0
+        assert len([e for e in obs.events if type(e).KIND == "retry"]) == 1
+        assert obs.tracer.requests_seen == obs.tracer.requests_finished == 2
+
+
+@TRANSPORTS
+def test_asyncio_retry_budget_and_non_idempotent_requests(transport):
+    resilience = ResilienceConfig(
+        call_timeout=0.03, retry=RetryPolicy(max_attempts=3, base_delay=0.01))
+    with _asyncio_cluster(transport, resilience) as cluster:
+        be = cluster.runtime
+        replayable, one_shot = [], []
+        # Every attempt naps ten timeouts long.
+        _request(be, be.ref("napper", 0), "nap", replayable, args=(0.3,))
+        _request(be, be.ref("napper", 1), "nap", one_shot, args=(0.3,),
+                 idempotent=False)
+        be.flush()
+        assert isinstance(replayable[0], CallTimeout)
+        assert isinstance(one_shot[0], CallTimeout)
+        assert len(replayable) == len(one_shot) == 1
+        assert be.request_retries == 2        # attempts 2 and 3 of the first
+        assert be.requests_timed_out == 2 and be.requests_completed == 0
+        assert be.run_until_idle() and be.inflight_requests == 0
+        assert be.late_responses == 4         # every nap did answer, late
+
+
+@TRANSPORTS
+def test_asyncio_request_deadline_caps_the_retry_storm(transport):
+    resilience = ResilienceConfig(
+        call_timeout=0.06, request_deadline=0.2,
+        retry=RetryPolicy(max_attempts=50, base_delay=0.01))
+    with _asyncio_cluster(transport, resilience) as cluster:
+        be = cluster.runtime
+        outcomes = []
+        be.client_request(be.ref("napper", 0), "nap", 0.5,
+                          on_complete=lambda lat, res: outcomes.append(
+                              (be.clock.now, lat, res)))
+        be.flush()
+        (at, latency, result), = outcomes
+        assert isinstance(result, CallTimeout)
+        assert 0.2 <= at < 2.0                # at the deadline, not 50 x 0.06
+        assert latency == 0.2 and "timed out after 0.2s" in str(result)
+        assert be.requests_timed_out == 1 and be.request_retries <= 3
+        assert be.run_until_idle() and be.inflight_requests == 0
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,9 @@ import time
 
 import pytest
 
+from repro import ClusterConfig, build_cluster
+from repro.actor.actor import Actor
+from repro.actor.calls import Call
 from repro.bench.harness import HaloExperiment
 from repro.obs import (
     Observability,
@@ -28,6 +31,7 @@ from repro.obs import (
     stage_totals,
 )
 from repro.obs.events import (
+    ActivationEvent,
     ExchangeEvent,
     MigrationEvent,
     PartitionRoundEvent,
@@ -186,3 +190,65 @@ def test_double_attach_is_rejected():
     obs.detach()
     second = Observability(exp.runtime)  # fine after detach
     assert exp.runtime.obs is second
+
+
+# ----------------------------------------------------------------------
+# The same attachment on the asyncio driver: no stages to hook, the
+# core's request / call / lifecycle hooks all the same.
+# ----------------------------------------------------------------------
+class _Chatter(Actor):
+    def poke(self, partner):
+        return (yield Call(partner, "ack"))
+
+
+class _Partner(Actor):
+    def ack(self):
+        return 1
+
+
+@pytest.mark.parametrize("transport", ["inproc", "inproc-copy", "tcp"])
+def test_observability_on_the_asyncio_driver(transport):
+    cluster = build_cluster(ClusterConfig(num_servers=2, seed=5),
+                            backend="asyncio", transport=transport)
+    with cluster:
+        be = cluster.runtime
+        obs = Observability(be)
+        be.register_actor("chatter", _Chatter)
+        be.register_actor("partner", _Partner)
+        cluster.start()
+        obs.begin_recorder_window()
+        pairs = [(be.ref("chatter", i), be.ref("partner", i))
+                 for i in range(4)]
+        for chatter, partner in pairs:
+            be.spawn(chatter, server=0)
+            be.spawn(partner, server=1)    # every poke crosses silos
+        answers = []
+        for _ in range(3):
+            for chatter, partner in pairs:
+                be.client_request(chatter, "poke", partner,
+                                  on_complete=lambda _l, r: answers.append(r))
+        be.flush()
+        # Move one partner next to its chatter, then talk to it again.
+        moved = pairs[0][1]
+        assert be.silos[1].migrate(moved.id, 0)
+        be.client_request(pairs[0][0], "poke", moved,
+                          on_complete=lambda _l, r: answers.append(r))
+        be.flush()
+        assert be.run_until_idle()
+
+        assert answers == [1] * 13 and be.locate(moved.id) == 0
+        tracer = obs.tracer
+        assert tracer.requests_seen == tracer.requests_finished == 13
+        assert not tracer._open_requests and not tracer._open_calls
+        # Request and call spans only: there is no stage or modeled hop.
+        cats = sorted(span.cat for span in obs.spans)
+        assert cats == ["call"] * 13 + ["request"] * 13
+        # 8 spawns + the re-activation of the moved partner.
+        assert len(obs.events.of_kind(ActivationEvent)) == 9
+        (migration,) = obs.events.of_kind(MigrationEvent)
+        assert (migration.actor, migration.source, migration.destination) \
+            == (str(moved.id), 1, 0)
+        # No stages on this driver: the recorder window is empty per silo.
+        assert obs.end_recorder_window() == {0: {}, 1: {}}
+        obs.detach()
+        assert be.obs is None

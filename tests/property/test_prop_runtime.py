@@ -92,10 +92,10 @@ def test_every_request_accounted_for(scenario):
     rt.run(until=30.0)
 
     issued = 2 * n_requests
-    in_flight = len(rt._client_hooks)  # hooks not used; zero expected
     completed = rt.requests_completed
     rejected = rt.rejected_requests
     assert completed + rejected == issued
+    assert rt.inflight_requests == 0  # the client table emptied too
     # the system fully drained: no stuck turns anywhere
     for silo in rt.silos:
         for activation in silo.activations.values():

@@ -146,15 +146,15 @@ def test_drivers_do_not_reimplement_the_core():
     from repro.backend.asyncio_backend import AsyncioBackend, AsyncioSilo
 
     silo_hooks = {"_pump", "_send_remote", "_reply_to_client",
-                  "_arm_deadline", "_turn_crashed", "_on_down", "_on_up",
-                  "_driver_idle", "load"}
+                  "_arm_deadline", "_on_down", "_on_up", "_driver_idle",
+                  "load", "stages"}
     cluster_hooks = {"name", "_ingress", "send_control", "run", "start",
                      "shutdown"}
     for core, hooks, drivers, must_own in [
         (SiloCore, silo_hooks, (Silo, AsyncioSilo),
          {"_route", "_resolve_or_place", "_dispatch_request",
           "_enqueue_invocation", "_segment_done", "_start_turn",
-          "_advance_turn", "_resolve_call", "_complete_turn",
+          "_advance_turn", "_crash_turn", "_resolve_call", "_complete_turn",
           "_handle_response", "_call_timed_out", "host", "migrate",
           "deactivate", "collect_idle", "_maybe_finalize_deactivation",
           "fail", "restart", "decommission", "quiesced", "idle"}),
@@ -173,6 +173,6 @@ def test_drivers_do_not_reimplement_the_core():
             assert not owned & set(vars(driver)), (
                 driver.__name__, sorted(owned & set(vars(driver))))
             # ...and every hook the core only declares is filled in.
-            optional = {"_arm_deadline", "_on_down", "_on_up", "start",
-                        "shutdown"}
+            optional = {"_arm_deadline", "_on_down", "_on_up", "stages",
+                        "start", "shutdown"}
             assert hooks - optional <= set(vars(driver)), driver.__name__
