@@ -42,9 +42,9 @@ def run_measurement():
     workload.start()
     rt.run(until=10.0)
     server = rt.silos[0].server
-    server.begin_window()
+    start = server.snapshot()
     rt.run(until=40.0)
-    windows = server.end_window()
+    windows = server.windows_since(start)
 
     alpha_loads = estimate_stage_loads(
         measure_windows(windows, blocking_stages=("worker",))

@@ -46,10 +46,10 @@ def run_breakdown():
     exp.workload.start()
     rt.run(until=10.0)
     rt.reset_latency_stats()
-    server.begin_window()
+    start = server.snapshot()
     t0 = rt.sim.now
     rt.run(until=30.0)
-    windows = server.end_window()
+    windows = server.windows_since(start)
     trace_error, _ = cross_check(
         stage_totals(obs.spans, t0, rt.sim.now),
         recorder_totals({0: windows}),

@@ -60,7 +60,6 @@ from .analysis import LintReport, Sanitizer, lint_paths
 from .autoscale import AutoscaleConfig, AutoscaleController
 from .backend import (
     AsyncioBackend,
-    Backend,
     BackendError,
     SupervisionPolicy,
 )
@@ -134,7 +133,6 @@ __all__ = [
     "AsyncioBackend",
     "AutoscaleConfig",
     "AutoscaleController",
-    "Backend",
     "BackendError",
     "Call",
     "CallTimeout",

@@ -108,8 +108,8 @@ class _ClientRequest:
 class ClusterCore:
     """A cluster of silos: registry, placement, membership, client edge.
 
-    Also the :class:`~repro.backend.base.Backend` both engines present:
-    ``spawn`` / ``send`` / ``call`` / ``clock`` / ``rng`` plus lifecycle.
+    Also the API both engines present: ``spawn`` / ``send`` /
+    ``client_request``, the clock as ``sim``, ``rng`` plus lifecycle.
     A driver's ``__init__`` calls this one with its clock, then builds
     ``self.silos``.
     """
@@ -220,18 +220,8 @@ class ClusterCore:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Backend seams and lifecycle
+    # Lifecycle and the client-facing API
     # ------------------------------------------------------------------
-    @property
-    def clock(self):
-        """The engine's time source (virtual or wall)."""
-        return self.sim
-
-    @property
-    def runtime(self) -> "ClusterCore":
-        """The runtime-shaped facade workloads and pools drive."""
-        return self
-
     def start(self) -> "ClusterCore":
         """Bring the engine up (open transports). Idempotent."""
         return self
@@ -284,16 +274,6 @@ class ClusterCore:
         self._ingress(gateway, destination, Message(
             kind=MessageKind.ONEWAY, target=ref.id, method=method,
             args=args, size=size, created_at=self.sim.now))
-
-    def call(self, ref: ActorRef, method: str, *args: Any,
-             size: int = 256, response_size: int = 256,
-             on_complete: Optional[Callable[[float, Any], None]] = None,
-             idempotent: bool = True) -> None:
-        """Request/response from outside the cluster (the backend-seam
-        name of :meth:`client_request`)."""
-        self.client_request(
-            ref, method, *args, size=size, response_size=response_size,
-            on_complete=on_complete, idempotent=idempotent)
 
     # ------------------------------------------------------------------
     # Activation management (silos call back into these)

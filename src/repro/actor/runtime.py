@@ -5,8 +5,7 @@ plays Orleans' role in the reproduction — and the sim driver of
 :class:`~repro.actor.core.ClusterCore`: it owns the simulator, the
 modeled network, the cost model and the per-silo SEDA servers, and
 exposes the measurement points the paper reports on top of the core's:
-per-server CPU.  It *is* the simulator's
-:class:`~repro.backend.base.Backend`.
+per-server CPU.
 
 Client-side resilience (retry with backoff, end-to-end deadlines,
 bounded admission with load shedding) is configured through a

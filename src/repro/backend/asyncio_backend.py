@@ -87,9 +87,9 @@ _TRANSPORTS = ("inproc", "inproc-copy", "tcp")
 class WallClock:
     """Wall time rebased to 0 at backend construction.
 
-    Satisfies the :class:`~repro.backend.base.Clock` protocol with the
-    simulator's ``now``/``schedule``/``defer`` vocabulary so timer-based
-    code (fault plans, report loops) runs against either engine.
+    Speaks the simulator's ``now``/``schedule``/``defer`` vocabulary, so
+    timer-based code (fault plans, report loops) runs against either
+    engine.
     """
 
     __slots__ = ("_loop", "_t0")

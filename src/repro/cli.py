@@ -484,13 +484,12 @@ def _run_trace(args: argparse.Namespace) -> int:
         actop.start()
 
     rt.run(until=args.warmup)
-    # Private counter snapshots, not StagedServer.begin_window(): the
-    # thread-allocation controllers re-arm the server's shared window
-    # slot every tick, which would shrink ours to the last tick.
-    t0 = obs.begin_recorder_window()
+    t0 = rt.sim.now
+    snapshots = [(silo, silo.server.snapshot()) for silo in rt.silos]
     rt.run(until=args.warmup + args.duration)
     t1 = rt.sim.now
-    windows = obs.end_recorder_window()
+    windows = {silo.server_id: silo.server.windows_since(snapshot)
+               for silo, snapshot in snapshots}
 
     tracer = obs.tracer
     full_sampling = args.sample >= 1.0

@@ -43,11 +43,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from .actor.core import ClusterCore
 from .actor.runtime import ActorRuntime, ClusterConfig
 from .autoscale.config import AutoscaleConfig
 from .autoscale.controller import AutoscaleController
 from .backend.asyncio_backend import AsyncioBackend
-from .backend.base import Backend, BackendError
+from .backend.base import BackendError
 from .backend.supervision import SupervisionPolicy, Supervisor
 from .core.actop import ActOp, ActOpConfig
 from .faults.injector import FaultInjector
@@ -81,7 +82,7 @@ class Cluster:
     actop: Optional[ActOp] = None
     injector: Optional[FaultInjector] = None
     autoscale: Optional[AutoscaleController] = None
-    backend: Optional[Backend] = None
+    backend: Optional[ClusterCore] = None
     _started: bool = field(default=False, repr=False)
 
     def start(self) -> "Cluster":

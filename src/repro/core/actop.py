@@ -17,7 +17,7 @@ configs consumed by :func:`repro.cluster.build_cluster`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..actor.core import ClusterCore
 from .partitioning.coordinator import PartitionAgent, PartitioningConfig
@@ -32,10 +32,6 @@ class ThreadControllerConfig:
 
     eta: float = 1e-4          # the paper calibrates 100 µs/thread
     period: float = 10.0
-    blocking_stages: Sequence[str] = ("worker",)
-    min_threads: int = 1
-    max_threads: Optional[int] = None
-    min_events: int = 50
 
 
 @dataclass
@@ -81,27 +77,13 @@ class ActOp:
 
         if config.thread_allocation is not None:
             cfg = config.thread_allocation
-            for silo in runtime.silos:
-                self.controllers.append(
-                    ModelBasedController(
-                        runtime.sim,
-                        silo.server,
-                        eta=cfg.eta,
-                        period=cfg.period,
-                        blocking_stages=cfg.blocking_stages,
-                        min_threads=cfg.min_threads,
-                        max_threads=cfg.max_threads,
-                        min_events=cfg.min_events,
-                    )
-                )
+            self.controllers = [
+                ModelBasedController(runtime.sim, silo.server, eta=cfg.eta,
+                                     period=cfg.period, runtime=runtime)
+                for silo in runtime.silos
+            ]
 
     def start(self) -> None:
-        # Thread controllers have no runtime handle, so the event log is
-        # wired here; partition agents read runtime.obs at emit time.
-        obs = self.runtime.obs
-        if obs is not None:
-            for controller in self.controllers:
-                controller.event_log = obs.events
         for agent in self.agents:
             agent.start()
         for controller in self.controllers:

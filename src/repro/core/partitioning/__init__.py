@@ -13,7 +13,6 @@ from .offline import OfflinePartitioner
 from .protocol import (
     ExchangeRequest,
     ExchangeResponse,
-    build_request,
     handle_request,
     rescore_candidates,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "PartitionView",
     "PartitioningConfig",
     "PeerProposal",
-    "build_request",
     "candidate_set",
     "greedy_exchange",
     "handle_request",

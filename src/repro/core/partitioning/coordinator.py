@@ -271,7 +271,6 @@ class PartitionAgent:
             request,
             k=self.candidate_k(),
             delta=self.config.delta,
-            exchanged_recently=False,
         )
         if response.accepted and response.outcome is not None:
             for vertex in response.outcome.returned:

@@ -116,7 +116,6 @@ def greedy_exchange(
     size_p: float,
     size_q: float,
     delta: float,
-    max_moves: Optional[int] = None,
     vertex_sizes: Optional[Mapping[Vertex, float]] = None,
 ) -> ExchangeOutcome:
     """Jointly select S0 and T0 under the balance constraint.
@@ -130,8 +129,6 @@ def greedy_exchange(
             ``vertex_sizes`` is given — the §4.2 extension).
         size_q: current load of q, same units.
         delta: imbalance tolerance (the paper's δ), same units.
-        max_moves: optional hard cap on total marked moves, an extra
-            safety bound on migration churn.
         vertex_sizes: optional per-vertex sizes for the paper's
             different-actor-sizes extension; a missing vertex counts 1.
 
@@ -168,8 +165,6 @@ def greedy_exchange(
         return new_gap <= delta or new_gap < gap(0.0, 0.0)
 
     while True:
-        if max_moves is not None and outcome.moves >= max_moves:
-            break
         best_s = s_side.peek()
         best_t = t_side.peek()
         s_ok = best_s is not None and balance_ok(vsize(best_s[0]), 0.0)

@@ -108,20 +108,17 @@ class OfflinePartitioner:
         view_p = self.view_of(initiator)
         for proposal in rank_peers(view_p, self.k):
             q = proposal.peer
+            if (self.cooldown_rounds > 0
+                    and self._step - self._last_exchange_step.get(q, -10**9)
+                    <= self.cooldown_rounds):
+                continue  # q rejects on cooldown, before it builds a view
             request = ExchangeRequest(
                 initiator=initiator,
                 target=q,
                 candidates=proposal.candidates,
                 initiator_size=view_p.size,
             )
-            recent = (
-                self.cooldown_rounds > 0
-                and self._step - self._last_exchange_step.get(q, -10**9)
-                <= self.cooldown_rounds
-            )
-            response = handle_request(
-                self.view_of(q), request, self.k, self.delta, exchanged_recently=recent
-            )
+            response = handle_request(self.view_of(q), request, self.k, self.delta)
             if not response.accepted:
                 continue
             outcome = response.outcome

@@ -3,9 +3,12 @@
 The five steps of the paper's Alg. 1, as pure logic over
 :class:`~repro.core.partitioning.view.PartitionView`:
 
-1. p sends q an exchange request with candidate set S
-   (:func:`build_request`, using :func:`repro.core.partitioning.candidate.rank_peers`);
-2. q rejects if it exchanged recently (cooldown);
+1. p sends q an :class:`ExchangeRequest` with candidate set S (one
+   :func:`repro.core.partitioning.candidate.rank_peers` pass scores
+   every peer at once);
+2. q rejects if it exchanged recently (cooldown) — decided by the host
+   before q builds a view, since most requests in a busy cluster end
+   there;
 3. otherwise q builds its own candidate set T toward p, re-scores p's
    shipped candidates against its fresher knowledge
    (:func:`rescore_candidates`), and
@@ -13,9 +16,10 @@ The five steps of the paper's Alg. 1, as pure logic over
    (:func:`handle_request`);
 5. the transport layer then migrates T0 to p and notifies p of S0.
 
-Transport (who carries the messages, with what latency) is the host's
-job — the online coordinator uses the simulated control plane; the
-offline driver calls these functions directly.
+Transport (who carries the messages, with what latency) and the cooldown
+clock are the host's job — the online coordinator uses the simulated
+control plane and sim time; the offline driver counts protocol steps and
+calls these functions directly.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .view import PartitionView
 __all__ = [
     "ExchangeRequest",
     "ExchangeResponse",
-    "build_request",
     "rescore_candidates",
     "handle_request",
 ]
@@ -57,24 +60,6 @@ class ExchangeResponse:
     accepted: bool
     outcome: Optional[ExchangeOutcome] = None
     rejection_reason: str = ""
-
-    @property
-    def accepted_vertices(self) -> list[Vertex]:
-        return self.outcome.accepted if self.outcome else []
-
-    @property
-    def returned_vertices(self) -> list[Vertex]:
-        return self.outcome.returned if self.outcome else []
-
-
-def build_request(view: PartitionView, target: ServerId, k: int) -> ExchangeRequest:
-    """Construct p's request toward a chosen peer."""
-    return ExchangeRequest(
-        initiator=view.server_id,
-        target=target,
-        candidates=candidate_set(view, target, k),
-        initiator_size=view.size,
-    )
 
 
 def rescore_candidates(
@@ -113,12 +98,8 @@ def handle_request(
     request: ExchangeRequest,
     k: int,
     delta: int,
-    exchanged_recently: bool,
-    max_moves: Optional[int] = None,
 ) -> ExchangeResponse:
-    """q's side of Alg. 1 (steps 2-4)."""
-    if exchanged_recently:
-        return ExchangeResponse(accepted=False, rejection_reason="cooldown")
+    """q's side of Alg. 1 (steps 3-4); the caller has applied the cooldown."""
     if request.target != view_q.server_id:
         return ExchangeResponse(accepted=False, rejection_reason="misrouted")
 
@@ -130,6 +111,5 @@ def handle_request(
         size_p=request.initiator_size,
         size_q=view_q.size,
         delta=delta,
-        max_moves=max_moves,
     )
     return ExchangeResponse(accepted=True, outcome=outcome)

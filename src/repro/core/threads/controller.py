@@ -17,14 +17,11 @@ periodically:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
-
 from ...bench.metrics import TimeSeries
 from ...obs.events import ThreadAllocationEvent
 from ...seda.server import StagedServer
 from ...sim.engine import Simulator
-from .estimator import estimate_stage_loads, measure_windows
+from .estimator import estimate_alpha, estimate_stage_loads, measure_windows
 from .model import ThreadAllocationProblem
 from .optimizer import integerize, solve_fractional
 
@@ -48,13 +45,9 @@ class _PeriodicController:
         }
         self.ticks = 0
         self._running = False
-        # Optional repro.obs EventLog; ActOp.start() wires it when an
-        # Observability is attached to the runtime.
-        self.event_log = None
 
     def start(self) -> None:
         self._running = True
-        self.server.begin_window()
         self.sim.schedule(self.period, self._tick)
 
     def stop(self) -> None:
@@ -86,7 +79,6 @@ class QueueLengthController(_PeriodicController):
         period: control interval (the paper's emulator uses 30 s).
         high_threshold: queue length above which a stage gains a thread (Th).
         low_threshold: queue length below which a stage loses one (Tl).
-        max_threads: optional per-stage cap.
     """
 
     def __init__(
@@ -96,57 +88,39 @@ class QueueLengthController(_PeriodicController):
         period: float = 30.0,
         high_threshold: int = 100,
         low_threshold: int = 10,
-        max_threads: Optional[int] = None,
     ):
         super().__init__(sim, server, period)
         if low_threshold >= high_threshold:
             raise ValueError("need low_threshold < high_threshold")
         self.high_threshold = high_threshold
         self.low_threshold = low_threshold
-        self.max_threads = max_threads
 
     def _control(self) -> None:
-        changed = False
         for stage in self.server.stages.values():
             qlen = stage.queue_length
             if qlen > self.high_threshold:
-                target = stage.threads + 1
-                if self.max_threads is None or target <= self.max_threads:
-                    stage.set_threads(target)
-                    changed = True
+                stage.set_threads(stage.threads + 1)
             elif qlen < self.low_threshold and stage.threads > 1:
                 stage.set_threads(stage.threads - 1)
-                changed = True
-        if changed and self.event_log is not None:
-            self.event_log.emit(ThreadAllocationEvent(
-                self.sim.now, server=self.server.name,
-                allocation=self.server.thread_allocation(),
-                alpha=0.0, feasible=True, controller="queue"))
-
-
-@dataclass
-class AllocationEvent:
-    """One model-based re-allocation, for post-hoc inspection."""
-
-    time: float
-    allocation: dict[str, int]
-    alpha_estimate: float
-    feasible: bool
 
 
 class ModelBasedController(_PeriodicController):
     """ActOp's controller: estimate, solve (*), apply (§5.3–5.4).
+
+    The controller holds its own counter snapshot of ``server`` and
+    takes the alpha-calibration set S0 from the stages themselves: every
+    stage not declared ``blocking``.
 
     Args:
         sim, server: the controlled server.
         eta: thread-penalty coefficient (calibrated once; §6.2 uses
             100 µs/thread).
         period: re-optimization interval.
-        blocking_stages: names of stages that may block on synchronous
-            calls (their complement is the alpha-calibration set S0).
-        min_threads / max_threads: per-stage clamps.
         min_events: skip a tick whose busiest stage completed fewer
             events than this (too noisy to fit).
+        runtime: the cluster runtime hosting ``server``, if any; each
+            decision goes to ``runtime.obs`` when one is attached at the
+            time it is made.
     """
 
     def __init__(
@@ -155,50 +129,45 @@ class ModelBasedController(_PeriodicController):
         server: StagedServer,
         eta: float = 1e-4,
         period: float = 10.0,
-        blocking_stages: Sequence[str] = (),
-        min_threads: int = 1,
-        max_threads: Optional[int] = None,
         min_events: int = 50,
+        runtime=None,
     ):
         super().__init__(sim, server, period)
         self.eta = eta
-        self.blocking_stages = tuple(blocking_stages)
-        self.min_threads = min_threads
-        self.max_threads = max_threads
         self.min_events = min_events
-        self.allocations: list[AllocationEvent] = []
+        self.runtime = runtime
+        self.allocations: list[ThreadAllocationEvent] = []
+        self._snapshot = None
+
+    def start(self) -> None:
+        self._snapshot = self.server.snapshot()
+        super().start()
 
     def _control(self) -> None:
-        windows = self.server.end_window()
+        server = self.server
+        windows = server.windows_since(self._snapshot)
+        self._snapshot = server.snapshot()
         if max(w.completions for w in windows.values()) < self.min_events:
             return
-        measured = measure_windows(windows, self.blocking_stages)
+        measured = measure_windows(
+            windows,
+            [name for name, stage in server.stages.items() if stage.blocking],
+        )
         loads = estimate_stage_loads(measured)
-        from .estimator import estimate_alpha  # local import to log alpha
-
         alpha = estimate_alpha(measured)
         problem = ThreadAllocationProblem(
-            stages=loads, processors=self.server.cpu.processors, eta=self.eta
+            stages=loads, processors=server.cpu.processors, eta=self.eta
         )
         if not problem.is_feasible():
             # Overloaded: fall back to CPU-proportional shares (min 1 each).
-            allocation = self._proportional_fallback(problem)
-            self._apply(allocation, alpha, feasible=False)
+            self._apply(self._proportional_fallback(problem), alpha, feasible=False)
             return
         fractional = solve_fractional(problem)
         if fractional is None:
             return
-        integral = integerize(problem, fractional, min_threads=self.min_threads)
-        allocation = {
-            load.name: self._clamp(t) for load, t in zip(loads, integral)
-        }
-        self._apply(allocation, alpha, feasible=True)
-
-    def _clamp(self, threads: int) -> int:
-        threads = max(self.min_threads, threads)
-        if self.max_threads is not None:
-            threads = min(self.max_threads, threads)
-        return threads
+        integral = integerize(problem, fractional)
+        self._apply({load.name: t for load, t in zip(loads, integral)},
+                    alpha, feasible=True)
 
     def _proportional_fallback(self, problem: ThreadAllocationProblem) -> dict[str, int]:
         demands = {
@@ -208,21 +177,16 @@ class ModelBasedController(_PeriodicController):
         total = sum(demands.values()) or 1.0
         budget = problem.processors
         return {
-            name: self._clamp(round(budget * d / total))
+            name: max(1, round(budget * d / total))
             for name, d in demands.items()
         }
 
     def _apply(self, allocation: dict[str, int], alpha: float, feasible: bool) -> None:
         self.server.apply_allocation(allocation)
-        self.allocations.append(
-            AllocationEvent(self.sim.now, dict(allocation), alpha, feasible)
-        )
-        if self.event_log is not None:
-            self.event_log.emit(ThreadAllocationEvent(
-                self.sim.now, server=self.server.name,
-                allocation=dict(allocation), alpha=alpha, feasible=feasible,
-                controller="model"))
-
-    @property
-    def last_allocation(self) -> Optional[dict[str, int]]:
-        return self.allocations[-1].allocation if self.allocations else None
+        event = ThreadAllocationEvent(
+            self.sim.now, server=self.server.name, allocation=allocation,
+            alpha=alpha, feasible=feasible, controller="model")
+        self.allocations.append(event)
+        obs = self.runtime.obs if self.runtime is not None else None
+        if obs is not None:
+            obs.events.emit(event)

@@ -120,20 +120,19 @@ def solve_fractional(problem: ThreadAllocationProblem) -> Optional[list[float]]:
 def integerize(
     problem: ThreadAllocationProblem,
     fractional: Sequence[float],
-    min_threads: int = 1,
 ) -> list[int]:
     """Round a fractional allocation to integers, minimizing (*).
 
     Tries every floor/ceil combination (2^K, K is at most a handful of
     stages) and keeps the feasible combination with the best objective.
     Stages forced below stability are bumped to their ceil.  Falls back to
-    all-ceil clamped to ``min_threads`` if nothing is feasible.
+    all-ceil (at least one thread each) if nothing is feasible.
     """
     lower = problem.min_feasible_threads()
     choices: list[list[int]] = []
     for t, lo in zip(fractional, lower):
-        floor_t = max(min_threads, math.floor(t))
-        ceil_t = max(min_threads, math.ceil(t))
+        floor_t = max(1, math.floor(t))
+        ceil_t = max(1, math.ceil(t))
         opts = {ceil_t}
         if floor_t > lo:  # floor keeps the stage stable
             opts.add(floor_t)
@@ -150,32 +149,29 @@ def integerize(
             best, best_obj = alloc, obj
     if best is not None:
         return best
-    return [max(min_threads, math.ceil(t)) for t in fractional]
+    return [max(1, math.ceil(t)) for t in fractional]
 
 
-def solve_integer(
-    problem: ThreadAllocationProblem, min_threads: int = 1
-) -> Optional[list[int]]:
+def solve_integer(problem: ThreadAllocationProblem) -> Optional[list[int]]:
     """End-to-end: fractional solve then integerize."""
     fractional = solve_fractional(problem)
     if fractional is None:
         return None
-    return integerize(problem, fractional, min_threads=min_threads)
+    return integerize(problem, fractional)
 
 
 def grid_search(
     problem: ThreadAllocationProblem,
     max_threads: int,
-    min_threads: int = 1,
 ) -> tuple[list[int], float]:
-    """Brute-force integer optimum over [min_threads, max_threads]^K.
+    """Brute-force integer optimum over [1, max_threads]^K.
 
     Exponential in K — reference implementation for tests and the
     optimizer ablation only.
     """
     best: Optional[list[int]] = None
     best_obj = math.inf
-    rng = range(min_threads, max_threads + 1)
+    rng = range(1, max_threads + 1)
     for combo in itertools.product(rng, repeat=len(problem.stages)):
         alloc = list(combo)
         if not problem.satisfies_cpu_constraint(alloc):

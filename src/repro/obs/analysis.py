@@ -114,7 +114,7 @@ def recorder_totals(
 
     ``windows_by_server`` maps server id to the per-stage
     :class:`~repro.seda.stage.StatsWindow` dict that
-    :meth:`StagedServer.end_window` returns; the window means are
+    :meth:`StagedServer.windows_since` returns; the window means are
     multiplied back into sums so both sides total the same quantity.
     """
     totals: dict[str, dict[str, float]] = defaultdict(

@@ -44,7 +44,6 @@ class Observability:
                              max_spans=max_spans)
         self.events = EventLog(max_events=max_events)
         self._stage_hooks: list[tuple[Any, Any]] = []
-        self._recorder_snapshot: Optional[tuple[float, dict]] = None
         self.attached = False
         self.attach()
 
@@ -93,55 +92,6 @@ class Observability:
             if ctx is not None:
                 tracer.stage_event(server_id, stage.name, ctx, event)
         return observe
-
-    # ------------------------------------------------------------------
-    # Controller-safe recorder windows
-    # ------------------------------------------------------------------
-    def begin_recorder_window(self) -> float:
-        """Privately snapshot every stage's monotone counters.
-
-        ``StagedServer.begin_window``/``end_window`` share one snapshot
-        slot per server, and the thread-allocation controllers re-arm it
-        on every tick — an external measurement window taken through the
-        server API silently shrinks to "since the last controller tick".
-        This pair diffs the monotone :class:`~repro.seda.stage.StageStats`
-        counters directly, so it coexists with any number of controllers.
-
-        Returns the window start time (``sim.now``).
-        """
-        now = self.runtime.sim.now
-        self._recorder_snapshot = (now, {
-            silo.server_id: {
-                name: stage.stats.snapshot()
-                for name, stage in silo.stages.items()
-            }
-            for silo in self.runtime.silos
-        })
-        return now
-
-    def end_recorder_window(self) -> dict[int, dict[str, Any]]:
-        """Close the private window: per-server per-stage StatsWindows.
-
-        The result plugs straight into
-        :func:`~repro.obs.analysis.recorder_totals` for cross-checking
-        against :func:`~repro.obs.analysis.stage_totals` of the spans.
-        """
-        if self._recorder_snapshot is None:
-            raise RuntimeError("begin_recorder_window() was never called")
-        t0, snapshots = self._recorder_snapshot
-        self._recorder_snapshot = None
-        elapsed = self.runtime.sim.now - t0
-        windows: dict[int, dict[str, Any]] = {}
-        for silo in self.runtime.silos:
-            before = snapshots.get(silo.server_id, {})
-            windows[silo.server_id] = {
-                name: stage.stats.window(
-                    before.get(name, (0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)),
-                    elapsed,
-                )
-                for name, stage in silo.stages.items()
-            }
-        return windows
 
     # ------------------------------------------------------------------
     # Convenience accessors / exporters

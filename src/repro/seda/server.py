@@ -2,8 +2,9 @@
 
 This is the generic chassis used both by the Orleans-style actor server
 (:mod:`repro.actor.server`) and by the standalone pipeline emulator
-(:mod:`repro.seda.emulator`).  It owns the CPU pool, the stage registry,
-and the windowed-sampling machinery that controllers consume.
+(:mod:`repro.seda.emulator`).  It owns the CPU pool and the stage
+registry, and hands out counter snapshots that each reader keeps for
+itself.
 """
 
 from __future__ import annotations
@@ -45,9 +46,6 @@ class StagedServer:
             dispatch_overhead=dispatch_overhead,
         )
         self.stages: dict[str, Stage] = {}
-        self._last_sample_time = 0.0
-        self._last_snapshots: dict[str, tuple] = {}
-        self._last_busy_time = 0.0
 
     # ------------------------------------------------------------------
     # Stage management
@@ -83,33 +81,27 @@ class StagedServer:
     # ------------------------------------------------------------------
     # Windowed sampling (what controllers and estimators consume)
     # ------------------------------------------------------------------
-    def begin_window(self) -> None:
-        """Mark the start of a measurement window."""
-        self._last_sample_time = self.sim.now
-        self._last_busy_time = self.cpu.busy_time
-        self._last_snapshots = {
+    def snapshot(self) -> tuple[float, dict[str, tuple]]:
+        """The current instant and every stage's counters.
+
+        The caller keeps the snapshot and later passes it to
+        :meth:`windows_since`, so any number of readers window the same
+        server without disturbing one another.
+        """
+        return self.sim.now, {
             name: st.stats.snapshot() for name, st in self.stages.items()
         }
 
-    def end_window(self) -> dict[str, StatsWindow]:
-        """Close the window and return per-stage stats diffs.
-
-        The window is implicitly re-opened at the current instant, so
-        periodic controllers can call this alone on every tick.
-        """
-        elapsed = self.sim.now - self._last_sample_time
-        windows = {}
-        for name, st in self.stages.items():
-            before = self._last_snapshots.get(name)
-            if before is None:
-                before = (0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
-            windows[name] = st.stats.window(before, elapsed)
-        self.begin_window()
-        return windows
-
-    def cpu_utilization_window(self) -> float:
-        """Utilization since the last :meth:`begin_window` call."""
-        return self.cpu.utilization(self._last_busy_time, self._last_sample_time)
+    def windows_since(
+        self, snapshot: tuple[float, dict[str, tuple]]
+    ) -> dict[str, StatsWindow]:
+        """Per-stage stats diffs from ``snapshot`` to now."""
+        t0, before = snapshot
+        elapsed = self.sim.now - t0
+        return {
+            name: st.stats.window(before[name], elapsed)
+            for name, st in self.stages.items()
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"StagedServer({self.name!r}, stages={list(self.stages)})"

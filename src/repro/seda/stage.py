@@ -134,7 +134,6 @@ class StageStats:
         arrivals = self.arrivals - before[0]
         completions = self.completions - before[1]
         n = max(completions, 1)
-        wait_before = before[6] if len(before) > 6 else 0.0
         return StatsWindow(
             elapsed=elapsed,
             arrivals=arrivals,
@@ -143,7 +142,7 @@ class StageStats:
             mean_x=(self.sum_x - before[3]) / n,
             mean_queue_wait=(self.sum_queue_wait - before[4]) / n,
             mean_ready=(self.sum_ready - before[5]) / n,
-            mean_wait=(self.sum_wait - wait_before) / n,
+            mean_wait=(self.sum_wait - before[6]) / n,
         )
 
 

@@ -70,8 +70,8 @@ def _instance(be, ref):
 
 def _call(backend, ref, method, *args):
     results = []
-    backend.call(ref, method, *args,
-                 on_complete=lambda _lat, res: results.append(res))
+    backend.client_request(ref, method, *args,
+                           on_complete=lambda _lat, res: results.append(res))
     # Until that request resolved: asyncio's flush, or the simulator's
     # event queue run dry.
     getattr(backend, "flush", backend.run)()
@@ -217,8 +217,8 @@ def test_request_against_a_fully_failed_cluster_leaves_nothing_pending():
         be.fail_silo(1)
         outcomes = []
         with pytest.raises(RuntimeError, match="every silo"):
-            be.call(be.ref("counter", 0), "bump",
-                    on_complete=lambda _lat, res: outcomes.append(res))
+            be.client_request(be.ref("counter", 0), "bump",
+                              on_complete=lambda _lat, res: outcomes.append(res))
         # The raise is the whole outcome: no pending entry to hold the
         # cluster busy, no timer reporting a CallTimeout for a request
         # that was never issued.
@@ -336,7 +336,7 @@ def test_non_reentrant_turns_run_one_at_a_time_in_arrival_order(
         be.spawn(driver, server=0)
         worker = be.ref(actor_type, "worker")
         be.spawn(worker, server=1)
-        be.call(driver, "fan", actor_type, 5)
+        be.client_request(driver, "fan", actor_type, 5)
         cluster.run()
         log = _instance(be, worker).log
         order = [n for kind, n in log if kind == "start"]
@@ -384,7 +384,7 @@ def test_sleeping_turn_of_a_failed_then_restarted_silo_never_resumes():
     with cluster:
         be.spawn(be.ref("turn", "old"), server=0)
         be.send(be.ref("turn", "old"), "nap", 0.05)
-        cluster.run(until=be.clock.now + 0.01)
+        cluster.run(until=be.sim.now + 0.01)
         old = be.silos[0].activations[be.ref("turn", "old").id]
         assert old.open_turns == 1 and not be.silos[0].idle
         be.fail_silo(0)
@@ -394,7 +394,7 @@ def test_sleeping_turn_of_a_failed_then_restarted_silo_never_resumes():
         # the old one's timer finds its pending entry gone and is dropped.
         be.spawn(be.ref("turn", "new"), server=0)
         be.send(be.ref("turn", "new"), "nap", 0.02)
-        cluster.run(until=be.clock.now + 0.08)
+        cluster.run(until=be.sim.now + 0.08)
         assert be.run_until_idle()
         assert TurnActor.WOKE == ["new"]
         assert old.open_turns == 1  # never resumed, never completed
@@ -413,9 +413,9 @@ def test_deadline_heap_stays_compact_and_disarms_when_idle():
         def sample():
             worst.append(len(silo.deadlines) - 2 * len(silo._pending))
             if be.inflight_requests:
-                be.clock.schedule(0.002, sample)
+                be.sim.schedule(0.002, sample)
 
-        be.clock.schedule(0.002, sample)
+        be.sim.schedule(0.002, sample)
         assert _call(be, hammer, "hammer", 10_000) == 10_000
         # 10,000 answered calls under the default 5 s timeout: none of
         # their deadlines has come due, yet the heap never held more
@@ -459,8 +459,8 @@ def test_unknown_method_on_the_sim_raises_out_of_run():
         ref = be.ref("turn", "plain")
         be.spawn(ref, server=0)
         results = []
-        be.call(ref, "no_such_method",
-                on_complete=lambda _lat, res: results.append(res))
+        be.client_request(ref, "no_such_method",
+                          on_complete=lambda _lat, res: results.append(res))
         with pytest.raises(AttributeError, match="no_such_method"):
             cluster.run()
         assert results == []
@@ -493,7 +493,7 @@ def test_drain_forwards_requests_routed_just_before_the_last_eviction(
         assert be.run_until_idle()
         assert results == [1] * 5
         assert be.requests_completed == 5 and be.requests_timed_out == 0
-        cluster.run(until=be.clock.now + 0.03)
+        cluster.run(until=be.sim.now + 0.03)
         assert drained == [0] and be.silos[0].dead
         assert be.silos_drained == 1
         for ref in refs:  # persisted: at eviction, or now on the survivor
@@ -582,8 +582,8 @@ def test_tcp_fail_restart_reconnects_and_leaves_no_outbox():
 
         # Silo 1 dies while silo 0 still owes it a response: the response
         # is dropped (no port to send it to), not parked in an outbox.
-        be.call(asker, "ask", 2)
-        be.clock.schedule(0.01, be.fail_silo, 1)
+        be.client_request(asker, "ask", 2)
+        be.sim.schedule(0.01, be.fail_silo, 1)
         be.flush()
         assert be.run_until_idle()
         assert be.requests_timed_out == 1

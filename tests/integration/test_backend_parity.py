@@ -43,9 +43,9 @@ def _run_ping(backend_name: str, transport: str = "inproc") -> dict:
         be.spawn(be.ref("ponger", 0), server=1)
         results = []
         for i in range(PINGS):
-            be.call(be.ref("pinger", 0), "ping", i, size=64,
-                    response_size=64,
-                    on_complete=lambda _lat, res: results.append(res))
+            be.client_request(be.ref("pinger", 0), "ping", i, size=64,
+                              response_size=64,
+                              on_complete=lambda _lat, res: results.append(res))
             cluster.run()
         rt = cluster.runtime
         pinger_loc = rt.locate(be.ref("pinger", 0).id)

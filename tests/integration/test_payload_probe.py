@@ -63,9 +63,9 @@ def _drive_program() -> tuple[Sanitizer, int]:
             be.spawn(be.ref("sink", 0), server=1)
             be.spawn(be.ref("alias", 0), server=0)
             be.spawn(be.ref("leaky", 0), server=0)
-            be.call(be.ref("alias", 0), "grow", "p1")
-            be.call(be.ref("alias", 0), "share")
-            be.call(be.ref("leaky", 0), "ship")
+            be.client_request(be.ref("alias", 0), "grow", "p1")
+            be.client_request(be.ref("alias", 0), "share")
+            be.client_request(be.ref("leaky", 0), "ship")
             cluster.run()
             failures = cluster.runtime.pickle_copy_failures
     return san, failures

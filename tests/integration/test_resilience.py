@@ -358,7 +358,7 @@ def test_asyncio_retry_completes_on_the_replaced_actor(transport):
         # timer is due before the nap's however slow the hour): the
         # attempt can only time out, and the retry re-places the actor
         # on the survivor.
-        be.clock.schedule(0.01, be.fail_silo, 1)
+        be.sim.schedule(0.01, be.fail_silo, 1)
         _request(be, ref, "nap", first, args=(0.05,))
         _request(be, ref, "nap", second, args=(0.05,))  # window is full
         assert len(second) == 1 and isinstance(second[0], RequestShed)
@@ -402,7 +402,7 @@ def test_asyncio_request_deadline_caps_the_retry_storm(transport):
         outcomes = []
         be.client_request(be.ref("napper", 0), "nap", 0.5,
                           on_complete=lambda lat, res: outcomes.append(
-                              (be.clock.now, lat, res)))
+                              (be.sim.now, lat, res)))
         be.flush()
         (at, latency, result), = outcomes
         assert isinstance(result, CallTimeout)

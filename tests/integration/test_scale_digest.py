@@ -14,9 +14,9 @@ event: any reordering, insertion, or removal of events changes it.
 
 import hashlib
 
-from repro.bench.harness import HaloExperiment
+from repro.bench.harness import HaloExperiment, HeartbeatExperiment
 from repro.obs import Observability
-from repro.obs.events import ExchangeEvent, MigrationEvent
+from repro.obs.events import ExchangeEvent, MigrationEvent, ThreadAllocationEvent
 
 # Captured at PR 6 from the pre-change tree (and verified unchanged
 # after it): players/servers/seed/horizon as in each test below.
@@ -31,6 +31,12 @@ DECISION_DIGEST = "46117e438913c3b1b539fce8b4a6ab4fe9a9cdc726b19d4105c1f1631251e
 DECISION_COUNTS = (47, 28, 242)  # exchange attempts, accepted, migrations
 TENK_DIGEST = "c06142004a1217b126360d4b98860649fd6bf51ed1bd1eaad59fda06f2d75dd1"
 TENK_EVENTS = 57634
+# Captured at 573d127, before the thread controller took its window and
+# its S0 from the stages: every §5 decision of the two slices below.
+HEARTBEAT_THREAD_DIGEST = "451cf9b838e8188458fe2eb816713909564b7e550950b8cb8390cc03d7ba9020"
+HEARTBEAT_THREAD_EVENTS = 5
+HALO_THREAD_DIGEST = "0244d4d1f0e15622d470df5012046152be03d0c929bdbc189d39d8c376bc5792"
+HALO_THREAD_EVENTS = 16
 
 
 def _trace(players, servers, seed, horizon, partitioning=False):
@@ -85,6 +91,31 @@ def test_partitioning_decisions_pinned():
               len(records) - len(exchanges))
     digest = hashlib.sha256("".join(map(repr, records)).encode()).hexdigest()
     assert (digest, counts) == (DECISION_DIGEST, DECISION_COUNTS)
+
+
+def _thread_decisions(exp, horizon):
+    obs = Observability(exp.runtime, sample_rate=0.0)
+    exp.start()
+    exp.runtime.run(until=horizon)
+    records = [(e.time, e.server, sorted(e.allocation.items()), e.alpha,
+                e.feasible)
+               for e in obs.events if isinstance(e, ThreadAllocationEvent)]
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    return digest, len(records)
+
+
+def test_thread_allocation_decisions_pinned():
+    """The seeded §5 decision list — time, server, chosen allocation,
+    estimated alpha, feasibility — on one silo alone and on a Halo
+    cluster where partitioning moves the load under the controllers."""
+    heartbeat = HeartbeatExperiment(request_rate=15_000.0, monitors=800,
+                                    thread_allocation=True, seed=3)
+    assert _thread_decisions(heartbeat, 20.0) == (
+        HEARTBEAT_THREAD_DIGEST, HEARTBEAT_THREAD_EVENTS)
+    halo = HaloExperiment(players=300, num_servers=4, seed=3,
+                          partitioning=True, thread_allocation=True)
+    assert _thread_decisions(halo, 24.0) == (
+        HALO_THREAD_DIGEST, HALO_THREAD_EVENTS)
 
 
 def test_10k_actor_digest_pinned():

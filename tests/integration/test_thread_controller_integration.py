@@ -53,9 +53,9 @@ def test_alpha_estimate_close_to_ground_truth():
     observable quantities only (validated against simulator internals)."""
     rt, _ = run_heartbeat(optimize=False, rate=3000.0, until=10.0)
     server = rt.silos[0].server
-    server.begin_window()
+    start = server.snapshot()
     rt.run(until=20.0)
-    windows = server.end_window()
+    windows = server.windows_since(start)
     measured = measure_windows(windows, blocking_stages=("worker",))
     alpha = estimate_alpha(measured)
     # ground truth from the hidden per-event ready times

@@ -111,8 +111,8 @@ def test_request_spans_form_a_cross_silo_tree():
 @pytest.mark.parametrize("actop", [False, True])
 def test_trace_derived_stage_totals_match_recorders(actop):
     # The actop=True variant is the hard case: actors migrate mid-window
-    # and the thread controllers re-arm the servers' shared window slots
-    # every tick — the private snapshots must coexist with them.
+    # and the thread controllers window the same servers every tick —
+    # each reader's snapshot must stay its own.
     exp = HaloExperiment(players=120, num_servers=3, seed=9,
                          partitioning=actop, thread_allocation=actop)
     obs = Observability(exp.runtime, sample_rate=1.0)
@@ -121,9 +121,11 @@ def test_trace_derived_stage_totals_match_recorders(actop):
     if actop:
         exp.actop.start()
     rt.run(until=3.0)
-    t0 = obs.begin_recorder_window()
+    t0 = rt.sim.now
+    snapshots = [(silo, silo.server.snapshot()) for silo in rt.silos]
     rt.run(until=8.0)
-    windows = obs.end_recorder_window()
+    windows = {silo.server_id: silo.server.windows_since(snapshot)
+               for silo, snapshot in snapshots}
 
     error, components = cross_check(
         stage_totals(obs.spans, t0, rt.sim.now),
@@ -133,9 +135,13 @@ def test_trace_derived_stage_totals_match_recorders(actop):
     assert error < 0.01, f"trace vs recorder divergence {error:.4g}"
 
 
+def _actop_halo():
+    return HaloExperiment(players=150, num_servers=3, seed=4,
+                          partitioning=True, thread_allocation=True)
+
+
 def test_actop_run_emits_runtime_events():
-    exp = HaloExperiment(players=150, num_servers=3, seed=4,
-                         partitioning=True, thread_allocation=True)
+    exp = _actop_halo()
     obs = Observability(exp.runtime, sample_rate=0.0)
     exp.workload.start()
     exp.actop.start()
@@ -156,6 +162,32 @@ def test_actop_run_emits_runtime_events():
     # sample_rate=0 means events flow but no request spans do.
     assert obs.tracer.traces_started == 0
     assert not [s for s in obs.spans if s.cat == "request"]
+
+
+def test_observability_attached_after_start_sees_every_thread_decision():
+    exp = _actop_halo()
+    exp.start()
+    obs = Observability(exp.runtime, sample_rate=0.0)
+    exp.runtime.run(until=20.0)
+
+    logged = obs.events.of_kind(ThreadAllocationEvent)
+    decided = [(a.time, c.server.name)
+               for c in exp.actop.controllers for a in c.allocations]
+    assert decided, "thread controllers acted"
+    assert sorted((e.time, e.server) for e in logged) == sorted(decided)
+    assert obs.events.of_kind(PartitionRoundEvent)
+
+
+def test_detached_observability_receives_no_more_events():
+    exp = _actop_halo()
+    obs = Observability(exp.runtime, sample_rate=0.0)
+    exp.start()
+    exp.runtime.run(until=20.0)
+    obs.detach()
+    frozen = len(obs.events)
+    exp.runtime.run(until=40.0)
+    assert sum(len(c.allocations) for c in exp.actop.controllers) > 0
+    assert len(obs.events) == frozen
 
 
 def test_disabled_tracing_overhead_is_small():
@@ -216,7 +248,6 @@ def test_observability_on_the_asyncio_driver(transport):
         be.register_actor("chatter", _Chatter)
         be.register_actor("partner", _Partner)
         cluster.start()
-        obs.begin_recorder_window()
         pairs = [(be.ref("chatter", i), be.ref("partner", i))
                  for i in range(4)]
         for chatter, partner in pairs:
@@ -248,7 +279,6 @@ def test_observability_on_the_asyncio_driver(transport):
         (migration,) = obs.events.of_kind(MigrationEvent)
         assert (migration.actor, migration.source, migration.destination) \
             == (str(moved.id), 1, 0)
-        # No stages on this driver: the recorder window is empty per silo.
-        assert obs.end_recorder_window() == {0: {}, 1: {}}
+        assert all(not silo.stages for silo in be.silos)
         obs.detach()
         assert be.obs is None

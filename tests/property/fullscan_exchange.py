@@ -75,7 +75,6 @@ def fullscan_greedy_exchange(
     size_p: float,
     size_q: float,
     delta: float,
-    max_moves: Optional[int] = None,
     vertex_sizes: Optional[Mapping[Vertex, float]] = None,
 ) -> ExchangeOutcome:
     """Same contract as :func:`repro.core.partitioning.exchange.greedy_exchange`."""
@@ -109,8 +108,6 @@ def fullscan_greedy_exchange(
         return new_gap <= delta or new_gap < gap(0.0, 0.0)
 
     while True:
-        if max_moves is not None and outcome.moves >= max_moves:
-            break
         best_s = s_side.peek()
         best_t = t_side.peek()
         s_ok = best_s is not None and balance_ok(vsize(best_s[0]), 0.0)

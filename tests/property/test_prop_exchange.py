@@ -62,14 +62,6 @@ def test_invariants(instance):
         assert out.estimated_gain == 0.0
 
 
-@given(exchange_instances(), st.integers(0, 5))
-@settings(max_examples=150, deadline=None)
-def test_max_moves_respected(instance, cap):
-    s, t, size_p, size_q, delta = instance
-    out = greedy_exchange(s, t, size_p, size_q, delta, max_moves=cap)
-    assert out.moves <= cap
-
-
 @given(exchange_instances())
 @settings(max_examples=150, deadline=None)
 def test_deterministic(instance):
@@ -114,8 +106,6 @@ def oracle_instances(draw):
         return out
 
     options = {}
-    if draw(st.booleans()):
-        options["max_moves"] = draw(st.integers(0, 8))
     if draw(st.booleans()):
         options["vertex_sizes"] = {
             name: draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))

@@ -105,8 +105,8 @@ def _run(backend_name: str, seed: int, spec, bursts) -> dict:
         results = []
         for requests, op in bursts:
             for _ in range(requests):
-                be.call(be.ref(kind, key), "run", mode, children,
-                        on_complete=lambda _lat, res: results.append(res))
+                be.client_request(be.ref(kind, key), "run", mode, children,
+                                  on_complete=lambda _lat, res: results.append(res))
             cluster.run()
             if op is not None and op[0] == "migrate":
                 actor_id = be.ref(*nodes[op[1] % len(nodes)]).id

@@ -159,7 +159,7 @@ def test_drivers_do_not_reimplement_the_core():
           "deactivate", "collect_idle", "_maybe_finalize_deactivation",
           "fail", "restart", "decommission", "quiesced", "idle"}),
         (ClusterCore, cluster_hooks, (ActorRuntime, AsyncioBackend),
-         {"register_actor", "ref", "spawn", "send", "call", "activate",
+         {"register_actor", "ref", "spawn", "send", "activate",
           "locate", "deactivate", "census", "pick_live_server", "add_silo",
           "drain_silo", "_drain_poll", "fail_silo", "restart_silo",
           "client_request", "complete_client_request",

@@ -35,25 +35,6 @@ def test_queue_controller_shrinks_idle_stage_to_floor():
     assert stage.threads == 1  # decremented once per tick, floored at 1
 
 
-def test_queue_controller_respects_max_threads():
-    sim = Simulator()
-    server = StagedServer(sim, processors=8, switch_factor=0.0,
-                          dispatch_overhead=0.0)
-    stage = server.add_stage("s", threads=1)
-    ctrl = QueueLengthController(sim, server, period=1.0, high_threshold=1,
-                                 low_threshold=0, max_threads=3)
-    ctrl.start()
-
-    def keep_flooding():
-        for _ in range(50):
-            stage.submit(1.0, lambda ev: None)
-        sim.schedule(1.0, keep_flooding)
-
-    keep_flooding()
-    sim.run(until=10.0)
-    assert stage.threads == 3
-
-
 def test_queue_controller_threshold_validation():
     sim = Simulator()
     server = StagedServer(sim, processors=2)
@@ -133,21 +114,28 @@ def test_model_controller_overload_fallback_is_proportional():
     assert event.allocation["b"] >= event.allocation["a"]
 
 
-def test_model_controller_respects_clamps():
+def test_model_controller_calibrates_alpha_on_non_blocking_stages():
+    """S0 is every stage not declared ``blocking``: the io stage's
+    4 ms wait per event must not be read as ready time."""
     sim = Simulator()
     emu = SedaEmulator(
         sim,
-        [StageProfile("only", compute=0.001, threads=8)],
-        arrival_rate=100.0,
-        processors=8,
+        [
+            StageProfile("cpu", compute=0.002, threads=4),
+            StageProfile("io", compute=0.001, wait=0.004, threads=4),
+        ],
+        arrival_rate=400.0,
+        processors=2,
         switch_factor=0.0,
     )
-    ctrl = ModelBasedController(sim, emu.server, eta=1e-3, period=2.0,
-                                min_events=10, min_threads=2, max_threads=4)
+    assert emu.server.stage("io").blocking
+    ctrl = ModelBasedController(sim, emu.server, period=2.0, min_events=10)
     emu.start()
     ctrl.start()
-    sim.run(until=6.0)
-    assert 2 <= emu.server.stage("only").threads <= 4
+    sim.run(until=8.5)
+    assert len(ctrl.allocations) == 4
+    # Counting io in S0 would put its (z - x) / x >= 4 into the mean.
+    assert all(0.0 <= event.alpha < 1.0 for event in ctrl.allocations)
 
 
 def test_controller_period_validation():

@@ -89,16 +89,6 @@ def test_score_update_on_shared_edge_opposite_sides():
     assert out.returned == []
 
 
-def test_max_moves_cap():
-    out = greedy_exchange(
-        [cand(f"s{i}", 10.0 - i) for i in range(5)],
-        [cand(f"t{i}", 9.5 - i) for i in range(5)],
-        size_p=20, size_q=20, delta=3,
-        max_moves=3,
-    )
-    assert out.moves == 3
-
-
 def test_empty_inputs():
     out = greedy_exchange([], [], size_p=5, size_q=5, delta=1)
     assert out.moves == 0

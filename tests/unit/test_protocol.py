@@ -1,13 +1,14 @@
 """Unit tests for the pairwise coordination protocol (Alg. 1)."""
 
 from repro.core.partitioning.candidate import Candidate
+from repro.core.partitioning.offline import OfflinePartitioner
 from repro.core.partitioning.protocol import (
     ExchangeRequest,
-    build_request,
     handle_request,
     rescore_candidates,
 )
 from repro.core.partitioning.view import PartitionView
+from repro.graph.generators import ring_of_cliques
 
 
 def make_view(server_id, edges, locations, sizes):
@@ -20,27 +21,30 @@ def make_view(server_id, edges, locations, sizes):
     )
 
 
-def test_build_request_carries_candidates_and_size():
-    view = make_view(0, {"v": {"r": 5.0}}, {"r": 1}, {0: 7, 1: 3})
-    request = build_request(view, target=1, k=4)
-    assert request.initiator == 0
-    assert request.target == 1
-    assert request.initiator_size == 7
-    assert [c.vertex for c in request.candidates] == ["v"]
+def _viewed_servers(cooldown_rounds):
+    """Servers whose view one round by server 0 builds, and its moves;
+    server 1, the only peer, exchanged in the step before."""
+    part = OfflinePartitioner(ring_of_cliques(4, 4), num_servers=2, delta=2,
+                              k=16, cooldown_rounds=cooldown_rounds, seed=1)
+    part._last_exchange_step[1] = 0
+    viewed = []
+    view_of = part.view_of
+    part.view_of = lambda server: viewed.append(server) or view_of(server)
+    return viewed, part.run_round(0)
 
 
 def test_cooldown_rejection():
-    view_q = make_view(1, {}, {}, {0: 5, 1: 5})
-    request = ExchangeRequest(0, 1, [Candidate("v", 1.0, {"r": 1.0})], 5)
-    response = handle_request(view_q, request, k=4, delta=2, exchanged_recently=True)
-    assert not response.accepted
-    assert response.rejection_reason == "cooldown"
+    """Step 2 is the host's: a peer inside its cooldown is passed over
+    before anyone builds its view."""
+    assert _viewed_servers(cooldown_rounds=5) == ([0], 0)
+    viewed, moves = _viewed_servers(cooldown_rounds=0)
+    assert viewed == [0, 1] and moves > 0
 
 
 def test_misrouted_request_rejected():
     view_q = make_view(2, {}, {}, {0: 5, 2: 5})
     request = ExchangeRequest(0, 1, [], 5)
-    response = handle_request(view_q, request, k=4, delta=2, exchanged_recently=False)
+    response = handle_request(view_q, request, k=4, delta=2)
     assert not response.accepted
     assert response.rejection_reason == "misrouted"
 
@@ -75,10 +79,10 @@ def test_full_exchange_accepts_and_returns():
     )
     candidate = Candidate("v", 4.0, edges={"u": 4.0}, endpoint_locations={"u": 1})
     request = ExchangeRequest(0, 1, [candidate], 6)
-    response = handle_request(view_q, request, k=4, delta=2, exchanged_recently=False)
+    response = handle_request(view_q, request, k=4, delta=2)
     assert response.accepted
-    assert response.accepted_vertices == ["v"]
-    assert response.returned_vertices == ["t"]
+    assert response.outcome.accepted == ["v"]
+    assert response.outcome.returned == ["t"]
 
 
 def test_receiver_may_reject_all_candidates():
@@ -86,6 +90,6 @@ def test_receiver_may_reject_all_candidates():
     view_q = make_view(1, {}, {"u": 0}, {0: 5, 1: 5})
     candidate = Candidate("v", 9.0, edges={"u": 9.0}, endpoint_locations={"u": 1})
     request = ExchangeRequest(0, 1, [candidate], 5)
-    response = handle_request(view_q, request, k=4, delta=4, exchanged_recently=False)
+    response = handle_request(view_q, request, k=4, delta=4)
     assert response.accepted
-    assert response.accepted_vertices == []  # rescored to -9
+    assert response.outcome.accepted == []  # rescored to -9

@@ -48,23 +48,25 @@ def test_stages_share_one_cpu_pool():
 def test_window_sampling_diffs_counters():
     sim, server = make_server()
     stage = server.add_stage("a", threads=1)
-    server.begin_window()
+    start = server.snapshot()
     stage.submit(1.0, lambda ev: None)
     sim.run()
     sim._now = 2.0
-    windows = server.end_window()
+    windows = server.windows_since(start)
     assert windows["a"].completions == 1
     assert windows["a"].arrivals == 1
-    # The window re-opens automatically.
-    windows2 = server.end_window()
-    assert windows2["a"].completions == 0
+    assert windows["a"].elapsed == 2.0
+    # The snapshot belongs to the caller: reading does not consume it,
+    # and a later snapshot windows nothing.
+    assert server.windows_since(start)["a"].completions == 1
+    assert server.windows_since(server.snapshot())["a"].completions == 0
 
 
 def test_cpu_utilization_window():
     sim, server = make_server()
     stage = server.add_stage("a", threads=1)
-    server.begin_window()
+    busy0, t0 = server.cpu.busy_time, sim.now
     stage.submit(2.0, lambda ev: None)
     sim.run()
     # 2 busy core-seconds over 2 seconds on 4 cores.
-    assert server.cpu_utilization_window() == pytest.approx(0.25)
+    assert server.cpu.utilization(busy0, t0) == pytest.approx(0.25)
