@@ -14,14 +14,15 @@ The package splits into the paper's contribution and its substrates:
   processors with a run queue, network, deterministic RNG streams.
 * :mod:`repro.graph` — communication graphs, Space-Saving edge sampling,
   generators, and the comparator partitioners (multilevel, Ja-Be-Ja).
-* :mod:`repro.queueing` — M/M/1 / Jackson-network formulas.
+* :mod:`repro.queueing` — the Jackson latency proxy (Eq. (1)) over
+  measured per-stage rates.
 * :mod:`repro.workloads` — Halo Presence, Heartbeat, the counter app,
   and Stageflow (an inference pipeline over actor pools).
 * :mod:`repro.pools` — data-parallel actor pools: a router actor
   fronting N worker replicas with pluggable balancing policies.
 * :mod:`repro.autoscale` — the elastic grow/shrink controller that adds
-  or drains silos, resizes pools, and triggers ActOp rebalancing as one
-  integrated plan; ``repro autoscale`` on the CLI.
+  or drains silos and resizes pools as one integrated plan; ``repro
+  autoscale`` on the CLI.
 * :mod:`repro.bench` — recorders and harness utilities.
 * :mod:`repro.obs` — observability: causal tracing across the whole
   stack, structured runtime events, Chrome-trace/JSONL export, and

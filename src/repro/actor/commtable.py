@@ -88,9 +88,3 @@ class CommTable:
         """
         for (src, dst), weight in other.items():
             self.record(src, dst, weight)
-
-    def clear(self) -> None:
-        self._index = {}
-        del self._src[:]
-        del self._dst[:]
-        self._weights = array("d")

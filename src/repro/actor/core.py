@@ -386,8 +386,8 @@ class ClusterCore:
         The silo immediately stops being a placement/gateway target (the
         admission edge of the PR-3 shedding path: no *new* work is let
         in), every hosted activation starts an opportunistic migration to
-        the remaining live silos (round-robin over server ids — the ActOp
-        rebalance kick that follows repairs locality), and a poll loop
+        the remaining live silos (round-robin over server ids; ActOp's
+        rounds, when it runs, repair locality), and a poll loop
         decommissions the silo once it has been empty and idle for one
         whole ``poll`` — a message routed here just before the last
         activation left is still on the wire when the silo first reads
@@ -586,7 +586,7 @@ class ClusterCore:
     def _should_retry(self, state: _ClientRequest) -> bool:
         policy = self.retry_policy
         return (policy is not None and state.attempts < policy.max_attempts
-                and (state.idempotent or not policy.idempotent_only))
+                and state.idempotent)
 
     def _retry_attempt(self, state: _ClientRequest) -> None:
         state.backoff_timer = None
@@ -674,11 +674,6 @@ class ClusterCore:
         self.client_latency = LatencyRecorder(reservoir=200_000)
         self.call_latency = LatencyRecorder(reservoir=200_000)
         self.client_latency_hist = HistogramRecorder()
-
-    def remote_message_fraction(self) -> float:
-        """Lifetime share of actor-to-actor messages that crossed silos."""
-        total = self.msgs_local + self.msgs_remote
-        return self.msgs_remote / total if total else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -16,6 +16,8 @@ call to it."  Our runtime mirrors that contract:
 
 from __future__ import annotations
 
+import pickle
+
 __all__ = ["ActorCrashed", "ActorError", "CallTimeout", "RequestShed"]
 
 
@@ -53,7 +55,9 @@ class ActorCrashed(ActorError):
     backend it is a *supervision* event: the policy decides the actor's
     fate (restart / stop / escalate) and the caller's await point sees
     this error as the call's result — crashes never vanish silently.
-    ``cause`` carries the original exception.
+    ``cause`` carries the original exception; across a pickling
+    transport, a stand-in with its ``repr`` when the original would not
+    unpickle on the other side.
     """
 
     def __init__(self, actor_id, method: str, cause: BaseException):
@@ -64,7 +68,20 @@ class ActorCrashed(ActorError):
         self.cause = cause
 
     def __reduce__(self):
-        return (ActorCrashed, (self.actor_id, self.method, self.cause))
+        cause = self.cause
+        try:
+            pickle.loads(pickle.dumps(cause, protocol=pickle.HIGHEST_PROTOCOL))
+        except Exception:  # noqa: BLE001 — pickle raises many types
+            cause = _CauseRepr(repr(cause))
+        return (ActorCrashed, (self.actor_id, self.method, cause))
+
+
+class _CauseRepr(Exception):
+    """What crosses a silo boundary in place of a crash cause that would
+    not unpickle there: the original's ``repr``, shown as its own."""
+
+    def __repr__(self) -> str:
+        return self.args[0]
 
 
 class RequestShed(ActorError):
@@ -82,6 +99,3 @@ class RequestShed(ActorError):
         self.target = target
         self.method = method
         self.policy = policy
-
-    def __reduce__(self):
-        return (RequestShed, (self.target, self.method, self.policy))

@@ -17,7 +17,7 @@ edge into a single machine word instead of a tuple.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterator
+from typing import Any, Hashable
 
 __all__ = ["ActorId", "ActorRef", "set_hash_salt"]
 
@@ -48,13 +48,11 @@ def set_hash_salt(salt: int) -> None:
 class ActorId:
     """Stable logical identity of an actor.
 
-    Instances are interned: ``ActorId(t, k) is ActorId(t, k)``.  The
-    cached ``_hash`` equals ``hash((t, k))`` so every hash-ordered
-    container of ids iterates exactly as it did when ActorId was a plain
-    NamedTuple — seeded digests depend on that.  Equality and ordering
-    remain tuple-compatible (an ActorId compares equal to the bare
-    ``(type, key)`` pair, and sorts element-wise), and ids still unpack
-    like 2-tuples.
+    Instances are interned: ``ActorId(t, k) is ActorId(t, k)``, so
+    equality is identity.  The cached ``_hash`` equals ``hash((t, k))``
+    so every hash-ordered container of ids iterates exactly as it did
+    when ActorId was a plain NamedTuple — seeded digests depend on that.
+    Ids order like their ``(type, key)`` pairs.
     """
 
     __slots__ = ("actor_type", "key", "seq", "_hash")
@@ -94,66 +92,13 @@ class ActorId:
             return hash((salt, self.actor_type, self.key))
         return self._hash
 
-    # Tuple-compatible protocol ----------------------------------------
-    def __eq__(self, other: Any) -> bool:
-        if self is other:
-            return True
-        if isinstance(other, ActorId):
-            return self.actor_type == other.actor_type and self.key == other.key
-        if isinstance(other, tuple):
-            return len(other) == 2 and (self.actor_type, self.key) == other
-        return NotImplemented
-
-    def __ne__(self, other: Any) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    def _astuple(self) -> tuple[str, Hashable]:
-        return (self.actor_type, self.key)
-
-    @staticmethod
-    def _other_tuple(other: Any) -> Any:
-        if isinstance(other, ActorId):
-            return (other.actor_type, other.key)
-        if isinstance(other, tuple):
-            return other
-        return NotImplemented
-
-    def __lt__(self, other: Any) -> Any:
-        o = self._other_tuple(other)
-        return o if o is NotImplemented else self._astuple() < o
-
-    def __le__(self, other: Any) -> Any:
-        o = self._other_tuple(other)
-        return o if o is NotImplemented else self._astuple() <= o
-
-    def __gt__(self, other: Any) -> Any:
-        o = self._other_tuple(other)
-        return o if o is NotImplemented else self._astuple() > o
-
-    def __ge__(self, other: Any) -> Any:
-        o = self._other_tuple(other)
-        return o if o is NotImplemented else self._astuple() >= o
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter((self.actor_type, self.key))
-
-    def __len__(self) -> int:
-        return 2
-
-    def __getitem__(self, index: int) -> Any:
-        return (self.actor_type, self.key)[index]
+    def __lt__(self, other: "ActorId") -> bool:
+        # Space-Saving's heap breaks count ties by key.
+        return (self.actor_type, self.key) < (other.actor_type, other.key)
 
     def __reduce__(self):
         # Re-intern on unpickle / deepcopy rather than duplicating.
         return (ActorId, (self.actor_type, self.key))
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def interned_count(cls) -> int:
-        return len(cls._intern)
 
 
 class ActorRef:
@@ -168,10 +113,6 @@ class ActorRef:
 
     def __init__(self, actor_type: str, key: Hashable):
         self.id = ActorId(actor_type, key)
-
-    @property
-    def actor_type(self) -> str:
-        return self.id.actor_type
 
     @property
     def key(self) -> Hashable:

@@ -80,10 +80,6 @@ class Message:
     response_size: int = 128
     trace: Any = None
 
-    @property
-    def expects_reply(self) -> bool:
-        return self.kind in (MessageKind.CALL, MessageKind.CLIENT_REQUEST)
-
     def make_response(self, result: Any, size: int, server_id: int) -> "Message":
         """Build the response message for this request.
 

@@ -38,8 +38,6 @@ class ClusterConfig:
         processors: cores per silo (8).
         switch_factor: per-excess-thread compute inflation.
         dispatch_overhead: fixed per-burst context-switch cost.
-        initial_threads: threads per stage at boot; ``None`` uses the
-            Orleans default of one thread per stage per core (§3).
         serialization: RPC/LPC cost model.
         network_latency / network_jitter: wire model.
         resume_compute: CPU cost of resuming a suspended turn.
@@ -57,7 +55,6 @@ class ClusterConfig:
     processors: int = 8
     switch_factor: float = 0.05
     dispatch_overhead: float = 2e-6
-    initial_threads: Optional[int] = None
     serialization: SerializationModel = field(default_factory=SerializationModel)
     network_latency: float = 0.0005
     network_jitter: float = 0.1

@@ -46,14 +46,6 @@ class SerializationModel:
     def copy_cost(self, size: int) -> float:
         return self.copy_base + self.copy_per_byte * size
 
-    def remote_overhead(self, size: int) -> float:
-        """Total extra CPU of RPC over LPC for one message."""
-        return (
-            self.serialize_cost(size)
-            + self.deserialize_cost(size)
-            - self.copy_cost(size)
-        )
-
     def scaled(self, factor: float) -> "SerializationModel":
         """All costs multiplied by ``factor`` (the time-scaling trick:
         stretch every duration by s and divide request rates by s —

@@ -42,7 +42,7 @@ class Silo(SiloCore):
             dispatch_overhead=cfg.dispatch_overhead * cfg.time_scale,
             name=f"silo{server_id}",
         )
-        threads = cfg.initial_threads or cfg.processors
+        threads = cfg.processors   # Orleans: one thread per stage per core (§3)
         self.receiver = self.server.add_stage("receiver", threads)
         self.worker = self.server.add_stage("worker", threads, blocking=True)
         self.server_sender = self.server.add_stage("server_sender", threads)

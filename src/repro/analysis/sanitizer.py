@@ -456,10 +456,6 @@ class Sanitizer:
         """Cross-accessor same-instant write/write and write/read pairs."""
         return self._derive()[0]
 
-    def rng_hazards(self) -> list[Conflict]:
-        """Same-instant multi-context draws on one shared RNG stream."""
-        return self._derive()[1]
-
     def report(self) -> dict:
         conflicts, hazards = self._derive()
         return {

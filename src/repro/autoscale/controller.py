@@ -2,15 +2,14 @@
 
 Watches per-silo CPU utilization over each control window and keeps the
 cluster-mean inside the configured band by executing *integrated*
-reconfiguration plans: a grow plan un-parks silos, resizes registered
-actor pools to the new capacity, and kicks an ActOp partitioning round
-so communicating actors re-cluster onto the changed membership; a shrink
-plan drains the least-loaded silo (placement stops targeting it at once,
-its activations migrate off via the §4.3 opportunistic path, and it
-leaves service when quiescent), then resizes pools and rebalances.  One
-plan — membership, migration, pool sizing, rebalancing — rather than
-independent loops fighting each other (the integrated formulation of
-arXiv:1602.03770, on top of ActOp's runtime mechanisms).
+reconfiguration plans: a grow plan un-parks silos and resizes registered
+actor pools to the new capacity; a shrink plan drains the least-loaded
+silo (placement stops targeting it at once, its activations migrate off
+via the §4.3 opportunistic path, and it leaves service when quiescent),
+then resizes pools.  One plan — membership, migration, pool sizing —
+rather than independent loops fighting each other (the integrated
+formulation of arXiv:1602.03770, on top of ActOp's runtime mechanisms).
+An ActOp partitioner on the same cluster keeps running its own rounds.
 
 Determinism: the controller draws **no randomness** — decisions are pure
 functions of measured utilization, so a seeded workload produces
@@ -32,11 +31,9 @@ __all__ = ["AutoscaleController"]
 class AutoscaleController:
     """Grow/shrink controller over an :class:`ActorRuntime`'s silo fleet."""
 
-    def __init__(self, runtime, config: Optional[AutoscaleConfig] = None,
-                 actop=None):
+    def __init__(self, runtime, config: Optional[AutoscaleConfig] = None):
         self.runtime = runtime
         self.config = config or AutoscaleConfig()
-        self.actop = actop
         self.max_silos = (self.config.max_silos
                           if self.config.max_silos is not None
                           else runtime.num_servers)
@@ -156,7 +153,7 @@ class AutoscaleController:
         runtime.sim.schedule(cfg.period, self._tick)
 
     # ------------------------------------------------------------------
-    # Plans: one integrated membership + pools + rebalance change.
+    # Plans: one integrated membership + pools change.
     # ------------------------------------------------------------------
     def _grow(self, util: float, active: int) -> None:
         cfg = self.config
@@ -180,7 +177,6 @@ class AutoscaleController:
         self.decisions.append(
             (runtime.sim.now, util, new_active, f"grow+{len(added)}"))
         self._resize_pools(new_active)
-        self._rebalance()
         self._commit(plan_id, "grow", util, active, new_active,
                      server=added[0] if added else -1)
 
@@ -204,7 +200,6 @@ class AutoscaleController:
             self._draining = None
             return
         self._resize_pools(self.active)
-        self._rebalance()
 
     def _drain_done(self, server: int, plan_id: int, util: float,
                     active: int) -> None:
@@ -239,26 +234,6 @@ class AutoscaleController:
     def _resize_pools(self, active: int) -> None:
         for pool, ratio in self._pools:
             pool.resize(max(1, round(ratio * active)))
-
-    def _rebalance(self) -> None:
-        """Kick an ActOp partitioning round on every live silo after a
-        plan's membership/pool change, folding locality repair into the
-        same reconfiguration (the integrated scaling+rebalancing of
-        arXiv:1602.03770)."""
-        if self.actop is None:
-            return
-        sim = self.runtime.sim
-        for i, agent in enumerate(self.actop.agents):
-            silo = agent.silo
-            if silo.dead or silo.draining:
-                continue
-            # Staggered so concurrent exchange proposals don't collide.
-            sim.schedule(0.05 * (i + 1), self._agent_round, agent)
-
-    def _agent_round(self, agent) -> None:
-        if agent.silo.dead:
-            return
-        agent.initiate_round()
 
     # ------------------------------------------------------------------
     def summary(self) -> dict:

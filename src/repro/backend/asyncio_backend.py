@@ -44,7 +44,8 @@ loop iteration writes the whole outbox as one frame; when the transport
 calls ``pause_writing`` messages stay in the outbox until
 ``resume_writing``.  The receiving side parses complete frames out of
 ``data_received`` and hands each message to ``silo.deliver`` — no task
-per send, no coroutine per frame.
+per send, no coroutine per frame; a frame that will not unpickle is
+counted in ``pickle_copy_failures`` and skipped, not fatal to the link.
 
 Supervision (:mod:`repro.backend.supervision`) is the core's; what
 differs here is the default: with no policy given the simulator raises
@@ -113,19 +114,19 @@ class WallClock:
         return f"WallClock(now={self.now:.3f})"
 
 
-def _parse_frames(buffer: bytes) -> tuple[list[list[Message]], bytes]:
-    """Decode every complete frame at the head of ``buffer``; return the
-    batches in order and the partial tail still to be completed."""
-    batches = []
+def _parse_frames(buffer: bytes) -> tuple[list[bytes], bytes]:
+    """Cut every complete frame off the head of ``buffer``; return their
+    payloads in order and the partial tail still to be completed."""
+    payloads = []
     start, end = 0, len(buffer)
     while end - start >= _FRAME_HEADER.size:
         (length,) = _FRAME_HEADER.unpack_from(buffer, start)
         stop = start + _FRAME_HEADER.size + length
         if stop > end:
             break
-        batches.append(pickle.loads(buffer[start + _FRAME_HEADER.size:stop]))
+        payloads.append(buffer[start + _FRAME_HEADER.size:stop])
         start = stop
-    return batches, buffer[start:]
+    return payloads, buffer[start:]
 
 
 class _PeerLink(asyncio.Protocol):
@@ -199,9 +200,16 @@ class _PeerLink(asyncio.Protocol):
         self.transport.write(_FRAME_HEADER.pack(len(payload)) + payload)
 
     def data_received(self, data: bytes) -> None:
-        batches, self.buffer = _parse_frames(self.buffer + data)
+        payloads, self.buffer = _parse_frames(self.buffer + data)
         deliver = self.silo.deliver
-        for batch in batches:
+        for payload in payloads:
+            try:
+                batch = pickle.loads(payload)
+            except Exception:  # noqa: BLE001 — pickle raises many types
+                # A frame that will not decode is lost and counted; the
+                # link and the frames behind it carry on.
+                self.silo.runtime.pickle_copy_failures += 1
+                continue
             for message in batch:
                 deliver(message)
 

@@ -117,15 +117,6 @@ class Cluster:
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
 
-    # Convenience pass-throughs the benches lean on.
-    @property
-    def sim(self):
-        return self.runtime.sim
-
-    @property
-    def config(self) -> ClusterConfig:
-        return self.runtime.config
-
 
 def _unsupported(backend, resilience, actop, faults, autoscale, sim,
                  transport) -> Optional[str]:
@@ -230,7 +221,7 @@ def build_cluster(
                  if actop is not None and actop.enabled else None)
     injector = (FaultInjector(runtime, faults)
                 if faults is not None and not faults.empty else None)
-    controller = (AutoscaleController(runtime, autoscale, actop=optimizer)
+    controller = (AutoscaleController(runtime, autoscale)
                   if autoscale is not None else None)
     return Cluster(runtime=runtime, actop=optimizer, injector=injector,
                    autoscale=controller, backend=runtime)

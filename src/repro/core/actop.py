@@ -94,11 +94,3 @@ class ActOp:
             agent.stop()
         for controller in self.controllers:
             controller.stop()
-
-    # ------------------------------------------------------------------
-    @property
-    def total_migrations(self) -> int:
-        return self.runtime.migrations_total
-
-    def remote_fraction(self) -> float:
-        return self.runtime.remote_message_fraction()

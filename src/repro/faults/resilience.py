@@ -7,7 +7,7 @@ an actor cluster ("callers see timeouts, not hangs") but never spells out:
 
 * :class:`RetryPolicy` — exponential backoff with jitter, capped
   attempts, idempotency-aware (non-idempotent requests are never
-  re-dispatched unless the policy explicitly allows it).
+  re-dispatched).
 * per-request **deadline** — an end-to-end budget layered on top of the
   per-attempt ``call_timeout``; retries never extend past it.
 * :class:`AdmissionConfig` — a bounded client-request admission window
@@ -39,11 +39,10 @@ class RetryPolicy:
     with ``U`` uniform in [0, 1) from the ``resilience.retry`` substream,
     so seeded runs retry at reproducible instants.
 
-    ``max_attempts`` counts total dispatches (1 = no retries).  With
-    ``idempotent_only`` (the default), requests issued with
-    ``idempotent=False`` fail on their first timeout — re-dispatching a
-    non-idempotent operation could double-apply it.  Nothing infers
-    replay safety: the issuer declares it per request.
+    ``max_attempts`` counts total dispatches (1 = no retries).  Requests
+    issued with ``idempotent=False`` fail on their first timeout —
+    re-dispatching a non-idempotent operation could double-apply it.
+    Nothing infers replay safety: the issuer declares it per request.
     """
 
     max_attempts: int = 3
@@ -51,7 +50,6 @@ class RetryPolicy:
     multiplier: float = 2.0
     max_delay: float = 2.0
     jitter: float = 0.5
-    idempotent_only: bool = True
 
     def __post_init__(self):
         if self.max_attempts < 1:

@@ -10,7 +10,7 @@ property tests; the *online* per-server view lives in
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterator
 
 __all__ = ["CommGraph"]
 
@@ -40,18 +40,11 @@ class CommGraph:
         self._adj[u][v] = self._adj[u].get(v, 0.0) + weight
         self._adj[v][u] = self._adj[v].get(u, 0.0) + weight
 
-    def remove_vertex(self, v: Vertex) -> None:
-        for u in self._adj.pop(v, {}):
-            del self._adj[u][v]
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def __contains__(self, v: Vertex) -> bool:
         return v in self._adj
-
-    def __len__(self) -> int:
-        return len(self._adj)
 
     @property
     def num_vertices(self) -> int:
@@ -86,28 +79,3 @@ class CommGraph:
 
     def total_weight(self) -> float:
         return sum(w for _, _, w in self.edges())
-
-    def subgraph(self, keep: Iterable[Vertex]) -> "CommGraph":
-        # Insertion-ordered membership set: the subgraph's vertex order
-        # follows the caller's order, not hash order.
-        keep_set = dict.fromkeys(keep)
-        sub = CommGraph()
-        for v in keep_set:
-            if v in self._adj:
-                sub.add_vertex(v)
-        for u, v, w in self.edges():
-            if u in keep_set and v in keep_set:
-                sub.add_edge(u, v, w)
-        return sub
-
-    def copy(self) -> "CommGraph":
-        clone = CommGraph()
-        clone._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
-        return clone
-
-    def merge(self, other: "CommGraph") -> None:
-        """Fold another graph's vertices and edge weights into this one."""
-        for v in other.vertices():
-            self.add_vertex(v)
-        for u, v, w in other.edges():
-            self.add_edge(u, v, w)

@@ -158,13 +158,3 @@ class SpaceSaving(Generic[K]):
             # without intervening offers, compact it here.
             if len(self._heap) > max(64, 2 * len(self._entries)):
                 self._rebuild_heap()
-
-    def merge(self, other: "SpaceSaving[K]") -> None:
-        """Fold another summary's monitored counts into this one.
-
-        Standard Space-Saving merge-by-offer: the result keeps both
-        guarantees with errors summing in the worst case.
-        """
-        for key, count in list(other.items()):
-            if count > 0:
-                self.offer(key, count)

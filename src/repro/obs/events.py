@@ -8,15 +8,15 @@ as typed records collected in an append-only :class:`EventLog`.
 These were previously invisible internals (counters at best); related
 adaptive systems (DPA load balancing, dynamic reconfiguration engines)
 treat exactly this telemetry as the *input* to adaptation, so the log is
-designed for consumption: typed records, subscribers for online
-consumers, JSONL export for offline analysis, and instant-event rendering
-in the Chrome trace viewer alongside the spans they explain.
+designed for consumption: typed records, JSONL export for offline
+analysis, and instant-event rendering in the Chrome trace viewer
+alongside the spans they explain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Callable, ClassVar, Iterator, Optional, Type, TypeVar
+from typing import Any, ClassVar, Iterator, Optional, Type, TypeVar
 
 __all__ = [
     "RuntimeEvent",
@@ -216,10 +216,10 @@ class SiloScaleEvent(RuntimeEvent):
 class ScalePlanEvent(RuntimeEvent):
     """An integrated reconfiguration plan began or committed.
 
-    One plan bundles silo add/drain, activation migration, pool resizes,
-    and an ActOp rebalance kick (Madsen-Zhou-Cao-style integrated
-    scaling).  ``grow`` plans commit synchronously; ``shrink`` plans
-    commit when the drained silo has emptied.
+    One plan bundles silo add/drain, activation migration and pool
+    resizes (Madsen-Zhou-Cao-style integrated scaling).  ``grow`` plans
+    commit synchronously; ``shrink`` plans commit when the drained silo
+    has emptied.
     """
 
     KIND: ClassVar[str] = "scale_plan"
@@ -234,11 +234,7 @@ class ScalePlanEvent(RuntimeEvent):
 
 
 class EventLog:
-    """Append-only, bounded, subscribable log of runtime events.
-
-    Subscribers fire synchronously on :meth:`emit` — they must follow the
-    same neutrality contract as the tracer (no scheduling, no RNG).
-    """
+    """Append-only, bounded log of runtime events."""
 
     def __init__(self, max_events: int = 1_000_000):
         if max_events < 0:
@@ -246,21 +242,12 @@ class EventLog:
         self.max_events = max_events
         self.events: list[RuntimeEvent] = []
         self.dropped = 0
-        self._subscribers: list[Callable[[RuntimeEvent], None]] = []
 
     def emit(self, event: RuntimeEvent) -> None:
-        for subscriber in self._subscribers:
-            subscriber(event)
         if len(self.events) >= self.max_events:
             self.dropped += 1
             return
         self.events.append(event)
-
-    def subscribe(self, callback: Callable[[RuntimeEvent], None]) -> None:
-        self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[RuntimeEvent], None]) -> None:
-        self._subscribers.remove(callback)
 
     def of_kind(self, event_type: Type[E]) -> list[E]:
         """All recorded events of one type, in emission order."""

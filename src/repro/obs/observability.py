@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from .events import EventLog, RuntimeEvent
-from .export import chrome_trace_document, write_chrome_trace, write_jsonl
+from .events import EventLog
+from .export import write_chrome_trace, write_jsonl
 from .spans import Span
 from .tracer import Tracer
 
@@ -100,23 +100,12 @@ class Observability:
     def spans(self) -> list[Span]:
         return self.tracer.spans
 
-    @property
-    def runtime_events(self) -> list[RuntimeEvent]:
-        return self.events.events
-
-    def chrome_document(self, time_scale: Optional[float] = None) -> dict:
-        """Chrome trace-event document of everything collected so far.
-
-        ``time_scale`` defaults to the runtime's own, so durations render
-        in paper-equivalent time like the benches report them.
-        """
-        if time_scale is None:
-            time_scale = getattr(self.runtime, "time_scale", 1.0)
-        return chrome_trace_document(self.tracer.spans, self.events,
-                                     time_scale=time_scale)
-
     def write_chrome_trace(self, path: str,
                            time_scale: Optional[float] = None) -> dict:
+        """Write the Chrome trace-event document of everything collected
+        so far.  ``time_scale`` defaults to the runtime's own, so
+        durations render in paper-equivalent time like the benches
+        report them."""
         if time_scale is None:
             time_scale = getattr(self.runtime, "time_scale", 1.0)
         return write_chrome_trace(path, self.tracer.spans, self.events,

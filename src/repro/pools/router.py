@@ -219,13 +219,6 @@ class ActorPool:
             if rt.locate(ref.id) is None:
                 rt.activate(ref.id, live[i % len(live)])
 
-    def route_call(self, payload, *, method: Optional[str] = None,
-                   size: int = 256) -> Call:
-        """Build the ``Call`` an actor yields to route through this pool."""
-        if method is None:
-            return Call(self.router_ref, "route", payload, size=size)
-        return Call(self.router_ref, "route", payload, method, size=size)
-
     # ------------------------------------------------------------------
     def resize(self, replicas: int) -> None:
         """Grow or shrink the routing window (autoscale entry point)."""

@@ -1,29 +1,16 @@
-"""Queueing-theory substrate: M/M/1 / M/M/c formulas and the Jackson
-latency proxy the thread-allocation optimizer minimizes."""
+"""Queueing-theory substrate: the Jackson latency proxy (Eq. (1)) the
+thread-allocation optimizer minimizes, over measured per-stage rates."""
 
-from .jackson import StageLoad, jackson_latency, jackson_latency_with_penalty
-from .network import JacksonNetwork, solve_traffic_equations
-from .mm1 import (
+from .jackson import (
+    StageLoad,
+    jackson_latency,
+    jackson_latency_with_penalty,
     mm1_mean_latency,
-    mm1_mean_queue_length,
-    mm1_mean_wait,
-    mm1_percentile_latency,
-    mm1_utilization,
-    mmc_erlang_c,
-    mmc_mean_latency,
 )
 
 __all__ = [
-    "JacksonNetwork",
     "StageLoad",
     "jackson_latency",
     "jackson_latency_with_penalty",
     "mm1_mean_latency",
-    "mm1_mean_queue_length",
-    "mm1_mean_wait",
-    "mm1_percentile_latency",
-    "mm1_utilization",
-    "mmc_erlang_c",
-    "mmc_mean_latency",
-    "solve_traffic_equations",
 ]

@@ -17,7 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-__all__ = ["StageLoad", "jackson_latency", "jackson_latency_with_penalty"]
+__all__ = [
+    "StageLoad",
+    "jackson_latency",
+    "jackson_latency_with_penalty",
+    "mm1_mean_latency",
+]
 
 
 @dataclass(frozen=True)
@@ -80,3 +85,14 @@ def jackson_latency_with_penalty(
     if base == float("inf"):
         return base
     return base + eta * sum(threads)
+
+
+def mm1_mean_latency(lam: float, mu: float) -> float:
+    """Mean time in system (wait + service) of one M/M/1 queue,
+    T = 1 / (mu - lam): the per-stage term Eq. (1) sums, and the oracle
+    tests hold a simulated stage to."""
+    if lam < 0 or mu <= 0:
+        raise ValueError(f"need lam >= 0 and mu > 0, got lam={lam}, mu={mu}")
+    if lam >= mu:
+        raise ValueError(f"unstable queue: lam={lam} >= mu={mu}")
+    return 1.0 / (mu - lam)

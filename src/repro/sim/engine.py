@@ -68,10 +68,6 @@ class Event:
             self.cancelled = True
             self._sim._discard(self.seq)
 
-    def __lt__(self, other: "Event") -> bool:
-        # Kept for API compatibility: order by time, then insertion order.
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"

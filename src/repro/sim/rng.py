@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator
 
-__all__ = ["RngRegistry", "exponential", "bounded_pareto"]
+__all__ = ["RngRegistry"]
 
 
 def _derive_seed(root_seed: int, name: str) -> int:
@@ -48,33 +47,3 @@ class RngRegistry:
                 rng = san.wrap_rng(name, rng)
             self._streams[name] = rng
         return rng
-
-    def spawn(self, name: str) -> "RngRegistry":
-        """Return a child registry whose streams are independent of ours."""
-        return RngRegistry(_derive_seed(self.seed, f"child:{name}"))
-
-
-def exponential(rng: random.Random, rate: float) -> float:
-    """An exponential variate with the given rate (events per second)."""
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    return rng.expovariate(rate)
-
-
-def bounded_pareto(rng: random.Random, alpha: float, lo: float, hi: float) -> float:
-    """A bounded Pareto variate on [lo, hi].
-
-    Used for heavy-tailed payload sizes; interactive-service message sizes
-    are known to be heavy-tailed but bounded by protocol limits.
-    """
-    if not (0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
-    u = rng.random()
-    la, ha = lo**alpha, hi**alpha
-    return (-(u * ha - u * la - ha) / (ha * la)) ** (-1.0 / alpha)
-
-
-def poisson_process(rng: random.Random, rate: float) -> Iterator[float]:
-    """Yield successive inter-arrival gaps of a Poisson process."""
-    while True:
-        yield rng.expovariate(rate)

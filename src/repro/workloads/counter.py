@@ -22,7 +22,7 @@ __all__ = ["CounterActor", "CounterWorkload", "CounterConfig"]
 class CounterActor(Actor):
     """Holds one integer; increments on request."""
 
-    COMPUTE = {"increment": 60e-6, "read": 30e-6}
+    COMPUTE = {"increment": 60e-6}
 
     def __init__(self) -> None:
         super().__init__()
@@ -30,9 +30,6 @@ class CounterActor(Actor):
 
     def increment(self, amount: int = 1) -> int:
         self.value += amount
-        return self.value
-
-    def read(self) -> int:
         return self.value
 
 

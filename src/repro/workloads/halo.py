@@ -147,7 +147,6 @@ class HaloConfig:
     # behavior bit for bit; the scale benches flip them):
     direct_bootstrap: bool = False       # install bootstrap games without messages
     lazy_idle_pool: bool = False         # pooled players cost O(bytes), not O(activation)
-    discard_departed: bool = True        # drop state of departed players / closed games
 
 
 class HaloWorkload:
@@ -216,7 +215,7 @@ class HaloWorkload:
             self._live_index[last] = idx
         self.players_departed += 1
         self.runtime.deactivate(self.runtime.ref(self.PLAYER, pid).id,
-                                discard_state=self.config.discard_departed)
+                                discard_state=True)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -348,7 +347,7 @@ class HaloWorkload:
 
     def _game_closed(self, gid: int, members: list[int]) -> None:
         self.runtime.deactivate(self.runtime.ref(self.GAME, gid).id,
-                                discard_state=self.config.discard_departed)
+                                discard_state=True)
         for pid in members:
             self.playing.discard(pid)
             if self._live_index[pid] < 0:

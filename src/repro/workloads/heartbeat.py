@@ -86,19 +86,12 @@ class HeartbeatWorkload:
             runtime.register_actor(self.ACTOR_TYPE, cls)
         self._arrival_rng = runtime.rng.stream("heartbeat.arrivals")
         self._target_rng = runtime.rng.stream("heartbeat.targets")
-        self._running = False
         self.requests_issued = 0
 
     def start(self) -> None:
-        self._running = True
         self._schedule_next()
 
-    def stop(self) -> None:
-        self._running = False
-
     def _schedule_next(self) -> None:
-        if not self._running:
-            return
         gap = self._arrival_rng.expovariate(self.config.request_rate)
         self.runtime.sim.schedule(gap, self._fire)
 

@@ -505,9 +505,18 @@ def test_drain_forwards_requests_routed_just_before_the_last_eviction(
 # ----------------------------------------------------------------------
 # TCP transport: one framed link per peer
 # ----------------------------------------------------------------------
+class Weird(Exception):
+    """Pickles, but will not unpickle: ``args`` holds one string and
+    ``__init__`` wants two."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
 class BurstActor(Actor):
     """Sender and sink of Tell bursts; ``slow_echo``/``ask`` make a call
-    whose response is still owed when the caller's silo dies."""
+    whose response is still owed when the caller's silo dies; the
+    ``weird`` ones crash with, or send, a :class:`Weird`."""
 
     def __init__(self):
         super().__init__()
@@ -528,6 +537,15 @@ class BurstActor(Actor):
 
     def ask(self, n):
         return (yield Call(ActorRef("burst", "slow"), "slow_echo", n))
+
+    def weird(self):
+        raise Weird(1, 2)
+
+    def weird_burst(self, sink_key):
+        yield from self.burst(sink_key, [0, Weird(1, 2), 2])
+
+    def ask_weird(self):
+        return (yield Call(ActorRef("burst", "crasher"), "weird"))
 
 
 def _burst_cluster(transport, **kwargs):
@@ -570,6 +588,52 @@ def test_unpicklable_message_is_dropped_alone(transport):
         assert be.run_until_idle()
         assert _seen(be, sink) == [0, 1, 3, 4]
         assert be.pickle_copy_failures == 1
+
+
+@pytest.mark.parametrize("transport", ["inproc", "inproc-copy", "tcp"])
+def test_crash_whose_cause_will_not_unpickle_still_reaches_the_caller(
+        transport):
+    cluster, be = _burst_cluster(transport, call_timeout=0.5)
+    with cluster:
+        _spawn(be, "crasher", 1)
+        result = _call(be, _spawn(be, "caller", 0), "ask_weird")
+        assert isinstance(result, ActorCrashed), result
+        assert repr(result.cause) == "Weird('1/2')"
+        assert be.pickle_copy_failures == 0
+
+
+def test_tcp_frame_that_will_not_unpickle_is_counted_and_the_link_lives():
+    cluster, be = _burst_cluster("tcp")
+    with cluster:
+        source = _spawn(be, "source", 0)
+        sink = _spawn(be, "sink", 1)
+        _call(be, source, "weird_burst", "sink")
+        assert be.run_until_idle()
+        link = be.silos[0].peers[1]
+        _call(be, source, "burst", "sink", [3, 4])
+        assert be.run_until_idle()
+        assert _seen(be, sink) == [3, 4]    # the bad frame held all three
+        assert be.pickle_copy_failures == 1
+        assert be.silos[0].peers[1] is link and len(be.silos[1].inbound) == 1
+
+
+def test_tcp_paused_link_holds_its_outbox_until_resumed():
+    cluster, be = _burst_cluster("tcp")
+    with cluster:
+        source = _spawn(be, "source", 0)
+        sink = _spawn(be, "sink", 1)
+        _call(be, source, "burst", "sink", [-1])    # opens the link
+        assert be.run_until_idle()
+        link = be.silos[0].peers[1]
+        link.pause_writing()
+        _call(be, source, "burst", "sink", list(range(20)))
+        be.run(until=be.sim.now + 0.05)
+        assert [m.args[0] for m in link.outbox] == list(range(20))
+        assert _seen(be, sink) == [-1]
+        link.resume_writing()
+        assert be.run_until_idle()
+        assert _seen(be, sink) == [-1, *range(20)]
+        assert not link.outbox
 
 
 def test_tcp_fail_restart_reconnects_and_leaves_no_outbox():

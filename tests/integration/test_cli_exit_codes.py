@@ -3,6 +3,7 @@
 unrecovered chaos run, empty trace window), 2 = argparse rejected the
 invocation.  Scripts and CI gate on exactly these codes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(
 CASES = [
     # ---- success -> 0
     ("perf-ok", ["perf", "--scale-point", "2000", "--horizon", "1"], 0),
+    ("perf-scaling-ok",    # CI's scale-smoke form: one subprocess per point
+     ["perf", "--scaling", "--points", "2000", "--horizon", "1", "--gate"], 0),
     ("trace-ok",
      ["trace", "--workload", "halo", "--players", "60", "--servers", "2",
       "--warmup", "1", "--duration", "2"], 0),
@@ -22,6 +25,10 @@ CASES = [
      ["faults", "--players", "300", "--servers", "4", "--warmup", "10",
       "--duration", "10", "--settle", "5", "--kill", "1@2",
       "--recover", "1@8", "--retries", "3", "--timeout", "0.5"], 0),
+    ("faults-drop-ok",     # a message-drop window alone, into LinkFaultModel
+     ["faults", "--players", "100", "--servers", "2", "--warmup", "3",
+      "--duration", "3", "--settle", "1", "--drop", "0.2@2:8",
+      "--json", "-"], 0),
     ("lint-ok", ["lint", "src/repro/analysis/findings.py"], 0),
     # ---- completed-with-findings -> 1
     ("trace-empty-window",  # no traced request completes in 10ms
@@ -39,6 +46,7 @@ CASES = [
     ("perf-bad-transport", ["perf", "--transport", "nonesuch"], 2),
     ("trace-bad-choice", ["trace", "--workload", "nonesuch"], 2),
     ("faults-bad-spec", ["faults", "--kill", "notaspec"], 2),
+    ("faults-bad-drop-window", ["faults", "--drop", "0.3@5"], 2),
     ("lint-bad-flag", ["lint", "--bogus"], 2),
     ("lint-par-removed", ["lint", "--par"], 2),   # deleted with the PAR stack
     # deleted with the FLOW/XB passes and the lint caches (PR 22)
@@ -62,3 +70,6 @@ def test_cli_exit_code(argv, expected, tmp_path):
     assert proc.returncode == expected, (proc.stdout, proc.stderr)
     if expected == 2:
         assert "usage:" in proc.stderr
+    if "--drop" in argv and expected == 0:
+        # the window the flag parsed is the one the run reports
+        assert json.loads(proc.stdout)["plan"]["drops"] == [[0.2, 2.0, 8.0]]

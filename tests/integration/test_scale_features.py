@@ -3,8 +3,6 @@ state-discard deactivation, and ActorId interning."""
 
 import hashlib
 
-import pytest
-
 from repro.actor.ids import ActorId
 from repro.actor.runtime import ActorRuntime, ClusterConfig
 from repro.workloads.halo import HaloConfig, HaloWorkload
@@ -110,17 +108,13 @@ def test_discarded_actor_revives_fresh_and_placeable():
     assert done == [{"state": "idle"}]
 
 
-def test_actor_ids_are_interned_and_tuple_compatible():
+def test_actor_ids_are_interned_and_order_like_their_pairs():
     a = ActorId("player", 123456)
     b = ActorId("player", 123456)
-    assert a is b
-    assert a == ("player", 123456)
+    assert a is b and a == b
+    assert a != ActorId("player", 123457)
     assert hash(a) == hash(("player", 123456))
-    t, k = a  # unpacks like the NamedTuple it replaced
-    assert (t, k) == (a[0], a[1]) == ("player", 123456)
-    assert ActorId("a", 1) < ActorId("b", 0) < ("c", 99)
-    with pytest.raises(IndexError):
-        a[2]
+    assert ActorId("a", 1) < ActorId("b", 0) < ActorId("b", 1)
 
 
 def test_interned_ids_share_one_object_across_refs():

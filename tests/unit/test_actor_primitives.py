@@ -28,15 +28,6 @@ def test_call_ids_unique_and_increasing():
     assert ids == sorted(ids)
 
 
-def test_message_expects_reply():
-    call = Message(MessageKind.CALL, ActorId("a", 1))
-    oneway = Message(MessageKind.ONEWAY, ActorId("a", 1))
-    client = Message(MessageKind.CLIENT_REQUEST, ActorId("a", 1))
-    assert call.expects_reply
-    assert client.expects_reply
-    assert not oneway.expects_reply
-
-
 def test_make_response_links_call():
     request = Message(
         MessageKind.CALL, ActorId("callee", 1), method="m",

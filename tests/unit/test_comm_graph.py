@@ -51,43 +51,12 @@ def test_edges_yields_each_once():
     assert g.total_weight() == 3.0
 
 
-def test_remove_vertex_cleans_incident_edges():
-    g = CommGraph()
-    g.add_edge(1, 2)
-    g.add_edge(2, 3)
-    g.remove_vertex(2)
-    assert 2 not in g
-    assert g.weight(1, 2) == 0.0
-    assert g.num_edges == 0
-    assert g.degree(1) == 0.0
-
-
 def test_isolated_vertex():
     g = CommGraph()
     g.add_vertex("lonely")
     assert "lonely" in g
     assert g.degree("lonely") == 0.0
     assert g.num_vertices == 1
-
-
-def test_subgraph_restricts_edges():
-    g = CommGraph()
-    g.add_edge(1, 2, 1.0)
-    g.add_edge(2, 3, 1.0)
-    g.add_edge(3, 4, 1.0)
-    sub = g.subgraph([1, 2, 3])
-    assert sub.num_vertices == 3
-    assert sub.weight(1, 2) == 1.0
-    assert sub.weight(3, 4) == 0.0
-
-
-def test_copy_is_independent():
-    g = CommGraph()
-    g.add_edge(1, 2, 1.0)
-    clone = g.copy()
-    clone.add_edge(1, 2, 5.0)
-    assert g.weight(1, 2) == 1.0
-    assert clone.weight(1, 2) == 6.0
 
 
 def test_unknown_weight_is_zero():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.queueing.mm1 import mm1_mean_latency
+from repro.queueing.jackson import mm1_mean_latency
 from repro.seda.emulator import SedaEmulator, StageProfile
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry

@@ -1,43 +1,12 @@
-"""Unit tests for M/M/1 and M/M/c formulas."""
+"""Unit tests for the M/M/1 mean-latency oracle."""
 
 import pytest
 
-from repro.queueing.mm1 import (
-    mm1_mean_latency,
-    mm1_mean_queue_length,
-    mm1_mean_wait,
-    mm1_percentile_latency,
-    mm1_utilization,
-    mmc_erlang_c,
-    mmc_mean_latency,
-)
-
-
-def test_utilization():
-    assert mm1_utilization(5.0, 10.0) == 0.5
-
-
-def test_mean_queue_length_textbook_value():
-    # rho = 0.8 -> L = 0.8 / 0.2 = 4
-    assert mm1_mean_queue_length(8.0, 10.0) == pytest.approx(4.0)
+from repro.queueing.jackson import mm1_mean_latency
 
 
 def test_mean_latency_is_inverse_gap():
     assert mm1_mean_latency(8.0, 10.0) == pytest.approx(0.5)
-
-
-def test_littles_law_consistency():
-    lam, mu = 6.0, 10.0
-    assert mm1_mean_queue_length(lam, mu) == pytest.approx(
-        lam * mm1_mean_latency(lam, mu)
-    )
-
-
-def test_wait_plus_service_is_latency():
-    lam, mu = 3.0, 10.0
-    assert mm1_mean_wait(lam, mu) + 1.0 / mu == pytest.approx(
-        mm1_mean_latency(lam, mu)
-    )
 
 
 def test_unstable_queue_rejected():
@@ -49,39 +18,4 @@ def test_unstable_queue_rejected():
 
 def test_nonpositive_service_rate_rejected():
     with pytest.raises(ValueError):
-        mm1_utilization(1.0, 0.0)
-
-
-def test_erlang_c_single_server_equals_rho():
-    # For c=1, P(queue) = rho.
-    assert mmc_erlang_c(4.0, 10.0, 1) == pytest.approx(0.4)
-
-
-def test_mmc_reduces_to_mm1():
-    lam, mu = 4.0, 10.0
-    assert mmc_mean_latency(lam, mu, 1) == pytest.approx(mm1_mean_latency(lam, mu))
-
-
-def test_mmc_more_servers_lower_latency():
-    lam, mu = 15.0, 10.0
-    t2 = mmc_mean_latency(lam, mu, 2)
-    t4 = mmc_mean_latency(lam, mu, 4)
-    assert t4 < t2
-
-
-def test_mmc_unstable_rejected():
-    with pytest.raises(ValueError):
-        mmc_erlang_c(20.0, 10.0, 2)
-
-
-def test_percentile_latency_median_below_mean():
-    lam, mu = 8.0, 10.0
-    median = mm1_percentile_latency(lam, mu, 0.5)
-    assert median < mm1_mean_latency(lam, mu)
-    p99 = mm1_percentile_latency(lam, mu, 0.99)
-    assert p99 > mm1_mean_latency(lam, mu)
-
-
-def test_percentile_requires_open_interval():
-    with pytest.raises(ValueError):
-        mm1_percentile_latency(1.0, 2.0, 1.0)
+        mm1_mean_latency(1.0, 0.0)

@@ -1,9 +1,6 @@
-"""Unit tests: partition views, RNG helpers, and small odds and ends."""
-
-import pytest
+"""Unit tests: partition views."""
 
 from repro.core.partitioning.view import PartitionView
-from repro.sim.rng import RngRegistry, poisson_process
 
 
 def test_view_local_vertices_resolve_locally_even_if_resolver_disagrees():
@@ -32,11 +29,3 @@ def test_view_neighbors_default_empty():
     view = PartitionView(0, {"v": {"u": 2.0}}, lambda v: None, 1, {0: 1})
     assert view.neighbors("v") == {"u": 2.0}
     assert view.neighbors("unknown") == {}
-
-
-def test_poisson_process_generates_positive_gaps():
-    rng = RngRegistry(4).stream("pp")
-    gen = poisson_process(rng, rate=100.0)
-    gaps = [next(gen) for _ in range(1000)]
-    assert all(g >= 0 for g in gaps)
-    assert sum(gaps) / len(gaps) == pytest.approx(0.01, rel=0.15)
