@@ -18,6 +18,11 @@ O(active edges).
 
 Iteration order is the insertion order of first recording — a
 deterministic function of the seeded event schedule — never hash order.
+
+The silo's partition agent owns the table: ``SiloCore.comm_table`` starts
+as ``None`` and :class:`~repro.core.partitioning.coordinator.PartitionAgent`
+installs it at construction, so a silo nothing partitions records no
+edges that nothing would ever drain.
 """
 
 from __future__ import annotations

@@ -738,7 +738,9 @@ class SiloCore:
         self.sim = runtime.sim
         self.server_id = server_id
         self.activations: dict[ActorId, Activation] = {}
-        self.comm_table = CommTable()
+        # Communication edges (§4.3), recorded only where a partition agent
+        # reads them: PartitionAgent installs the table, None means off.
+        self.comm_table: Optional[CommTable] = None
         self.location_cache = LocationCache(
             runtime.config.location_cache_capacity)
         # call_id -> (continuation, slot) for what this silo's turns
@@ -896,8 +898,9 @@ class SiloCore:
                             copied: Optional[int]) -> None:
         """Queue a new turn.  ``copied``: the bytes a local sender deep
         copied to deliver ``message``, None when it arrived otherwise."""
-        if message.sender is not None:
-            self.comm_table.record(activation.actor_id, message.sender)
+        comm = self.comm_table
+        if comm is not None and message.sender is not None:
+            comm.record(activation.actor_id, message.sender)
         # When its sender made it: no clock reading per message, and the
         # idle collector's ages are seconds against a transit of ms.
         activation.last_active = message.created_at
@@ -1011,7 +1014,9 @@ class SiloCore:
                 san.probe_payload(activation.instance, generator,
                                   yielded.args)
             target = yielded.target.id
-            self.comm_table.record(activation.actor_id, target)
+            comm = self.comm_table
+            if comm is not None:
+                comm.record(activation.actor_id, target)
             self._dispatch_request(Message(
                 kind=MessageKind.ONEWAY,
                 target=target,
@@ -1055,7 +1060,9 @@ class SiloCore:
             pending[call_id] = (turn, slot)
             activation.pending_calls += 1
             target = call.target.id
-            self.comm_table.record(activation.actor_id, target)
+            comm = self.comm_table
+            if comm is not None:
+                comm.record(activation.actor_id, target)
             trace = (None if parent_trace is None
                      else self._child_trace(origin))
             request = Message(
@@ -1106,7 +1113,9 @@ class SiloCore:
         # Actor-to-actor response.
         response = origin.make_response(result, size=origin.response_size,
                                         server_id=self.server_id)
-        self.comm_table.record(activation.actor_id, origin.sender)
+        comm = self.comm_table
+        if comm is not None:
+            comm.record(activation.actor_id, origin.sender)
         destination = origin.reply_to_server
         if destination == self.server_id:
             self.msgs_local += 1
@@ -1164,8 +1173,9 @@ class SiloCore:
         turn, slot = entry
         activation = turn.activation
         activation.pending_calls -= 1
-        if sender is not None:
-            self.comm_table.record(activation.actor_id, sender)
+        comm = self.comm_table
+        if comm is not None and sender is not None:
+            comm.record(activation.actor_id, sender)
         results = turn.results
         if results is not None:
             results[slot] = result

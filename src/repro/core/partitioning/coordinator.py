@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ...actor.commtable import CommTable
 from ...graph.spacesaving import SpaceSaving
 from ...obs.events import ExchangeEvent, PartitionRoundEvent
 from .candidate import rank_peers
@@ -76,6 +77,9 @@ class PartitionAgent:
         self.runtime = runtime
         self.silo = silo
         self.config = config or PartitioningConfig()
+        # The agent is the silo's one comm-table reader, so it installs
+        # the table: a silo without an agent records no edges.
+        silo.comm_table = CommTable()
         self.edges: SpaceSaving = SpaceSaving(self.config.edge_capacity)
         self.peers: dict[int, "PartitionAgent"] = {}
         self.last_exchange_time = -float("inf")

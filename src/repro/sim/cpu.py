@@ -10,10 +10,12 @@ their meaning.  §5.4 of the paper breaks the processing of one event into
 
 :class:`CpuPool` provides ``r`` and ``x``: stage threads submit compute
 bursts; with ``p`` processors at most ``p`` bursts run concurrently and the
-rest queue FIFO, accruing ready time.  Because all stages of a server share
-one pool, allocating more threads to one stage steals processor time from
-the others — exactly the coupling the thread-allocation optimization
-exploits.
+rest queue FIFO, accruing ready time.  A stage's work item goes onto a
+core as itself — no burst wraps it — and the pool ends every item with
+its ``on_cpu`` hook (see :class:`CpuBurst`).  Because all stages of a
+server share one pool, allocating more threads to one stage steals
+processor time from the others — exactly the coupling the
+thread-allocation optimization exploits.
 
 Oversubscription cost.  Real kernels charge context-switch and cache-
 pollution overhead when runnable threads exceed cores.  We model it as a
@@ -37,12 +39,16 @@ __all__ = ["CpuBurst", "CpuPool"]
 
 
 class CpuBurst:
-    """One compute burst submitted to the pool.
+    """One compute burst submitted through :meth:`CpuPool.submit`.
 
-    Attributes record the Fig.-9 breakdown for the burst: ``submit_time``
-    (entered the run queue), ``grant_time`` (started on a core) and
-    ``finish_time``; ``ready_time`` is the difference the §5.4 estimator
-    infers but never observes directly.
+    The pool's work items share one field set: ``dispatch_time`` (entered
+    the run queue), ``grant_time`` (started on a core), ``inflated`` (the
+    core time charged) and ``compute_done_time``; the pool ends each item
+    with ``item.on_cpu(item)``.  A SEDA :class:`~repro.seda.stage.StageEvent`
+    is such an item itself; a burst is the one built for every other
+    caller, and its ``on_cpu`` is ``callback(burst, *args)``.
+    ``ready_time`` is the difference the §5.4 estimator infers but never
+    observes directly.
     """
 
     __slots__ = (
@@ -50,9 +56,9 @@ class CpuBurst:
         "inflated",
         "callback",
         "args",
-        "submit_time",
+        "dispatch_time",
         "grant_time",
-        "finish_time",
+        "compute_done_time",
     )
 
     def __init__(self, compute: float, callback: Callable[..., Any], args: tuple):
@@ -60,14 +66,18 @@ class CpuBurst:
         self.inflated = compute
         self.callback = callback
         self.args = args
-        self.submit_time = 0.0
+        self.dispatch_time = 0.0
         self.grant_time = 0.0
-        self.finish_time = 0.0
+        self.compute_done_time = 0.0
+
+    def on_cpu(self, burst: "CpuBurst") -> None:
+        """The pool's end-of-compute hook: the submitter's callback."""
+        self.callback(burst, *self.args)
 
     @property
     def ready_time(self) -> float:
         """Time spent runnable but not running (``r`` in the paper)."""
-        return self.grant_time - self.submit_time
+        return self.grant_time - self.dispatch_time
 
 
 class CpuPool:
@@ -93,12 +103,13 @@ class CpuPool:
         # perform the identical float arithmetic as before.
         self.throttle = 1.0
 
+        # Free cores and the FIFO run queue; a stage reads and feeds both
+        # directly (Stage.submit / Stage._dispatch), with _grant.
         self._free = processors
-        self._queue: deque[CpuBurst] = deque()
+        self._queue: deque = deque()
 
         # Accounting (monotone counters; callers diff them per window).
         self.busy_time = 0.0
-        self.ready_time_total = 0.0
         self.bursts_completed = 0
 
     # ------------------------------------------------------------------
@@ -116,44 +127,45 @@ class CpuPool:
         return 1.0 + self.switch_factor * excess
 
     # ------------------------------------------------------------------
-    # Burst submission
+    # Work items
     # ------------------------------------------------------------------
     def submit(self, compute: float, callback: Callable[..., Any], *args: Any) -> CpuBurst:
         """Submit a compute burst; ``callback(burst, *args)`` fires when done."""
         if compute < 0:
             raise ValueError(f"negative compute time {compute}")
         burst = CpuBurst(compute, callback, args)
-        burst.submit_time = self.sim.now
+        burst.dispatch_time = self.sim.now
         if self._free > 0:
             self._grant(burst)
         else:
             self._queue.append(burst)
         return burst
 
-    def _grant(self, burst: CpuBurst) -> None:
+    def _grant(self, item) -> None:
+        """Start ``item`` on a free core (the caller checked ``_free``)."""
         self._free -= 1
-        now = self.sim.now
-        burst.grant_time = now
-        # Inline inflation(): this runs once per burst.
+        sim = self.sim
+        item.grant_time = sim.now
+        # Inline inflation(): this runs once per item.
         excess = self.registered_threads - self.processors
         factor = 1.0 + self.switch_factor * excess if excess > 0 else 1.0
-        inflated = burst.compute * factor + self.dispatch_overhead
+        inflated = item.compute * factor + self.dispatch_overhead
         if self.throttle != 1.0:
             inflated *= self.throttle
-        burst.inflated = inflated
-        self.sim.defer(inflated, self._finish, burst)
+        item.inflated = inflated
+        sim.defer(inflated, self._finish, item)
 
-    def _finish(self, burst: CpuBurst) -> None:
-        now = self.sim.now
-        burst.finish_time = now
-        self.busy_time += burst.inflated
-        self.ready_time_total += burst.grant_time - burst.submit_time
+    def _finish(self, item) -> None:
+        item.compute_done_time = self.sim.now
+        self.busy_time += item.inflated
         self.bursts_completed += 1
         self._free += 1
+        # The freed core goes to the next queued item before this one's
+        # completion runs (and possibly submits more work).
         queue = self._queue
         if queue:
             self._grant(queue.popleft())
-        burst.callback(burst, *burst.args)
+        item.on_cpu(item)
 
     # ------------------------------------------------------------------
     # Introspection

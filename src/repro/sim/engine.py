@@ -26,14 +26,16 @@ organised for throughput rather than elegance:
   under cancellation-heavy load.
 * **Handle-free scheduling.**  :meth:`defer` is :meth:`schedule` without
   the :class:`Event` cancellation handle, for internal hot paths that
-  never cancel (CPU burst completions, stage wake-ups, network delivery).
+  never cancel (CPU burst completions, stage wake-ups, network delivery);
+  it pushes inline rather than through :meth:`_push`.
+* **A plain clock.**  ``now`` is an attribute the run loop writes, not a
+  property: every layer reads it at least once per work item.
 
 Time is a float in **seconds** of simulated time.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
@@ -91,7 +93,8 @@ class Simulator:
     _COMPACT_MIN = 64
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulated time in seconds; only the run loop writes it.
+        self.now = 0.0
         # seq -> (callback, args): the single source of truth for liveness.
         self._slab: dict[int, tuple[Callable[..., Any], tuple]] = {}
         self._heap: list[tuple[float, int]] = []
@@ -109,11 +112,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Total callbacks fired so far (cancelled events excluded)."""
@@ -136,40 +134,49 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0 or math.isnan(delay):
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule with negative/NaN delay {delay!r}")
-        time = self._now + delay
+        time = self.now + delay
         return Event(self, time, self._push(time, callback, args))
 
     def at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to fire at absolute ``time``."""
-        if time < self._now or math.isnan(time):
+        if not time >= self.now:  # also rejects NaN
             raise SimulationError(
-                f"cannot schedule at t={time} (already at t={self._now})"
+                f"cannot schedule at t={time} (already at t={self.now})"
             )
         return Event(self, time, self._push(time, callback, args))
 
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at the current instant (after any
         events already queued for this instant)."""
-        return Event(self, self._now, self._push(self._now, callback, args))
+        return Event(self, self.now, self._push(self.now, callback, args))
 
     def defer(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """:meth:`schedule` without allocating a cancellation handle.
 
         For internal hot paths that fire-and-forget (burst completions,
         stage wake-ups, message delivery).  The event cannot be cancelled.
+        The body is :meth:`_push` inlined, same-instant test included.
         """
-        if delay < 0 or math.isnan(delay):
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule with negative/NaN delay {delay!r}")
-        self._push(self._now + delay, callback, args)
+        now = self.now
+        time = now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        self._slab[seq] = (callback, args)
+        if time == now:
+            self._soon.append((time, seq))
+        else:
+            heappush(self._heap, (time, seq))
 
     def _push(self, time: float, callback: Callable[..., Any], args: tuple) -> int:
         seq = self._seq
         self._seq = seq + 1
         self._slab[seq] = (callback, args)
-        if time == self._now:
-            # Same-instant fast path: seq is strictly increasing and _now
+        if time == self.now:
+            # Same-instant fast path: seq is strictly increasing and now
             # is nondecreasing, so appends keep the deque sorted.
             self._soon.append((time, seq))
         else:
@@ -220,8 +227,8 @@ class Simulator:
             self._drain(until, max_events)
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
 
     def _drain(self, until: Optional[float], max_events: Optional[int]) -> int:
         heap = self._heap
@@ -255,7 +262,7 @@ class Simulator:
                 heappop(heap)
             else:
                 soon.popleft()
-            self._now = time
+            self.now = time
             self._events_processed += 1
             callback, args = item
             if san is not None:
@@ -267,4 +274,4 @@ class Simulator:
         return fired
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Simulator(t={self._now:.6f}, pending={len(self._slab)})"
+        return f"Simulator(t={self.now:.6f}, pending={len(self._slab)})"

@@ -119,6 +119,41 @@ def test_comm_table_merge_is_exact_and_order_deterministic():
     assert b.weight(ids[1], ids[0]) == 4.0
 
 
+def _halo_slice(partitioning):
+    from repro.actor.runtime import ClusterConfig
+    from repro.cluster import build_cluster
+    from repro.core.actop import ActOpConfig
+    from repro.core.partitioning.coordinator import PartitioningConfig
+    from repro.workloads.halo import HaloConfig, HaloWorkload
+
+    actop = ActOpConfig(partitioning=PartitioningConfig(
+        round_period=0.5, stats_period=0.25)) if partitioning else None
+    cluster = build_cluster(ClusterConfig(num_servers=3, seed=4), actop=actop)
+    rt = cluster.runtime
+    tables = [silo.comm_table for silo in rt.silos]  # as built, before traffic
+    workload = HaloWorkload(rt, HaloConfig(
+        target_players=96, pool_target=16, request_rate=60.0,
+        game_duration=(10.0, 15.0), matchmaking_period=0.5))
+    workload.start()
+    cluster.start()
+    rt.run(until=1.5)
+    assert rt.msgs_local + rt.msgs_remote > 0
+    return cluster, tables
+
+
+def test_comm_table_exists_only_where_a_partition_agent_reads_it():
+    cluster, tables = _halo_slice(partitioning=False)
+    assert tables == [None] * 3
+    assert all(silo.comm_table is None for silo in cluster.runtime.silos)
+
+    cluster, tables = _halo_slice(partitioning=True)
+    assert all(table is not None for table in tables)
+    # Still the tables the agents installed, the ones their folds drain.
+    silos = cluster.runtime.silos
+    assert all(silo.comm_table is table for silo, table in zip(silos, tables))
+    assert [agent.silo for agent in cluster.actop.agents] == silos
+
+
 def test_quiescence_conditions():
     act = make_activation()
     assert act.quiescent

@@ -79,7 +79,7 @@ def test_utilization_accounting():
     pool.submit(1.0, lambda b: None)
     busy0, t0 = pool.busy_time, sim.now
     sim.run()
-    sim._now = 2.0  # run() leaves now at last event (1.0); force a window
+    sim.now = 2.0  # run() leaves now at last event (1.0); force a window
     assert pool.utilization(busy0, t0) == pytest.approx(2.0 / (2.0 * 2))
 
 

@@ -83,6 +83,17 @@ def test_negative_delay_rejected():
         sim.schedule(-1.0, lambda: None)
 
 
+@pytest.mark.parametrize("method", ["schedule", "defer", "at"])
+@pytest.mark.parametrize("value", [float("nan"), -1.0])
+def test_nan_and_negative_times_rejected(method, value):
+    sim = Simulator()
+    sim.run(until=2.0)  # at() rejects an absolute time before now
+    bad = value if method != "at" else sim.now + value
+    with pytest.raises(SimulationError):
+        getattr(sim, method)(bad, lambda: None)
+    assert sim.pending() == 0 and sim.queue_size() == 0
+
+
 def test_scheduling_in_the_past_rejected():
     sim = Simulator()
     sim.schedule(5.0, lambda: None)

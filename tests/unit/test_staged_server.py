@@ -51,7 +51,7 @@ def test_window_sampling_diffs_counters():
     start = server.snapshot()
     stage.submit(1.0, lambda ev: None)
     sim.run()
-    sim._now = 2.0
+    sim.now = 2.0
     windows = server.windows_since(start)
     assert windows["a"].completions == 1
     assert windows["a"].arrivals == 1
