@@ -48,7 +48,7 @@ class _ImportTracker(ast.NodeVisitor):
     """Resolve local names through ``import``/``from`` aliases.
 
     ``from time import perf_counter as pc`` makes ``pc()`` resolve to
-    ``time.perf_counter``; ``import numpy as np`` makes ``np.random.x``
+    ``time.perf_counter``; numpy imported as ``np`` makes ``np.random.x``
     resolve to ``numpy.random.x``.
     """
 

@@ -1,5 +1,5 @@
-"""Solving problem (*): Theorem 2's closed form, a convex numeric
-fallback, and integerization.
+"""Solving problem (*): Theorem 2's closed form, its binding-cap
+extension, and integerization.
 
 Theorem 2: if the system is feasible and eta >= zeta, the optimum is
 
@@ -8,11 +8,19 @@ Theorem 2: if the system is feasible and eta >= zeta, the optimum is
 The first term is the stability minimum (enough service rate to keep up);
 the second spreads slack proportionally to sqrt(lambda_i / s_i) — heavily
 loaded or slow stages get more headroom.  When eta < zeta the processor
-constraint binds and the problem, still convex, is solved numerically
-(SLSQP).  Real thread pools are integers, so :func:`integerize` rounds
-the fractional solution by exhaustive floor/ceil choice (K is small) and
-:func:`grid_search` provides the brute-force reference the ablation bench
-and property tests compare against.
+constraint binds.  The problem is still convex, and stationarity of its
+Lagrangian with one multiplier nu >= 0 on sum_i beta_i t_i <= p is
+Theorem 2 with eta replaced by eta + nu * beta_i per stage:
+
+    t_i(nu) = lambda_i / s_i + sqrt( lambda_i / (lambda_tot * (eta + nu beta_i) * s_i) ).
+
+sum_i beta_i t_i(nu) falls strictly from the closed form's usage at
+nu = 0 toward the CPU demand (< p), so the binding optimum is the one nu
+where the cap holds with equality, found by bisection.  Real thread pools
+are integers, so :func:`integerize` rounds the fractional solution by
+exhaustive floor/ceil choice (K is small) and :func:`grid_search`
+provides the brute-force reference the ablation bench and property tests
+compare against.
 """
 
 from __future__ import annotations
@@ -20,9 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 from typing import Optional, Sequence
-
-import numpy as np
-from scipy.optimize import minimize
 
 from .model import ThreadAllocationProblem
 
@@ -36,81 +41,63 @@ __all__ = [
 ]
 
 
-def solve_closed_form(problem: ThreadAllocationProblem) -> Optional[list[float]]:
-    """Theorem 2.  Returns None when its premise (eta >= zeta) fails."""
-    if not problem.is_feasible():
-        return None
-    if problem.eta < problem.zeta():
-        return None
+def _stationary_point(problem: ThreadAllocationProblem, nu: float) -> list[float]:
+    """t(nu): the Lagrangian's stationary point, nu the CPU cap's multiplier.
+
+    nu = 0 is Theorem 2's closed form bit for bit.  An idle stage gets 0.0.
+    """
     lam_tot = problem.lambda_tot
+    eta = problem.eta
     threads = []
     for stage in problem.stages:
         lam, s = stage.arrival_rate, stage.service_rate_per_thread
         if lam <= 0:
             threads.append(0.0)
             continue
-        threads.append(lam / s + math.sqrt(lam / (lam_tot * problem.eta * s)))
+        penalty = eta + nu * stage.cpu_fraction
+        threads.append(lam / s + math.sqrt(lam / (lam_tot * penalty * s)))
     return threads
 
 
+def solve_closed_form(problem: ThreadAllocationProblem) -> Optional[list[float]]:
+    """Theorem 2.  Returns None when its premise (eta >= zeta) fails."""
+    if not problem.is_feasible() or problem.eta < problem.zeta():
+        return None
+    return _stationary_point(problem, 0.0)
+
+
 def solve_numeric(problem: ThreadAllocationProblem) -> Optional[list[float]]:
-    """SLSQP on the convex problem, for the eta < zeta regime."""
+    """The exact KKT solution of (*), whether or not the CPU cap binds.
+
+    nu = 0 when the closed form fits the cap; otherwise nu is bracketed by
+    doubling and bisected to float resolution, and the feasible side of
+    the bracket is returned.
+    """
     if not problem.is_feasible():
         return None
-    stages = problem.stages
-    lam = np.array([s.arrival_rate for s in stages])
-    srv = np.array([s.service_rate_per_thread for s in stages])
-    beta = np.array([s.cpu_fraction for s in stages])
-    lam_tot = lam.sum()
-    if lam_tot <= 0:
-        return [0.0] * len(stages)
 
-    # Stability lower bounds with a small margin so the objective stays finite.
-    lower = lam / srv * 1.0001 + 1e-9
+    def fits(nu: float) -> bool:
+        return problem.satisfies_cpu_constraint(_stationary_point(problem, nu), tol=0.0)
 
-    def objective(t: np.ndarray) -> float:
-        mu = t * srv
-        gap = mu - lam
-        if np.any(gap <= 0):
-            return 1e18
-        return float((lam / gap).sum() / lam_tot + problem.eta * t.sum())
-
-    def gradient(t: np.ndarray) -> np.ndarray:
-        gap = t * srv - lam
-        return -lam * srv / gap**2 / lam_tot + problem.eta
-
-    # Start from a feasible interior point: scale slack to fit the CPU cap.
-    slack_budget = problem.processors - float((lower * beta).sum())
-    if slack_budget <= 0:
-        return None
-    weights = np.sqrt(np.maximum(lam, 1e-12) / srv)
-    weights_sum = float((weights * beta).sum())
-    start = lower + weights * (0.5 * slack_budget / max(weights_sum, 1e-12))
-
-    constraints = [
-        {
-            "type": "ineq",
-            "fun": lambda t: problem.processors - float((t * beta).sum()),
-            "jac": lambda t: -beta,
-        }
-    ]
-    bounds = [(lo, None) for lo in lower]
-    result = minimize(
-        objective,
-        start,
-        jac=gradient,
-        bounds=bounds,
-        constraints=constraints,
-        method="SLSQP",
-        options={"maxiter": 500, "ftol": 1e-12},
-    )
-    if not result.success:
-        return None
-    return [float(t) for t in result.x]
+    if fits(0.0):
+        return _stationary_point(problem, 0.0)
+    lo, hi = 0.0, problem.eta
+    while not fits(hi):
+        if math.isinf(hi):
+            return None  # demand within rounding of p: no slack to spread
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return _stationary_point(problem, hi)
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
 
 
 def solve_fractional(problem: ThreadAllocationProblem) -> Optional[list[float]]:
-    """Closed form when applicable, numeric otherwise (the paper's §5.3)."""
+    """Closed form when applicable, KKT bisection otherwise (the paper's §5.3)."""
     closed = solve_closed_form(problem)
     if closed is not None:
         return closed

@@ -1,9 +1,12 @@
-"""Unit tests for Theorem 2's solver and its numeric/integer companions."""
+"""Unit tests for Theorem 2's solver, its binding-cap extension and
+integerization."""
 
+import itertools
 import math
 
 import pytest
 
+from repro.core.threads import optimizer
 from repro.core.threads.model import ThreadAllocationProblem
 from repro.core.threads.optimizer import (
     grid_search,
@@ -61,11 +64,24 @@ def test_closed_form_is_stationary_point():
 def test_numeric_agrees_with_closed_form_when_unconstrained():
     loads = [StageLoad(100.0, 1000.0), StageLoad(300.0, 500.0)]
     prob = make_problem(loads, eta=1e-3)
-    closed = solve_closed_form(prob)
-    numeric = solve_numeric(prob)
-    assert numeric is not None
-    for a, b in zip(closed, numeric):
-        assert a == pytest.approx(b, rel=1e-3)
+    assert solve_numeric(prob) == solve_closed_form(prob)
+
+
+def test_stationary_point_at_zero_multiplier_is_the_closed_form():
+    loads = [StageLoad(200.0, 800.0, 0.5), StageLoad(0.0, 400.0),
+             StageLoad(50.0, 1200.0, 0.9)]
+    prob = make_problem(loads, eta=5e-4)
+    assert optimizer._stationary_point(prob, 0.0) == solve_closed_form(prob)
+
+
+def test_numeric_just_below_zeta_continues_the_closed_form():
+    loads = [StageLoad(400.0, 100.0), StageLoad(200.0, 150.0, 0.5)]
+    zeta = make_problem(loads, eta=1e-3).zeta()
+    at_zeta = solve_closed_form(make_problem(loads, eta=zeta))
+    below = make_problem(loads, eta=zeta * (1 - 1e-9))
+    assert solve_closed_form(below) is None
+    for a, b in zip(solve_numeric(below), at_zeta):
+        assert a == pytest.approx(b, rel=1e-6)
 
 
 def test_numeric_respects_cpu_constraint_when_binding():
@@ -78,6 +94,43 @@ def test_numeric_respects_cpu_constraint_when_binding():
     assert prob.satisfies_cpu_constraint(t, tol=1e-6)
     used = sum(ti * s.cpu_fraction for ti, s in zip(t, prob.stages))
     assert used == pytest.approx(8.0, rel=1e-3)  # the cap binds
+
+
+def test_idle_stage_in_binding_regime_gets_zero_then_one_thread():
+    loads = [StageLoad(400.0, 100.0), StageLoad(0.0, 100.0)]
+    prob = make_problem(loads, p=8, eta=1e-8)
+    assert prob.eta < prob.zeta()
+    t = solve_numeric(prob)
+    assert t[1] == 0.0
+    assert integerize(prob, t)[1] == 1
+
+
+def _binding_corner_instances():
+    """The corners of the property test's binding-instance strategy."""
+    for k, lam, s, beta, p, eta in itertools.product(
+            (1, 5), (1.0, 49.4, 500.0), (50.0, 2000.0), (5e-324, 1e-3, 1.0),
+            (1, 16), (1e-9, 1e-2)):
+        prob = make_problem([StageLoad(lam, s, beta)] * k, p=p, eta=eta)
+        if prob.cpu_demand() < 0.99 * p and eta < prob.zeta():
+            yield prob
+
+
+def test_bisection_ends_within_200_iterations(monkeypatch):
+    evaluations = []
+    stationary_point = optimizer._stationary_point
+
+    def counted(problem, nu):
+        evaluations.append(nu)
+        return stationary_point(problem, nu)
+
+    monkeypatch.setattr(optimizer, "_stationary_point", counted)
+    instances = list(_binding_corner_instances())
+    assert instances
+    for prob in instances:
+        evaluations.clear()
+        t = solve_numeric(prob)
+        assert t is not None and prob.satisfies_cpu_constraint(t, tol=1e-9)
+        assert len(evaluations) <= 200
 
 
 def test_solve_fractional_dispatches():
