@@ -45,7 +45,7 @@ def direction_flips(values):
 
 def run_queue_controller():
     sim = Simulator()
-    emu = SedaEmulator(sim, PROFILES, ARRIVAL_RATE, processors=8,
+    emu = SedaEmulator(sim, PROFILES, ARRIVAL_RATE,
                        rng=RngRegistry(17))
     ctrl = QueueLengthController(sim, emu.server, period=CONTROL_PERIOD,
                                  high_threshold=100, low_threshold=10)
@@ -57,7 +57,7 @@ def run_queue_controller():
 
 def run_model_controller():
     sim = Simulator()
-    emu = SedaEmulator(sim, PROFILES, ARRIVAL_RATE, processors=8,
+    emu = SedaEmulator(sim, PROFILES, ARRIVAL_RATE,
                        rng=RngRegistry(17))
     ctrl = ModelBasedController(sim, emu.server, eta=1e-3,
                                 period=CONTROL_PERIOD, min_events=10)

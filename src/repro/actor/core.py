@@ -45,6 +45,7 @@ delivery deep-copied ``n`` bytes) and the simulator prices it.
 
 from __future__ import annotations
 
+import math
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Mapping, Optional, Type
 
@@ -72,6 +73,11 @@ from .messages import Message, MessageKind, next_call_id
 from .placement import PlacementPolicy, RandomPlacement
 
 __all__ = ["ClusterCore", "SiloCore"]
+
+CLIENT_RESPONSE_SIZE = 256   # bytes of a response to a client request
+# Seconds between a draining silo's quiescence checks; it must exceed the
+# wire latency (see ClusterCore.drain_silo).
+DRAIN_POLL = 0.25
 
 
 class _ClientRequest:
@@ -129,6 +135,13 @@ class ClusterCore:
         ts = config.time_scale
         if ts <= 0:
             raise ValueError("time_scale must be positive")
+        period = config.idle_collection_period
+        if config.idle_collection_age is not None and not (
+                period > 0 and math.isfinite(period)):
+            # A zero period reschedules the sweep at the same instant
+            # forever: simulated time would never advance.
+            raise ValueError("idle_collection_period must be positive and "
+                             f"finite, got {period!r}")
         self.time_scale = ts
         self.sim = clock
         self.rng = RngRegistry(config.seed)
@@ -379,7 +392,7 @@ class ClusterCore:
                 self.sim.now, server=server, action="add"))
         return server
 
-    def drain_silo(self, server: int, poll: float = 0.25,
+    def drain_silo(self, server: int,
                    on_complete: Optional[Callable[[int], None]] = None) -> bool:
         """Gracefully remove one silo: the §4.3 migration path in bulk.
 
@@ -389,10 +402,10 @@ class ClusterCore:
         the remaining live silos (round-robin over server ids; ActOp's
         rounds, when it runs, repair locality), and a poll loop
         decommissions the silo once it has been empty and idle for one
-        whole ``poll`` — a message routed here just before the last
-        activation left is still on the wire when the silo first reads
-        empty, and only a live silo forwards it, so ``poll`` must exceed
-        the wire latency.  Returns False if the silo is already dead or
+        whole :data:`DRAIN_POLL` — a message routed here just before the
+        last activation left is still on the wire when the silo first
+        reads empty, and only a live silo forwards it, so the poll must
+        exceed the wire latency.  Returns False if the silo is already dead or
         draining; ``on_complete(server)`` fires at decommission time.
         """
         silo = self.silos[server]
@@ -408,7 +421,7 @@ class ClusterCore:
                 self.sim.now, server=server, action="drain_begin",
                 activations=len(silo.activations)))
         self._migrate_off(silo, recipients)
-        self.sim.schedule(poll, self._drain_poll, server, poll, on_complete,
+        self.sim.schedule(DRAIN_POLL, self._drain_poll, server, on_complete,
                           False)
         return True
 
@@ -418,7 +431,7 @@ class ClusterCore:
             if activation is not None and not activation.deactivating:
                 silo.migrate(actor_id, recipients[i % len(recipients)])
 
-    def _drain_poll(self, server: int, poll: float,
+    def _drain_poll(self, server: int,
                     on_complete: Optional[Callable[[int], None]],
                     was_empty: bool) -> None:
         silo = self.silos[server]
@@ -436,7 +449,7 @@ class ClusterCore:
                 # sweep (e.g. it was mid-call-chain and a racing message
                 # re-drove it), and plain deactivations need a hint too.
                 self._migrate_off(silo, recipients)
-            self.sim.schedule(poll, self._drain_poll, server, poll,
+            self.sim.schedule(DRAIN_POLL, self._drain_poll, server,
                               on_complete, empty)
             return
         silo.decommission()
@@ -741,8 +754,7 @@ class SiloCore:
         # Communication edges (§4.3), recorded only where a partition agent
         # reads them: PartitionAgent installs the table, None means off.
         self.comm_table: Optional[CommTable] = None
-        self.location_cache = LocationCache(
-            runtime.config.location_cache_capacity)
+        self.location_cache = LocationCache()
         # call_id -> (continuation, slot) for what this silo's turns
         # await: responses to their calls, and Sleep wake-ups.
         self._pending: dict[int, tuple[_Continuation, int]] = {}
@@ -1106,7 +1118,7 @@ class SiloCore:
             return
         if origin.kind is MessageKind.CLIENT_REQUEST:
             self._reply_to_client(origin.make_response(
-                result, size=self.runtime.config.client_response_size,
+                result, size=CLIENT_RESPONSE_SIZE,
                 server_id=self.server_id,
             ))
             return

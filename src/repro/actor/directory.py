@@ -21,6 +21,8 @@ from .ids import ActorId
 
 __all__ = ["Directory", "LocationCache"]
 
+LOCATION_CACHE_CAPACITY = 100_000   # placement hints a silo keeps
+
 
 class Directory:
     """Authoritative actor -> server map plus a per-server census."""
@@ -72,10 +74,11 @@ class LocationCache:
     After migrating actor A from p to q, both p and q record A -> q; the
     next message to A from either silo re-places it on q.  "Old cached
     location values are evicted in order to maintain low space overhead"
-    — we use FIFO eviction at a configurable capacity.
+    — we use FIFO eviction at ``capacity`` (a silo's cache holds
+    :data:`LOCATION_CACHE_CAPACITY`).
     """
 
-    def __init__(self, capacity: int = 100_000):
+    def __init__(self, capacity: int = LOCATION_CACHE_CAPACITY):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity

@@ -15,12 +15,13 @@ no event and no RNG draw, so seeded digests do not depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..faults.resilience import ResilienceConfig
 from ..sim.engine import Simulator
-from ..sim.network import Network
+from ..sim.network import BASE_LATENCY, Network
+from .actor import DEFAULT_RESUME_COMPUTE
 from .core import ClusterCore
 from .messages import Message
 from .serialization import SerializationModel
@@ -33,34 +34,31 @@ __all__ = ["ClusterConfig", "ActorRuntime"]
 class ClusterConfig:
     """Cluster-wide knobs (defaults mirror the paper's testbed).
 
+    The cost model's constants live with the layer that reads them:
+    :mod:`repro.sim.cpu` (switch factor, dispatch overhead),
+    :class:`~repro.actor.serialization.SerializationModel`,
+    :mod:`repro.sim.network` (latency, jitter),
+    :data:`~repro.actor.actor.DEFAULT_RESUME_COMPUTE`, and
+    :mod:`repro.actor.core` / :mod:`repro.actor.directory` (client
+    response size, location-cache capacity).
+
     Attributes:
         num_servers: silo count (the paper's cluster has 10).
         processors: cores per silo (8).
-        switch_factor: per-excess-thread compute inflation.
-        dispatch_overhead: fixed per-burst context-switch cost.
-        serialization: RPC/LPC cost model.
-        network_latency / network_jitter: wire model.
-        resume_compute: CPU cost of resuming a suspended turn.
-        client_response_size: bytes of a client-bound response.
-        location_cache_capacity: per-silo hint cache size.
         time_scale: multiply every simulated duration (costs, network,
             waits) by this factor; drive the workload at rate/time_scale
             and the system sits at the *same* utilization with the same
             latency shape while simulating time_scale-fold fewer events.
             Benches report latencies divided back by time_scale.
+        idle_collection_age: Orleans-style activation GC: silos drop
+            actors idle this long (None = off).
+        idle_collection_period: seconds between collection sweeps; must
+            be positive and finite when collection is on.
         seed: root seed for every RNG substream.
     """
 
     num_servers: int = 10
     processors: int = 8
-    switch_factor: float = 0.05
-    dispatch_overhead: float = 2e-6
-    serialization: SerializationModel = field(default_factory=SerializationModel)
-    network_latency: float = 0.0005
-    network_jitter: float = 0.1
-    resume_compute: float = 5e-6
-    client_response_size: int = 256
-    location_cache_capacity: int = 100_000
     time_scale: float = 1.0
     idle_collection_age: Optional[float] = None
     idle_collection_period: float = 30.0
@@ -79,14 +77,10 @@ class ActorRuntime(ClusterCore):
         super().__init__(config or ClusterConfig(), sim or Simulator(),
                          resilience, supervisor)
         ts = self.time_scale
-        self.serialization = self.config.serialization.scaled(ts)
-        self.resume_compute = self.config.resume_compute * ts
-        self.network = Network(
-            self.sim,
-            self.rng,
-            base_latency=self.config.network_latency * ts,
-            jitter=self.config.network_jitter,
-        )
+        self.serialization = SerializationModel().scaled(ts)
+        self.resume_compute = DEFAULT_RESUME_COMPUTE * ts
+        self.network = Network(self.sim, self.rng,
+                               base_latency=BASE_LATENCY * ts)
         self.silos = [Silo(self, i) for i in range(self.config.num_servers)]
 
     # ------------------------------------------------------------------

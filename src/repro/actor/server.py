@@ -19,6 +19,7 @@ here from the actor's ``COMPUTE`` / ``WAIT`` tables and the runtime's
 from __future__ import annotations
 
 from ..seda.server import StagedServer
+from ..sim.cpu import DISPATCH_OVERHEAD
 from ..seda.stage import StageEvent
 from .activation import Activation
 from .core import SiloCore
@@ -38,8 +39,7 @@ class Silo(SiloCore):
         self.server = StagedServer(
             self.sim,
             processors=cfg.processors,
-            switch_factor=cfg.switch_factor,
-            dispatch_overhead=cfg.dispatch_overhead * cfg.time_scale,
+            dispatch_overhead=DISPATCH_OVERHEAD * cfg.time_scale,
             name=f"silo{server_id}",
         )
         threads = cfg.processors   # Orleans: one thread per stage per core (§3)

@@ -29,8 +29,10 @@ class AutoscaleConfig:
         cooldown: minimum seconds between scaling plans, so a plan's
             effect lands in the measurements before the next decision.
         warmup: seconds before the first control tick.
-        drain_poll: quiescence polling period handed to
-            :meth:`~repro.actor.runtime.ActorRuntime.drain_silo`.
+
+    A shrink drains its silo with
+    :meth:`~repro.actor.core.ClusterCore.drain_silo`, which polls for
+    quiescence every :data:`~repro.actor.core.DRAIN_POLL` seconds.
     """
 
     period: float = 2.0
@@ -41,7 +43,6 @@ class AutoscaleConfig:
     initial_silos: Optional[int] = None
     cooldown: float = 4.0
     warmup: float = 2.0
-    drain_poll: float = 0.25
 
     def __post_init__(self) -> None:
         if self.period <= 0:
@@ -57,5 +58,3 @@ class AutoscaleConfig:
             raise ValueError("initial_silos must be >= 1")
         if self.cooldown < 0 or self.warmup < 0:
             raise ValueError("cooldown and warmup must be >= 0")
-        if self.drain_poll <= 0:
-            raise ValueError("drain_poll must be > 0")

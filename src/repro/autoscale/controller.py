@@ -193,7 +193,7 @@ class AutoscaleController:
         self.decisions.append(
             (runtime.sim.now, util, active - 1, f"drain:{victim}"))
         started = runtime.drain_silo(
-            victim, poll=self.config.drain_poll,
+            victim,
             on_complete=lambda server, _ctx=(plan_id, util, active):
                 self._drain_done(server, *_ctx))
         if not started:  # silo died between measure and act

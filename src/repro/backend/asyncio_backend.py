@@ -383,10 +383,9 @@ class AsyncioBackend(ClusterCore):
     Args:
         config: the shared :class:`~repro.actor.runtime.ClusterConfig`;
             ``num_servers``, ``processors``, ``seed``, ``time_scale`` and
-            the idle-collection knobs apply here (the modeled-cost knobs
-            — serialization tables, network latency — are the
-            simulator's and are ignored: real pickling and real sockets
-            charge themselves).
+            the idle-collection knobs apply here (the simulator's cost
+            model — serialization tables, network latency — does not:
+            real pickling and real sockets charge themselves).
         resilience: retry / deadline / admission-capacity policies;
             ``call_timeout`` (wall-clock seconds before an unanswered
             call or client-request attempt fails with
@@ -419,8 +418,12 @@ class AsyncioBackend(ClusterCore):
         if resilience.call_timeout is None:
             resilience = replace(resilience,
                                  call_timeout=DEFAULT_CALL_TIMEOUT)
-        super().__init__(config or ClusterConfig(), WallClock(self._loop),
-                         resilience, supervisor or Supervisor())
+        try:
+            super().__init__(config or ClusterConfig(), WallClock(self._loop),
+                             resilience, supervisor or Supervisor())
+        except ValueError:   # a rejected config: release the loop
+            self._loop.close()
+            raise
         self.silos = [AsyncioSilo(self, i)
                       for i in range(self.config.num_servers)]
         self._ports: dict[int, int] = {}

@@ -136,9 +136,9 @@ class _ExperimentBase:
     benches) all go through it.
     """
 
-    def __init__(self, runtime: ActorRuntime, time_scale: float, label: str):
+    def __init__(self, runtime: ActorRuntime, label: str):
         self.runtime = runtime
-        self.time_scale = time_scale
+        self.time_scale = runtime.time_scale
         self.label = label
         self.sampler: Optional[ClusterSampler] = None
         self._started = False
@@ -217,7 +217,8 @@ class HaloExperiment(_ExperimentBase):
         players: concurrent player target (paper: 100K; scaled default 2K).
         partitioning: enable the §4 optimizer.
         thread_allocation: enable the §5 optimizer.
-        num_servers / seed / time_scale: infrastructure knobs.
+        num_servers / seed: infrastructure knobs (time scale:
+            :data:`HALO_TIME_SCALE`).
         resilience: retry/deadline/admission policies (None = off).
         faults: a fault plan armed when the experiment starts.
         max_receiver_queue: shorthand for
@@ -233,7 +234,6 @@ class HaloExperiment(_ExperimentBase):
         thread_allocation: bool = False,
         num_servers: int = 10,
         seed: int = 1,
-        time_scale: float = HALO_TIME_SCALE,
         max_receiver_queue: Optional[int] = None,
         resilience: Optional[ResilienceConfig] = None,
         faults: Optional[FaultPlan] = None,
@@ -242,6 +242,7 @@ class HaloExperiment(_ExperimentBase):
         if resilience is None and max_receiver_queue is not None:
             resilience = ResilienceConfig(
                 admission=AdmissionConfig(receiver_queue=max_receiver_queue))
+        time_scale = HALO_TIME_SCALE
         actop_config = ActOpConfig(
             partitioning=halo_partitioning_config() if partitioning else None,
             thread_allocation=(halo_thread_config(time_scale)
@@ -256,7 +257,6 @@ class HaloExperiment(_ExperimentBase):
         )
         super().__init__(
             cluster.runtime,
-            time_scale,
             label
             or f"halo(load={load_fraction:.2f}, part={partitioning}, thr={thread_allocation})",
         )
@@ -291,7 +291,8 @@ class HaloExperiment(_ExperimentBase):
 
 
 class HeartbeatExperiment(_ExperimentBase):
-    """One single-server Heartbeat run (§6.2 / Fig. 11a)."""
+    """One single-server Heartbeat run (§6.2 / Fig. 11a) at
+    :data:`HEARTBEAT_TIME_SCALE`."""
 
     def __init__(
         self,
@@ -300,22 +301,17 @@ class HeartbeatExperiment(_ExperimentBase):
         thread_allocation: bool = False,
         io_wait: float = 0.0,
         seed: int = 3,
-        time_scale: float = HEARTBEAT_TIME_SCALE,
-        resilience: Optional[ResilienceConfig] = None,
-        faults: Optional[FaultPlan] = None,
         label: Optional[str] = None,
     ):
+        time_scale = HEARTBEAT_TIME_SCALE
         cluster = build_cluster(
             ClusterConfig(num_servers=1, seed=seed, time_scale=time_scale),
-            resilience=resilience,
             actop=(ActOpConfig(
                 thread_allocation=heartbeat_thread_config(time_scale))
                 if thread_allocation else None),
-            faults=faults,
         )
         super().__init__(
             cluster.runtime,
-            time_scale,
             label or f"heartbeat(rate={request_rate:.0f}, thr={thread_allocation})",
         )
         self.cluster: Cluster = cluster
@@ -353,22 +349,19 @@ class StageflowExperiment(_ExperimentBase):
         num_servers: int = 6,
         processors: int = 2,
         seed: int = 3,
-        time_scale: float = 1.0,
-        resilience: Optional[ResilienceConfig] = None,
         faults: Optional[FaultPlan] = None,
         label: Optional[str] = None,
     ):
         cluster = build_cluster(
             ClusterConfig(num_servers=num_servers, processors=processors,
-                          seed=seed, time_scale=time_scale),
-            resilience=resilience,
+                          seed=seed),
             faults=faults,
             autoscale=autoscale,
         )
         config = config or StageflowConfig()
         mode = "autoscale" if autoscale is not None else "fixed"
         super().__init__(
-            cluster.runtime, time_scale,
+            cluster.runtime,
             label or f"stageflow({config.curve}, {config.policy}, {mode})",
         )
         self.cluster: Cluster = cluster
@@ -399,26 +392,24 @@ class StageflowExperiment(_ExperimentBase):
 
 
 class CounterExperiment(_ExperimentBase):
-    """One single-server counter run (§3 / Figs. 4-5)."""
+    """One single-server counter run (§3 / Figs. 4-5) at
+    :data:`COUNTER_TIME_SCALE`."""
 
     def __init__(
         self,
         request_rate: float = 15_000.0,
-        actors: int = 8_000,
         threads: Optional[dict[str, int]] = None,
         seed: int = 7,
-        time_scale: float = COUNTER_TIME_SCALE,
         resilience: Optional[ResilienceConfig] = None,
-        faults: Optional[FaultPlan] = None,
         label: Optional[str] = None,
     ):
+        time_scale = COUNTER_TIME_SCALE
         cluster = build_cluster(
             ClusterConfig(num_servers=1, seed=seed, time_scale=time_scale),
             resilience=resilience,
-            faults=faults,
         )
         super().__init__(
-            cluster.runtime, time_scale,
+            cluster.runtime,
             label or f"counter(rate={request_rate:.0f})"
         )
         self.cluster: Cluster = cluster
@@ -426,7 +417,7 @@ class CounterExperiment(_ExperimentBase):
         self.injector: Optional[FaultInjector] = cluster.injector
         self.workload = CounterWorkload(
             cluster.runtime,
-            CounterConfig(num_actors=actors, request_rate=request_rate / time_scale),
+            CounterConfig(request_rate=request_rate / time_scale),
         )
         if threads:
             cluster.runtime.silos[0].server.apply_allocation(threads)

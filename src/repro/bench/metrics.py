@@ -14,6 +14,12 @@ from typing import Iterable, Optional, Sequence
 
 __all__ = ["HistogramRecorder", "LatencyRecorder", "TimeSeries", "percentile"]
 
+RESERVOIR_SEED = 0          # reservoir sampling's RNG seed (reproducible)
+# HistogramRecorder's bucketing: quantiles within 1% relative error;
+# values below MIN_VALUE share the underflow bucket.
+MAX_RELATIVE_ERROR = 0.01
+MIN_VALUE = 1e-7
+
 
 def percentile(samples: Sequence[float], q: float) -> float:
     """q-th percentile (q in [0, 100]) by linear interpolation.
@@ -44,14 +50,15 @@ class LatencyRecorder:
         reservoir: if set, keep at most this many samples via uniform
             reservoir sampling (Vitter's algorithm R).  Mean and count stay
             exact; percentiles become estimates — fine at the reservoir
-            sizes used by the benches (>= 50k).
-        seed: reservoir RNG seed, for reproducibility.
+            sizes used by the benches (>= 50k).  The reservoir draws
+            from a :data:`RESERVOIR_SEED`-seeded RNG, so it is
+            reproducible.
     """
 
-    def __init__(self, reservoir: Optional[int] = None, seed: int = 0):
+    def __init__(self, reservoir: Optional[int] = None):
         self._samples: list[float] = []
         self._reservoir = reservoir
-        self._rng = random.Random(seed)
+        self._rng = random.Random(RESERVOIR_SEED)
         self.count = 0
         self.total = 0.0
         self.max_value = 0.0
@@ -158,35 +165,25 @@ class HistogramRecorder:
     """Mergeable log-bucketed streaming histogram (HDR-histogram style).
 
     Values are counted in geometrically spaced buckets: bucket ``i`` covers
-    ``[min_value * g**(i-1), min_value * g**i)`` with growth factor
-    ``g = 1 + max_relative_error``.  That makes :meth:`record` O(1) (one
+    ``[MIN_VALUE * g**(i-1), MIN_VALUE * g**i)`` with growth factor
+    ``g = 1 + MAX_RELATIVE_ERROR``, so quantiles are accurate to within
+    that relative error, and everything in ``[0, MIN_VALUE)`` lands in
+    the underflow bucket 0.  That makes :meth:`record` O(1) (one
     ``log`` and a dict increment), quantiles O(buckets), and memory
     proportional to the *dynamic range* of the data rather than the sample
     count — unlike :class:`LatencyRecorder`, which keeps (a reservoir of)
     raw samples and sorts them per percentile query.
 
-    Two histograms with the same parameters merge exactly (bucket counts
-    add), so per-silo or per-window histograms can be combined without
+    Histograms share one bucketing, so two merge exactly (bucket counts
+    add), and per-silo or per-window histograms can be combined without
     bias; merge is associative and commutative on counts.
-
-    Args:
-        max_relative_error: bucket width as a fraction of the value;
-            quantiles are accurate to within this relative error
-            (default 1%).
-        min_value: smallest distinguishable value; everything in
-            ``[0, min_value)`` lands in the underflow bucket 0.
     """
 
-    def __init__(self, max_relative_error: float = 0.01, min_value: float = 1e-7):
-        if not 0 < max_relative_error < 1:
-            raise ValueError("max_relative_error must be in (0, 1)")
-        if min_value <= 0:
-            raise ValueError("min_value must be positive")
-        self.max_relative_error = max_relative_error
-        self.min_value = min_value
-        self._growth = 1.0 + max_relative_error
+    def __init__(self):
+        self.min_value = MIN_VALUE
+        self._growth = 1.0 + MAX_RELATIVE_ERROR
         self._inv_log_g = 1.0 / math.log(self._growth)
-        self._log_min = math.log(min_value)
+        self._log_min = math.log(MIN_VALUE)
         self._buckets: dict[int, int] = {}
         self.count = 0
         self.total = 0.0
@@ -275,14 +272,8 @@ class HistogramRecorder:
     # ------------------------------------------------------------------
     # Merging & windowed queries
     # ------------------------------------------------------------------
-    def _check_compatible(self, other: "HistogramRecorder") -> None:
-        if (other.max_relative_error != self.max_relative_error
-                or other.min_value != self.min_value):
-            raise ValueError("cannot merge histograms with different bucketing")
-
     def merge(self, other: "HistogramRecorder") -> None:
         """Exact merge: bucket counts add; count/total/extrema stay exact."""
-        self._check_compatible(other)
         buckets = self._buckets
         for index, c in other._buckets.items():
             buckets[index] = buckets.get(index, 0) + c

@@ -34,6 +34,10 @@ __all__ = [
     "measure_windows",
 ]
 
+# Floor on an estimated x_i + w_i, guarding the division when a window
+# catches only sub-microsecond events.
+MIN_SERVICE_TIME = 1e-7
+
 
 @dataclass(frozen=True)
 class MeasuredStage:
@@ -101,10 +105,7 @@ def estimate_alpha(measured: Sequence[MeasuredStage]) -> float:
     return sum(ratios) / len(ratios)
 
 
-def estimate_stage_loads(
-    measured: Sequence[MeasuredStage],
-    min_service_time: float = 1e-7,
-) -> list[StageLoad]:
+def estimate_stage_loads(measured: Sequence[MeasuredStage]) -> list[StageLoad]:
     """Derive (lambda_i, s_i, beta_i) for every stage via the alpha trick.
 
     Stages that recorded no events keep a nominal tiny load so the
@@ -112,20 +113,18 @@ def estimate_stage_loads(
 
     Args:
         measured: per-stage runtime measurements.
-        min_service_time: floor on the estimated x_i + w_i, guarding the
-            division when a window catches only sub-microsecond events.
     """
     alpha = estimate_alpha(measured)
     loads = []
     for m in measured:
         if m.mean_x <= 0:
             # Idle stage: expose zero arrivals; optimizer gives it the floor.
-            loads.append(StageLoad(0.0, 1.0 / min_service_time, 1.0, name=m.name))
+            loads.append(StageLoad(0.0, 1.0 / MIN_SERVICE_TIME, 1.0, name=m.name))
             continue
         ready = alpha * m.mean_x
         # Estimated x + w.  Clamp below by x (w cannot be negative) to
         # absorb alpha overestimation on lightly-contended stages.
-        busy = max(m.mean_z - ready, m.mean_x, min_service_time)
+        busy = max(m.mean_z - ready, m.mean_x, MIN_SERVICE_TIME)
         service_rate = 1.0 / busy
         beta = min(1.0, m.mean_x / busy)
         loads.append(
@@ -136,7 +135,6 @@ def estimate_stage_loads(
 
 def estimate_stage_loads_direct(
     measured: Sequence[MeasuredStage],
-    min_service_time: float = 1e-7,
 ) -> list[StageLoad]:
     """The §5.4 alternative for platforms with OS wait tracing (ETW):
     with w_i measured directly, s_i = 1/(x_i + w_i) and
@@ -149,14 +147,14 @@ def estimate_stage_loads_direct(
     loads = []
     for m in measured:
         if m.mean_x <= 0:
-            loads.append(StageLoad(0.0, 1.0 / min_service_time, 1.0, name=m.name))
+            loads.append(StageLoad(0.0, 1.0 / MIN_SERVICE_TIME, 1.0, name=m.name))
             continue
         if m.mean_wait is None:
             raise ValueError(
                 f"stage {m.name!r} has no measured wait; direct estimation "
                 "requires os_wait_tracing"
             )
-        busy = max(m.mean_x + m.mean_wait, min_service_time)
+        busy = max(m.mean_x + m.mean_wait, MIN_SERVICE_TIME)
         loads.append(
             StageLoad(
                 m.arrival_rate,

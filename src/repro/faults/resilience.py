@@ -28,13 +28,21 @@ __all__ = ["RetryPolicy", "AdmissionConfig", "ResilienceConfig"]
 SHED_POLICIES = ("reject", "drop_oldest")
 
 
+# The backoff schedule (unscaled seconds): retry n waits
+# min(MAX_DELAY, BASE_DELAY * MULTIPLIER**(n-1)) * (1 + JITTER * U).
+BASE_DELAY = 0.05
+MULTIPLIER = 2.0
+MAX_DELAY = 2.0
+JITTER = 0.5
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Exponential backoff with multiplicative jitter.
 
     The delay before retry attempt ``n`` (1-based) is::
 
-        min(max_delay, base_delay * multiplier**(n-1)) * (1 + jitter * U)
+        min(MAX_DELAY, BASE_DELAY * MULTIPLIER**(n-1)) * (1 + JITTER * U)
 
     with ``U`` uniform in [0, 1) from the ``resilience.retry`` substream,
     so seeded runs retry at reproducible instants.
@@ -46,28 +54,15 @@ class RetryPolicy:
     """
 
     max_attempts: int = 3
-    base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 2.0
-    jitter: float = 0.5
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("backoff delays must be >= 0")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
 
     def delay_for(self, attempt: int, rng) -> float:
         """Backoff before retry ``attempt`` (1-based), unscaled seconds."""
-        delay = min(self.max_delay,
-                    self.base_delay * self.multiplier ** (attempt - 1))
-        if self.jitter > 0:
-            delay *= 1.0 + self.jitter * rng.random()
-        return delay
+        delay = min(MAX_DELAY, BASE_DELAY * MULTIPLIER ** (attempt - 1))
+        return delay * (1.0 + JITTER * rng.random())
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,11 @@ __all__ = ["jabeja_partition", "JabejaResult"]
 
 Vertex = Hashable
 
+ALPHA = 2.0           # utility exponent (the paper's recommended 2)
+TEMPERATURE = 2.0     # initial annealing temperature (>= 1)
+COOLING = 0.01        # temperature decrement per round (floors at 1.0)
+SAMPLE_SIZE = 3       # random (non-neighbor) partner candidates per vertex
+
 
 class JabejaResult:
     """Outcome of a Ja-Be-Ja run."""
@@ -43,10 +48,6 @@ def jabeja_partition(
     graph: CommGraph,
     parts: int,
     rounds: int = 100,
-    alpha: float = 2.0,
-    temperature: float = 2.0,
-    cooling: float = 0.01,
-    sample_size: int = 3,
     rng: Optional[random.Random] = None,
     initial: Optional[dict[Vertex, int]] = None,
 ) -> JabejaResult:
@@ -56,10 +57,6 @@ def jabeja_partition(
         graph: the communication graph.
         parts: number of colors (servers).
         rounds: sweeps over all vertices.
-        alpha: utility exponent (the paper's recommended 2).
-        temperature: initial annealing temperature (>= 1).
-        cooling: temperature decrement per round (floors at 1.0).
-        sample_size: random (non-neighbor) partner candidates per vertex.
         rng: randomness source.
         initial: starting colors; defaults to balanced round-robin over a
             shuffled vertex order (the random placement baseline).
@@ -79,14 +76,14 @@ def jabeja_partition(
         assignment = dict(initial)
 
     swaps = 0
-    temp = temperature
+    temp = TEMPERATURE
     for round_no in range(rounds):
         order = vertices[:]
         rng.shuffle(order)
         for v in order:
             cv = assignment[v]
             partners = list(graph.neighbors(v))
-            partners.extend(rng.choice(vertices) for _ in range(sample_size))
+            partners.extend(rng.choice(vertices) for _ in range(SAMPLE_SIZE))
             best_partner, best_score = None, 0.0
             dv_own = _color_degree(graph, assignment, v, cv)
             for u in partners:
@@ -94,7 +91,7 @@ def jabeja_partition(
                 if cu == cv or u == v:
                     continue
                 du_own = _color_degree(graph, assignment, u, cu)
-                old = dv_own**alpha + du_own**alpha
+                old = dv_own**ALPHA + du_own**ALPHA
                 dv_new = _color_degree(graph, assignment, v, cu)
                 du_new = _color_degree(graph, assignment, u, cv)
                 # Color swap changes (v,u) adjacency bookkeeping for the
@@ -103,7 +100,7 @@ def jabeja_partition(
                 if shared:
                     dv_new -= shared
                     du_new -= shared
-                new = dv_new**alpha + du_new**alpha
+                new = dv_new**ALPHA + du_new**ALPHA
                 score = new * temp - old
                 if score > best_score:
                     best_partner, best_score = u, score
@@ -113,5 +110,5 @@ def jabeja_partition(
                     assignment[v],
                 )
                 swaps += 1
-        temp = max(1.0, temp - cooling)
+        temp = max(1.0, temp - COOLING)
     return JabejaResult(assignment, swaps, rounds)

@@ -28,6 +28,10 @@ __all__ = ["multilevel_partition"]
 
 Vertex = Hashable
 
+IMBALANCE = 0.05      # allowed relative overload per part (epsilon)
+COARSEN_UNTIL = 200   # stop coarsening below this many coarse vertices
+REFINE_PASSES = 4     # FM passes per uncoarsening level
+
 
 def _heavy_edge_matching(
     graph: CommGraph, vweights: Mapping[Vertex, int], rng: random.Random
@@ -169,9 +173,6 @@ def _refine(
 def multilevel_partition(
     graph: CommGraph,
     parts: int,
-    imbalance: float = 0.05,
-    coarsen_until: int = 200,
-    refine_passes: int = 4,
     rng: Optional[random.Random] = None,
 ) -> dict[Vertex, int]:
     """Partition ``graph`` into ``parts`` balanced sets, minimizing cut.
@@ -179,9 +180,6 @@ def multilevel_partition(
     Args:
         graph: the full communication graph (centralized view).
         parts: number of servers n.
-        imbalance: allowed relative overload per part (epsilon).
-        coarsen_until: stop coarsening below this many coarse vertices.
-        refine_passes: FM passes per uncoarsening level.
         rng: randomness for matching/initial partition tie-breaks.
 
     Returns:
@@ -196,7 +194,7 @@ def multilevel_partition(
     levels: list[tuple[CommGraph, dict[Vertex, int], dict[Vertex, Vertex]]] = []
     current = graph
     vweights: dict[Vertex, int] = {v: 1 for v in graph.vertices()}
-    while current.num_vertices > max(coarsen_until, 4 * parts):
+    while current.num_vertices > max(COARSEN_UNTIL, 4 * parts):
         coarse, cweights, merge_to = _heavy_edge_matching(current, vweights, rng)
         if coarse.num_vertices == current.num_vertices:
             break  # nothing matched; graph is edgeless or adversarial
@@ -204,7 +202,7 @@ def multilevel_partition(
         current, vweights = coarse, cweights
 
     def initial_cap(total: float) -> float:
-        return (total / parts) * (1.0 + imbalance)
+        return (total / parts) * (1.0 + IMBALANCE)
 
     def refine_cap(total: float) -> float:
         # Refinement needs at least one unit of slack, or positive-gain
@@ -215,12 +213,12 @@ def multilevel_partition(
     assignment = _greedy_initial_partition(
         current, vweights, parts, initial_cap(total), rng
     )
-    _refine(current, vweights, assignment, parts, refine_cap(total), refine_passes)
+    _refine(current, vweights, assignment, parts, refine_cap(total), REFINE_PASSES)
 
     while levels:
         fine_graph, fine_weights, merge_to = levels.pop()
         assignment = {v: assignment[rep] for v, rep in merge_to.items()}
         total = sum(fine_weights.values())
         _refine(fine_graph, fine_weights, assignment, parts, refine_cap(total),
-                refine_passes)
+                REFINE_PASSES)
     return assignment

@@ -15,7 +15,7 @@ Heuristics implemented (names from the KDD paper):
   winner: maximize |N(v) ∩ P_i| * (1 - |P_i|/C), neighbors weighted,
   capacity-penalized.
 * ``fennel``        — the Fennel-style variant with an additive load
-  penalty (gamma * |P_i|), a common follow-on; included because it often
+  penalty (:data:`GAMMA` * |P_i|), a common follow-on; included because it often
   edges out LDG on power-law graphs.
 
 Streaming placement is the regime an actor runtime actually faces at
@@ -36,6 +36,10 @@ __all__ = ["streaming_partition", "STREAMING_HEURISTICS"]
 
 Vertex = Hashable
 
+# Capacity headroom: each part holds at most ceil(n/parts * (1+SLACK)).
+SLACK = 0.1
+GAMMA = 1.5   # fennel's load-penalty coefficient
+
 
 def _stable_hash(vertex: Vertex, parts: int) -> int:
     h = 0
@@ -44,17 +48,17 @@ def _stable_hash(vertex: Vertex, parts: int) -> int:
     return h % parts
 
 
-def _score_balanced(part, load, capacity, attraction, gamma):
+def _score_balanced(part, load, capacity, attraction):
     return -load
 
 
-def _score_greedy(part, load, capacity, attraction, gamma):
+def _score_greedy(part, load, capacity, attraction):
     # Linear deterministic greedy: neighbor pull, linearly damped by fill.
     return attraction * (1.0 - load / capacity)
 
 
-def _score_fennel(part, load, capacity, attraction, gamma):
-    return attraction - gamma * load
+def _score_fennel(part, load, capacity, attraction):
+    return attraction - GAMMA * load
 
 
 STREAMING_HEURISTICS = ("balanced", "hash", "greedy", "fennel")
@@ -64,8 +68,6 @@ def streaming_partition(
     graph: CommGraph,
     parts: int,
     heuristic: str = "greedy",
-    slack: float = 0.1,
-    gamma: float = 1.5,
     order: Optional[Iterable[Vertex]] = None,
     rng: Optional[random.Random] = None,
 ) -> dict[Vertex, int]:
@@ -76,9 +78,6 @@ def streaming_partition(
             vertex's incident edges, as a stream would deliver them).
         parts: number of servers.
         heuristic: one of :data:`STREAMING_HEURISTICS`.
-        slack: capacity headroom; each part holds at most
-            ``ceil(n/parts * (1+slack))`` vertices.
-        gamma: load-penalty coefficient for the fennel heuristic.
         order: arrival order (default: random shuffle — the hardest case
             for streaming heuristics).
         rng: randomness for the default order and tie-breaks.
@@ -98,7 +97,7 @@ def streaming_partition(
     n = len(vertices)
     if n == 0:
         return {}
-    capacity = max(1.0, (n / parts) * (1.0 + slack))
+    capacity = max(1.0, (n / parts) * (1.0 + SLACK))
 
     if heuristic == "hash":
         return {v: _stable_hash(v, parts) for v in vertices}
@@ -123,10 +122,10 @@ def streaming_partition(
                 continue
             # Ties broken by least load (as in the KDD paper) — otherwise
             # every zero-attraction arrival piles onto the first part.
-            s = (score(p, loads[p], capacity, attraction[p], gamma), -loads[p])
+            s = (score(p, loads[p], capacity, attraction[p]), -loads[p])
             if best_score is None or s > best_score:
                 best_part, best_score = p, s
-        if best_part is None:  # every part at capacity (slack too tight)
+        if best_part is None:  # every part at capacity (SLACK too tight)
             best_part = min(range(parts), key=lambda p: loads[p])
         assignment[v] = best_part
         loads[best_part] += 1

@@ -233,18 +233,18 @@ class ScalePlanEvent(RuntimeEvent):
     active_after: int = 0
 
 
-class EventLog:
-    """Append-only, bounded log of runtime events."""
+MAX_EVENTS = 1_000_000   # EventLog's cap; later events are counted as dropped
 
-    def __init__(self, max_events: int = 1_000_000):
-        if max_events < 0:
-            raise ValueError("max_events must be non-negative")
-        self.max_events = max_events
+
+class EventLog:
+    """Append-only log of runtime events, bounded at :data:`MAX_EVENTS`."""
+
+    def __init__(self):
         self.events: list[RuntimeEvent] = []
         self.dropped = 0
 
     def emit(self, event: RuntimeEvent) -> None:
-        if len(self.events) >= self.max_events:
+        if len(self.events) >= MAX_EVENTS:
             self.dropped += 1
             return
         self.events.append(event)

@@ -33,16 +33,15 @@ class Observability:
             time.
         sample_rate: fraction of client requests to trace (systematic
             sampling; see :class:`~repro.obs.tracer.Tracer`).
-        max_spans / max_events: buffer caps (drops are counted, not
-            silent).
+
+    Both buffers are capped (:data:`~repro.obs.tracer.MAX_SPANS`,
+    :data:`~repro.obs.events.MAX_EVENTS`); drops are counted, not silent.
     """
 
-    def __init__(self, runtime, sample_rate: float = 1.0,
-                 max_spans: int = 2_000_000, max_events: int = 1_000_000):
+    def __init__(self, runtime, sample_rate: float = 1.0):
         self.runtime = runtime
-        self.tracer = Tracer(runtime.sim, sample_rate=sample_rate,
-                             max_spans=max_spans)
-        self.events = EventLog(max_events=max_events)
+        self.tracer = Tracer(runtime.sim, sample_rate=sample_rate)
+        self.events = EventLog()
         self._stage_hooks: list[tuple[Any, Any]] = []
         self.attached = False
         self.attach()

@@ -25,6 +25,10 @@ from .spans import Span, TraceContext
 
 __all__ = ["Tracer"]
 
+# Hard cap on buffered spans; further spans are counted in
+# ``Tracer.dropped_spans`` instead of silently vanishing.
+MAX_SPANS = 2_000_000
+
 
 class Tracer:
     """Cluster-wide causal tracer.
@@ -35,19 +39,16 @@ class Tracer:
             Sampling is decided once per request at injection; everything
             the request causes inherits the decision via context
             propagation.
-        max_spans: hard cap on buffered spans; further spans are counted
-            in :attr:`dropped_spans` instead of silently vanishing.
+
+    At most :data:`MAX_SPANS` spans are buffered; the rest are counted in
+    :attr:`dropped_spans`.
     """
 
-    def __init__(self, sim, sample_rate: float = 1.0,
-                 max_spans: int = 2_000_000):
+    def __init__(self, sim, sample_rate: float = 1.0):
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample_rate must be in [0, 1], got {sample_rate}")
-        if max_spans < 0:
-            raise ValueError("max_spans must be non-negative")
         self.sim = sim
         self.sample_rate = sample_rate
-        self.max_spans = max_spans
         self.spans: list[Span] = []
         self.dropped_spans = 0
         self.requests_seen = 0       # all injected client requests
@@ -182,7 +183,7 @@ class Tracer:
         return span_id
 
     def _record(self, span: Span) -> None:
-        if len(self.spans) >= self.max_spans:
+        if len(self.spans) >= MAX_SPANS:
             self.dropped_spans += 1
             return
         self.spans.append(span)

@@ -42,6 +42,13 @@ __all__ = [
     "make_policy",
 ]
 
+# DpaPolicy's active-window thresholds, in in-flight requests: grow when
+# every active replica has GROW_AT, shrink when the mean falls to
+# SHRINK_AT, never below MIN_ACTIVE replicas.
+GROW_AT = 1.0
+SHRINK_AT = 0.25
+MIN_ACTIVE = 1
+
 
 class BalancingPolicy:
     """Base class: pick a replica index in ``[0, limit)``.
@@ -112,9 +119,9 @@ class DpaPolicy(BalancingPolicy):
     Each choice first adapts ``active`` (how many of the pool's replicas
     receive traffic at all).  Replicas are single-threaded actors, so the
     signal is idleness, not queue depth: when *every* active replica has
-    at least ``grow_at`` requests in flight there is no idle capacity
+    at least :data:`GROW_AT` requests in flight there is no idle capacity
     left and one more replica activates; when mean in-flight pressure
-    falls to ``shrink_at`` one retires.  The request then goes to the
+    falls to :data:`SHRINK_AT` one retires.  The request then goes to the
     active replica minimizing ``outstanding[i] + loads[i]`` — in-flight
     work plus the host silo's reported worker-stage backpressure, so a
     replica behind a saturated (or deliberately slowed) silo is avoided
@@ -130,16 +137,8 @@ class DpaPolicy(BalancingPolicy):
 
     name = "dpa"
 
-    def __init__(self, grow_at: float = 1.0, shrink_at: float = 0.25,
-                 min_active: int = 1) -> None:
-        if grow_at <= shrink_at:
-            raise ValueError("grow_at must exceed shrink_at")
-        if min_active < 1:
-            raise ValueError("min_active must be >= 1")
-        self.grow_at = grow_at
-        self.shrink_at = shrink_at
-        self.min_active = min_active
-        self.active = min_active
+    def __init__(self) -> None:
+        self.active = MIN_ACTIVE
         self.grow_steps = 0
         self.shrink_steps = 0
         self._next = 0
@@ -151,11 +150,11 @@ class DpaPolicy(BalancingPolicy):
         self._shards = shards
 
     def resize(self, replicas: int) -> None:
-        self.active = max(self.min_active, min(self.active, replicas))
+        self.active = max(MIN_ACTIVE, min(self.active, replicas))
 
     def choose(self, outstanding: list[int], loads: list[float],
                limit: int) -> int:
-        active = max(self.min_active, min(self.active, limit))
+        active = max(MIN_ACTIVE, min(self.active, limit))
         offset = int(self._offset_frac * limit) % limit
         pressure = 0.0
         least = None
@@ -165,10 +164,10 @@ class DpaPolicy(BalancingPolicy):
             if least is None or value < least:
                 least = value
         mean = pressure / active
-        if least >= self.grow_at and active < limit:
+        if least >= GROW_AT and active < limit:
             active += 1
             self.grow_steps += 1
-        elif mean <= self.shrink_at and active > self.min_active:
+        elif mean <= SHRINK_AT and active > MIN_ACTIVE:
             active -= 1
             self.shrink_steps += 1
         self.active = active

@@ -29,12 +29,14 @@ from .policy import BalancingPolicy, make_policy
 
 __all__ = ["RouterActor", "ActorPool"]
 
+METHOD = "handle"   # the worker method a route forwards to by default
+
 
 class RouterActor(Actor):
     """Routes each request to one replica of a worker actor type.
 
-    Configured once at install time (worker type name, default method,
-    replica count, policy); thereafter every ``route`` turn charges the
+    Configured once at install time (worker type name, replica count,
+    policy); thereafter every ``route`` turn charges the
     chosen replica's in-flight counter, forwards the payload, and releases
     the counter when the reply (or failure) comes back.  ``REENTRANT``
     stays True — many routed requests are in flight through the router's
@@ -51,7 +53,6 @@ class RouterActor(Actor):
     def __init__(self) -> None:
         super().__init__()
         self.worker_type: Optional[str] = None
-        self.method: str = "handle"
         self.replicas: int = 0
         self.policy: Optional[BalancingPolicy] = None
         self.outstanding: list[int] = []
@@ -59,13 +60,12 @@ class RouterActor(Actor):
         self.routed = 0
 
     # ------------------------------------------------------------------
-    def configure(self, worker_type: str, method: str, replicas: int,
+    def configure(self, worker_type: str, replicas: int,
                   policy: Union[str, BalancingPolicy],
                   shard: int = 0, shards: int = 1) -> int:
         if replicas < 1:
             raise ActorError(f"pool needs >= 1 replica, got {replicas}")
         self.worker_type = worker_type
-        self.method = method
         self.replicas = replicas
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
         self.outstanding = [0] * replicas
@@ -103,7 +103,7 @@ class RouterActor(Actor):
         self.routed += 1
         try:
             result = yield Call(ActorRef(self.worker_type, idx),
-                                method or self.method, payload)
+                                method or METHOD, payload)
         finally:
             self.outstanding[idx] -= 1
         return result
@@ -147,7 +147,7 @@ class ActorPool:
 
     def __init__(self, runtime, name: str, worker_cls, replicas: int, *,
                  policy: Union[str, BalancingPolicy] = "round_robin",
-                 method: str = "handle", shards: int = 1,
+                 shards: int = 1,
                  report_period: Optional[float] = None):
         if replicas < 1:
             raise ValueError(f"pool {name!r} needs >= 1 replica")
@@ -162,7 +162,6 @@ class ActorPool:
         self.worker_cls = worker_cls
         self.replicas = replicas
         self.policy = policy
-        self.method = method
         self.shards = shards
         self.report_period = report_period
         self.router_type = f"{name}.router"
@@ -195,7 +194,7 @@ class ActorPool:
             dest = live[r % len(live)]
             rt.activate(ref.id, dest)
             router = rt.silos[dest].activations[ref.id].instance
-            router.configure(self.worker_type, self.method, self.replicas,
+            router.configure(self.worker_type, self.replicas,
                              self.policy, shard=r, shards=self.shards)
         self._deploy_workers(0, self.replicas)
         if self.report_period is not None:

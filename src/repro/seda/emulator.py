@@ -22,6 +22,8 @@ from .stage import StageEvent
 
 __all__ = ["StageProfile", "SedaEmulator"]
 
+PROCESSORS = 8    # cores shared by all stages (the paper's testbed)
+
 
 @dataclass(frozen=True)
 class StageProfile:
@@ -48,7 +50,6 @@ class SedaEmulator:
         sim: driving simulator.
         profiles: per-stage demand profiles, in pipeline order.
         arrival_rate: Poisson request rate into stage 1.
-        processors: cores shared by all stages.
         rng: RNG registry (streams: ``seda.arrivals``, ``seda.service``).
         deterministic_service: if True, use the mean demands exactly
             (useful for analytical cross-checks); otherwise exponential.
@@ -59,9 +60,7 @@ class SedaEmulator:
         sim: Simulator,
         profiles: Sequence[StageProfile],
         arrival_rate: float,
-        processors: int = 8,
         rng: Optional[RngRegistry] = None,
-        switch_factor: float = 0.05,
         deterministic_service: bool = False,
     ):
         if not profiles:
@@ -74,9 +73,7 @@ class SedaEmulator:
         self._arrival_rng = rng.stream("seda.arrivals")
         self._service_rng = rng.stream("seda.service")
 
-        self.server = StagedServer(
-            sim, processors=processors, switch_factor=switch_factor, name="emulator"
-        )
+        self.server = StagedServer(sim, processors=PROCESSORS, name="emulator")
         for profile in self.profiles:
             self.server.add_stage(
                 profile.name, threads=profile.threads, blocking=profile.wait > 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..sim.cpu import CpuPool
+from ..sim.cpu import DISPATCH_OVERHEAD, SWITCH_FACTOR, CpuPool
 from ..sim.engine import Simulator
 from .stage import Stage, StatsWindow
 
@@ -24,8 +24,8 @@ class StagedServer:
     Args:
         sim: driving simulator.
         processors: number of cores (the paper's testbed uses 8).
-        switch_factor: per-excess-thread compute inflation (see
-            :class:`~repro.sim.cpu.CpuPool`).
+        switch_factor / dispatch_overhead: the CPU model (see
+            :class:`~repro.sim.cpu.CpuPool`; the defaults are its constants).
         name: diagnostic label.
     """
 
@@ -33,8 +33,8 @@ class StagedServer:
         self,
         sim: Simulator,
         processors: int = 8,
-        switch_factor: float = 0.05,
-        dispatch_overhead: float = 2e-6,
+        switch_factor: float = SWITCH_FACTOR,
+        dispatch_overhead: float = DISPATCH_OVERHEAD,
         name: str = "server",
     ):
         self.sim = sim

@@ -25,7 +25,9 @@ multiplicative inflation of compute time::
 
 plus a fixed per-dispatch overhead.  This is what makes the Figure-5
 heatmap non-trivial: too few threads and stage queues blow up; too many
-and every burst pays the inflation.
+and every burst pays the inflation.  :data:`SWITCH_FACTOR` and
+:data:`DISPATCH_OVERHEAD` are the model's values; a silo scales the
+overhead by its time scale.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from typing import Any, Callable
 from .engine import Simulator
 
 __all__ = ["CpuBurst", "CpuPool"]
+
+SWITCH_FACTOR = 0.05        # compute inflation per thread beyond the cores
+DISPATCH_OVERHEAD = 2e-6    # seconds of context switch per burst
 
 
 class CpuBurst:
@@ -87,8 +92,8 @@ class CpuPool:
         self,
         sim: Simulator,
         processors: int,
-        switch_factor: float = 0.05,
-        dispatch_overhead: float = 2e-6,
+        switch_factor: float = SWITCH_FACTOR,
+        dispatch_overhead: float = DISPATCH_OVERHEAD,
     ):
         if processors < 1:
             raise ValueError("need at least one processor")

@@ -17,6 +17,9 @@ from .rng import RngRegistry
 
 __all__ = ["Network"]
 
+BASE_LATENCY = 0.0005   # one-way seconds, typical intra-datacenter
+JITTER = 0.1            # lognormal sigma of the multiplicative jitter
+
 
 class Network:
     """Point-to-point message delivery with latency and jitter.
@@ -25,7 +28,7 @@ class Network:
         sim: the driving simulator.
         rng: registry for the jitter substream.
         base_latency: one-way propagation + switching delay in seconds
-            (default 0.5 ms, typical intra-datacenter).
+            (a cluster scales :data:`BASE_LATENCY` by its time scale).
         jitter: multiplicative lognormal sigma; 0 disables jitter.
     """
 
@@ -33,8 +36,8 @@ class Network:
         self,
         sim: Simulator,
         rng: RngRegistry,
-        base_latency: float = 0.0005,
-        jitter: float = 0.1,
+        base_latency: float = BASE_LATENCY,
+        jitter: float = JITTER,
     ):
         self.sim = sim
         self.base_latency = base_latency

@@ -11,7 +11,6 @@ from .heartbeat import (
     make_blocking_heartbeat,
 )
 from .stageflow import (
-    DEFAULT_STAGES,
     PipelineActor,
     StageflowConfig,
     StageflowWorkload,
@@ -23,7 +22,6 @@ __all__ = [
     "CounterActor",
     "CounterConfig",
     "CounterWorkload",
-    "DEFAULT_STAGES",
     "GameActor",
     "HaloConfig",
     "HaloWorkload",

@@ -18,6 +18,10 @@ from ..actor.runtime import ActorRuntime
 
 __all__ = ["CounterActor", "CounterWorkload", "CounterConfig"]
 
+NUM_ACTORS = 8_000      # paper: 8K counters
+REQUEST_SIZE = 128
+RESPONSE_SIZE = 64
+
 
 class CounterActor(Actor):
     """Holds one integer; increments on request."""
@@ -35,12 +39,10 @@ class CounterActor(Actor):
 
 @dataclass
 class CounterConfig:
-    """Workload shape (paper values: 15_000 req/s over 8_000 actors)."""
+    """Workload shape (paper: 15_000 req/s over :data:`NUM_ACTORS`
+    counters; message sizes are the module's constants)."""
 
-    num_actors: int = 8_000
     request_rate: float = 15_000.0
-    request_size: int = 128
-    response_size: int = 64
 
 
 class CounterWorkload:
@@ -73,15 +75,15 @@ class CounterWorkload:
 
     def _fire(self) -> None:
         self._schedule_next()
-        key = self._target_rng.randrange(self.config.num_actors)
+        key = self._target_rng.randrange(NUM_ACTORS)
         ref = self.runtime.ref(self.ACTOR_TYPE, key)
         self.requests_issued += 1
         self.runtime.client_request(
             ref,
             "increment",
             1,
-            size=self.config.request_size,
-            response_size=self.config.response_size,
+            size=REQUEST_SIZE,
+            response_size=RESPONSE_SIZE,
             # An increment is NOT replay-safe: a retried request would
             # double-count.  Declaring it keeps idempotent-only retry
             # policies from ever replaying one.

@@ -12,10 +12,11 @@ Two actor types:
 The driver reproduces §6.1's generative churn model:
 
 * new players arrive Poisson and enter a pool of idle players;
-* matchmaking repeatedly draws ``players_per_game`` players at random
-  from the pool whenever it holds more than ``pool_target``;
+* matchmaking repeatedly (every :data:`MATCHMAKING_PERIOD`) draws
+  :data:`PLAYERS_PER_GAME` players at random from the pool whenever it
+  holds more than ``pool_target``;
 * game durations are uniform in ``game_duration``;
-* a player plays ``games_per_player`` (uniform integer range) games and
+* a player plays a uniform integer in :data:`GAMES_PER_PLAYER` games and
   then leaves the system (its actor is idle-collected);
 * clients issue status requests about random live players at
   ``request_rate``.
@@ -40,6 +41,12 @@ from ..actor.ids import ActorRef
 from ..actor.runtime import ActorRuntime
 
 __all__ = ["PlayerActor", "GameActor", "HaloConfig", "HaloWorkload"]
+
+PLAYERS_PER_GAME = 8            # paper: 8
+GAMES_PER_PLAYER = (3, 5)       # paper: 3-5, uniform
+MATCHMAKING_PERIOD = 1.0        # seconds between matchmaking passes
+REQUEST_SIZE = 256              # bytes of a client status request
+RESPONSE_SIZE = 128             # bytes of its response
 
 
 class PlayerActor(Actor):
@@ -131,18 +138,15 @@ class HaloConfig:
     """Workload shape.
 
     Paper values in comments; defaults are the documented scale-down
-    used by the benches (override freely).
+    used by the benches (override freely).  The game size, games per
+    player, matchmaking period and message sizes are the module's
+    constants.
     """
 
     target_players: int = 2_000          # paper: 100_000
-    players_per_game: int = 8            # paper: 8
     pool_target: int = 40                # paper: 1_000 idle players
     game_duration: tuple[float, float] = (60.0, 90.0)   # paper: 1200-1800 s
-    games_per_player: tuple[int, int] = (3, 5)          # paper: 3-5
     request_rate: float = 120.0          # paper: 2_000-6_000 req/s
-    matchmaking_period: float = 1.0
-    request_size: int = 256
-    response_size: int = 128
     # Paper-scale switches (defaults preserve the original message-driven
     # behavior bit for bit; the scale benches flip them):
     direct_bootstrap: bool = False       # install bootstrap games without messages
@@ -188,7 +192,7 @@ class HaloWorkload:
     # Population bookkeeping
     # ------------------------------------------------------------------
     def _mean_session_seconds(self) -> float:
-        games = sum(self.config.games_per_player) / 2
+        games = sum(GAMES_PER_PLAYER) / 2
         duration = sum(self.config.game_duration) / 2
         return games * duration
 
@@ -199,7 +203,7 @@ class HaloWorkload:
     def _add_player(self) -> int:
         pid = next(self._player_ids)
         self.games_played.append(0)
-        self.quota.append(self._match_rng.randint(*self.config.games_per_player))
+        self.quota.append(self._match_rng.randint(*GAMES_PER_PLAYER))
         self.idle_pool.append(pid)
         self._live_index.append(len(self.live_players))
         self.live_players.append(pid)
@@ -224,7 +228,7 @@ class HaloWorkload:
         self._running = True
         self._bootstrap()
         self._schedule_arrival()
-        self.runtime.sim.schedule(self.config.matchmaking_period, self._matchmaking_tick)
+        self.runtime.sim.schedule(MATCHMAKING_PERIOD, self._matchmaking_tick)
         self._schedule_request()
 
     def stop(self) -> None:
@@ -236,7 +240,7 @@ class HaloWorkload:
         for _ in range(self.config.target_players):
             self._add_player()
         # Form games out of everyone beyond the idle-pool target.
-        while len(self.idle_pool) >= self.config.pool_target + self.config.players_per_game:
+        while len(self.idle_pool) >= self.config.pool_target + PLAYERS_PER_GAME:
             if self.config.direct_bootstrap:
                 self._install_game()
             else:
@@ -263,13 +267,13 @@ class HaloWorkload:
     def _matchmaking_tick(self) -> None:
         if not self._running:
             return
-        while len(self.idle_pool) >= self.config.pool_target + self.config.players_per_game:
+        while len(self.idle_pool) >= self.config.pool_target + PLAYERS_PER_GAME:
             self._start_game()
-        self.runtime.sim.schedule(self.config.matchmaking_period, self._matchmaking_tick)
+        self.runtime.sim.schedule(MATCHMAKING_PERIOD, self._matchmaking_tick)
 
     def _draw_members(self) -> list[int]:
         members = []
-        for _ in range(self.config.players_per_game):
+        for _ in range(PLAYERS_PER_GAME):
             idx = self._match_rng.randrange(len(self.idle_pool))
             self.idle_pool[idx], self.idle_pool[-1] = (
                 self.idle_pool[-1],
@@ -385,8 +389,7 @@ class HaloWorkload:
         self.requests_issued += 1
         self.runtime.client_request(
             ref, "request_status", self.requests_issued,
-            size=self.config.request_size,
-            response_size=self.config.response_size,
+            size=REQUEST_SIZE, response_size=RESPONSE_SIZE,
         )
 
     # ------------------------------------------------------------------

@@ -23,6 +23,10 @@ from ..actor.runtime import ActorRuntime
 
 __all__ = ["HeartbeatActor", "HeartbeatWorkload", "HeartbeatConfig"]
 
+STATUS_FRACTION = 0.1   # share of requests that are reads
+REQUEST_SIZE = 192      # bytes of a beat (a status read sends half)
+RESPONSE_SIZE = 64
+
 
 class HeartbeatActor(Actor):
     """Stores the latest status beat for one monitored entity."""
@@ -59,13 +63,11 @@ def make_blocking_heartbeat(io_wait: float) -> type[HeartbeatActor]:
 
 @dataclass
 class HeartbeatConfig:
-    """Workload shape (Fig. 11a sweeps request_rate over 10K/12.5K/15K)."""
+    """Workload shape (Fig. 11a sweeps request_rate over 10K/12.5K/15K);
+    the read share and message sizes are the module's constants."""
 
     num_monitors: int = 4_000
     request_rate: float = 15_000.0
-    status_fraction: float = 0.1   # share of requests that are reads
-    request_size: int = 192
-    response_size: int = 64
     io_wait: float = 0.0           # synchronous blocking seconds per beat
 
 
@@ -100,15 +102,13 @@ class HeartbeatWorkload:
         key = self._target_rng.randrange(self.config.num_monitors)
         ref = self.runtime.ref(self.ACTOR_TYPE, key)
         self.requests_issued += 1
-        if self._target_rng.random() < self.config.status_fraction:
+        if self._target_rng.random() < STATUS_FRACTION:
             self.runtime.client_request(
                 ref, "status",
-                size=self.config.request_size // 2,
-                response_size=self.config.response_size,
+                size=REQUEST_SIZE // 2, response_size=RESPONSE_SIZE,
             )
         else:
             self.runtime.client_request(
                 ref, "beat", self.requests_issued,
-                size=self.config.request_size,
-                response_size=self.config.response_size,
+                size=REQUEST_SIZE, response_size=RESPONSE_SIZE,
             )

@@ -17,6 +17,7 @@ from repro import (
     SupervisionPolicy,
     build_cluster,
 )
+from repro.actor import core
 from repro.actor.actor import Actor
 from repro.actor.calls import All, Call, Sleep, Tell
 from repro.actor.ids import ActorRef
@@ -471,7 +472,8 @@ def test_unknown_method_on_the_sim_raises_out_of_run():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("transport", ["inproc", "tcp"])
 def test_drain_forwards_requests_routed_just_before_the_last_eviction(
-        transport):
+        transport, monkeypatch):
+    monkeypatch.setattr(core, "DRAIN_POLL", 0.01)
     cluster = _cluster(transport=transport, call_timeout=0.5)
     with cluster:
         be = cluster.runtime
@@ -488,7 +490,7 @@ def test_drain_forwards_requests_routed_just_before_the_last_eviction(
         for ref in refs:
             be.client_request(
                 ref, "bump", on_complete=lambda _l, r: results.append(r))
-        assert be.drain_silo(0, poll=0.01, on_complete=drained.append)
+        assert be.drain_silo(0, on_complete=drained.append)
         be.flush()
         assert be.run_until_idle()
         assert results == [1] * 5

@@ -19,6 +19,7 @@ import hashlib
 
 import pytest
 
+from repro.actor import core
 from repro.actor.actor import Actor
 from repro.actor.runtime import ActorRuntime, ClusterConfig
 from repro.autoscale import AutoscaleConfig
@@ -26,13 +27,21 @@ from repro.cluster import build_cluster
 from repro.faults import FaultPlan
 from repro.obs import Observability
 from repro.obs.events import PoolResizeEvent, ScalePlanEvent, SiloScaleEvent
+from repro.sim import network
+from repro.workloads import stageflow
 from repro.workloads.stageflow import StageflowConfig, StageflowWorkload
 
 FLASH = StageflowConfig(curve="flash", base_rate=120.0, flash_at=5.0,
-                        flash_duration=4.0, flash_multiplier=4.0,
-                        router_shards=2, pipelines=2)
+                        flash_duration=4.0, flash_multiplier=4.0)
 BAND = dict(period=0.5, low=0.35, high=0.70, min_silos=1,
             initial_silos=1, cooldown=1.0, warmup=1.0)
+
+
+@pytest.fixture(autouse=True)
+def small_pipeline(monkeypatch):
+    """Two pipeline drivers and two router shards per pool."""
+    monkeypatch.setattr(stageflow, "PIPELINES", 2)
+    monkeypatch.setattr(stageflow, "ROUTER_SHARDS", 2)
 
 
 def flash_cluster(seed=5, observability=False):
@@ -142,26 +151,26 @@ def test_drain_racing_flash_crowd_loses_nothing():
     assert rt.census()[1] == 0
 
 
-LATENCY = ClusterConfig().network_latency
-
-
 @pytest.mark.parametrize("backend, options, poll", [
-    ("sim", {}, 0.75 * LATENCY),
+    ("sim", {}, 0.75 * network.BASE_LATENCY),
     ("asyncio", {"transport": "tcp"}, 0.01),
 ], ids=["sim", "asyncio"])
 def test_drain_completes_requests_on_the_wire_when_the_silo_empties(
-        backend, options, poll):
+        backend, options, poll, monkeypatch):
     """Every request below is resolved to silo 0 while its target is
     still hosted there; the drain then empties the silo before any of
     them lands (on asyncio: those that entered through the other silo's
     gateway).  Empty is not yet gone: only a live silo forwards them, so
     it decommissions after one *further* poll spent empty — here the
-    poll that follows their arrival."""
-    cluster = build_cluster(
-        ClusterConfig(num_servers=2, seed=0, network_jitter=0.0),
-        backend=backend, **options)
+    poll that follows their arrival.  The poll is shorter than the wire
+    latency, which is jitter-free."""
+    monkeypatch.setattr(core, "DRAIN_POLL", poll)
+    cluster = build_cluster(ClusterConfig(num_servers=2, seed=0),
+                            backend=backend, **options)
     with cluster:
         rt = cluster.runtime
+        if backend == "sim":
+            monkeypatch.setattr(rt.network, "jitter", 0.0)
         rt.register_actor("echo", Echo)
         cluster.start()
         refs = [rt.ref("echo", i) for i in range(8)]
@@ -171,7 +180,7 @@ def test_drain_completes_requests_on_the_wire_when_the_silo_empties(
         for ref in refs:
             rt.client_request(ref, "ping",
                               on_complete=lambda lat, res: results.append(res))
-        assert rt.drain_silo(0, poll=poll, on_complete=drained.append)
+        assert rt.drain_silo(0, on_complete=drained.append)
         if backend == "sim":
             assert rt.silos[0].quiesced and rt.inflight_requests == 8
         cluster.run(until=rt.sim.now + 0.3)

@@ -13,6 +13,7 @@ import pytest
 from repro import ClusterConfig, FaultPlan, ResilienceConfig, build_cluster
 from repro.analysis.sanitizer import Sanitizer
 from repro.backend.bench import PingerActor, PongerActor
+from repro.workloads import stageflow
 from repro.workloads.stageflow import (
     StageSpec,
     StageflowConfig,
@@ -64,18 +65,23 @@ def _run_ping(backend_name: str, transport: str = "inproc") -> dict:
         }
 
 
+@pytest.fixture
+def small_pools(monkeypatch):
+    """Small pools and two pipeline drivers through two router shards."""
+    monkeypatch.setattr(stageflow, "STAGES", (
+        StageSpec("route", compute=50e-6, replicas=2),
+        StageSpec("enrich", compute=100e-6, heavy_compute=200e-6,
+                  replicas=3),
+        StageSpec("transform", compute=80e-6, replicas=2)))
+    monkeypatch.setattr(stageflow, "PIPELINES", 2)
+    monkeypatch.setattr(stageflow, "ROUTER_SHARDS", 2)
+
+
 def _stageflow_config() -> StageflowConfig:
-    # Small pools, deterministic policy, no load-report loop: every RNG
-    # draw during setup and drive happens in program order on both
-    # engines.
+    # Deterministic policy, no load-report loop: every RNG draw during
+    # setup and drive happens in program order on both engines.
     return StageflowConfig(
-        stages=(StageSpec("route", compute=50e-6, replicas=2),
-                StageSpec("enrich", compute=100e-6, heavy_compute=200e-6,
-                          replicas=3),
-                StageSpec("transform", compute=80e-6, replicas=2)),
         policy="round_robin",
-        pipelines=2,
-        router_shards=2,
         report_period=None,
         heavy_fraction=0.3,
     )
@@ -149,12 +155,14 @@ def test_ping_parity_inproc_copy():
     assert reference == copied
 
 
+@pytest.mark.usefixtures("small_pools")
 def test_stageflow_parity_inproc_copy():
     reference = _run_stageflow("asyncio", transport="inproc")
     copied = _run_stageflow("asyncio", transport="inproc-copy")
     assert reference == copied
 
 
+@pytest.mark.usefixtures("small_pools")
 def test_inproc_copy_drops_nothing_on_the_parity_programs():
     # Every message the parity programs send must survive the pickle
     # round-trip — a nonzero failure count would mean the copy transport
@@ -170,6 +178,7 @@ def test_inproc_copy_drops_nothing_on_the_parity_programs():
     assert san.payload_events == []
 
 
+@pytest.mark.usefixtures("small_pools")
 def test_stageflow_parity():
     sim = _run_stageflow("sim")
     aio = _run_stageflow("asyncio")
@@ -183,6 +192,7 @@ def test_stageflow_parity():
     assert sim["processed"] == 40
 
 
+@pytest.mark.usefixtures("small_pools")
 def test_stageflow_kind_split_is_seeded():
     # The heavy/light split comes from the seeded kind stream, so it is
     # a fixed number, not a distribution.
@@ -192,6 +202,7 @@ def test_stageflow_kind_split_is_seeded():
     assert 0 < heavy // 3 < 40
 
 
+@pytest.mark.usefixtures("small_pools")
 @pytest.mark.parametrize("backend_name", ["sim", "asyncio"])
 def test_stageflow_with_crash_plan_runs_on_both_backends(backend_name):
     """The acceptance program: one Stageflow workload, one crash/restart

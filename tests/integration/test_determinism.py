@@ -11,7 +11,7 @@ ordering fails here before it can silently skew a figure.
 import hashlib
 
 from repro.bench.harness import HaloExperiment
-from repro.bench.metrics import percentile
+from repro.bench.metrics import MAX_RELATIVE_ERROR, percentile
 
 
 def _trace_mini_cluster(horizon: float = 4.0) -> tuple[str, int, list[float]]:
@@ -62,7 +62,7 @@ def test_streaming_histogram_matches_exact_recorder_within_resolution():
     hist = rt.client_latency_hist
     assert hist.count == exact.count
     assert hist.total == exact.total
-    err = hist.max_relative_error
+    err = MAX_RELATIVE_ERROR
     for q in (50, 95, 99):
         target = percentile(exact._samples, q)
         assert abs(hist.percentile(q) - target) <= (2 * err + 1e-3) * target

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.autoscale import AutoscaleConfig
+from repro.bench import harness
 from repro.bench.harness import (
     CounterExperiment,
     HeartbeatExperiment,
@@ -12,6 +13,7 @@ from repro.bench.harness import (
     halo_thread_config,
     improvement,
 )
+from repro.workloads import counter
 from repro.workloads.stageflow import StageflowConfig
 
 
@@ -30,8 +32,10 @@ def test_configs_are_fresh_instances():
     assert halo_thread_config(10.0).eta == pytest.approx(1e-3)
 
 
-def test_counter_experiment_result_fields():
-    exp = CounterExperiment(request_rate=2_000.0, actors=100, time_scale=1.0)
+def test_counter_experiment_result_fields(monkeypatch):
+    monkeypatch.setattr(harness, "COUNTER_TIME_SCALE", 1.0)
+    monkeypatch.setattr(counter, "NUM_ACTORS", 100)
+    exp = CounterExperiment(request_rate=2_000.0)
     result = exp.run(warmup=2.0, duration=4.0, cdf_points=10)
     assert result.requests > 0
     assert result.median > 0
@@ -43,25 +47,30 @@ def test_counter_experiment_result_fields():
     assert summary["median_ms"] == pytest.approx(result.median * 1000)
 
 
-def test_counter_experiment_thread_override():
-    exp = CounterExperiment(request_rate=500.0, actors=50, time_scale=1.0,
+def test_counter_experiment_thread_override(monkeypatch):
+    monkeypatch.setattr(harness, "COUNTER_TIME_SCALE", 1.0)
+    monkeypatch.setattr(counter, "NUM_ACTORS", 50)
+    exp = CounterExperiment(request_rate=500.0,
                             threads={"worker": 2, "client_sender": 3})
     assert exp.runtime.silos[0].server.thread_allocation()["worker"] == 2
     assert exp.runtime.silos[0].server.thread_allocation()["client_sender"] == 3
 
 
-def test_heartbeat_experiment_normalizes_by_time_scale():
-    r1 = HeartbeatExperiment(request_rate=2_000.0, monitors=100,
-                             time_scale=1.0).run(warmup=3.0, duration=6.0)
-    r4 = HeartbeatExperiment(request_rate=2_000.0, monitors=100,
-                             time_scale=4.0).run(warmup=12.0, duration=24.0)
+def test_heartbeat_experiment_normalizes_by_time_scale(monkeypatch):
+    monkeypatch.setattr(harness, "HEARTBEAT_TIME_SCALE", 1.0)
+    r1 = HeartbeatExperiment(request_rate=2_000.0, monitors=100).run(
+        warmup=3.0, duration=6.0)
+    monkeypatch.setattr(harness, "HEARTBEAT_TIME_SCALE", 4.0)
+    r4 = HeartbeatExperiment(request_rate=2_000.0, monitors=100).run(
+        warmup=12.0, duration=24.0)
     # Normalized medians agree across time scales (same operating point).
     assert r4.median == pytest.approx(r1.median, rel=0.1)
 
 
-def test_halo_experiment_small_end_to_end():
+def test_halo_experiment_small_end_to_end(monkeypatch):
+    monkeypatch.setattr(harness, "HALO_TIME_SCALE", 10.0)
     exp = HaloExperiment(load_fraction=0.3, players=300, partitioning=True,
-                         num_servers=4, time_scale=10.0)
+                         num_servers=4)
     result = exp.run(warmup=30.0, duration=30.0, sample_period=10.0)
     assert result.requests > 50
     assert result.migrations > 0

@@ -114,3 +114,17 @@ def test_collect_idle_returns_count(backend="sim"):
 ], ids=lambda case: case.__name__.removeprefix("test_"))
 def test_idle_collection_case_on_the_asyncio_runtime(case):
     case("asyncio")
+
+
+@pytest.mark.parametrize("backend", ["sim", "asyncio"])
+def test_idle_collection_period_must_be_positive_and_finite(backend):
+    """A zero period would reschedule the sweep at the same instant
+    forever: simulated time never advances, and asyncio busy-spins."""
+    for period in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="idle_collection_period"):
+            build_cluster(ClusterConfig(idle_collection_age=1.0,
+                                        idle_collection_period=period),
+                          backend=backend)
+    # With collection off the period is never read.
+    build_cluster(ClusterConfig(idle_collection_period=0.0),
+                  backend=backend).shutdown()

@@ -18,6 +18,7 @@ from repro.actor.runtime import ActorRuntime, ClusterConfig
 from repro.cluster import build_cluster
 from repro.core.actop import ActOp
 from repro.core.partitioning.coordinator import PartitioningConfig
+from repro.faults import resilience as backoff
 from repro.faults import (
     AdmissionConfig,
     FaultPlan,
@@ -81,12 +82,13 @@ def test_late_response_is_discarded_not_double_completed():
 # ----------------------------------------------------------------------
 # Retry.
 # ----------------------------------------------------------------------
-def test_retry_recovers_from_transient_outage():
+def test_retry_recovers_from_transient_outage(monkeypatch):
+    monkeypatch.setattr(backoff, "BASE_DELAY", 0.1)
     cluster = build_cluster(
         ClusterConfig(num_servers=2, seed=1),
         resilience=ResilienceConfig(
             call_timeout=0.1,
-            retry=RetryPolicy(max_attempts=5, base_delay=0.1)),
+            retry=RetryPolicy(max_attempts=5)),
         faults=FaultPlan().degrade(0.0, 0.3, drop=1.0),
     )
     rt = cluster.runtime
@@ -103,12 +105,13 @@ def test_retry_recovers_from_transient_outage():
     assert [e for e in obs.events if type(e).KIND == "retry"]
 
 
-def test_retry_budget_exhausts_into_terminal_timeout():
+def test_retry_budget_exhausts_into_terminal_timeout(monkeypatch):
+    monkeypatch.setattr(backoff, "BASE_DELAY", 0.01)
     cluster = build_cluster(
         ClusterConfig(num_servers=2, seed=2),
         resilience=ResilienceConfig(
             call_timeout=0.05,
-            retry=RetryPolicy(max_attempts=3, base_delay=0.01)),
+            retry=RetryPolicy(max_attempts=3)),
         faults=FaultPlan().degrade(0.0, 100.0, drop=1.0),
     )
     rt = cluster.runtime
@@ -126,12 +129,13 @@ def test_retry_budget_exhausts_into_terminal_timeout():
     assert len([e for e in obs.events if type(e).KIND == "retry"]) == 2
 
 
-def test_non_idempotent_requests_are_not_retried():
+def test_non_idempotent_requests_are_not_retried(monkeypatch):
+    monkeypatch.setattr(backoff, "BASE_DELAY", 0.01)
     cluster = build_cluster(
         ClusterConfig(num_servers=2, seed=3),
         resilience=ResilienceConfig(
             call_timeout=0.05,
-            retry=RetryPolicy(max_attempts=4, base_delay=0.01)),
+            retry=RetryPolicy(max_attempts=4)),
         faults=FaultPlan().degrade(0.0, 100.0, drop=1.0),
     )
     rt = cluster.runtime
@@ -147,12 +151,13 @@ def test_non_idempotent_requests_are_not_retried():
     assert rt.requests_timed_out == 1
 
 
-def test_request_deadline_caps_the_retry_storm():
+def test_request_deadline_caps_the_retry_storm(monkeypatch):
+    monkeypatch.setattr(backoff, "BASE_DELAY", 0.01)
     cluster = build_cluster(
         ClusterConfig(num_servers=2, seed=4),
         resilience=ResilienceConfig(
             call_timeout=0.06, request_deadline=0.2,
-            retry=RetryPolicy(max_attempts=50, base_delay=0.01)),
+            retry=RetryPolicy(max_attempts=50)),
         faults=FaultPlan().degrade(0.0, 100.0, drop=1.0),
     )
     rt = cluster.runtime
@@ -201,7 +206,7 @@ def test_backoff_reaching_the_deadline_ends_the_request_there_once():
         ClusterConfig(num_servers=2, seed=4),
         resilience=ResilienceConfig(
             call_timeout=0.06, request_deadline=0.2,
-            retry=RetryPolicy(max_attempts=50, base_delay=0.05)),
+            retry=RetryPolicy(max_attempts=50)),
         faults=FaultPlan().degrade(0.0, 100.0, drop=1.0),
     )
     rt = cluster.runtime
@@ -283,15 +288,17 @@ def test_admission_drop_oldest_spares_inflight_work():
     assert rt.inflight_requests == 0
 
 
-def test_admission_drop_oldest_evicts_backoff_victim():
+def test_admission_drop_oldest_evicts_backoff_victim(monkeypatch):
     """The eviction target is the oldest *non-in-flight* entry: a request
     parked in retry backoff holds an admission slot but no server work,
     so it is the one sacrificed for a new arrival."""
+    monkeypatch.setattr(backoff, "BASE_DELAY", 0.2)
+    monkeypatch.setattr(backoff, "JITTER", 0.0)
     rt = ActorRuntime(
         ClusterConfig(num_servers=1, seed=5),
         resilience=ResilienceConfig(
             call_timeout=0.01,             # Heavy takes 0.05: always times out
-            retry=RetryPolicy(max_attempts=5, base_delay=0.2, jitter=0.0),
+            retry=RetryPolicy(max_attempts=5),
             admission=AdmissionConfig(capacity=1, policy="drop_oldest")))
     rt.register_actor("heavy", Heavy)
     rt.register_actor("echo", Echo)
@@ -343,10 +350,11 @@ TRANSPORTS = pytest.mark.parametrize("transport", ["inproc", "tcp"])
 
 
 @TRANSPORTS
-def test_asyncio_retry_completes_on_the_replaced_actor(transport):
+def test_asyncio_retry_completes_on_the_replaced_actor(transport, monkeypatch):
+    monkeypatch.setattr(backoff, "BASE_DELAY", 0.01)
     resilience = ResilienceConfig(
         call_timeout=0.5, request_deadline=10.0,   # ten 50 ms naps
-        retry=RetryPolicy(max_attempts=3, base_delay=0.01),
+        retry=RetryPolicy(max_attempts=3),
         admission=AdmissionConfig(capacity=1))
     with _asyncio_cluster(transport, resilience) as cluster:
         be = cluster.runtime
@@ -372,9 +380,10 @@ def test_asyncio_retry_completes_on_the_replaced_actor(transport):
 
 
 @TRANSPORTS
-def test_asyncio_retry_budget_and_non_idempotent_requests(transport):
+def test_asyncio_retry_budget_and_non_idempotent_requests(transport, monkeypatch):
+    monkeypatch.setattr(backoff, "BASE_DELAY", 0.01)
     resilience = ResilienceConfig(
-        call_timeout=0.03, retry=RetryPolicy(max_attempts=3, base_delay=0.01))
+        call_timeout=0.03, retry=RetryPolicy(max_attempts=3))
     with _asyncio_cluster(transport, resilience) as cluster:
         be = cluster.runtime
         replayable, one_shot = [], []
@@ -393,10 +402,11 @@ def test_asyncio_retry_budget_and_non_idempotent_requests(transport):
 
 
 @TRANSPORTS
-def test_asyncio_request_deadline_caps_the_retry_storm(transport):
+def test_asyncio_request_deadline_caps_the_retry_storm(transport, monkeypatch):
+    monkeypatch.setattr(backoff, "BASE_DELAY", 0.01)
     resilience = ResilienceConfig(
         call_timeout=0.06, request_deadline=0.2,
-        retry=RetryPolicy(max_attempts=50, base_delay=0.01))
+        retry=RetryPolicy(max_attempts=50))
     with _asyncio_cluster(transport, resilience) as cluster:
         be = cluster.runtime
         outcomes = []

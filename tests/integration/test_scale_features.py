@@ -5,6 +5,7 @@ import hashlib
 
 from repro.actor.ids import ActorId
 from repro.actor.runtime import ActorRuntime, ClusterConfig
+from repro.workloads import halo
 from repro.workloads.halo import HaloConfig, HaloWorkload
 
 
@@ -75,9 +76,10 @@ def test_lazy_idle_pool_short_circuits_idle_probes():
             >= wl_eager.requests_issued)
 
 
-def test_discard_departed_keeps_storage_empty():
-    rt, wl, _ = _run({"direct_bootstrap": True, "game_duration": (0.5, 1.0),
-                      "games_per_player": (1, 1)}, horizon=6.0)
+def test_discard_departed_keeps_storage_empty(monkeypatch):
+    monkeypatch.setattr(halo, "GAMES_PER_PLAYER", (1, 1))
+    rt, wl, _ = _run({"direct_bootstrap": True, "game_duration": (0.5, 1.0)},
+                     horizon=6.0)
     assert wl.players_departed > 0
     # Departed players' and closed games' state was dropped, not persisted.
     for pid in range(len(wl._live_index)):

@@ -8,16 +8,22 @@ as configured, and seeded runs are bit-identical.
 
 import hashlib
 
+import pytest
+
 from repro.actor.ids import ActorRef
 from repro.actor.runtime import ActorRuntime, ClusterConfig
-from repro.workloads.stageflow import (
-    DEFAULT_STAGES,
-    StageflowConfig,
-    StageflowWorkload,
-    StageSpec,
-)
+from repro.workloads import stageflow
+from repro.workloads.stageflow import StageflowConfig, StageflowWorkload, StageSpec
 
-QUICK = StageflowConfig(base_rate=150.0, pipelines=2, router_shards=2)
+QUICK = StageflowConfig(base_rate=150.0)
+
+
+@pytest.fixture(autouse=True)
+def small_pipeline(monkeypatch):
+    """Two pipeline drivers and two router shards per pool keep these
+    runs quick."""
+    monkeypatch.setattr(stageflow, "PIPELINES", 2)
+    monkeypatch.setattr(stageflow, "ROUTER_SHARDS", 2)
 
 
 def run_workload(config=QUICK, servers=3, seed=11, until=6.0):
@@ -35,7 +41,7 @@ def test_pipeline_completes_requests_with_sane_latency():
     assert workload.completed > 500
     assert workload.failed == 0
     # Latency floor: the sum of stage computes; ceiling: sanity only.
-    floor = sum(s.compute for s in DEFAULT_STAGES)
+    floor = sum(s.compute for s in stageflow.STAGES)
     assert workload.latency.percentile(50.0) > floor
     assert workload.latency.percentile(99.0) < 1.0
     summary = workload.summary()
@@ -55,8 +61,7 @@ def test_every_stage_pool_carries_traffic():
 
 
 def test_heavy_requests_pay_the_heavy_path():
-    config = StageflowConfig(base_rate=120.0, heavy_fraction=0.3,
-                             pipelines=2, router_shards=2)
+    config = StageflowConfig(base_rate=120.0, heavy_fraction=0.3)
     rt, workload = run_workload(config)
     assert workload.heavy_latency.count > 50
     # The enrich heavy path is 6.7x the light one; the medians must
@@ -76,15 +81,14 @@ def test_heavy_requests_pay_the_heavy_path():
 
 def test_all_policies_complete_the_pipeline():
     for policy in ("round_robin", "least_outstanding", "dpa"):
-        config = StageflowConfig(base_rate=100.0, policy=policy,
-                                 pipelines=2, router_shards=2)
+        config = StageflowConfig(base_rate=100.0, policy=policy)
         _, workload = run_workload(config, until=4.0)
         assert workload.completed > 200, policy
         assert workload.failed == 0, policy
 
 
 # ----------------------------------------------------------------------
-def test_arrival_curves_shape_the_rate():
+def test_arrival_curves_shape_the_rate(monkeypatch):
     flash = StageflowConfig(curve="flash", base_rate=100.0, flash_at=5.0,
                             flash_duration=2.0, flash_multiplier=3.0)
     w = StageflowWorkload(
@@ -94,8 +98,9 @@ def test_arrival_curves_shape_the_rate():
     assert w.rate(6.9) == 300.0
     assert w.rate(7.0) == 100.0
 
+    monkeypatch.setattr(stageflow, "DIURNAL_AMPLITUDE", 0.5)
     diurnal = StageflowConfig(curve="diurnal", base_rate=100.0,
-                              diurnal_period=40.0, diurnal_amplitude=0.5)
+                              diurnal_period=40.0)
     w = StageflowWorkload(
         ActorRuntime(ClusterConfig(num_servers=2, seed=0)), diurnal)
     assert abs(w.rate(10.0) - 150.0) < 1e-6   # sin peak at period/4
@@ -105,8 +110,7 @@ def test_arrival_curves_shape_the_rate():
 
 def test_flash_crowd_actually_surges_arrivals():
     flash = StageflowConfig(curve="flash", base_rate=100.0, flash_at=3.0,
-                            flash_duration=3.0, flash_multiplier=4.0,
-                            pipelines=2, router_shards=2)
+                            flash_duration=3.0, flash_multiplier=4.0)
     rt = ActorRuntime(ClusterConfig(num_servers=3, processors=2, seed=2))
     workload = StageflowWorkload(rt, flash).start()
     rt.run(until=3.0)

@@ -3,14 +3,22 @@
 import pytest
 
 from repro.actor.runtime import ActorRuntime, ClusterConfig
+from repro.workloads import counter, halo, heartbeat
 from repro.workloads.counter import CounterConfig, CounterWorkload
 from repro.workloads.halo import HaloConfig, HaloWorkload
 from repro.workloads.heartbeat import HeartbeatConfig, HeartbeatWorkload
 
 
-def test_counter_requests_complete_and_increment():
+@pytest.fixture(autouse=True)
+def fast_matchmaking(monkeypatch):
+    """Every Halo run here matches players every half second."""
+    monkeypatch.setattr(halo, "MATCHMAKING_PERIOD", 0.5)
+
+
+def test_counter_requests_complete_and_increment(monkeypatch):
+    monkeypatch.setattr(counter, "NUM_ACTORS", 50)
     rt = ActorRuntime(ClusterConfig(num_servers=1, seed=0))
-    w = CounterWorkload(rt, CounterConfig(num_actors=50, request_rate=500.0))
+    w = CounterWorkload(rt, CounterConfig(request_rate=500.0))
     w.start()
     rt.run(until=2.0)
     w.stop()
@@ -21,11 +29,11 @@ def test_counter_requests_complete_and_increment():
     assert rt.msgs_local == 0 and rt.msgs_remote == 0
 
 
-def test_heartbeat_mixes_beats_and_reads():
+def test_heartbeat_mixes_beats_and_reads(monkeypatch):
+    monkeypatch.setattr(heartbeat, "STATUS_FRACTION", 0.25)
     rt = ActorRuntime(ClusterConfig(num_servers=1, seed=1))
     w = HeartbeatWorkload(
-        rt, HeartbeatConfig(num_monitors=40, request_rate=400.0,
-                            status_fraction=0.25)
+        rt, HeartbeatConfig(num_monitors=40, request_rate=400.0)
     )
     w.start()
     rt.run(until=3.0)
@@ -47,7 +55,7 @@ def test_heartbeat_blocking_variant_registers_wait():
 def halo_runtime(servers=4, seed=2, **cfg):
     rt = ActorRuntime(ClusterConfig(num_servers=servers, seed=seed))
     defaults = dict(target_players=160, pool_target=16, request_rate=40.0,
-                    game_duration=(10.0, 15.0), matchmaking_period=0.5)
+                    game_duration=(10.0, 15.0))
     defaults.update(cfg)
     w = HaloWorkload(rt, HaloConfig(**defaults))
     return rt, w

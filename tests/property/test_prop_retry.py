@@ -5,6 +5,7 @@ For any seed, drop probability, and retry budget: every request
 timeout, never hangs — and the whole run is deterministic per seed.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from repro.actor.actor import Actor
 from repro.actor.runtime import ClusterConfig
 from repro.cluster import build_cluster
 from repro.faults import FaultPlan, ResilienceConfig, RetryPolicy
+from repro.faults import resilience as backoff
 
 
 class Echo(Actor):
@@ -26,7 +28,7 @@ def _run(seed: int, drop: float, attempts: int, requests: int):
         ClusterConfig(num_servers=2, seed=seed),
         resilience=ResilienceConfig(
             call_timeout=0.05,
-            retry=RetryPolicy(max_attempts=attempts, base_delay=0.02)),
+            retry=RetryPolicy(max_attempts=attempts)),
         faults=FaultPlan().degrade(0.0, 1_000.0, drop=drop),
     )
     rt = cluster.runtime
@@ -39,7 +41,9 @@ def _run(seed: int, drop: float, attempts: int, requests: int):
             on_complete=lambda lat, res: outcomes.append(
                 "ok" if res == "pong" else "timeout")))
     cluster.start()
-    rt.run(until=10.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backoff, "BASE_DELAY", 0.02)
+        rt.run(until=10.0)
     return outcomes, rt
 
 

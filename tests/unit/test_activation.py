@@ -133,7 +133,7 @@ def _halo_slice(partitioning):
     tables = [silo.comm_table for silo in rt.silos]  # as built, before traffic
     workload = HaloWorkload(rt, HaloConfig(
         target_players=96, pool_target=16, request_rate=60.0,
-        game_duration=(10.0, 15.0), matchmaking_period=0.5))
+        game_duration=(10.0, 15.0)))
     workload.start()
     cluster.start()
     rt.run(until=1.5)
@@ -141,7 +141,9 @@ def _halo_slice(partitioning):
     return cluster, tables
 
 
-def test_comm_table_exists_only_where_a_partition_agent_reads_it():
+def test_comm_table_exists_only_where_a_partition_agent_reads_it(monkeypatch):
+    from repro.workloads import halo
+    monkeypatch.setattr(halo, "MATCHMAKING_PERIOD", 0.5)
     cluster, tables = _halo_slice(partitioning=False)
     assert tables == [None] * 3
     assert all(silo.comm_table is None for silo in cluster.runtime.silos)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.threads.controller import ModelBasedController, QueueLengthController
+from repro.seda import emulator
 from repro.seda.emulator import SedaEmulator, StageProfile
 from repro.seda.server import StagedServer
 from repro.sim.engine import Simulator
@@ -54,7 +55,7 @@ def test_queue_controller_records_history():
     assert len(ctrl.thread_history["s"]) == 3
 
 
-def test_model_controller_reallocates_loaded_emulator():
+def test_model_controller_reallocates_loaded_emulator(monkeypatch):
     sim = Simulator()
     emu = SedaEmulator(
         sim,
@@ -63,9 +64,8 @@ def test_model_controller_reallocates_loaded_emulator():
             StageProfile("heavy", compute=0.002, threads=1),
         ],
         arrival_rate=400.0,
-        processors=8,
-        switch_factor=0.0,
     )
+    monkeypatch.setattr(emu.server.cpu, "switch_factor", 0.0)
     ctrl = ModelBasedController(sim, emu.server, eta=1e-3, period=2.0,
                                 min_events=10)
     emu.start()
@@ -91,7 +91,8 @@ def test_model_controller_skips_quiet_windows():
     assert not ctrl.allocations
 
 
-def test_model_controller_overload_fallback_is_proportional():
+def test_model_controller_overload_fallback_is_proportional(monkeypatch):
+    monkeypatch.setattr(emulator, "PROCESSORS", 4)
     sim = Simulator()
     emu = SedaEmulator(
         sim,
@@ -100,9 +101,8 @@ def test_model_controller_overload_fallback_is_proportional():
             StageProfile("b", compute=0.03, threads=2),
         ],
         arrival_rate=400.0,   # demand = 400*(0.04) = 16 cpu-s/s >> 4 cores
-        processors=4,
-        switch_factor=0.0,
     )
+    monkeypatch.setattr(emu.server.cpu, "switch_factor", 0.0)
     ctrl = ModelBasedController(sim, emu.server, period=2.0, min_events=10)
     emu.start()
     ctrl.start()
@@ -114,9 +114,10 @@ def test_model_controller_overload_fallback_is_proportional():
     assert event.allocation["b"] >= event.allocation["a"]
 
 
-def test_model_controller_calibrates_alpha_on_non_blocking_stages():
+def test_model_controller_calibrates_alpha_on_non_blocking_stages(monkeypatch):
     """S0 is every stage not declared ``blocking``: the io stage's
     4 ms wait per event must not be read as ready time."""
+    monkeypatch.setattr(emulator, "PROCESSORS", 2)
     sim = Simulator()
     emu = SedaEmulator(
         sim,
@@ -125,9 +126,8 @@ def test_model_controller_calibrates_alpha_on_non_blocking_stages():
             StageProfile("io", compute=0.001, wait=0.004, threads=4),
         ],
         arrival_rate=400.0,
-        processors=2,
-        switch_factor=0.0,
     )
+    monkeypatch.setattr(emu.server.cpu, "switch_factor", 0.0)
     assert emu.server.stage("io").blocking
     ctrl = ModelBasedController(sim, emu.server, period=2.0, min_events=10)
     emu.start()

@@ -10,6 +10,7 @@ imported or run) and fail in tier-1 instead.
 import ast
 import dataclasses
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -100,3 +101,81 @@ def test_workload_constructions_still_accepted():
     assert config.direct_bootstrap and config.lazy_idle_pool
     assert {"runtime", "backend", "actop"} <= {
         f.name for f in dataclasses.fields(Cluster)}
+
+
+def _repro_callees(tree: ast.Module):
+    """``(call, callable)`` for every call to a name imported from
+    ``repro`` or to an attribute of an imported ``repro`` module."""
+    imports = _repro_imports(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imports:
+            yield node, _resolve(*imports[func.id])
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in imports):
+            owner = _resolve(*imports[func.value.id])
+            if isinstance(owner, types.ModuleType):
+                yield node, getattr(owner, func.attr)
+
+
+def test_every_keyword_e2e_passes_is_a_parameter():
+    calls = 0
+    for source in SOURCES:
+        for call, callee in _repro_callees(ast.parse(source.read_text())):
+            params = inspect.signature(callee).parameters
+            if not call.keywords or any(
+                    p.kind is p.VAR_KEYWORD for p in params.values()):
+                continue
+            calls += 1
+            for kw in call.keywords:
+                if kw.arg is None:   # a ** splat: its keys are pinned above
+                    continue
+                assert kw.arg in params, (
+                    f"{source.name}:{call.lineno}: {callee.__qualname__}"
+                    f"({kw.arg}=...)")
+    assert calls >= 13
+
+
+def test_every_e2e_override_overrides_something():
+    """A subclass's hook that no longer matches a base-class method is
+    never called: ``_LoopedStageflow._on_complete`` would silently stall
+    the closed loop."""
+    overrides = 0
+    for source in SOURCES:
+        tree = ast.parse(source.read_text())
+        imports = _repro_imports(tree)
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases = [_resolve(*imports[b.id]) for b in cls.bases
+                     if isinstance(b, ast.Name) and b.id in imports]
+            for node in cls.body:
+                if bases and isinstance(node, ast.FunctionDef):
+                    assert any(callable(getattr(b, node.name, None))
+                               for b in bases), f"{cls.name}.{node.name}"
+                    overrides += 1
+    assert overrides >= 1
+
+
+def test_every_field_e2e_replaces_exists():
+    replaced = 0
+    for source in SOURCES:
+        tree = ast.parse(source.read_text())
+        imports = _repro_imports(tree)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "replace"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "dataclasses"):
+                continue
+            factory = node.args[0]
+            assert isinstance(factory, ast.Call) and not factory.args
+            instance = _resolve(*imports[factory.func.id])()
+            fields = {f.name for f in dataclasses.fields(instance)}
+            for kw in node.keywords:
+                assert kw.arg in fields, (type(instance).__name__, kw.arg)
+                replaced += 1
+    assert replaced >= 1

@@ -3,18 +3,19 @@
 import pytest
 
 from repro.queueing.jackson import mm1_mean_latency
+from repro.seda import emulator
 from repro.seda.emulator import SedaEmulator, StageProfile
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
 
-def test_requests_traverse_all_stages():
+def test_requests_traverse_all_stages(monkeypatch):
+    monkeypatch.setattr(emulator, "PROCESSORS", 4)
     sim = Simulator()
     emu = SedaEmulator(
         sim,
         [StageProfile("a", 0.001), StageProfile("b", 0.001)],
         arrival_rate=100.0,
-        processors=4,
         deterministic_service=True,
     )
     emu.start()
@@ -33,7 +34,6 @@ def test_latency_at_least_total_service():
         sim,
         [StageProfile("a", 0.002), StageProfile("b", 0.003)],
         arrival_rate=10.0,
-        processors=8,
         deterministic_service=True,
     )
     emu.start()
@@ -51,7 +51,6 @@ def test_lightly_loaded_latency_close_to_mm1():
         sim,
         [StageProfile("only", service, threads=1)],
         arrival_rate=rate,
-        processors=8,
         rng=RngRegistry(11),
     )
     emu.start()
@@ -60,13 +59,13 @@ def test_lightly_loaded_latency_close_to_mm1():
     assert emu.latency.mean == pytest.approx(theory, rel=0.15)
 
 
-def test_blocking_stage_accepts_wait():
+def test_blocking_stage_accepts_wait(monkeypatch):
+    monkeypatch.setattr(emulator, "PROCESSORS", 2)
     sim = Simulator()
     emu = SedaEmulator(
         sim,
         [StageProfile("io", compute=0.001, wait=0.01, threads=4)],
         arrival_rate=50.0,
-        processors=2,
         deterministic_service=True,
     )
     emu.start()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.actor.serialization import SerializationModel
+from repro.bench import metrics
 from repro.bench.metrics import LatencyRecorder, TimeSeries, percentile
 
 
@@ -41,8 +42,9 @@ def test_empty_recorder_summary():
     assert LatencyRecorder().summary()["count"] == 0
 
 
-def test_reservoir_caps_memory_keeps_exact_mean():
-    rec = LatencyRecorder(reservoir=100, seed=1)
+def test_reservoir_caps_memory_keeps_exact_mean(monkeypatch):
+    monkeypatch.setattr(metrics, "RESERVOIR_SEED", 1)
+    rec = LatencyRecorder(reservoir=100)
     for i in range(10_000):
         rec.record(float(i))
     assert rec.count == 10_000

@@ -23,7 +23,7 @@ def test_single_part_trivial():
 
 def test_balance_within_tolerance():
     g = random_graph(400, rng=random.Random(1))
-    assignment = multilevel_partition(g, 4, imbalance=0.05)
+    assignment = multilevel_partition(g, 4)
     sizes = partition_sizes(assignment)
     cap = (400 / 4) * 1.05 + 1
     assert all(s <= cap for s in sizes.values())

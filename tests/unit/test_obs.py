@@ -21,6 +21,8 @@ from repro.obs import (
     stage_totals,
     write_jsonl,
 )
+from repro.obs import events as event_log
+from repro.obs import tracer as span_tracer
 from repro.seda.stage import StageEvent
 from repro.sim.engine import Simulator
 
@@ -127,9 +129,10 @@ def test_stage_event_spans_elide_zero_components():
     assert [s.cat for s in tracer.spans] == ["stage.compute"]
 
 
-def test_max_spans_cap_counts_drops():
+def test_max_spans_cap_counts_drops(monkeypatch):
+    monkeypatch.setattr(span_tracer, "MAX_SPANS", 2)
     sim = Simulator()
-    tracer = Tracer(sim, max_spans=2)
+    tracer = Tracer(sim)
     ctx = TraceContext(1, 1, None)
     for _ in range(3):
         tracer.network_hop(ctx, 0, 1, 64, 0.001)
@@ -152,8 +155,9 @@ def test_event_log_collects_and_filters_by_kind():
     assert doc["source"] == 0
 
 
-def test_event_log_cap():
-    log = EventLog(max_events=1)
+def test_event_log_cap(monkeypatch):
+    monkeypatch.setattr(event_log, "MAX_EVENTS", 1)
+    log = EventLog()
     log.emit(ActivationEvent(1.0, server=0, actor="a"))
     log.emit(ActivationEvent(2.0, server=0, actor="b"))
     assert len(log) == 1       # buffer honors the cap

@@ -14,6 +14,7 @@ from repro.pools import (
     RoundRobinPolicy,
     make_policy,
 )
+from repro.pools import policy as policy_module
 
 
 # ----------------------------------------------------------------------
@@ -43,7 +44,7 @@ def test_least_outstanding_rotates_ties():
 
 
 def test_dpa_grows_when_no_idle_replica():
-    p = DpaPolicy(min_active=1)
+    p = DpaPolicy()
     assert p.active == 1
     # Active replica 0 is busy -> the window widens.
     p.choose([1, 0, 0, 0], [0.0] * 4, 4)
@@ -52,7 +53,7 @@ def test_dpa_grows_when_no_idle_replica():
 
 
 def test_dpa_shrinks_when_idle():
-    p = DpaPolicy(min_active=1)
+    p = DpaPolicy()
     p.active = 3
     for _ in range(4):
         p.choose([0, 0, 0, 0], [0.0] * 4, 4)
@@ -63,22 +64,24 @@ def test_dpa_shrinks_when_idle():
     assert p.active == 1
 
 
-def test_dpa_scores_outstanding_plus_loads():
-    p = DpaPolicy(min_active=4)
+def test_dpa_scores_outstanding_plus_loads(monkeypatch):
+    monkeypatch.setattr(policy_module, "MIN_ACTIVE", 4)
+    p = DpaPolicy()
     # Replica 1 idle by counts but its silo reports heavy contention.
     idx = p.choose([1, 0, 1, 1], [0.0, 9.0, 0.0, 0.0], 4)
     assert idx != 1
 
 
-def test_dpa_outstanding_scaled_by_shard_count():
+def test_dpa_outstanding_scaled_by_shard_count(monkeypatch):
     """With S shards, this shard's in-flight slice is ~1/S of the global
     queue the loads signal reports — the score must compare like units."""
-    p = DpaPolicy(min_active=2)
+    monkeypatch.setattr(policy_module, "MIN_ACTIVE", 2)
+    p = DpaPolicy()
     p.bind(0, 4)
     # 2 own in-flight toward replica 0 ~ 8 global; worse than load 5.
     assert p.choose([2, 0], [0.0, 5.0], 2) == 1
     # A shard-count of 1 flips the comparison.
-    q = DpaPolicy(min_active=2)
+    q = DpaPolicy()
     q.bind(0, 1)
     assert q.choose([2, 0], [0.0, 5.0], 2) == 0
 
@@ -94,17 +97,10 @@ def test_dpa_offset_spreads_shards():
 
 
 def test_dpa_resize_clamps_active():
-    p = DpaPolicy(min_active=1)
+    p = DpaPolicy()
     p.active = 6
     p.resize(3)
     assert p.active == 3
-
-
-def test_dpa_validation():
-    with pytest.raises(ValueError):
-        DpaPolicy(grow_at=0.5, shrink_at=0.5)
-    with pytest.raises(ValueError):
-        DpaPolicy(min_active=0)
 
 
 def test_make_policy_registry():

@@ -7,7 +7,7 @@ import pytest
 
 from repro.graph.generators import clustered_graph, random_graph
 from repro.graph.quality import cut_cost, max_imbalance
-from repro.graph.streaming import STREAMING_HEURISTICS, streaming_partition
+from repro.graph.streaming import SLACK, STREAMING_HEURISTICS, streaming_partition
 
 
 def halo_graph(seed=0):
@@ -28,10 +28,10 @@ def test_capacity_respected():
     g = halo_graph()
     n = g.num_vertices
     for heuristic in ("balanced", "greedy", "fennel"):
-        assignment = streaming_partition(g, 4, heuristic=heuristic, slack=0.1,
+        assignment = streaming_partition(g, 4, heuristic=heuristic,
                                          rng=random.Random(2))
         sizes = Counter(assignment.values())
-        assert max(sizes.values()) <= (n / 4) * 1.1 + 1
+        assert max(sizes.values()) <= (n / 4) * (1 + SLACK) + 1
 
 
 def test_balanced_heuristic_is_perfectly_balanced():
