@@ -40,24 +40,24 @@ def evaluate(name, graph):
     rows.append(["random placement", cut_cost(graph, base),
                  max_imbalance(base, SERVERS), 0.0])
 
-    start = time.perf_counter()  # repro: waive[DET-WALLCLOCK] -- offline example: wall time is displayed, never fed to the sim
+    start = time.perf_counter()
     actop = OfflinePartitioner(graph, SERVERS, delta=8, k=64, seed=1,
                                initial=dict(base))
     actop.run(max_sweeps=40)
     rows.append(["ActOp Alg. 1 (distributed)", actop.cost,
-                 actop.imbalance, time.perf_counter() - start])  # repro: waive[DET-WALLCLOCK] -- offline example: wall time is displayed, never fed to the sim
+                 actop.imbalance, time.perf_counter() - start])
 
-    start = time.perf_counter()  # repro: waive[DET-WALLCLOCK] -- offline example: wall time is displayed, never fed to the sim
+    start = time.perf_counter()
     ml = multilevel_partition(graph, SERVERS, rng=random.Random(2))
     rows.append(["multilevel (centralized)", cut_cost(graph, ml),
-                 max_imbalance(ml, SERVERS), time.perf_counter() - start])  # repro: waive[DET-WALLCLOCK] -- offline example: wall time is displayed, never fed to the sim
+                 max_imbalance(ml, SERVERS), time.perf_counter() - start])
 
-    start = time.perf_counter()  # repro: waive[DET-WALLCLOCK] -- offline example: wall time is displayed, never fed to the sim
+    start = time.perf_counter()
     jb = jabeja_partition(graph, SERVERS, rounds=30, rng=random.Random(3),
                           initial=dict(base))
     rows.append(["Ja-Be-Ja [30]", cut_cost(graph, jb.assignment),
                  max_imbalance(jb.assignment, SERVERS),
-                 time.perf_counter() - start])  # repro: waive[DET-WALLCLOCK] -- offline example: wall time is displayed, never fed to the sim
+                 time.perf_counter() - start])
 
     print(render_table(
         ["algorithm", "cut cost", "imbalance", "seconds"],

@@ -31,9 +31,8 @@ The package splits into the paper's contribution and its substrates:
   partitions, link degradation, slow silos, directory staleness) and
   the client-side resilience policies (retry, deadlines, admission
   control with load shedding); ``repro faults`` on the CLI.
-* :mod:`repro.analysis` — the hygiene toolchain: an AST lint pass over
-  the tree's determinism/actor/API invariants and an opt-in runtime
-  race sanitizer; ``repro lint`` on the CLI.
+* :mod:`repro.analysis` — the opt-in runtime race sanitizer and the
+  salted-hash iteration-order probe; ``repro sanitize`` on the CLI.
 * :mod:`repro.backend` — one actor API, two engines over one runtime
   core (:mod:`repro.actor.core`): the deterministic simulator
   (``ActorRuntime``, the reference) and a real asyncio runtime
@@ -57,7 +56,7 @@ Quickstart::
 See ``examples/quickstart.py`` for a complete runnable walk-through.
 """
 
-from .analysis import LintReport, Sanitizer, lint_paths
+from .analysis import Sanitizer
 from .autoscale import AutoscaleConfig, AutoscaleController
 from .backend import (
     AsyncioBackend,
@@ -145,7 +144,6 @@ __all__ = [
     "FaultPlan",
     "HistogramRecorder",
     "LatencyRecorder",
-    "LintReport",
     "ModelBasedController",
     "Observability",
     "OfflinePartitioner",
@@ -175,7 +173,6 @@ __all__ = [
     "Tracer",
     "build_cluster",
     "chrome_trace_document",
-    "lint_paths",
     "make_policy",
     "percentile",
     "__version__",

@@ -1,7 +1,7 @@
 """Runtime race / determinism sanitizer.
 
-Opt-in instrumentation that watches a running cluster for the dynamic
-cousins of the static ``DET-*``/``ACT-*`` rules:
+Opt-in instrumentation that watches a running cluster for the hazards
+that break bit-identical seeded runs or actor state ownership:
 
 * **Shared-state conflicts.**  While armed, every write to (and read of)
   an actor's application state is recorded as an

@@ -17,10 +17,9 @@ any code:
   (silo kills/recoveries, link degradation) with client-side resilience,
   reporting pre/during/post windows and whether the cluster's
   remote-message fraction re-converged after recovery;
-* ``lint``       — the :mod:`repro.analysis` determinism / actor-hygiene
-  static pass over the tree (non-zero exit on unwaived findings), with
-  ``--sanitize`` adding a Halo slice under the runtime race sanitizer
-  and a salted-hash iteration-order probe;
+* ``sanitize``   — a Halo slice under the :mod:`repro.analysis` runtime
+  race sanitizer plus a salted-hash iteration-order probe (non-zero exit
+  on a cross-activation conflict, a payload hazard or a divergence);
 * ``autoscale``  — the Stageflow inference pipeline (:mod:`repro.pools`
   actor pools) under a flash-crowd / diurnal arrival curve with the
   :mod:`repro.autoscale` elastic controller growing and draining silos;
@@ -31,7 +30,7 @@ any code:
 
 Each prints a result table to stdout; a run that produced no usable
 result exits non-zero.  ``perf``, ``trace``, ``faults``, ``autoscale``
-and ``lint`` share the ``--json PATH`` convention (``'-'`` writes pure
+and ``sanitize`` share the ``--json PATH`` convention (``'-'`` writes pure
 JSON to stdout, the table to stderr) through one emitter
 (:func:`_emit`).  They are smoke-level entry points (the full
 reproduction lives in ``benchmarks/``).
@@ -109,13 +108,20 @@ def _drop_spec(spec: str) -> tuple[float, Optional[float], Optional[float]]:
     prob, _, window = spec.partition("@")
     try:
         p = float(prob)
-        if not window:
-            return p, None, None
-        t1, _, t2 = window.partition(":")
-        return p, float(t1), float(t2)
+        t1, t2 = None, None
+        if window:
+            start, _, end = window.partition(":")
+            t1, t2 = float(start), float(end)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected PROB or PROB@T1:T2 (e.g. 0.3@5:15), got {spec!r}")
+    if not 0.0 <= p <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"drop probability must be in [0, 1], got {spec!r}")
+    if window and t2 <= t1:
+        raise argparse.ArgumentTypeError(
+            f"drop window must end after it starts (T2 > T1), got {spec!r}")
+    return p, t1, t2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="what to do at the admission cap")
     faults.add_argument("--actop", action="store_true",
                         help="enable both ActOp optimizers")
-    faults.set_defaults(run=_run_faults)
+    faults.set_defaults(run=_run_faults, parser=faults)
 
     auto = sub.add_parser(
         "autoscale",
@@ -279,31 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
                            "active for the whole run")
     auto.set_defaults(run=_run_autoscale)
 
-    lint = sub.add_parser(
-        "lint",
-        help="determinism/actor/API hygiene lint + runtime race sanitizer",
+    san = sub.add_parser(
+        "sanitize",
+        help="a Halo slice under the runtime race sanitizer and a "
+             "salted-hash iteration-order probe",
         parents=[_json_parent()])
-    lint.add_argument("paths", nargs="*", metavar="PATH",
-                      help="files or directories to lint (default: "
-                           "src/repro benchmarks examples)")
-    lint.add_argument("--rules", nargs="+", metavar="RULE", default=None,
-                      help="run only the named rules (e.g. DET-SET-ITER)")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print every registered rule and exit")
-    lint.add_argument("--sanitize", action="store_true",
-                      help="also run a Halo slice with the runtime race "
-                           "sanitizer armed and a salted-hash order probe")
-    lint.add_argument("--waivers", action="store_true",
-                      help="report every active '# repro: waive[...]' "
-                           "(file, rules, justification) and exit; "
-                           "non-zero if one is unjustified or suppresses "
-                           "nothing")
-    lint.add_argument("--requests", type=int, default=2_000,
-                      help="sanitizer: client requests to drive through "
-                           "the Halo slice")
-    lint.add_argument("--seed", type=int, default=5,
-                      help="sanitizer: cluster seed")
-    lint.set_defaults(run=_run_lint)
+    san.add_argument("--requests", type=int, default=2_000,
+                     help="client requests to drive through the Halo slice")
+    san.add_argument("--seed", type=int, default=5, help="cluster seed")
+    san.set_defaults(run=_run_sanitize)
 
     part = sub.add_parser("partition", help="offline partitioner comparison")
     part.add_argument("--graph", choices=("clustered", "powerlaw", "random"),
@@ -423,7 +413,7 @@ def _run_partition(args: argparse.Namespace) -> int:
              max_imbalance(base, args.servers), 0.0]]
 
     for algorithm in args.algorithms:
-        start = time.perf_counter()  # repro: waive[DET-WALLCLOCK] -- offline CLI: wall time is displayed, never fed to the sim
+        start = time.perf_counter()
         if algorithm == "alg1":
             part = OfflinePartitioner(graph, args.servers, delta=8, k=64,
                                       seed=args.seed, initial=dict(base))
@@ -441,7 +431,7 @@ def _run_partition(args: argparse.Namespace) -> int:
             assignment = streaming_partition(graph, args.servers,
                                              heuristic="fennel",
                                              rng=random.Random(args.seed))
-        elapsed = time.perf_counter() - start  # repro: waive[DET-WALLCLOCK] -- offline CLI: wall time is displayed, never fed to the sim
+        elapsed = time.perf_counter() - start
         rows.append([algorithm, cut_cost(graph, assignment),
                      max_imbalance(assignment, args.servers), elapsed])
 
@@ -566,6 +556,10 @@ def _run_faults(args: argparse.Namespace) -> int:
     kills = list(args.kill)
     recovers = list(args.recover)
     drops = list(args.drop)
+    for silo, _ in kills + recovers:
+        if not 0 <= silo < args.servers:
+            args.parser.error(f"--kill/--recover silo {silo} is not one of "
+                              f"the {args.servers} silos 0..{args.servers - 1}")
     if not (kills or recovers or drops):
         kills = [(1, 5.0)]
         recovers = [(1, 15.0)]
@@ -861,99 +855,30 @@ def _sanitizer_slice(requests: int, seed: int) -> dict:
     return report
 
 
-def _run_lint(args: argparse.Namespace) -> int:
-    from .analysis import DEFAULT_ROOTS, all_rules, lint_paths
+def _run_sanitize(args: argparse.Namespace) -> int:
+    report = _sanitizer_slice(args.requests, args.seed)
+    lines = [
+        f"sanitizer: {report['requests_completed']} requests, "
+        f"{report['events_seen']} events, "
+        f"{report['accesses']} accesses, "
+        f"{len(report['conflicts'])} conflicts, "
+        f"{len(report['payload_events'])} payload events, "
+        f"{len(report['rng_hazards'])} rng hazards; order probe "
+        f"{'DIVERGED' if report['order_probe']['order_dependent'] else 'clean'}"]
+    lines += [
+        f"  conflict: {conflict['owner']}.{conflict['field']} "
+        f"at t={conflict['time']:.6f} — {conflict['note'] or conflict['accesses']}"
+        for conflict in report["conflicts"]]
+    lines += [
+        f"  payload: {event['kind']} from {event['sender']}."
+        f"{event['method']} — {event['detail']}"
+        for event in report["payload_events"]]
+    _emit(args, lines, {"schema": 1, "sanitizer": report, "ok": report["ok"]},
+          label="JSON report")
 
-    if args.list_rules:
-        inventory = [
-            {"name": r.name, "severity": str(r.severity),
-             "description": r.description}
-            for r in all_rules()
-        ]
-        _emit(args, [render_table(
-            ["rule", "severity", "description"],
-            [list(r.values()) for r in inventory],
-            title=f"{len(inventory)} registered lint rules",
-        )], {"schema": 2, "rules": inventory}, label="rule inventory")
-        return 0
-
-    if args.waivers:
-        return _run_waiver_audit(args)
-
-    report = lint_paths(args.paths or DEFAULT_ROOTS, rules=args.rules)
-    doc: dict = {"schema": 1, "lint": report.to_dict()}
-    ok = report.ok
-
-    san_report = None
-    if args.sanitize:
-        san_report = _sanitizer_slice(args.requests, args.seed)
-        doc["sanitizer"] = san_report
-        ok = ok and san_report["ok"]
-
-    doc["ok"] = ok
-
-    rows = [[f.rule, f"{f.path}:{f.line}", f.message]
-            for f in report.active]
-    rows += [[f"{f.rule} (waived)", f"{f.path}:{f.line}",
-              f.justification or ""] for f in report.waived]
-    lines = [render_table(
-        ["rule", "location", "detail"],
-        rows or [["-", "-", "no findings"]],
-        title=f"repro lint — {report.files_checked} files, "
-              f"{len(report.active)} active, {len(report.waived)} waived",
-    )]
-    if san_report is not None:
-        lines.append(
-            f"\nsanitizer: {san_report['requests_completed']} requests, "
-            f"{san_report['events_seen']} events, "
-            f"{san_report['accesses']} accesses, "
-            f"{len(san_report['conflicts'])} conflicts, "
-            f"{len(san_report['payload_events'])} payload events, "
-            f"{len(san_report['rng_hazards'])} rng hazards; order probe "
-            f"{'DIVERGED' if san_report['order_probe']['order_dependent'] else 'clean'}")
-        lines += [
-            f"  conflict: {conflict['owner']}.{conflict['field']} "
-            f"at t={conflict['time']:.6f} — {conflict['note'] or conflict['accesses']}"
-            for conflict in san_report["conflicts"]]
-        lines += [
-            f"  payload: {event['kind']} from {event['sender']}."
-            f"{event['method']} — {event['detail']}"
-            for event in san_report["payload_events"]]
-    _emit(args, lines, doc, label="JSON report")
-
-    if not ok:
-        print("lint failed: unwaived findings, sanitizer conflicts or payload "
-              "events, or order-probe divergence (see report above)",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_waiver_audit(args: argparse.Namespace) -> int:
-    from .analysis import DEFAULT_ROOTS
-    from .analysis.linter import waiver_audit
-
-    audit = waiver_audit(args.paths or DEFAULT_ROOTS)
-
-    def note(w: dict) -> str:
-        if not w["justified"]:
-            return "(MISSING JUSTIFICATION)"
-        if not w["used"]:
-            return f"(SUPPRESSES NOTHING) {w['justification']}"
-        return w["justification"]
-
-    rows = [[",".join(w["rules"]), f"{w['path']}:{w['line']}", note(w)]
-            for w in audit["waivers"]]
-    _emit(args, [render_table(
-        ["rules", "location", "justification"],
-        rows or [["-", "-", "no waivers in tree"]],
-        title=f"waiver audit — {audit['count']} active waiver(s), "
-              f"{audit['unjustified']} unjustified, "
-              f"{audit['unused']} unused",
-    )], {"schema": 1, "waiver_audit": audit}, label="JSON report")
-    if audit["unjustified"] or audit["unused"]:
-        print("waiver audit failed: every waiver must carry a justification "
-              "and suppress a finding (see report above)", file=sys.stderr)
+    if not report["ok"]:
+        print("sanitize failed: sanitizer conflicts or payload events, or "
+              "order-probe divergence (see report above)", file=sys.stderr)
         return 1
     return 0
 

@@ -1,6 +1,6 @@
 """The CLI exit-code contract, parameterized across subcommands:
-0 = success, 1 = the run completed but found problems (lint findings,
-unrecovered chaos run, empty trace window), 2 = argparse rejected the
+0 = success, 1 = the run completed but found problems (sanitizer
+conflicts, unrecovered chaos run, empty trace window), 2 = argparse rejected the
 invocation.  Scripts and CI gate on exactly these codes."""
 
 import json
@@ -29,7 +29,7 @@ CASES = [
      ["faults", "--players", "100", "--servers", "2", "--warmup", "3",
       "--duration", "3", "--settle", "1", "--drop", "0.2@2:8",
       "--json", "-"], 0),
-    ("lint-ok", ["lint", "src/repro/analysis/findings.py"], 0),
+    ("sanitize-ok", ["sanitize", "--requests", "200", "--seed", "5"], 0),
     # ---- completed-with-findings -> 1
     ("trace-empty-window",  # no traced request completes in 10ms
      ["trace", "--workload", "halo", "--players", "60", "--servers", "2",
@@ -38,8 +38,6 @@ CASES = [
      ["faults", "--players", "100", "--servers", "2", "--warmup", "3",
       "--duration", "3", "--settle", "1", "--kill", "1@1",
       "--recover", "1@2", "--retries", "3", "--timeout", "0.5"], 1),
-    ("lint-findings",
-     ["lint", os.path.join("tests", "fixtures", "lint_violations.py")], 1),
     # ---- argparse rejection -> 2
     ("perf-bad-points", ["perf", "--scaling", "--points", "notanint"], 2),
     # the ping harness went with the micro-suite runner: e2e measures both
@@ -47,12 +45,20 @@ CASES = [
     ("trace-bad-choice", ["trace", "--workload", "nonesuch"], 2),
     ("faults-bad-spec", ["faults", "--kill", "notaspec"], 2),
     ("faults-bad-drop-window", ["faults", "--drop", "0.3@5"], 2),
+    # a malformed plan is a usage error, not a traceback mid-run
+    ("faults-drop-above-one", ["faults", "--drop", "1.5"], 2),
+    ("faults-drop-negative", ["faults", "--drop", "-0.1"], 2),
+    ("faults-drop-window-reversed", ["faults", "--drop", "0.3@8:2"], 2),
+    ("faults-kill-unknown-silo", ["faults", "--kill", "9@1", "--servers", "2"], 2),
     ("lint-bad-flag", ["lint", "--bogus"], 2),
     ("lint-par-removed", ["lint", "--par"], 2),   # deleted with the PAR stack
     # deleted with the FLOW/XB passes and the lint caches (PR 22)
     ("lint-flow-removed", ["lint", "--flow"], 2),
     ("lint-xbackend-removed", ["lint", "--xbackend"], 2),
     ("lint-cache-removed", ["lint", "--cache"], 2),
+    # the static pass went; its sanitizer runs as `repro sanitize`
+    ("lint-removed", ["lint"], 2),
+    ("sanitize-waivers-removed", ["sanitize", "--waivers"], 2),
 ]
 
 

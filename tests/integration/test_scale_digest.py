@@ -10,10 +10,20 @@ re-capture it in the same commit and say why in the message.
 
 The digest is the sha256 over ``repr(sim.now)`` at every processed
 event: any reordering, insertion, or removal of events changes it.
+
+Every pin also runs under a salted ``ActorId`` hash.  The salt
+reshuffles every hash-ordered container of actor ids, so a pin that
+held unsalted and moves salted proves some result depends on set or
+dict-of-set iteration order (or on a ``hash()``-keyed sort).  The same
+holds across interpreters: tier-1 runs each process under a random
+``PYTHONHASHSEED``, which reshuffles every ``str``-keyed set.
 """
 
 import hashlib
 
+import pytest
+
+from repro.actor import ids
 from repro.bench.harness import HaloExperiment, HeartbeatExperiment
 from repro.obs import Observability
 from repro.obs.events import ExchangeEvent, MigrationEvent, ThreadAllocationEvent
@@ -123,3 +133,28 @@ def test_10k_actor_digest_pinned():
     paper's 10-silo layout, bit-identical to the pre-PR trace."""
     digest, events = _trace(players=10_000, servers=10, seed=1, horizon=2.0)
     assert (digest, events) == (TENK_DIGEST, TENK_EVENTS)
+
+
+# Any non-zero salt reshuffles; this one is the golden-ratio constant.
+ACTOR_ID_SALT = 0x9E3779B9
+
+
+@pytest.fixture
+def salted_actor_ids(request):
+    ids.set_hash_salt(ACTOR_ID_SALT)
+    request.addfinalizer(lambda: ids.set_hash_salt(0))
+
+
+@pytest.mark.parametrize("pin", [
+    test_mini_cluster_digest_pinned,
+    test_partitioning_on_digest_pinned,
+    test_partitioning_decisions_pinned,
+    test_thread_allocation_decisions_pinned,
+    test_10k_actor_digest_pinned,
+], ids=["mini_cluster", "partitioning_on", "partitioning_decisions",
+        "thread_allocation_decisions", "10k_actors"])
+def test_pin_holds_under_a_salted_actor_id_hash(pin, salted_actor_ids):
+    """The five pins above, unchanged, with every ``ActorId`` hashed
+    under :data:`ACTOR_ID_SALT`: the partitioning and thread-allocation
+    decision paths are iteration-order-free, not just the plain sim."""
+    pin()

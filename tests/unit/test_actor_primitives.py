@@ -18,6 +18,13 @@ def test_refs_compare_by_identity():
     assert a != "player/1"
 
 
+def test_a_ref_cannot_invoke_an_actor_method_directly():
+    # Interactions go through Call/Tell; a ref carries no method
+    # forwarding, so `ref.method()` fails the first time it runs.
+    with pytest.raises(AttributeError):
+        ActorRef("player", 1).update()
+
+
 def test_actor_id_str():
     assert str(ActorId("game", 7)) == "game/7"
 
