@@ -1,4 +1,4 @@
-"""Silo-level communication counters (§4.3), packed flat.
+"""Silo-level communication counters (§4.3), one flat table.
 
 The paper keeps "the relevant counters locally at each actor" and folds
 them into the per-server graph summary periodically.  A literal
@@ -6,12 +6,10 @@ translation — one ``dict[ActorId, float]`` per activation — costs a few
 hundred bytes per actor even when idle, which alone rules out the 10^6
 actor populations of §6 on one machine.
 
-``CommTable`` is the memory-lean equivalent: ONE table per silo,
-aggregating (source actor, peer) -> weight in parallel arrays.  Each
-edge costs one slot in an insertion-ordered index dict (keyed by the
-two ids' interned ``seq`` numbers packed into a single int), two list
-cells holding the canonical :class:`ActorId` objects, and one C double
-— no per-actor containers anywhere.  The periodic partitioning fold
+``CommTable`` is the memory-lean equivalent: ONE table per silo, a
+single insertion-ordered ``dict[(source actor, peer)] -> weight`` — no
+per-actor containers anywhere.  Interned ids hash by identity in C, so
+the edge tuple is the key as it stands.  The periodic partitioning fold
 drains the whole table in one pass instead of touching every
 activation, which also turns the fold from O(activations) into
 O(active edges).
@@ -27,61 +25,42 @@ edges that nothing would ever drain.
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterable, Iterator
 
 from .ids import ActorId
 
 __all__ = ["CommTable"]
 
-# seq numbers are dense interning indices; two of them fit a single
-# machine word.  ActorId.__new__ enforces seq < 2^32 at intern time, so
-# the pack below can never alias two distinct edges.
-_SHIFT = 32
-
 
 class CommTable:
     """Flat (source, peer) -> weight aggregation for one silo."""
 
-    __slots__ = ("_index", "_src", "_dst", "_weights")
+    __slots__ = ("_weights",)
 
     def __init__(self) -> None:
-        self._index: dict[int, int] = {}
-        self._src: list[ActorId] = []
-        self._dst: list[ActorId] = []
-        self._weights: array = array("d")
+        self._weights: dict[tuple[ActorId, ActorId], float] = {}
 
     def __len__(self) -> int:
         return len(self._weights)
 
     def record(self, src: ActorId, dst: ActorId, weight: float = 1.0) -> None:
         """Bump the edge counter from ``src`` toward ``dst``."""
-        key = (src.seq << _SHIFT) | dst.seq
-        slot = self._index.get(key)
-        if slot is None:
-            self._index[key] = len(self._weights)
-            self._src.append(src)
-            self._dst.append(dst)
-            self._weights.append(weight)
-        else:
-            self._weights[slot] += weight
+        weights = self._weights
+        edge = (src, dst)
+        weights[edge] = weights.get(edge, 0.0) + weight
 
     def weight(self, src: ActorId, dst: ActorId) -> float:
-        slot = self._index.get((src.seq << _SHIFT) | dst.seq)
-        return self._weights[slot] if slot is not None else 0.0
+        return self._weights.get((src, dst), 0.0)
 
     def items(self) -> Iterable[tuple[tuple[ActorId, ActorId], float]]:
         """((src, dst), weight) pairs in insertion order; non-destructive."""
-        return zip(zip(self._src, self._dst), self._weights)
+        return self._weights.items()
 
     def drain(self) -> Iterator[tuple[tuple[ActorId, ActorId], float]]:
         """Hand all counters to the per-server graph fold and reset."""
-        src, dst, weights = self._src, self._dst, self._weights
-        self._index = {}
-        self._src = []
-        self._dst = []
-        self._weights = array("d")
-        return zip(zip(src, dst), weights)
+        weights = self._weights
+        self._weights = {}
+        return iter(weights.items())
 
     def merge(self, other: "CommTable") -> None:
         """Exact merge: add ``other``'s counters edge by edge.

@@ -49,7 +49,7 @@ import math
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Mapping, Optional, Type
 
-from ..bench.metrics import HistogramRecorder, LatencyRecorder
+from ..bench.metrics import LatencyRecorder
 from ..faults.resilience import ResilienceConfig
 from ..obs.events import (
     ActivationEvent,
@@ -123,9 +123,6 @@ class ClusterCore:
     #: Short identifier (``"sim"`` / ``"asyncio"``) used by CLIs and errors.
     name = "core"
 
-    # Armed race sanitizer (repro.analysis.sanitizer), or None.
-    _san = None
-
     def __init__(self, config, clock,
                  resilience: Optional[ResilienceConfig] = None,
                  supervisor=None):
@@ -183,9 +180,7 @@ class ClusterCore:
         self._gateway_rng = self.rng.stream("client.gateway")
         self._retry_rng = None  # lazily created "resilience.retry" stream
 
-        # Cluster-wide measurements.  The reservoir recorder is the exact
-        # (sorted) reference; the streaming histogram answers windowed
-        # percentile queries in O(buckets) for the samplers.
+        # Cluster-wide measurements: one latency record per response.
         self.reset_latency_stats()
         self.msgs_local = 0
         self.msgs_remote = 0
@@ -540,7 +535,6 @@ class ClusterCore:
         latency = self.sim.now - state.t0
         del self._open[state]
         self.client_latency.record(latency)
-        self.client_latency_hist.record(latency)
         self.requests_completed += 1
         if state.on_complete is not None:
             state.on_complete(latency, response.result)
@@ -641,23 +635,11 @@ class ClusterCore:
         return True
 
     def _abandon(self, victim: _ClientRequest) -> None:
-        """Evict a request from the admission window."""
+        """Evict a request parked in retry backoff from the admission
+        window; :meth:`_admit` never picks dispatched work."""
         del self._open[victim]
-        if victim.backoff_timer is not None:
-            victim.backoff_timer.cancel()
-            victim.backoff_timer = None
-        else:
-            # Evicting dispatched work: _admit never takes this path any
-            # more, but the sanitizer keeps watching it so a regression
-            # (or a direct caller) is flagged with the livelock citation.
-            san = self._san
-            if san is not None:
-                san.record_inflight_eviction(
-                    victim.ref.id, self.sim.now - victim.t0)
-            self._inflight.pop(victim.call_id, None)
-            if victim.timer is not None:
-                victim.timer.cancel()
-            self._end_trace(victim, "shed")
+        victim.backoff_timer.cancel()
+        victim.backoff_timer = None
         self._shed(victim, "drop_oldest",
                    victim_age=self.sim.now - victim.t0)
 
@@ -686,7 +668,6 @@ class ClusterCore:
         """Discard warmup samples (benches call this at steady state)."""
         self.client_latency = LatencyRecorder(reservoir=200_000)
         self.call_latency = LatencyRecorder(reservoir=200_000)
-        self.client_latency_hist = HistogramRecorder()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -765,11 +746,6 @@ class SiloCore:
         # gateway target; once empty and idle it decommissions (dead).
         self.draining = False
 
-        # Monotone counters (samplers diff them per window).
-        self.msgs_local = 0
-        self.msgs_remote = 0
-        self.rejected_requests = 0
-        self.migrations_out = 0
         # Placement-path counters (§4.3's opportunistic-migration claim):
         # how re-placements were decided by THIS silo.
         self.placements_hinted = 0     # location-cache hint used
@@ -893,13 +869,11 @@ class SiloCore:
         destination = self._resolve_or_place(target)
         if destination == self.server_id:
             if message.kind is not MessageKind.CLIENT_REQUEST:
-                self.msgs_local += 1
                 self.runtime.msgs_local += 1
             self._enqueue_invocation(self.activations[target], message,
                                      message.size)
         else:
             if message.kind is not MessageKind.CLIENT_REQUEST:
-                self.msgs_remote += 1
                 self.runtime.msgs_remote += 1
             self._send_remote(message, destination)
 
@@ -1130,11 +1104,9 @@ class SiloCore:
             comm.record(activation.actor_id, origin.sender)
         destination = origin.reply_to_server
         if destination == self.server_id:
-            self.msgs_local += 1
             self.runtime.msgs_local += 1
             self._handle_response(response, response.size)
         else:
-            self.msgs_remote += 1
             self.runtime.msgs_remote += 1
             self._send_remote(response, destination)
 
@@ -1298,7 +1270,6 @@ class SiloCore:
             # Both parties remember where the actor should land (§4.3).
             self.location_cache.hint(actor_id, destination)
             self.runtime.silos[destination].location_cache.hint(actor_id, destination)
-            self.migrations_out += 1
             self.runtime.migrations_total += 1
             if obs is not None:
                 obs.events.emit(MigrationEvent(

@@ -7,12 +7,13 @@ physical location stays hidden from application code (§2).  That location
 transparency is exactly what lets ActOp migrate actors under a running
 application.
 
-At paper scale (10^6 actors, §6) identity objects dominate memory and
-hashing dominates directory lookups, so ``ActorId`` instances are
-*interned*: one canonical object per (type, key), with the tuple hash
-computed once and cached.  Interning also assigns each id a small dense
-``seq`` integer, which the silo-level communication tables use to pack an
-edge into a single machine word instead of a tuple.
+At paper scale (10^6 actors, §6) identity objects dominate memory, so
+``ActorId`` instances are *interned*: one canonical object per
+(type, key).  Equality is therefore identity, and so is the hash: an id
+hashes by ``object.__hash__``, in C, with no per-id state.  Identity
+hashes differ between processes, so no result may depend on the order
+of a hash-ordered container of ids; the digest pins hold under a random
+``PYTHONHASHSEED``, in fresh processes, and under :func:`set_hash_salt`.
 """
 
 from __future__ import annotations
@@ -21,41 +22,32 @@ from typing import Any, Hashable
 
 __all__ = ["ActorId", "ActorRef", "set_hash_salt"]
 
-# Hash perturbation for the sanitizer's order-dependence probe.  Zero
-# (the default) reproduces the plain tuple hash bit for bit; a non-zero
-# salt reshuffles every hash-ordered container of ActorIds, so a seeded
-# run whose result changes under salt provably iterates one somewhere.
-_HASH_SALT = 0
-
-# CommTable packs an edge as (src.seq << 32) | dst.seq — one machine
-# word per edge.  The pack silently aliases distinct edges if a seq ever
-# reaches 2^32, so interning refuses to hand out a seq that wide instead
-# of corrupting communication graphs (and with them, migration
-# decisions) at some far-away fold.
-_MAX_SEQ = (1 << 32) - 1
-
 
 def set_hash_salt(salt: int) -> None:
     """Perturb (salt != 0) or restore (salt == 0) ActorId hashing.
 
-    Used by :func:`repro.analysis.sanitizer.detect_order_dependence`;
-    production code never calls this.
+    A non-zero salt installs a class-level ``__hash__`` that reshuffles
+    every hash-ordered container of ids, so a seeded run whose result
+    changes under salt provably iterates one somewhere.  Salt 0 deletes
+    it, and ids hash by identity again.  Used by
+    :func:`repro.analysis.sanitizer.detect_order_dependence` and the
+    salted digest pins; production code never calls this.
     """
-    global _HASH_SALT
-    _HASH_SALT = salt
+    if salt:
+        ActorId.__hash__ = lambda self: hash((salt, self.actor_type, self.key))
+    elif "__hash__" in vars(ActorId):
+        del ActorId.__hash__
 
 
 class ActorId:
-    """Stable logical identity of an actor.
+    """Stable logical identity of an actor: its ``(type, key)`` pair.
 
     Instances are interned: ``ActorId(t, k) is ActorId(t, k)``, so
-    equality is identity.  The cached ``_hash`` equals ``hash((t, k))``
-    so every hash-ordered container of ids iterates exactly as it did
-    when ActorId was a plain NamedTuple — seeded digests depend on that.
-    Ids order like their ``(type, key)`` pairs.
+    equality and hashing are by identity.  Ids order like their
+    ``(type, key)`` pairs.
     """
 
-    __slots__ = ("actor_type", "key", "seq", "_hash")
+    __slots__ = ("actor_type", "key")
 
     _intern: dict[tuple[str, Hashable], "ActorId"] = {}
 
@@ -64,19 +56,9 @@ class ActorId:
         cached = cls._intern.get(pair)
         if cached is not None:
             return cached
-        seq = len(cls._intern)
-        if seq > _MAX_SEQ:
-            raise OverflowError(
-                f"ActorId intern space exhausted: id #{seq} for "
-                f"({actor_type!r}, {key!r}) does not fit the 32-bit seq "
-                "field that CommTable packs into (src.seq << 32) | dst.seq; "
-                "a wider seq would silently alias communication edges"
-            )
         self = object.__new__(cls)
         self.actor_type = actor_type
         self.key = key
-        self.seq = seq
-        self._hash = hash(pair)
         cls._intern[pair] = self
         return self
 
@@ -85,12 +67,6 @@ class ActorId:
 
     def __repr__(self) -> str:
         return f"ActorId(actor_type={self.actor_type!r}, key={self.key!r})"
-
-    def __hash__(self) -> int:
-        salt = _HASH_SALT
-        if salt:
-            return hash((salt, self.actor_type, self.key))
-        return self._hash
 
     def __lt__(self, other: "ActorId") -> bool:
         # Space-Saving's heap breaks count ties by key.

@@ -62,7 +62,6 @@ class Silo(SiloCore):
             and message.kind is MessageKind.CLIENT_REQUEST
             and self.receiver.queue_length >= cap
         ):
-            self.rejected_requests += 1
             self.runtime.rejected_requests += 1
             return
         cost = self.runtime.serialization.deserialize_cost(message.size)

@@ -30,7 +30,10 @@ that break bit-identical seeded runs or actor state ownership:
 
 * **Set-iteration order dependence.**  :func:`detect_order_dependence`
   re-runs a probe under salted ``ActorId`` hashing; any digest change
-  proves something iterated a hash-ordered container.
+  proves something iterated a hash-ordered container.  Unsalted, ids
+  hash by identity, so such an iteration can also make a digest differ
+  between fresh interpreters; the salt makes it show in one process,
+  every time.
 
 Everything is gated on module state that the runtime checks with one
 ``is not None`` test per hook — when never armed, no instance attribute
@@ -183,7 +186,6 @@ class Sanitizer:
         # (owner, field, time) -> [(accessor, kind), ...]
         self._records: dict[tuple, list[tuple[str, str]]] = {}
         self._context: list[str] = []
-        self._injected: list[Conflict] = []
         self.rng_draws: Counter = Counter()
         self.payload_events: list[PayloadEvent] = []
         self.accesses = 0
@@ -231,7 +233,6 @@ class Sanitizer:
             self.sim = sim
             self.hook(sim)
         if runtime is not None:
-            self.hook(runtime)
             for silo in runtime.silos:
                 self.hook(silo)
                 for stage in (silo.receiver, silo.worker,
@@ -393,34 +394,11 @@ class Sanitizer:
         except Exception as err:  # noqa: BLE001 — pickle raises many types
             self.record_unpicklable_payload(sender, method, repr(err))
 
-    def record_inflight_eviction(self, owner, age: float) -> None:
-        """``drop_oldest`` evicted a *dispatched* request: server work is
-        racing client-side abandonment — the sustained-overload livelock
-        documented in ``benchmarks/test_overload_shedding.py``."""
-        now = self.sim.now if self.sim is not None else 0.0
-        self._injected.append(
-            Conflict(
-                owner=owner,
-                field="admission-slot",
-                time=now,
-                accesses=(("admission:drop_oldest", "write"),
-                          ("server:dispatch", "write")),
-                note=(
-                    "drop_oldest evicted an in-flight request "
-                    f"(age {age:.6f}s): under sustained overload every "
-                    "admitted request is evicted before completion — the "
-                    "livelock documented in "
-                    "benchmarks/test_overload_shedding.py; shed from "
-                    "non-in-flight entries instead"
-                ),
-            )
-        )
-
     # ------------------------------------------------------------------
     # Conflict derivation / report
     # ------------------------------------------------------------------
     def _derive(self) -> tuple[list[Conflict], list[Conflict]]:
-        conflicts = list(self._injected)
+        conflicts: list[Conflict] = []
         hazards: list[Conflict] = []
         for (owner, field_name, now), entries in self._records.items():
             accessors = {a for a, _ in entries}
@@ -485,7 +463,9 @@ def detect_order_dependence(
     result (a digest).  Only ``set``/``frozenset`` iteration depends on
     element hashes (dicts are insertion-ordered), so any divergence under
     a non-zero salt proves the probed computation iterates a set of
-    actor identities somewhere order-sensitive.
+    actor identities somewhere order-sensitive.  The baseline runs under
+    the identity hash, and every salted run is followed by
+    ``set_hash_salt(0)``, which restores it.
     """
     from repro.actor import ids
 

@@ -1,54 +1,21 @@
 """Measurement and benchmark-harness utilities.
 
-The harness/sampler exports are loaded lazily (PEP 562): they depend on
-the actor runtime, which itself uses :mod:`repro.bench.metrics`, and an
-eager import here would close that cycle.
+Only the runtime-free pieces are re-exported here.  The experiment
+drivers live in :mod:`repro.bench.harness` and the sampler in
+:mod:`repro.bench.sampler`; both depend on the actor runtime, which
+itself uses :mod:`repro.bench.metrics`, so callers import them from
+their modules.
 """
 
 from .metrics import HistogramRecorder, LatencyRecorder, TimeSeries, percentile
 from .reporting import banner, render_heatmap, render_table
 
 __all__ = [
-    "ClusterSampler",
-    "CounterExperiment",
-    "ExperimentResult",
-    "HALO_RATE_FULL",
-    "HaloExperiment",
-    "HeartbeatExperiment",
     "HistogramRecorder",
     "LatencyRecorder",
     "TimeSeries",
     "banner",
-    "halo_partitioning_config",
-    "halo_thread_config",
-    "heartbeat_thread_config",
-    "improvement",
     "percentile",
     "render_heatmap",
     "render_table",
 ]
-
-_LAZY = {
-    "ClusterSampler": "sampler",
-    "CounterExperiment": "harness",
-    "ExperimentResult": "harness",
-    "HALO_RATE_FULL": "harness",
-    "HaloExperiment": "harness",
-    "HeartbeatExperiment": "harness",
-    "halo_partitioning_config": "harness",
-    "halo_thread_config": "harness",
-    "heartbeat_thread_config": "harness",
-    "improvement": "harness",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value

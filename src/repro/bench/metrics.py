@@ -225,14 +225,12 @@ class HistogramRecorder:
 
     def percentile(self, q: float) -> float:
         """q-th percentile (q in [0, 100]) to within one bucket width."""
-        return self._percentile_of(self._buckets, self.count, q)
-
-    def _percentile_of(self, buckets: dict[int, int], count: int, q: float) -> float:
         if not 0 <= q <= 100:
             raise ValueError(f"percentile out of range: {q}")
-        if count <= 0:
+        if self.count <= 0:
             raise ValueError("no samples")
-        rank = (q / 100.0) * count
+        buckets = self._buckets
+        rank = (q / 100.0) * self.count
         cumulative = 0
         result = 0.0
         for index in sorted(buckets):
@@ -270,7 +268,7 @@ class HistogramRecorder:
         }
 
     # ------------------------------------------------------------------
-    # Merging & windowed queries
+    # Merging
     # ------------------------------------------------------------------
     def merge(self, other: "HistogramRecorder") -> None:
         """Exact merge: bucket counts add; count/total/extrema stay exact."""
@@ -283,25 +281,6 @@ class HistogramRecorder:
             self.max_value = other.max_value
         if other.min_seen < self.min_seen:
             self.min_seen = other.min_seen
-
-    def snapshot(self) -> tuple[int, dict[int, int]]:
-        """Cheap copy of (count, bucket counts) for windowed diffs."""
-        return self.count, dict(self._buckets)
-
-    def percentile_since(self, snapshot: tuple[int, dict[int, int]], q: float) -> float:
-        """Percentile of only the values recorded after ``snapshot``.
-
-        This is what makes per-window percentile *time series* affordable:
-        the sampler snapshots the histogram each tick and diffs counts,
-        instead of sorting a window's worth of raw samples.
-        """
-        count0, buckets0 = snapshot
-        delta = {}
-        for index, c in self._buckets.items():
-            d = c - buckets0.get(index, 0)
-            if d > 0:
-                delta[index] = d
-        return self._percentile_of(delta, self.count - count0, q)
 
 
 class TimeSeries:

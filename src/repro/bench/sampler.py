@@ -17,13 +17,10 @@ __all__ = ["ClusterSampler"]
 
 
 class ClusterSampler:
-    """Samples remote-message share, migrations, CPU, imbalance, and
-    per-window latency percentiles.
-
-    The latency series diff the runtime's streaming
-    :class:`~repro.bench.metrics.HistogramRecorder` snapshots, so each
-    window's median/p99 costs O(buckets) instead of sorting the window's
-    raw samples.
+    """Samples remote-message share, migrations, CPU and imbalance per
+    window.  Latency is not sampled here: the runtime records each
+    client response once, into ``client_latency``, which the benches
+    read at the end of a measurement window.
 
     Args:
         runtime: the cluster under test.
@@ -39,15 +36,12 @@ class ClusterSampler:
         self.migrations_per_window = TimeSeries("migrations")
         self.cpu_utilization = TimeSeries("cpu")
         self.imbalance = TimeSeries("imbalance")
-        self.latency_median = TimeSeries("latency_median")
-        self.latency_p99 = TimeSeries("latency_p99")
         self._running = False
         self._last_local = 0
         self._last_remote = 0
         self._last_migrations = 0
         self._last_busy: Optional[list[float]] = None
         self._last_time = 0.0
-        self._last_hist: Optional[tuple[int, dict[int, int]]] = None
 
     def start(self) -> None:
         self._running = True
@@ -63,7 +57,6 @@ class ClusterSampler:
         self._last_migrations = self.runtime.migrations_total
         self._last_busy = self.runtime.cpu_busy_snapshot()
         self._last_time = self.runtime.sim.now
-        self._last_hist = self.runtime.client_latency_hist.snapshot()
 
     def _tick(self) -> None:
         if not self._running:
@@ -83,13 +76,5 @@ class ClusterSampler:
         census = self.runtime.census()
         if census:
             self.imbalance.record(now, max(census.values()) - min(census.values()))
-        hist = self.runtime.client_latency_hist
-        if self._last_hist is not None and hist.count > self._last_hist[0]:
-            self.latency_median.record(
-                now, hist.percentile_since(self._last_hist, 50)
-            )
-            self.latency_p99.record(
-                now, hist.percentile_since(self._last_hist, 99)
-            )
         self._snapshot()
         self.runtime.sim.schedule(self.period, self._tick)

@@ -43,7 +43,7 @@ import json
 import random
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import __version__
 from .bench.harness import HaloExperiment, HeartbeatExperiment, improvement
@@ -63,11 +63,28 @@ __all__ = ["main", "build_parser"]
 # at the same knobs; argparse parents keep the flags (and their help)
 # defined once while letting each subcommand pick its own defaults.
 # ----------------------------------------------------------------------
+def _checked(kind: type, ok: Callable[[Any], bool], what: str):
+    """An argparse ``type``: a ``kind`` that satisfies ``ok``, so an
+    out-of-range flag is a usage error (exit 2) rather than a traceback
+    from deep inside the run."""
+    def parse(text: str):
+        value = kind(text)   # ValueError -> "invalid <kind> value"
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
+_POSITIVE = _checked(float, lambda v: v > 0, "> 0")
+
+
 def _scale_parent(players: int, servers: int, seed: int) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--players", type=int, default=players,
                         help="halo: concurrent player target")
-    parent.add_argument("--servers", type=int, default=servers,
+    parent.add_argument("--servers", type=_POSITIVE_INT, default=servers,
                         help="halo: cluster size")
     parent.add_argument("--seed", type=int, default=seed)
     return parent
@@ -146,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     halo.set_defaults(run=_run_halo)
 
     hb = sub.add_parser("heartbeat", help="single-server thread allocation")
-    hb.add_argument("--rate", type=float, default=15_000.0)
+    hb.add_argument("--rate", type=_POSITIVE, default=15_000.0)
     hb.add_argument("--monitors", type=int, default=800)
     hb.add_argument("--io-wait", type=float, default=0.0,
                     help="synchronous blocking seconds per beat")
@@ -185,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--rate", type=float, default=None,
                        help="heartbeat/counter: paper-equivalent req/s "
                             "(default: the bench's calibrated rate)")
-    trace.add_argument("--sample", type=float, default=1.0,
+    trace.add_argument("--sample", type=_checked(float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+                       default=1.0,
                        help="fraction of requests to trace (systematic "
                             "sampling; the recorder cross-check needs 1.0)")
     trace.add_argument("--actop", action="store_true",
@@ -224,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--settle", type=float, default=10.0,
                         help="seconds between the last fault event and the "
                              "post-recovery window")
-    faults.add_argument("--timeout", type=float, default=0.5,
+    faults.add_argument("--timeout", type=_POSITIVE, default=0.5,
                         help="per-attempt call timeout, paper seconds")
     faults.add_argument("--retries", type=int, default=3,
                         help="max attempts per request (1 disables retry)")
@@ -250,13 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "decisions show at CI-sized rates)")
     auto.add_argument("--initial", type=int, default=2,
                       help="silos active at t=0 (the rest start parked)")
-    auto.add_argument("--min", dest="min_silos", type=int, default=2,
+    auto.add_argument("--min", dest="min_silos", type=_POSITIVE_INT, default=2,
                       help="scale-in floor")
     auto.add_argument("--low", type=float, default=0.35,
                       help="utilization band floor (shrink below this)")
     auto.add_argument("--high", type=float, default=0.70,
                       help="utilization band ceiling (grow above this)")
-    auto.add_argument("--period", type=float, default=0.5,
+    auto.add_argument("--period", type=_POSITIVE, default=0.5,
                       help="controller measurement window, seconds")
     auto.add_argument("--cooldown", type=float, default=1.0,
                       help="minimum seconds between scaling plans")
@@ -283,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     auto.add_argument("--fixed", action="store_true",
                       help="baseline: no controller, all --servers silos "
                            "active for the whole run")
-    auto.set_defaults(run=_run_autoscale)
+    auto.set_defaults(run=_run_autoscale, parser=auto)
 
     san = sub.add_parser(
         "sanitize",
@@ -299,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     part.add_argument("--graph", choices=("clustered", "powerlaw", "random"),
                       default="clustered")
     part.add_argument("--vertices", type=int, default=800)
-    part.add_argument("--servers", type=int, default=8)
+    part.add_argument("--servers", type=_checked(int, lambda v: v >= 2, ">= 2"),
+                      default=8)
     part.add_argument("--seed", type=int, default=0)
     part.add_argument(
         "--algorithms", nargs="+",
@@ -687,6 +706,9 @@ def _run_autoscale(args: argparse.Namespace) -> int:
     from .bench.harness import StageflowExperiment
     from .workloads.stageflow import StageflowConfig
 
+    if not 0 < args.low < args.high < 1:
+        args.parser.error(f"need 0 < --low < --high < 1, got "
+                          f"--low {args.low:g} --high {args.high:g}")
     if args.fixed:
         autoscale = None
     else:

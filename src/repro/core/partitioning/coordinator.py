@@ -85,7 +85,6 @@ class PartitionAgent:
         self.last_exchange_time = -float("inf")
         self.exchanges_initiated = 0
         self.exchanges_accepted = 0
-        self.exchanges_rejected = 0
         self._running = False
         self._rng = runtime.rng.stream(f"partition.agent.{silo.server_id}")
 
@@ -216,7 +215,6 @@ class PartitionAgent:
     ) -> None:
         obs = self.runtime.obs
         if not response.accepted:
-            self.exchanges_rejected += 1
             if obs is not None:
                 obs.events.emit(ExchangeEvent(
                     self.runtime.sim.now, initiator=self.silo.server_id,

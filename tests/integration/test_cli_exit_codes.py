@@ -50,6 +50,15 @@ CASES = [
     ("faults-drop-negative", ["faults", "--drop", "-0.1"], 2),
     ("faults-drop-window-reversed", ["faults", "--drop", "0.3@8:2"], 2),
     ("faults-kill-unknown-silo", ["faults", "--kill", "9@1", "--servers", "2"], 2),
+    # an out-of-range flag is rejected at parse time, not mid-run
+    ("halo-zero-servers", ["halo", "--servers", "0"], 2),
+    ("heartbeat-zero-rate", ["heartbeat", "--rate", "0"], 2),
+    ("trace-sample-above-one", ["trace", "--sample", "1.5"], 2),
+    ("partition-one-server", ["partition", "--servers", "1"], 2),
+    ("faults-zero-timeout", ["faults", "--timeout", "0"], 2),
+    ("autoscale-band-reversed", ["autoscale", "--low", "0.9", "--high", "0.5"], 2),
+    ("autoscale-zero-min", ["autoscale", "--min", "0"], 2),
+    ("autoscale-zero-period", ["autoscale", "--period", "0"], 2),
     ("lint-bad-flag", ["lint", "--bogus"], 2),
     ("lint-par-removed", ["lint", "--par"], 2),   # deleted with the PAR stack
     # deleted with the FLOW/XB passes and the lint caches (PR 22)

@@ -115,7 +115,7 @@ def test_actor_ids_are_interned_and_order_like_their_pairs():
     b = ActorId("player", 123456)
     assert a is b and a == b
     assert a != ActorId("player", 123457)
-    assert hash(a) == hash(("player", 123456))
+    assert hash(a) == hash(b) == hash(ActorId("player", 123456))
     assert ActorId("a", 1) < ActorId("b", 0) < ActorId("b", 1)
 
 

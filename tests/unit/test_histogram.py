@@ -132,21 +132,6 @@ def test_summary_shape_matches_latency_recorder():
     assert s["median"] == pytest.approx(rec.median, rel=0.02)
 
 
-def test_percentile_since_windows():
-    hist = HistogramRecorder()
-    for _ in range(100):
-        hist.record(0.001)
-    snap = hist.snapshot()
-    for _ in range(100):
-        hist.record(1.0)
-    # The window after the snapshot only saw ~1.0s samples.
-    assert hist.percentile_since(snap, 50) == pytest.approx(1.0, rel=0.02)
-    # The global median straddles both populations.
-    assert hist.percentile(99) == pytest.approx(1.0, rel=0.02)
-    with pytest.raises(ValueError):
-        hist.percentile_since(hist.snapshot(), 50)  # empty window
-
-
 def test_weighted_reservoir_merge_unbiased(monkeypatch):
     """Merging a down-sampled reservoir must not skew percentiles: the
     merged reservoir draws from each side proportionally to its true
