@@ -16,7 +16,6 @@ Reported: cut cost, count-imbalance, size-imbalance, migrated bytes.
 import random
 
 from repro.core.partitioning.offline import OfflinePartitioner
-from repro.core.partitioning.weighted import WeightedOfflinePartitioner
 from repro.graph.generators import clustered_graph
 from repro.graph.quality import cut_cost, max_imbalance
 from repro.bench.reporting import render_table
@@ -51,10 +50,9 @@ def run_both():
                                     initial=dict(initial))
     unweighted.run(max_sweeps=40)
 
-    weighted = WeightedOfflinePartitioner(
-        graph, sizes, SERVERS,
-        size_delta=24.0, size_budget=64.0, migration_penalty=0.05,
-        seed=2, initial=dict(initial),
+    weighted = OfflinePartitioner(
+        graph, SERVERS, delta=24.0, k=64.0, sizes=sizes,
+        migration_penalty=0.05, seed=2, initial=dict(initial),
     )
     weighted.run(max_sweeps=40)
     return graph, sizes, initial, unweighted, weighted
@@ -74,7 +72,7 @@ def test_weighted_extension(benchmark, show):
          unweighted.total_migrations],
         ["Alg. 1 weighted (§4.2 ext.)", weighted.cost,
          max_imbalance(weighted.assignment, SERVERS),
-         weighted.size_imbalance,
+         weighted.imbalance,
          f"{weighted.total_migrated_size:.0f} size units"],
     ]
     show(render_table(
@@ -92,6 +90,6 @@ def test_weighted_extension(benchmark, show):
     assert weighted.cost < 0.45 * random_cut
     # ...but only the weighted variant controls *memory* imbalance:
     blind_size_gap = size_imbalance(graph, sizes, unweighted.assignment)
-    assert weighted.size_imbalance < blind_size_gap
+    assert weighted.imbalance < blind_size_gap
     # and respects its own tolerance within the pairwise-drift bound.
-    assert weighted.size_imbalance <= 3 * 24.0
+    assert weighted.imbalance <= 3 * 24.0

@@ -643,9 +643,23 @@ class ClusterCore:
         self._shed(victim, "drop_oldest",
                    victim_age=self.sim.now - victim.t0)
 
+    def reject_client_request(self, call_id: int) -> None:
+        """A receiver stage refused a client request over its queue
+        bound: the request ends here, once, shed (``rejected_requests``)."""
+        state = self._inflight.pop(call_id, None)
+        if state is None:
+            return  # this attempt already timed out; its request ends there
+        self.rejected_requests += 1
+        if state.timer is not None:
+            state.timer.cancel()
+        self._end_trace(state, "shed")
+        del self._open[state]
+        self._shed(state, "receiver_queue", victim_age=self.sim.now - state.t0)
+
     def _shed(self, state: _ClientRequest, policy: str,
               victim_age: float) -> None:
-        self.requests_shed += 1
+        if policy != "receiver_queue":
+            self.requests_shed += 1
         obs = self.obs
         if obs is not None:
             obs.events.emit(ShedEvent(

@@ -62,7 +62,7 @@ class Silo(SiloCore):
             and message.kind is MessageKind.CLIENT_REQUEST
             and self.receiver.queue_length >= cap
         ):
-            self.runtime.rejected_requests += 1
+            self.runtime.reject_client_request(message.call_id)
             return
         cost = self.runtime.serialization.deserialize_cost(message.size)
         event = self.receiver.submit(cost, self._received, message)

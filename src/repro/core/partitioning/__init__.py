@@ -2,8 +2,9 @@
 
 Pure algorithm layers (view → transfer scores → candidate sets → greedy
 exchange → pairwise protocol), an offline driver for static-graph
-analysis (Theorem 1), and the online per-server agent that runs the
-protocol inside the simulated actor runtime.
+analysis (Theorem 1, and the §4.2 actor-size extension), and the online
+per-server agent that runs the protocol inside the simulated actor
+runtime.
 """
 
 from .candidate import Candidate, PeerProposal, candidate_set, rank_peers
@@ -18,7 +19,6 @@ from .protocol import (
 )
 from .transfer_score import transfer_score
 from .view import PartitionView
-from .weighted import WeightedOfflinePartitioner, weighted_candidate_set
 
 __all__ = [
     "Candidate",
@@ -36,6 +36,4 @@ __all__ = [
     "rank_peers",
     "rescore_candidates",
     "transfer_score",
-    "WeightedOfflinePartitioner",
-    "weighted_candidate_set",
 ]

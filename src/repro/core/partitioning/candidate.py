@@ -5,6 +5,7 @@ transfer score R_{p,q}(v) and keeps the top k with positive scores; the
 candidate set is deliberately a small fraction of p's vertices, which is
 how the algorithm bounds per-exchange migration volume (§4.1).  p then
 targets the peer whose candidate set has the highest *total* score.
+With actor sizes (the view's, §4.2) k is a budget on their total size.
 """
 
 from __future__ import annotations
@@ -85,20 +86,35 @@ def _score_pass(view: PartitionView):
     return by_peer, located
 
 
-def _top_candidates(view: PartitionView, scored, located, k: int) -> list[Candidate]:
-    """The k best of one peer's scored vertices, shipped with their edge
-    lists and the proposer's location beliefs so the receiver can
-    recompute scores against fresher knowledge (§4.2: q "may decide to
-    reject some or even all of the vertices")."""
+def _top_candidates(view: PartitionView, scored, located, k: float) -> list[Candidate]:
+    """The best of one peer's scored vertices — the top k, or with sizes
+    the highest adjusted scores that fit a total size of k — shipped
+    with their edge lists and the proposer's location beliefs so the
+    receiver can recompute scores against fresher knowledge (§4.2: q
+    "may decide to reject some or even all of the vertices")."""
+    sizes = view.sizes
+    if sizes is None:
+        top = heapq.nlargest(k, scored, key=lambda sv: sv[0])
+    else:
+        penalty = view.migration_penalty
+        top, used = [], 0.0
+        for score, v in sorted(((score - penalty * sizes.get(v, 1.0), v)
+                                for score, v in scored),
+                               key=lambda sv: sv[0], reverse=True):
+            size = sizes.get(v, 1.0)
+            if score > 0 and used + size <= k:
+                used += size
+                top.append((score, v))
     return [
         Candidate(v, score, dict(view.neighbors(v)), dict(located[v]))
-        for score, v in heapq.nlargest(k, scored, key=lambda sv: sv[0])
+        for score, v in top
     ]
 
 
-def candidate_set(view: PartitionView, target: ServerId, k: int) -> list[Candidate]:
-    """Top-k positive-score local vertices for migration to ``target``."""
-    if k < 1:
+def candidate_set(view: PartitionView, target: ServerId, k: float) -> list[Candidate]:
+    """Top-k positive-score local vertices for migration to ``target``
+    (k a size budget when the view carries sizes)."""
+    if k <= 0:
         return []
     if target == view.server_id:
         raise ValueError("source and target servers must differ")
@@ -106,20 +122,22 @@ def candidate_set(view: PartitionView, target: ServerId, k: int) -> list[Candida
     return _top_candidates(view, by_peer.get(target, ()), located, k)
 
 
-def rank_peers(view: PartitionView, k: int) -> list[PeerProposal]:
+def rank_peers(view: PartitionView, k: float) -> list[PeerProposal]:
     """All peers with a non-empty candidate set, best total score first.
 
     This is the order in which p attempts exchanges when peers reject
     (§4.2: "p attempts an exchange with a remote server which would lead
-    to the second best cost reduction, and proceeds ...").
+    to the second best cost reduction, and proceeds ...").  With sizes
+    the penalty or the budget may leave a peer's set empty: it is skipped.
     """
-    if k < 1:
+    if k <= 0:
         return []
     by_peer, located = _score_pass(view)
-    proposals = [
-        PeerProposal(q, _top_candidates(view, by_peer[q], located, k))
-        for q in view.peers()
-        if q in by_peer
-    ]
+    proposals = []
+    for q in view.peers():
+        if q in by_peer:
+            candidates = _top_candidates(view, by_peer[q], located, k)
+            if candidates:
+                proposals.append(PeerProposal(q, candidates))
     proposals.sort(key=lambda pr: pr.total_score, reverse=True)
     return proposals

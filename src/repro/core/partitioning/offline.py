@@ -6,12 +6,15 @@ overall communication cost decreases monotonically with every migration.
 This driver lets us test exactly that, and powers the ablation bench that
 compares the distributed algorithm's cut quality against the centralized
 multilevel partitioner and Ja-Be-Ja.
+
+With ``sizes`` it runs the §4.2 extension (sketched, not evaluated, in
+the paper) through the same candidate, protocol and exchange code.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Hashable, Optional
+from typing import Hashable, Mapping, Optional
 
 from ...graph.comm_graph import CommGraph
 from ...graph.quality import cut_cost, max_imbalance
@@ -32,25 +35,30 @@ class OfflinePartitioner:
         graph: the full communication graph.
         num_servers: n.
         delta: imbalance tolerance δ (>= 1 so exchanges are possible even
-            with an odd total; the paper's constraint is ``<= delta``).
-        k: candidate-set size per exchange.
-        cooldown_rounds: a server that exchanged within this many protocol
-            steps rejects incoming requests (the paper uses 1 minute of
-            wall time; rounds are the offline analogue).
-        seed: randomness for the initial balanced-random assignment.
-        initial: optional starting assignment (defaults to shuffled
-            round-robin — the random placement baseline).
+            with an odd total; the paper's constraint is ``<= delta``);
+            in size units with ``sizes``.
+        k: candidate-set size per exchange; a total-size budget with
+            ``sizes``.
+        seed: randomness for the initial assignment and the sweep order.
+        initial: optional starting assignment.  The default is shuffled
+            round-robin (the random placement baseline), or with
+            ``sizes`` heaviest actor first onto the lightest server.
+        sizes: vertex -> size (memory footprint units) for the §4.2
+            extension; a vertex it misses has size 1.
+        migration_penalty: score units charged per size unit moved (only
+            with ``sizes``).
     """
 
     def __init__(
         self,
         graph: CommGraph,
         num_servers: int,
-        delta: int = 2,
-        k: int = 16,
-        cooldown_rounds: int = 0,
+        delta: float = 2,
+        k: float = 16,
         seed: int = 0,
         initial: Optional[dict[Vertex, ServerId]] = None,
+        sizes: Optional[Mapping[Vertex, float]] = None,
+        migration_penalty: float = 0.0,
     ):
         if num_servers < 2:
             raise ValueError("partitioning needs at least two servers")
@@ -58,27 +66,51 @@ class OfflinePartitioner:
         self.num_servers = num_servers
         self.delta = delta
         self.k = k
-        self.cooldown_rounds = cooldown_rounds
+        self.migration_penalty = migration_penalty
         self._rng = random.Random(seed)
+        self.sizes: Optional[dict[Vertex, float]] = None
+        if sizes is not None:
+            self.sizes = dict(sizes)
+            for v in graph.vertices():
+                self.sizes.setdefault(v, 1.0)
 
-        if initial is None:
-            vertices = list(graph.vertices())
-            self._rng.shuffle(vertices)
-            self.assignment: dict[Vertex, ServerId] = {
-                v: i % num_servers for i, v in enumerate(vertices)
-            }
-        else:
-            self.assignment = dict(initial)
+        if initial is not None:
+            self.assignment: dict[Vertex, ServerId] = dict(initial)
             missing = [v for v in graph.vertices() if v not in self.assignment]
             if missing:
                 raise ValueError(f"initial assignment misses {len(missing)} vertices")
+        elif self.sizes is None:
+            vertices = list(graph.vertices())
+            self._rng.shuffle(vertices)
+            self.assignment = {
+                v: i % num_servers for i, v in enumerate(vertices)
+            }
+        else:
+            self.assignment = {}
+            loads = [0.0] * num_servers
+            for v in sorted(graph.vertices(), key=lambda v: -self.sizes[v]):
+                target = loads.index(min(loads))
+                self.assignment[v] = target
+                loads[target] += self.sizes[v]
 
-        self._last_exchange_step: dict[ServerId, int] = {}
-        self._step = 0
         self.total_migrations = 0
+        self.total_migrated_size = 0.0
         self.cost_history: list[float] = [cut_cost(graph, self.assignment)]
 
     # ------------------------------------------------------------------
+    def _loads(self) -> dict[ServerId, float]:
+        """Per-server actor count, or total actor size with ``sizes``."""
+        sizes = self.sizes
+        if sizes is None:
+            loads = dict.fromkeys(range(self.num_servers), 0)
+            for loc in self.assignment.values():
+                loads[loc] += 1
+        else:
+            loads = dict.fromkeys(range(self.num_servers), 0.0)
+            for v, loc in self.assignment.items():
+                loads[loc] += sizes[v]
+        return loads
+
     def view_of(self, server: ServerId) -> PartitionView:
         """Full-knowledge view of one server (static-graph setting)."""
         edges = {
@@ -86,15 +118,15 @@ class OfflinePartitioner:
             for v, loc in self.assignment.items()
             if loc == server
         }
-        sizes: dict[ServerId, int] = {p: 0 for p in range(self.num_servers)}
-        for loc in self.assignment.values():
-            sizes[loc] += 1
+        loads = self._loads()
         return PartitionView(
             server_id=server,
             edges=edges,
             locate=self.assignment.get,
-            size=sizes[server],
-            peer_sizes=sizes,
+            size=loads[server],
+            peer_sizes=loads,
+            sizes=self.sizes,
+            migration_penalty=self.migration_penalty,
         )
 
     # ------------------------------------------------------------------
@@ -104,14 +136,9 @@ class OfflinePartitioner:
         The initiator walks its ranked peer list until some peer accepts
         (or every positive-gain peer rejected), exactly as §4.2 describes.
         """
-        self._step += 1
         view_p = self.view_of(initiator)
         for proposal in rank_peers(view_p, self.k):
             q = proposal.peer
-            if (self.cooldown_rounds > 0
-                    and self._step - self._last_exchange_step.get(q, -10**9)
-                    <= self.cooldown_rounds):
-                continue  # q rejects on cooldown, before it builds a view
             request = ExchangeRequest(
                 initiator=initiator,
                 target=q,
@@ -132,9 +159,9 @@ class OfflinePartitioner:
                 self.assignment[v] = q
             for v in outcome.returned:
                 self.assignment[v] = initiator
-            self._last_exchange_step[initiator] = self._step
-            self._last_exchange_step[q] = self._step
             self.total_migrations += outcome.moves
+            for v in outcome.accepted + outcome.returned:
+                self.total_migrated_size += self.sizes[v] if self.sizes else 1.0
             self.cost_history.append(cut_cost(self.graph, self.assignment))
             return outcome.moves
         return 0
@@ -161,5 +188,9 @@ class OfflinePartitioner:
         return cut_cost(self.graph, self.assignment)
 
     @property
-    def imbalance(self) -> int:
-        return max_imbalance(self.assignment, self.num_servers)
+    def imbalance(self) -> float:
+        """Largest load gap between two servers: in actors, or in size."""
+        if self.sizes is None:
+            return max_imbalance(self.assignment, self.num_servers)
+        loads = self._loads().values()
+        return max(loads) - min(loads)

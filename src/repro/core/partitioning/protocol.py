@@ -18,8 +18,8 @@ The five steps of the paper's Alg. 1, as pure logic over
 
 Transport (who carries the messages, with what latency) and the cooldown
 clock are the host's job — the online coordinator uses the simulated
-control plane and sim time; the offline driver counts protocol steps and
-calls these functions directly.
+control plane and sim time; the offline driver has no cooldown and calls
+these functions directly.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class ExchangeRequest:
     initiator: ServerId
     target: ServerId
     candidates: list[Candidate]
-    initiator_size: int  # |Vp| as known by p, for q's balance bookkeeping
+    initiator_size: float  # p's load as p knows it, for q's balance check
 
 
 @dataclass
@@ -70,8 +70,11 @@ def rescore_candidates(
     The graph may have changed since p sampled it, and p's view was
     partial; q therefore recomputes each R_{p,q}(v) from the shipped edge
     list, resolving endpoint locations with its own knowledge first and
-    falling back to p's shipped beliefs.
+    falling back to p's shipped beliefs.  With sizes the score pays the
+    same migration penalty p's did.
     """
+    sizes = view_q.sizes
+    penalty = view_q.migration_penalty
 
     def locate(u: Vertex, shipped: dict[Vertex, ServerId]) -> Optional[ServerId]:
         loc = view_q.locate(u)
@@ -87,6 +90,8 @@ def rescore_candidates(
             request.initiator,
             view_q.server_id,
         )
+        if sizes is not None:
+            score -= penalty * sizes.get(cand.vertex, 1.0)
         rescored.append(
             Candidate(cand.vertex, score, cand.edges, cand.endpoint_locations)
         )
@@ -96,8 +101,8 @@ def rescore_candidates(
 def handle_request(
     view_q: PartitionView,
     request: ExchangeRequest,
-    k: int,
-    delta: int,
+    k: float,
+    delta: float,
 ) -> ExchangeResponse:
     """q's side of Alg. 1 (steps 3-4); the caller has applied the cooldown."""
     if request.target != view_q.server_id:
@@ -111,5 +116,6 @@ def handle_request(
         size_p=request.initiator_size,
         size_q=view_q.size,
         delta=delta,
+        vertex_sizes=view_q.sizes,
     )
     return ExchangeResponse(accepted=True, outcome=outcome)

@@ -37,6 +37,10 @@ class PartitionView:
             count toward balance.
         peer_sizes: believed |Vq| per remote server, for the balance
             constraint.
+        sizes: per-actor sizes (§4.2 extension) or None; with sizes,
+            ``size``, ``peer_sizes`` and k are in size units.
+        migration_penalty: with sizes, a candidate scores
+            ``R_{p,q}(v) - migration_penalty * size(v)``.
     """
 
     def __init__(
@@ -44,14 +48,18 @@ class PartitionView:
         server_id: ServerId,
         edges: Mapping[Vertex, Mapping[Vertex, float]],
         locate: Callable[[Vertex], Optional[ServerId]],
-        size: int,
-        peer_sizes: Mapping[ServerId, int],
+        size: float,
+        peer_sizes: Mapping[ServerId, float],
+        sizes: Optional[Mapping[Vertex, float]] = None,
+        migration_penalty: float = 0.0,
     ):
         self.server_id = server_id
         self.edges = edges
         self._locate = locate
         self.size = size
         self.peer_sizes = dict(peer_sizes)
+        self.sizes = sizes
+        self.migration_penalty = migration_penalty
 
     def locate(self, vertex: Vertex) -> Optional[ServerId]:
         """Where this server believes ``vertex`` lives (None if unknown).

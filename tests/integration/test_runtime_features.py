@@ -3,6 +3,7 @@
 import pytest
 
 from repro.actor.actor import Actor
+from repro.actor.errors import RequestShed
 from repro.actor.runtime import ActorRuntime, ClusterConfig
 from repro.faults.resilience import AdmissionConfig, ResilienceConfig
 from repro.bench.sampler import ClusterSampler
@@ -30,6 +31,37 @@ def test_receiver_queue_bound_rejects_overload():
     assert rt.rejected_requests > 0
     assert rt.requests_completed + rt.rejected_requests == 200
     assert rt.requests_completed > 0
+
+
+def test_receiver_queue_rejection_ends_its_request():
+    """A receiver-queue rejection is the request's one outcome: its
+    completion hook fires with RequestShed, and it leaves the admission
+    window, so the window does not shed later requests to an idle
+    cluster."""
+    rt = ActorRuntime(
+        ClusterConfig(num_servers=1, seed=0),
+        resilience=ResilienceConfig(admission=AdmissionConfig(
+            receiver_queue=5, capacity=150, policy="reject")))
+    rt.register_actor("slug", Sluggish)
+    results = []
+    for i in range(200):
+        rt.client_request(rt.ref("slug", i % 3), "work",
+                          on_complete=lambda latency, r: results.append(r))
+    rt.run()
+    shed = [r for r in results if isinstance(r, RequestShed)]
+    assert len(results) == 200
+    assert {r.policy for r in shed} == {"reject", "receiver_queue"}
+    receiver = [r for r in shed if r.policy == "receiver_queue"]
+    assert len(receiver) == rt.rejected_requests > 0
+    assert len(shed) - len(receiver) == rt.requests_shed
+    assert rt.requests_completed + len(shed) == 200
+    assert rt.inflight_requests == 0
+
+    completed = rt.requests_completed
+    for i in range(100):   # the idle cluster admits every one of them
+        rt.client_request(rt.ref("slug", i % 3), "work")
+        rt.run()
+    assert rt.requests_completed == completed + 100
 
 
 def test_no_rejection_without_bound():

@@ -63,14 +63,6 @@ def test_finds_near_optimum_on_ring_of_cliques():
     assert cut_cost(g, part.assignment) < 50.0
 
 
-def test_cooldown_slows_but_does_not_block_convergence():
-    g = clustered_graph(6, 5, inter_edges_per_cluster=1, rng=random.Random(4))
-    part = OfflinePartitioner(g, num_servers=3, delta=4, k=16,
-                              cooldown_rounds=1, seed=6)
-    part.run(max_sweeps=80)
-    assert remote_fraction(g, part.assignment) < 0.3
-
-
 def test_respects_initial_assignment():
     g = ring_of_cliques(4, 4)
     initial = {v: v % 2 for v in g.vertices()}

@@ -1,14 +1,12 @@
 """Unit tests for the pairwise coordination protocol (Alg. 1)."""
 
 from repro.core.partitioning.candidate import Candidate
-from repro.core.partitioning.offline import OfflinePartitioner
 from repro.core.partitioning.protocol import (
     ExchangeRequest,
     handle_request,
     rescore_candidates,
 )
 from repro.core.partitioning.view import PartitionView
-from repro.graph.generators import ring_of_cliques
 
 
 def make_view(server_id, edges, locations, sizes):
@@ -19,26 +17,6 @@ def make_view(server_id, edges, locations, sizes):
         size=sizes.get(server_id, 0),
         peer_sizes=sizes,
     )
-
-
-def _viewed_servers(cooldown_rounds):
-    """Servers whose view one round by server 0 builds, and its moves;
-    server 1, the only peer, exchanged in the step before."""
-    part = OfflinePartitioner(ring_of_cliques(4, 4), num_servers=2, delta=2,
-                              k=16, cooldown_rounds=cooldown_rounds, seed=1)
-    part._last_exchange_step[1] = 0
-    viewed = []
-    view_of = part.view_of
-    part.view_of = lambda server: viewed.append(server) or view_of(server)
-    return viewed, part.run_round(0)
-
-
-def test_cooldown_rejection():
-    """Step 2 is the host's: a peer inside its cooldown is passed over
-    before anyone builds its view."""
-    assert _viewed_servers(cooldown_rounds=5) == ([0], 0)
-    viewed, moves = _viewed_servers(cooldown_rounds=0)
-    assert viewed == [0, 1] and moves > 0
 
 
 def test_misrouted_request_rejected():
