@@ -17,10 +17,15 @@ O(active edges).
 Iteration order is the insertion order of first recording — a
 deterministic function of the seeded event schedule — never hash order.
 
+The table also lists the sources that left the silo since the last
+fold (``departed``: every activation the silo removed, by deactivation,
+migration or crash), so the fold forgets their sampled edges without
+scanning the summary for sources it no longer hosts.
+
 The silo's partition agent owns the table: ``SiloCore.comm_table`` starts
 as ``None`` and :class:`~repro.core.partitioning.coordinator.PartitionAgent`
-installs it at construction, so a silo nothing partitions records no
-edges that nothing would ever drain.
+installs it at construction and removes it when it stops, so a silo
+nothing partitions records no edges that nothing would ever drain.
 """
 
 from __future__ import annotations
@@ -35,10 +40,13 @@ __all__ = ["CommTable"]
 class CommTable:
     """Flat (source, peer) -> weight aggregation for one silo."""
 
-    __slots__ = ("_weights",)
+    __slots__ = ("_weights", "departed")
 
     def __init__(self) -> None:
         self._weights: dict[tuple[ActorId, ActorId], float] = {}
+        # Actors the silo stopped hosting since the last fold, in order
+        # (one may appear more than once).
+        self.departed: list[ActorId] = []
 
     def __len__(self) -> int:
         return len(self._weights)
@@ -61,6 +69,12 @@ class CommTable:
         weights = self._weights
         self._weights = {}
         return iter(weights.items())
+
+    def drain_departed(self) -> list[ActorId]:
+        """Hand the departures noted since the last fold over and reset."""
+        departed = self.departed
+        self.departed = []
+        return departed
 
     def merge(self, other: "CommTable") -> None:
         """Exact merge: add ``other``'s counters edge by edge.

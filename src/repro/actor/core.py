@@ -1275,6 +1275,9 @@ class SiloCore:
             self.runtime.storage[actor_id] = activation.instance.capture_state()
         del self.activations[actor_id]
         self.runtime.directory.unregister(actor_id)
+        comm = self.comm_table
+        if comm is not None:
+            comm.departed.append(actor_id)
         obs = self.runtime.obs
         if obs is not None:
             obs.events.emit(DeactivationEvent(
@@ -1304,6 +1307,9 @@ class SiloCore:
         self.dead = True
         self.draining = False  # a crash preempts any graceful drain
         lost = len(self.activations)
+        comm = self.comm_table
+        if comm is not None:
+            comm.departed.extend(self.activations)
         for actor_id, activation in self.activations.items():
             self.runtime.directory.unregister(actor_id)
             # Orphan what it had queued and the segment it had in flight.

@@ -15,7 +15,7 @@ latency story never charges directory traffic; what matters here is the
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional
+from typing import Callable, Optional
 
 from .ids import ActorId
 
@@ -30,9 +30,9 @@ class Directory:
     def __init__(self, num_servers: int):
         self._entries: dict[ActorId, int] = {}
         self._census: Counter[int] = Counter({p: 0 for p in range(num_servers)})
-
-    def lookup(self, actor_id: ActorId) -> Optional[int]:
-        return self._entries.get(actor_id)
+        # lookup(actor_id) -> server or None: the map's own C-level get,
+        # so a resolver handed to a hot loop costs no Python frame.
+        self.lookup: Callable[[ActorId], Optional[int]] = self._entries.get
 
     def register(self, actor_id: ActorId, server: int) -> None:
         if actor_id in self._entries:

@@ -134,7 +134,7 @@ def bench_spacesaving(offers: int = 300_000, capacity: int = 256
         "capacity": capacity,
         # Pre-fix this was ~offers long (one push per increment);
         # post-fix it stays O(capacity).
-        "final_heap_len": len(summary._heap),
+        "final_heap_len": len(summary._heap or ()),
     }
 
 

@@ -49,31 +49,30 @@ class PeerProposal:
 def _score_pass(view: PartitionView):
     """R_{p,q}(v) for every local v toward every peer q, in one walk.
 
-    Each neighbour map is walked once and each endpoint located once.
-    Per vertex, ``local`` accumulates the ``-w`` of local endpoints;
-    peer q's running score starts from ``local`` at q's first incident
-    edge and from then on takes every ``-w`` (local endpoint) and ``+w``
-    (endpoint at q) in edge order — the float sequence
+    Each neighbour map is walked once and each endpoint located once,
+    inline: an endpoint in ``view.edges`` is local, any other goes to
+    ``view.resolve`` — what :meth:`PartitionView.locate` does, without
+    its frame.  Per vertex, ``local`` accumulates the ``-w`` of local
+    endpoints; peer q's running score starts from ``local`` at q's first
+    incident edge and from then on takes every ``-w`` (local endpoint)
+    and ``+w`` (endpoint at q) in edge order — the float sequence
     :func:`transfer_score` performs for the pair, so the scores are
     bit-identical to it.
 
-    Returns ``(by_peer, located)``: per peer the positive ``(score, v)``
-    pairs in ``local_vertices()`` order, and per vertex its resolved
-    endpoint locations in edge order.
+    Returns per peer the positive ``(score, v)`` pairs in
+    ``local_vertices()`` order.
     """
     me = view.server_id
-    locate = view.locate
+    edges = view.edges
+    resolve = view.resolve
     by_peer: dict[ServerId, list[tuple[float, Vertex]]] = {}
-    located: dict[Vertex, dict[Vertex, ServerId]] = {}
-    for v, neighbors in view.edges.items():
+    for v, neighbors in edges.items():
         local = 0.0
         running: dict[ServerId, float] = {}
-        locations = located[v] = {}
         for u, w in neighbors.items():
-            loc = locate(u)
+            loc = me if u in edges else resolve(u)
             if loc is None:
                 continue
-            locations[u] = loc
             if loc == me:
                 local -= w
                 for q in running:
@@ -83,43 +82,47 @@ def _score_pass(view: PartitionView):
         for q, score in running.items():
             if score > 0:
                 by_peer.setdefault(q, []).append((score, v))
-    return by_peer, located
+    return by_peer
 
 
-def _top_candidates(view: PartitionView, scored, located, k: float) -> list[Candidate]:
+def _candidate(view: PartitionView, score: float, v: Vertex) -> Candidate:
+    """v shipped with its edge list and the proposer's belief about each
+    endpoint's location (the resolved ones, in edge order)."""
+    neighbors = view.edges[v]
+    locations = {u: loc for u in neighbors if (loc := view.locate(u)) is not None}
+    return Candidate(v, score, dict(neighbors), locations)
+
+
+def _top(view: PartitionView, scored, k: float) -> list[tuple[float, Vertex]]:
     """The best of one peer's scored vertices — the top k, or with sizes
-    the highest adjusted scores that fit a total size of k — shipped
-    with their edge lists and the proposer's location beliefs so the
-    receiver can recompute scores against fresher knowledge (§4.2: q
-    "may decide to reject some or even all of the vertices")."""
+    the highest adjusted scores that fit a total size of k."""
     sizes = view.sizes
     if sizes is None:
-        top = heapq.nlargest(k, scored, key=lambda sv: sv[0])
-    else:
-        penalty = view.migration_penalty
-        top, used = [], 0.0
-        for score, v in sorted(((score - penalty * sizes.get(v, 1.0), v)
-                                for score, v in scored),
-                               key=lambda sv: sv[0], reverse=True):
-            size = sizes.get(v, 1.0)
-            if score > 0 and used + size <= k:
-                used += size
-                top.append((score, v))
-    return [
-        Candidate(v, score, dict(view.neighbors(v)), dict(located[v]))
-        for score, v in top
-    ]
+        return heapq.nlargest(k, scored, key=lambda sv: sv[0])
+    penalty = view.migration_penalty
+    top, used = [], 0.0
+    for score, v in sorted(((score - penalty * sizes.get(v, 1.0), v)
+                            for score, v in scored),
+                           key=lambda sv: sv[0], reverse=True):
+        size = sizes.get(v, 1.0)
+        if score > 0 and used + size <= k:
+            used += size
+            top.append((score, v))
+    return top
 
 
 def candidate_set(view: PartitionView, target: ServerId, k: float) -> list[Candidate]:
     """Top-k positive-score local vertices for migration to ``target``
-    (k a size budget when the view carries sizes)."""
+    (k a size budget when the view carries sizes), shipped with their
+    edge lists and the proposer's location beliefs so the receiver can
+    recompute scores against fresher knowledge (§4.2: q "may decide to
+    reject some or even all of the vertices")."""
     if k <= 0:
         return []
     if target == view.server_id:
         raise ValueError("source and target servers must differ")
-    by_peer, located = _score_pass(view)
-    return _top_candidates(view, by_peer.get(target, ()), located, k)
+    return [_candidate(view, score, v)
+            for score, v in _top(view, _score_pass(view).get(target, ()), k)]
 
 
 def rank_peers(view: PartitionView, k: float) -> list[PeerProposal]:
@@ -132,11 +135,12 @@ def rank_peers(view: PartitionView, k: float) -> list[PeerProposal]:
     """
     if k <= 0:
         return []
-    by_peer, located = _score_pass(view)
+    by_peer = _score_pass(view)
     proposals = []
     for q in view.peers():
         if q in by_peer:
-            candidates = _top_candidates(view, by_peer[q], located, k)
+            candidates = [_candidate(view, score, v)
+                          for score, v in _top(view, by_peer[q], k)]
             if candidates:
                 proposals.append(PeerProposal(q, candidates))
     proposals.sort(key=lambda pr: pr.total_score, reverse=True)

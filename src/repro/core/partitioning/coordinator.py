@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ...actor.commtable import CommTable
-from ...graph.spacesaving import SpaceSaving
+from ...graph.spacesaving import EdgeSummary
 from ...obs.events import ExchangeEvent, PartitionRoundEvent
 from .candidate import rank_peers
 from .protocol import ExchangeRequest, ExchangeResponse, handle_request
@@ -80,7 +80,7 @@ class PartitionAgent:
         # The agent is the silo's one comm-table reader, so it installs
         # the table: a silo without an agent records no edges.
         silo.comm_table = CommTable()
-        self.edges: SpaceSaving = SpaceSaving(self.config.edge_capacity)
+        self.edges = EdgeSummary(self.config.edge_capacity)
         self.peers: dict[int, "PartitionAgent"] = {}
         self.last_exchange_time = -float("inf")
         self.exchanges_initiated = 0
@@ -93,6 +93,12 @@ class PartitionAgent:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin folding and initiating rounds (staggered across silos)."""
+        silo = self.silo
+        if silo.comm_table is None:
+            # Restarted after stop(): departures went unnoted meanwhile,
+            # so the first fold re-checks every sampled source.
+            silo.comm_table = CommTable()
+            silo.comm_table.departed.extend(self.edges.sources())
         self._running = True
         sim = self.runtime.sim
         n = self.runtime.num_servers
@@ -105,7 +111,10 @@ class PartitionAgent:
         sim.schedule(round_offset, self._round_tick)
 
     def stop(self) -> None:
+        """Stop folding and rounds, and uninstall the comm table (with its
+        departure list): nothing would drain what the silo records."""
         self._running = False
+        self.silo.comm_table = None
 
     # ------------------------------------------------------------------
     # Edge statistics (§4.3)
@@ -120,21 +129,32 @@ class PartitionAgent:
         """Fold the silo's communication table into the Space-Saving
         edge summary.
 
-        One pass over the flat silo-level :class:`CommTable` — O(active
-        edges), not O(activations).  Entries whose source has since
-        deactivated or migrated away are skipped, matching the original
-        per-activation semantics where counters died with the
-        activation.
+        One pass over the flat silo-level :class:`CommTable` — O(edges
+        recorded since the last fold), not O(activations).  Entries
+        whose source has since deactivated or migrated away are skipped,
+        matching the original per-activation semantics where counters
+        died with the activation.
+
+        Then every sampled edge whose source the silo no longer hosts is
+        forgotten.  Such a source was hosted at the last fold's end (or
+        when its edge was offered) and has left since, so it is on the
+        table's departure list: the purge walks that list and the
+        summary's per-source index, not the summary.  A source that left
+        and came back keeps its edges, as a full scan would.  The
+        forgotten set is the scan's, and forget order moves neither the
+        entries' order nor any victim.
         """
-        self.edges.decay(self.config.decay)
+        edges = self.edges
+        edges.decay(self.config.decay)
         hosted = self.silo.activations
-        for (src, peer), weight in self.silo.comm_table.drain():
-            if src in hosted:
-                self.edges.offer((src, peer), weight)
-        # Purge sampled edges whose local endpoint has migrated away.
-        stale = [key for key, _ in self.edges.items() if key[0] not in hosted]
-        for key in stale:
-            self.edges.forget(key)
+        table = self.silo.comm_table
+        offer = edges.offer
+        for edge, weight in table.drain():
+            if edge[0] in hosted:
+                offer(edge, weight)
+        for src in table.drain_departed():
+            if src not in hosted:
+                edges.forget_source(src)
 
     # ------------------------------------------------------------------
     # View construction
@@ -145,16 +165,21 @@ class PartitionAgent:
         return max(1, min(self.config.candidate_max, k))
 
     def build_view(self) -> PartitionView:
-        hosted = self.silo.activations
+        hosted = self.silo.activations.get
         edges: dict = {}
-        for (v, u), weight in self.edges.items():
-            if v in hosted and not hosted[v].deactivating:
-                edges.setdefault(v, {})[u] = weight
+        for (v, u), entry in self.edges.entries():
+            activation = hosted(v)
+            if activation is not None and not activation.deactivating:
+                neighbors = edges.get(v)
+                if neighbors is None:
+                    edges[v] = {u: entry[0]}
+                else:
+                    neighbors[u] = entry[0]
         census = self.runtime.census()
         return PartitionView(
             server_id=self.silo.server_id,
             edges=edges,
-            locate=self.runtime.locate,
+            locate=self.runtime.directory.lookup,
             size=census.get(self.silo.server_id, 0),
             peer_sizes=census,
         )

@@ -55,7 +55,7 @@ class PartitionView:
     ):
         self.server_id = server_id
         self.edges = edges
-        self._locate = locate
+        self.resolve = locate  # the resolver alone, for vertices outside edges
         self.size = size
         self.peer_sizes = dict(peer_sizes)
         self.sizes = sizes
@@ -69,7 +69,7 @@ class PartitionView:
         """
         if vertex in self.edges:
             return self.server_id
-        return self._locate(vertex)
+        return self.resolve(vertex)
 
     def neighbors(self, vertex: Vertex) -> Mapping[Vertex, float]:
         return self.edges.get(vertex, {})

@@ -91,6 +91,107 @@ def test_view_excludes_departed_actors():
     assert chatter.id not in view.edges
 
 
+def sampled_sources(agent):
+    return {src for (src, _), _ in agent.edges.items()}
+
+
+def chatting_pairs(rt, n, chatter_silo, partner_silo):
+    pairs = []
+    for i in range(n):
+        chatter, partner = rt.ref("chatter", i), rt.ref("partner", i)
+        rt.activate(chatter.id, chatter_silo)
+        rt.activate(partner.id, partner_silo)
+        pairs.append((chatter, partner))
+    return pairs
+
+
+def poke_all(rt, pairs, until):
+    for chatter, partner in pairs:
+        rt.client_request(chatter, "poke", partner)
+    rt.run(until=until)
+
+
+def test_fold_purges_every_source_a_crash_took():
+    """After a silo crash and restart, the fold forgets the edges of every
+    actor the crash lost and keeps those of the actors re-placed there."""
+    rt = make_cluster(servers=2)
+    pairs = chatting_pairs(rt, 4, chatter_silo=0, partner_silo=1)
+    agent = PartitionAgent(rt, rt.silos[0], fast_config())
+    poke_all(rt, pairs, until=1.0)
+    agent.fold_counters()
+    assert sampled_sources(agent) == {c.id for c, _ in pairs}
+    rt.fail_silo(0)
+    rt.restart_silo(0)
+    back = pairs[:2]
+    for chatter, _ in back:
+        rt.activate(chatter.id, 0)
+    poke_all(rt, back, until=2.0)
+    agent.fold_counters()
+    assert sampled_sources(agent) == {c.id for c, _ in back}
+    assert sampled_sources(agent) <= set(rt.silos[0].activations)
+
+
+def test_an_actor_that_leaves_and_returns_between_folds_keeps_its_edges():
+    rt = make_cluster(servers=2)
+    [(chatter, partner)] = chatting_pairs(rt, 1, chatter_silo=0, partner_silo=1)
+    agent = PartitionAgent(rt, rt.silos[0], fast_config())
+    poke_all(rt, [(chatter, partner)], until=1.0)
+    agent.fold_counters()
+    rt.silos[0].migrate(chatter.id, destination=1)
+    rt.run(until=1.2)
+    assert rt.locate(chatter.id) is None
+    rt.activate(chatter.id, 0)   # back home before the next fold
+    agent.fold_counters()
+    assert agent.edges.count((chatter.id, partner.id)) == pytest.approx(2.0 * 0.9)
+    assert sampled_sources(agent) <= set(rt.silos[0].activations)
+
+
+def test_fold_purges_a_discard_state_deactivation():
+    rt = make_cluster(servers=2)
+    pairs = chatting_pairs(rt, 2, chatter_silo=0, partner_silo=1)
+    agent = PartitionAgent(rt, rt.silos[0], fast_config())
+    poke_all(rt, pairs, until=1.0)
+    agent.fold_counters()
+    gone, kept = pairs[0][0], pairs[1][0]
+    assert rt.deactivate(gone.id, discard_state=True)
+    agent.fold_counters()
+    assert sampled_sources(agent) == {kept.id}
+
+
+def test_a_stopped_agent_leaves_no_comm_table_behind():
+    """Traffic after stop() records no edge: nothing would ever drain it."""
+    rt = make_cluster(servers=2)
+    pairs = chatting_pairs(rt, 3, chatter_silo=0, partner_silo=1)
+    actop = ActOp(rt, ActOpConfig(partitioning=fast_config()))
+    actop.start()
+    poke_all(rt, pairs, until=1.0)
+    actop.stop()
+    assert all(silo.comm_table is None for silo in rt.silos)
+    poke_all(rt, pairs, until=2.0)
+    assert all(silo.comm_table is None for silo in rt.silos)
+
+
+def test_a_restarted_agent_purges_what_left_while_it_was_stopped():
+    """Departures while stopped are not noted, so start() has the first
+    fold re-check every sampled source; a start() that finds a table
+    installed keeps it and what it recorded."""
+    rt = make_cluster(servers=2)
+    pairs = chatting_pairs(rt, 3, chatter_silo=0, partner_silo=1)
+    agent = PartitionAgent(rt, rt.silos[0], fast_config())
+    table = rt.silos[0].comm_table
+    poke_all(rt, pairs, until=1.0)
+    agent.start()
+    assert rt.silos[0].comm_table is table and len(table) > 0
+    agent.fold_counters()
+    agent.stop()
+    gone = pairs[0][0]
+    rt.silos[0].migrate(gone.id, destination=1)
+    rt.run(until=1.5)
+    agent.start()
+    agent.fold_counters()
+    assert sampled_sources(agent) == {c.id for c, _ in pairs[1:]}
+
+
 def test_agents_colocate_communicating_pairs():
     rt = make_cluster(servers=3, seed=2)
     pairs = []

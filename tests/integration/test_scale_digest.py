@@ -39,6 +39,10 @@ PART_EVENTS = 22213
 # slice below, in emission order.
 DECISION_DIGEST = "46117e438913c3b1b539fce8b4a6ab4fe9a9cdc726b19d4105c1f1631251e97a"
 DECISION_COUNTS = (47, 28, 242)  # exchange attempts, accepted, migrations
+# Captured at 38de17e, before the fold stopped rescanning the summary:
+# the same slice with edge_capacity=64 (9,709 evictions).
+FULL_DECISION_DIGEST = "c7c795888674f589e4b15bf0c520dcd20197b8feaaab10c0b88ac556e34f8f2b"
+FULL_DECISION_COUNTS = (57, 30, 202)
 TENK_DIGEST = "c06142004a1217b126360d4b98860649fd6bf51ed1bd1eaad59fda06f2d75dd1"
 TENK_EVENTS = 57634
 # Captured at 573d127, before the thread controller took its window and
@@ -76,13 +80,14 @@ def test_partitioning_on_digest_pinned():
     assert (digest, events) == (PART_DIGEST, PART_EVENTS)
 
 
-def test_partitioning_decisions_pinned():
-    """The seeded exchange and migration list is the oracle for Alg. 1.
-    ``PART_DIGEST`` hashes event *times* and its 8 s slice ends before
-    the 15 s partitioning warmup (folds only); this one hashes the
-    *decisions* of a slice that runs past it, so a failure here means
-    some exchange or migration changed, and the counts say which kind."""
+def _partition_decisions(edge_capacity=None):
+    """Every exchange and migration decision of the seeded 24 s slice
+    (300 players, 4 silos, seed 3) as ``(digest, counts)``; with
+    ``edge_capacity`` each silo's edge summary holds that many edges."""
     exp = HaloExperiment(players=300, num_servers=4, seed=3, partitioning=True)
+    if edge_capacity is not None:
+        for agent in exp.actop.agents:
+            agent.edges = type(agent.edges)(edge_capacity)
     obs = Observability(exp.runtime, sample_rate=0.0)
     exp.workload.start()
     exp.cluster.start()
@@ -100,7 +105,25 @@ def test_partitioning_decisions_pinned():
     counts = (len(exchanges), sum(r[4] for r in exchanges),
               len(records) - len(exchanges))
     digest = hashlib.sha256("".join(map(repr, records)).encode()).hexdigest()
-    assert (digest, counts) == (DECISION_DIGEST, DECISION_COUNTS)
+    return digest, counts
+
+
+def test_partitioning_decisions_pinned():
+    """The seeded exchange and migration list is the oracle for Alg. 1.
+    ``PART_DIGEST`` hashes event *times* and its 8 s slice ends before
+    the 15 s partitioning warmup (folds only); this one hashes the
+    *decisions* of a slice that runs past it, so a failure here means
+    some exchange or migration changed, and the counts say which kind."""
+    assert _partition_decisions() == (DECISION_DIGEST, DECISION_COUNTS)
+
+
+def test_full_summary_decisions_pinned():
+    """The same slice with 64-edge summaries.  The default capacity never
+    fills at this size, so the pin above never evicts; here the summaries
+    evict thousands of times, which pins Space-Saving's victim order,
+    decay and the purge of departed sources through Alg. 1's decisions."""
+    assert _partition_decisions(edge_capacity=64) == (
+        FULL_DECISION_DIGEST, FULL_DECISION_COUNTS)
 
 
 def _thread_decisions(exp, horizon):
@@ -149,12 +172,13 @@ def salted_actor_ids(request):
     test_mini_cluster_digest_pinned,
     test_partitioning_on_digest_pinned,
     test_partitioning_decisions_pinned,
+    test_full_summary_decisions_pinned,
     test_thread_allocation_decisions_pinned,
     test_10k_actor_digest_pinned,
 ], ids=["mini_cluster", "partitioning_on", "partitioning_decisions",
-        "thread_allocation_decisions", "10k_actors"])
+        "full_summary_decisions", "thread_allocation_decisions", "10k_actors"])
 def test_pin_holds_under_a_salted_actor_id_hash(pin, salted_actor_ids):
-    """The five pins above, unchanged, with every ``ActorId`` hashed
+    """The six pins above, unchanged, with every ``ActorId`` hashed
     under :data:`ACTOR_ID_SALT`: the partitioning and thread-allocation
     decision paths are iteration-order-free, not just the plain sim."""
     pin()

@@ -128,7 +128,7 @@ def reference_candidate_set(view, target, k):
 @given(partial_views(), st.integers(1, 6))
 @settings(max_examples=300, deadline=None)
 def test_shared_pass_equals_transfer_score_per_pair(view, k):
-    by_peer, _ = _score_pass(view)
+    by_peer = _score_pass(view)
     reference = {}
     for target in view.peers():
         scored, cands = reference_candidate_set(view, target, k)

@@ -146,3 +146,18 @@ def test_heap_rebuild_under_many_updates():
     assert len(ss) == 8
     for i in range(8):
         assert ss.count(f"k{i}") == 1250
+
+
+def test_heap_is_built_only_for_evictions():
+    """A summary that never fills builds no heap; decay drops it and the
+    next eviction rebuilds it from the decayed entries."""
+    ss = SpaceSaving(3)
+    for key, n in (("a", 9), ("b", 6), ("c", 3)):
+        ss.offer(key, n)
+    ss.decay(0.5)
+    assert ss._heap is None
+    ss.offer("d")  # evicts c at 1.5
+    assert "c" not in ss and ss.count("d") == 2.5 and ss.error("d") == 1.5
+    assert ss._heap is not None
+    ss.decay(0.5)
+    assert ss._heap is None
