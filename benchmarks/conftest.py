@@ -24,6 +24,7 @@ from repro.bench.harness import (
     HaloExperiment,
     HeartbeatExperiment,
 )
+from repro.faults.resilience import ResilienceConfig
 
 BENCH_SCALE = float(os.environ.get("ACTOP_BENCH_SCALE", "1.0"))
 
@@ -48,7 +49,7 @@ def halo_result(
     seed: int = 1,
     warmup: float = 80.0,
     duration: float = 80.0,
-    max_receiver_queue: Optional[int] = None,
+    resilience: Optional[ResilienceConfig] = None,
 ) -> ExperimentResult:
     """Run (or fetch from cache) one Halo experiment.
 
@@ -59,7 +60,7 @@ def halo_result(
     players = players if players is not None else scaled_players()
     key = (
         load_fraction, partitioning, thread_allocation, players, num_servers,
-        seed, warmup, duration, max_receiver_queue,
+        seed, warmup, duration, resilience,
     )
     if key not in _HALO_CACHE:
         exp = HaloExperiment(
@@ -69,7 +70,7 @@ def halo_result(
             thread_allocation=thread_allocation,
             num_servers=num_servers,
             seed=seed,
-            max_receiver_queue=max_receiver_queue,
+            resilience=resilience,
         )
         _HALO_CACHE[key] = exp.run(
             warmup=scaled_duration(warmup),

@@ -14,9 +14,11 @@ from conftest import halo_result, scaled_duration
 
 from repro.bench.harness import HALO_RATE_FULL, HALO_TIME_SCALE
 from repro.bench.reporting import render_table
+from repro.faults.resilience import AdmissionConfig, ResilienceConfig
 
 LOAD_STEPS = (1.0, 1.5, 2.0)
 QUEUE_BOUND = 200
+BOUNDED = ResilienceConfig(admission=AdmissionConfig(receiver_queue=QUEUE_BOUND))
 
 
 def _ramp():
@@ -29,7 +31,7 @@ def _ramp():
                 partitioning=partitioning,
                 warmup=50.0,
                 duration=50.0,
-                max_receiver_queue=QUEUE_BOUND,
+                resilience=BOUNDED,
             )
             offered = HALO_RATE_FULL * load
             duration = scaled_duration(50.0)

@@ -28,7 +28,7 @@ from ..core.actop import ActOp, ActOpConfig, ThreadControllerConfig
 from ..core.partitioning.coordinator import PartitioningConfig
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
-from ..faults.resilience import AdmissionConfig, ResilienceConfig
+from ..faults.resilience import ResilienceConfig
 from ..workloads.counter import CounterConfig, CounterWorkload
 from ..workloads.halo import HaloConfig, HaloWorkload
 from ..workloads.heartbeat import HeartbeatConfig, HeartbeatWorkload
@@ -42,6 +42,7 @@ __all__ = [
     "CounterExperiment",
     "StageflowExperiment",
     "HALO_RATE_FULL",
+    "halo_cluster",
     "halo_partitioning_config",
     "halo_thread_config",
     "heartbeat_thread_config",
@@ -208,8 +209,44 @@ class _ExperimentBase:
         )
 
 
+def halo_cluster(
+    players: int,
+    rate_full: float,
+    *,
+    seed: int,
+    num_servers: int = 10,
+    actop: Optional[ActOpConfig] = None,
+    resilience: Optional[ResilienceConfig] = None,
+    faults: Optional[FaultPlan] = None,
+    **halo_flags,
+) -> tuple[Cluster, HaloWorkload]:
+    """The seeded Halo population every Halo run outside the end-to-end
+    benchmark builds: ``players`` concurrent players on ``num_servers``
+    silos at :data:`HALO_TIME_SCALE`, offered ``rate_full`` paper-
+    equivalent status requests per second.  ``halo_flags`` go to
+    :class:`HaloConfig` (the paper-scale ``direct_bootstrap`` /
+    ``lazy_idle_pool`` switches)."""
+    time_scale = HALO_TIME_SCALE   # read per call: tests rescale it
+    cluster = build_cluster(
+        ClusterConfig(num_servers=num_servers, seed=seed,
+                      time_scale=time_scale),
+        resilience=resilience,
+        actop=actop,
+        faults=faults,
+    )
+    workload = HaloWorkload(cluster.runtime, HaloConfig(
+        target_players=players,
+        pool_target=max(16, players // 50),
+        request_rate=rate_full / time_scale,
+        game_duration=(120.0, 180.0),
+        **halo_flags,
+    ))
+    return cluster, workload
+
+
 class HaloExperiment(_ExperimentBase):
-    """One Halo Presence run on the calibrated 10-server cluster.
+    """One Halo Presence run on the calibrated 10-server cluster
+    (built by :func:`halo_cluster`).
 
     Args:
         load_fraction: share of the 80%-utilization request rate (the
@@ -221,9 +258,6 @@ class HaloExperiment(_ExperimentBase):
             :data:`HALO_TIME_SCALE`).
         resilience: retry/deadline/admission policies (None = off).
         faults: a fault plan armed when the experiment starts.
-        max_receiver_queue: shorthand for
-            ``ResilienceConfig(admission=AdmissionConfig(receiver_queue=...))``;
-            ignored when ``resilience`` is given explicitly.
     """
 
     def __init__(
@@ -234,26 +268,22 @@ class HaloExperiment(_ExperimentBase):
         thread_allocation: bool = False,
         num_servers: int = 10,
         seed: int = 1,
-        max_receiver_queue: Optional[int] = None,
         resilience: Optional[ResilienceConfig] = None,
         faults: Optional[FaultPlan] = None,
         label: Optional[str] = None,
     ):
-        if resilience is None and max_receiver_queue is not None:
-            resilience = ResilienceConfig(
-                admission=AdmissionConfig(receiver_queue=max_receiver_queue))
-        time_scale = HALO_TIME_SCALE
         actop_config = ActOpConfig(
             partitioning=halo_partitioning_config() if partitioning else None,
-            thread_allocation=(halo_thread_config(time_scale)
+            thread_allocation=(halo_thread_config(HALO_TIME_SCALE)
                                if thread_allocation else None),
         )
-        cluster = build_cluster(
-            ClusterConfig(num_servers=num_servers, seed=seed,
-                          time_scale=time_scale),
-            resilience=resilience,
+        # Request rate scales with the population so per-actor load is
+        # invariant (the paper's 10K/100K/1M sweep holds rate at 4K).
+        cluster, self.workload = halo_cluster(
+            players, HALO_RATE_FULL * load_fraction * (players / 2_000.0),
+            seed=seed, num_servers=num_servers,
             actop=actop_config if actop_config.enabled else None,
-            faults=faults,
+            resilience=resilience, faults=faults,
         )
         super().__init__(
             cluster.runtime,
@@ -263,18 +293,6 @@ class HaloExperiment(_ExperimentBase):
         self.cluster: Cluster = cluster
         self.actop: Optional[ActOp] = cluster.actop
         self.injector: Optional[FaultInjector] = cluster.injector
-        # Request rate scales with the population so per-actor load is
-        # invariant (the paper's 10K/100K/1M sweep holds rate at 4K).
-        rate = HALO_RATE_FULL * load_fraction * (players / 2_000.0)
-        self.workload = HaloWorkload(
-            cluster.runtime,
-            HaloConfig(
-                target_players=players,
-                pool_target=max(16, players // 50),
-                request_rate=rate / time_scale,
-                game_duration=(120.0, 180.0),
-            ),
-        )
 
     def run(
         self,

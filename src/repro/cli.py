@@ -7,7 +7,8 @@ any code:
 * ``heartbeat``  — the single-server thread-allocation experiment, §6.2;
 * ``partition``  — offline partitioner comparison on a synthetic graph;
 * ``perf``       — the actor-count scaling curve (10k/100k/1M seeded
-  Halo, peak RSS per actor, ``--gate``; see :mod:`repro.bench.scale`).
+  Halo, ActOp off and on, host time per slice, peak RSS per actor,
+  ``--gate``; see :mod:`repro.bench.scale`).
   Host performance is measured by ``benchmarks/e2e/run.py``, not here;
 * ``trace``      — run a workload with :mod:`repro.obs` causal tracing,
   export a Chrome trace-event file (loadable in Perfetto or
@@ -171,23 +172,17 @@ def build_parser() -> argparse.ArgumentParser:
     hb.set_defaults(run=_run_heartbeat)
 
     perf = sub.add_parser(
-        "perf", help="actor-count scaling curve with the peak-RSS gate",
+        "perf", help="actor-count scaling curve, ActOp off and on, with the "
+                     "peak-RSS gate",
         parents=[_json_parent()])
-    mode = perf.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--scaling", action="store_true",
-                      help="run the actor-count scaling curve "
-                           "(10k/100k/1M seeded Halo on 10 silos), one "
-                           "subprocess per point")
-    mode.add_argument("--scale-point", dest="scale_point", type=int,
+    perf.add_argument("--points", nargs="+", type=_POSITIVE_INT,
                       metavar="ACTORS",
-                      help="measure ONE scaling point in this process "
-                           "(used by --scaling to isolate per-point RSS)")
-    perf.add_argument("--points", nargs="+", type=int, metavar="ACTORS",
-                      help="override the scaling-curve actor counts")
-    perf.add_argument("--horizon", type=float, default=30.0,
-                      help="simulated seconds per scaling point")
+                      help="override the scaling-curve actor counts "
+                           "(default 10k/100k/1M)")
+    perf.add_argument("--horizon", type=_POSITIVE, default=30.0,
+                      help="simulated seconds per run")
     perf.add_argument("--gate", action="store_true",
-                      help="exit non-zero if any scaling point exceeds "
+                      help="exit non-zero if any run exceeds "
                            "the peak-RSS-per-actor gate")
     perf.set_defaults(run=_run_perf)
 
@@ -909,34 +904,18 @@ def _run_perf(args: argparse.Namespace) -> int:
     from .bench import scale
 
     try:
-        if args.scaling:
-            doc = scale.run_scaling_curve(points=args.points,
-                                          horizon=args.horizon)
-            violations = [v for p in doc["points"] for v in p["violations"]]
-            table = scale.render_curve(doc)
-        else:
-            p = scale.run_scale_point(args.scale_point, horizon=args.horizon)
-            doc = {
-                "schema": 2,
-                "kind": "scale_point",
-                "gate_rss_bytes_per_actor": scale.RSS_PER_ACTOR_GATE_BYTES,
-                "point": p,
-            }
-            violations = scale.gate_violations(p)
-            table = (f"{p['actors']:,} actors: {p['wall_seconds']:.1f}s wall "
-                     f"({p['bootstrap_seconds']:.1f}s bootstrap), "
-                     f"{p['events']:,} events, "
-                     f"{p['peak_rss_bytes'] / 2**20:,.0f} MiB peak RSS "
-                     f"({p['rss_bytes_per_actor']:,.0f} B/actor)")
+        doc = scale.run_scaling_curve(points=args.points, horizon=args.horizon)
     except Exception as exc:  # failed run -> non-zero exit, not a traceback
         print(f"scaling bench failed: {exc}", file=sys.stderr)
         return 1
-    _emit(args, [table], doc, label="JSON")
+    _emit(args, [scale.render_curve(doc)], doc, label="JSON")
+    violations = [v for p in doc["points"] for v in p["violations"]]
+    failures = [v for p in doc["points"] for v in p["request_failures"]]
     for violation in violations:
         print(f"GATE: {violation}", file=sys.stderr)
-    if args.gate and violations:
-        return 1
-    return 0
+    for failure in failures:
+        print(f"REQUESTS: {failure}", file=sys.stderr)
+    return 1 if failures or (args.gate and violations) else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

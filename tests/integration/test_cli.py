@@ -64,17 +64,23 @@ def test_perf_command_smoke(capsys, tmp_path):
 
     out_path = tmp_path / "perf.json"
     code = main([
-        "perf", "--scale-point", "2000", "--horizon", "1",
+        "perf", "--points", "2000", "--horizon", "3",
         "--json", str(out_path),
     ])
     assert code == 0
     out = capsys.readouterr().out
-    assert "2,000 actors" in out and "peak RSS" in out
+    assert "2,000" in out and "peak RSS" in out and "on/off" in out
     doc = json.loads(out_path.read_text())
-    assert doc["schema"] == 2 and doc["kind"] == "scale_point"
-    assert doc["point"]["actors"] == 2000
-    assert doc["point"]["events"] > 0
-    assert doc["point"]["peak_rss_bytes"] > 0
+    assert doc["schema"] == 3 and doc["kind"] == "scaling"
+    (point,) = doc["points"]
+    assert point["actors"] == 2000
+    for mode in ("off", "on"):
+        run = point[mode]
+        assert run["events"] > 0 and run["peak_rss_bytes"] > 0
+        assert [s["until_sim_s"] for s in run["slices"]] == [2.0, 3.0]
+        assert run["failed"] == run["lost"] == 0
+    assert point["off"]["slices"][-1]["migrations"] == 0
+    assert point["on"]["slices"][-1]["migrations"] > 0
 
 
 def test_trace_command_smoke(capsys, tmp_path):

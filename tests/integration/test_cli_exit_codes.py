@@ -15,9 +15,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(
 
 CASES = [
     # ---- success -> 0
-    ("perf-ok", ["perf", "--scale-point", "2000", "--horizon", "1"], 0),
-    ("perf-scaling-ok",    # CI's scale-smoke form: one subprocess per point
-     ["perf", "--scaling", "--points", "2000", "--horizon", "1", "--gate"], 0),
+    ("perf-scaling-ok",    # CI's scale-smoke form: one subprocess per run
+     ["perf", "--points", "2000", "--horizon", "1", "--gate"], 0),
     ("trace-ok",
      ["trace", "--workload", "halo", "--players", "60", "--servers", "2",
       "--warmup", "1", "--duration", "2"], 0),
@@ -39,7 +38,12 @@ CASES = [
       "--duration", "3", "--settle", "1", "--kill", "1@1",
       "--recover", "1@2", "--retries", "3", "--timeout", "0.5"], 1),
     # ---- argparse rejection -> 2
-    ("perf-bad-points", ["perf", "--scaling", "--points", "notanint"], 2),
+    ("perf-bad-points", ["perf", "--points", "notanint"], 2),
+    ("perf-zero-points", ["perf", "--points", "0"], 2),
+    ("perf-negative-horizon", ["perf", "--points", "2000", "--horizon", "-1"], 2),
+    # the mode flags went when the curve became the only mode
+    ("perf-scaling-removed", ["perf", "--scaling"], 2),
+    ("perf-scale-point-removed", ["perf", "--scale-point", "2000"], 2),
     # the ping harness went with the micro-suite runner: e2e measures both
     ("perf-bad-transport", ["perf", "--transport", "nonesuch"], 2),
     ("trace-bad-choice", ["trace", "--workload", "nonesuch"], 2),

@@ -24,7 +24,8 @@ import hashlib
 import pytest
 
 from repro.actor import ids
-from repro.bench.harness import HaloExperiment, HeartbeatExperiment
+from repro.bench.harness import HaloExperiment, HeartbeatExperiment, halo_cluster
+from repro.bench.scale import PAPER_REQUEST_RATE
 from repro.obs import Observability
 from repro.obs.events import ExchangeEvent, MigrationEvent, ThreadAllocationEvent
 
@@ -51,6 +52,17 @@ HEARTBEAT_THREAD_DIGEST = "451cf9b838e8188458fe2eb816713909564b7e550950b8cb8390c
 HEARTBEAT_THREAD_EVENTS = 5
 HALO_THREAD_DIGEST = "0244d4d1f0e15622d470df5012046152be03d0c929bdbc189d39d8c376bc5792"
 HALO_THREAD_EVENTS = 16
+# Captured at 60199d1 from bench.scale.run_scale_point's construction
+# (and e2e's halo_scale_100k builder): the paper-scale switches.
+SCALE_SWITCH_DIGEST = "f8ddd12d3ffeaf837c88231d6ea0e237953e6581c580e45c045d255167515409"
+SCALE_SWITCH_EVENTS = 13907
+
+
+def _digest(sim, horizon):
+    digest = hashlib.sha256()
+    while sim.now < horizon and sim.step():
+        digest.update(repr(sim.now).encode())
+    return digest.hexdigest(), sim.events_processed
 
 
 def _trace(players, servers, seed, horizon, partitioning=False):
@@ -59,11 +71,7 @@ def _trace(players, servers, seed, horizon, partitioning=False):
     exp.workload.start()
     if partitioning:
         exp.cluster.start()
-    sim = exp.runtime.sim
-    digest = hashlib.sha256()
-    while sim.now < horizon and sim.step():
-        digest.update(repr(sim.now).encode())
-    return digest.hexdigest(), sim.events_processed
+    return _digest(exp.runtime.sim, horizon)
 
 
 def test_mini_cluster_digest_pinned():
@@ -158,6 +166,19 @@ def test_10k_actor_digest_pinned():
     assert (digest, events) == (TENK_DIGEST, TENK_EVENTS)
 
 
+def test_scale_switches_digest_pinned():
+    """The paper-scale path ``repro perf`` and the 100k benchmark row run:
+    ``direct_bootstrap`` + ``lazy_idle_pool`` at the paper's absolute
+    request rate, 10k actors on 10 silos."""
+    cluster, workload = halo_cluster(
+        10_000, PAPER_REQUEST_RATE, seed=1,
+        direct_bootstrap=True, lazy_idle_pool=True)
+    workload.start()
+    cluster.start()
+    assert _digest(cluster.runtime.sim, 2.0) == (
+        SCALE_SWITCH_DIGEST, SCALE_SWITCH_EVENTS)
+
+
 # Any non-zero salt reshuffles; this one is the golden-ratio constant.
 ACTOR_ID_SALT = 0x9E3779B9
 
@@ -175,10 +196,12 @@ def salted_actor_ids(request):
     test_full_summary_decisions_pinned,
     test_thread_allocation_decisions_pinned,
     test_10k_actor_digest_pinned,
+    test_scale_switches_digest_pinned,
 ], ids=["mini_cluster", "partitioning_on", "partitioning_decisions",
-        "full_summary_decisions", "thread_allocation_decisions", "10k_actors"])
+        "full_summary_decisions", "thread_allocation_decisions", "10k_actors",
+        "scale_switches"])
 def test_pin_holds_under_a_salted_actor_id_hash(pin, salted_actor_ids):
-    """The six pins above, unchanged, with every ``ActorId`` hashed
+    """The seven pins above, unchanged, with every ``ActorId`` hashed
     under :data:`ACTOR_ID_SALT`: the partitioning and thread-allocation
     decision paths are iteration-order-free, not just the plain sim."""
     pin()

@@ -10,14 +10,17 @@ The contract under test is the one that makes tracing trustworthy:
 * **Accuracy** — per-stage time totals derived from spans must agree
   with the independently-maintained :class:`StageStats` recorders.
 * **Cheapness** — with sampling off, the added work is a handful of
-  predicate checks per event; wall-clock overhead stays small.
+  predicate checks per event: no span, no span id, at most one call
+  into :mod:`repro.obs` per processed event.
 """
 
 import hashlib
-import time
+import os
+import sys
 
 import pytest
 
+import repro.obs
 from repro import ClusterConfig, build_cluster
 from repro.actor.actor import Actor
 from repro.actor.calls import Call
@@ -190,28 +193,40 @@ def test_detached_observability_receives_no_more_events():
     assert len(obs.events) == frozen
 
 
-def test_disabled_tracing_overhead_is_small():
-    def timed(sample_rate):
-        best = float("inf")
-        for _ in range(3):
-            exp = HaloExperiment(players=120, num_servers=3, seed=11)
-            if sample_rate is not None:
-                Observability(exp.runtime, sample_rate=sample_rate)
-            exp.workload.start()
-            start = time.perf_counter()
-            exp.runtime.run(until=6.0)
-            best = min(best, time.perf_counter() - start)
-        return best
+def test_disabled_tracing_records_nothing_and_stays_cheap():
+    """The disabled path is a handful of predicate checks per event: it
+    records no span, draws no span id, and enters ``repro.obs`` at most
+    once per processed event (~0.9 on this slice; tracing every request
+    costs ~6 and ~6,600 spans).  A count, not a timing: it cannot flake
+    on a loaded machine, and span recording or per-event work on the
+    disabled path fails it."""
+    exp = HaloExperiment(players=120, num_servers=3, seed=11)
+    obs = Observability(exp.runtime, sample_rate=0.0)
+    span_ids = calls = 0
+    new_span_id = obs.tracer._new_span_id
+    obs_dir = os.path.dirname(repro.obs.__file__) + os.sep
 
-    baseline = timed(None)
-    disabled = timed(0.0)
-    # Budget is ~5%; assert with headroom for CI timer noise.  A real
-    # regression (per-event allocation, span recording on the disabled
-    # path) shows up as 2x+, far beyond this bound.
-    assert disabled < baseline * 1.30, (
-        f"disabled tracing costs {disabled / baseline - 1:.1%} "
-        f"({disabled:.3f}s vs {baseline:.3f}s)"
-    )
+    def counted_span_id():
+        nonlocal span_ids
+        span_ids += 1
+        return new_span_id()
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(obs_dir):
+            calls += 1
+
+    obs.tracer._new_span_id = counted_span_id
+    exp.workload.start()
+    sys.setprofile(profile)
+    try:
+        exp.runtime.run(until=6.0)
+    finally:
+        sys.setprofile(None)
+    events = exp.runtime.sim.events_processed
+    assert obs.spans == [] and span_ids == 0
+    assert obs.tracer.requests_seen > 0   # the hooks were reached
+    assert calls <= events, f"{calls} repro.obs calls for {events} events"
 
 
 def test_double_attach_is_rejected():
