@@ -44,7 +44,7 @@ class MessageKind(Enum):
     RESPONSE = auto()        # response to a CALL or CLIENT_REQUEST
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One message in flight.
 
@@ -86,18 +86,12 @@ class Message:
         The response reuses the request's trace context: a call and its
         response are two legs of the same logical span.
         """
+        # Positional, in field order (keywords cost a dict per call):
+        # no method or args, the default response_size.
         return Message(
-            kind=MessageKind.RESPONSE,
-            target=self.sender,
-            size=size,
-            call_id=self.call_id,
-            sender=self.target,
-            reply_to_server=self.reply_to_server,
-            result=result,
-            created_at=self.created_at,
-            client_tag=self.client_tag,
-            trace=self.trace,
-        )
+            MessageKind.RESPONSE, self.sender, "", (), size, self.call_id,
+            self.target, self.reply_to_server, result, self.created_at,
+            self.client_tag, 128, self.trace)
 
     def __reduce__(self):
         target, sender = self.target, self.sender

@@ -65,14 +65,9 @@ class Silo(SiloCore):
             self.runtime.reject_client_request(message.call_id)
             return
         cost = self.runtime.serialization.deserialize_cost(message.size)
-        event = self.receiver.submit(cost, self._received, message)
+        event = self.receiver.submit(cost, self._route, message)
         if message.trace is not None:
             event.ctx = message.trace
-
-    def _received(self, event: StageEvent, message: Message) -> None:
-        if self.dead:
-            return
-        self._route(message)
 
     # ------------------------------------------------------------------
     # Outbound paths
@@ -123,6 +118,8 @@ class Silo(SiloCore):
     # Turn segments: the worker stage, with modeled compute and wait
     # ------------------------------------------------------------------
     def _pump(self, activation: Activation) -> None:
+        if activation.segment_running or not activation.queue:
+            return
         item = activation.next_eligible()
         if item is None:
             return

@@ -283,8 +283,7 @@ class AsyncioSilo(SiloCore):
     # ------------------------------------------------------------------
     def deliver(self, message: Message) -> None:
         """A message arrives off the transport."""
-        if not self.dead:
-            self._route(message)
+        self._route(None, message)
 
     def _send_remote(self, message: Message, destination: int) -> None:
         if self.dead:
@@ -442,7 +441,7 @@ class AsyncioBackend(ClusterCore):
     def _ingress(self, gateway: AsyncioSilo, destination: int,
                  message: Message) -> None:
         if destination == gateway.server_id:
-            gateway._route(message)
+            gateway._route(None, message)
         else:
             gateway._send_remote(message, destination)
 

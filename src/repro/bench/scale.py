@@ -103,16 +103,6 @@ def run_scale_point(actors: int, horizon: float, actop: bool) -> dict[str, Any]:
         actors, PAPER_REQUEST_RATE, seed=1, actop=config,
         direct_bootstrap=True, lazy_idle_pool=True)
     rt = cluster.runtime
-    issued = 0
-    client_request = rt.client_request
-
-    def counted(*args, **kwargs):
-        nonlocal issued
-        issued += 1
-        return client_request(*args, **kwargs)
-
-    rt.client_request = counted   # every client request the workload sends
-
     boot_start = time.perf_counter()
     workload.start()
     cluster.start()
@@ -163,10 +153,11 @@ def run_scale_point(actors: int, horizon: float, actop: bool) -> dict[str, Any]:
         "activations": sum(len(silo.activations) for silo in rt.silos),
         "population": workload.population,
         "games_started": workload.games_started,
-        "requests_issued": issued,
+        "requests_issued": rt.requests_issued,
         "requests_completed": rt.requests_completed,
         "failed": failed,
-        "lost": issued - rt.requests_completed - failed - rt.inflight_requests,
+        "lost": (rt.requests_issued - rt.requests_completed - failed
+                 - rt.inflight_requests),
         "idle_short_circuits": workload.idle_short_circuits,
         "slices": slices,
         "peak_rss_bytes": peak_rss,

@@ -11,11 +11,12 @@ their meaning.  §5.4 of the paper breaks the processing of one event into
 :class:`CpuPool` provides ``r`` and ``x``: stage threads submit compute
 bursts; with ``p`` processors at most ``p`` bursts run concurrently and the
 rest queue FIFO, accruing ready time.  A stage's work item goes onto a
-core as itself — no burst wraps it — and the pool ends every item with
-its ``on_cpu`` hook (see :class:`CpuBurst`).  Because all stages of a
-server share one pool, allocating more threads to one stage steals
-processor time from the others — exactly the coupling the
-thread-allocation optimization exploits.
+core as itself — no burst wraps it — and when its compute ends the
+engine calls the item's ``on_cpu`` hook directly: the hook releases the
+core and runs the completion in one frame (see :class:`CpuBurst`).
+Because all stages of a server share one pool, allocating more threads
+to one stage steals processor time from the others — exactly the
+coupling the thread-allocation optimization exploits.
 
 Oversubscription cost.  Real kernels charge context-switch and cache-
 pollution overhead when runnable threads exceed cores.  We model it as a
@@ -48,10 +49,13 @@ class CpuBurst:
 
     The pool's work items share one field set: ``dispatch_time`` (entered
     the run queue), ``grant_time`` (started on a core), ``inflated`` (the
-    core time charged) and ``compute_done_time``; the pool ends each item
-    with ``item.on_cpu(item)``.  A SEDA :class:`~repro.seda.stage.StageEvent`
-    is such an item itself; a burst is the one built for every other
-    caller, and its ``on_cpu`` is ``callback(burst, *args)``.
+    core time charged) and ``compute_done_time``.  :meth:`CpuPool._grant`
+    has the engine call ``item.on_cpu(item)`` when the compute ends, and
+    that hook releases the core first.  A SEDA
+    :class:`~repro.seda.stage.StageEvent` is such an item itself (its hook
+    is the stage's completion); a burst is the one built for every other
+    caller, and its hook is :meth:`CpuPool._finish`, which then calls
+    ``callback(burst, *args)``.
     ``ready_time`` is the difference the §5.4 estimator infers but never
     observes directly.
     """
@@ -61,23 +65,22 @@ class CpuBurst:
         "inflated",
         "callback",
         "args",
+        "on_cpu",
         "dispatch_time",
         "grant_time",
         "compute_done_time",
     )
 
-    def __init__(self, compute: float, callback: Callable[..., Any], args: tuple):
+    def __init__(self, compute: float, callback: Callable[..., Any], args: tuple,
+                 on_cpu: Callable[["CpuBurst"], None]):
         self.compute = compute
         self.inflated = compute
         self.callback = callback
         self.args = args
+        self.on_cpu = on_cpu
         self.dispatch_time = 0.0
         self.grant_time = 0.0
         self.compute_done_time = 0.0
-
-    def on_cpu(self, burst: "CpuBurst") -> None:
-        """The pool's end-of-compute hook: the submitter's callback."""
-        self.callback(burst, *self.args)
 
     @property
     def ready_time(self) -> float:
@@ -102,6 +105,9 @@ class CpuPool:
         self.switch_factor = switch_factor
         self.dispatch_overhead = dispatch_overhead
         self.registered_threads = 0
+        # inflation(), kept current by register_threads: _grant reads it
+        # once per item.
+        self._factor = 1.0
         # Fault-injection hook: compute runs `throttle`x slower while a
         # SlowSilo fault is active.  Exactly 1.0 means untouched — the
         # grant path multiplies only when it differs, so fault-free runs
@@ -125,11 +131,12 @@ class CpuPool:
         self.registered_threads += delta
         if self.registered_threads < 0:
             raise ValueError("registered thread count went negative")
+        excess = self.registered_threads - self.processors
+        self._factor = 1.0 + self.switch_factor * excess if excess > 0 else 1.0
 
     def inflation(self) -> float:
         """Current compute-time inflation factor from oversubscription."""
-        excess = max(0, self.registered_threads - self.processors)
-        return 1.0 + self.switch_factor * excess
+        return self._factor
 
     # ------------------------------------------------------------------
     # Work items
@@ -138,7 +145,7 @@ class CpuPool:
         """Submit a compute burst; ``callback(burst, *args)`` fires when done."""
         if compute < 0:
             raise ValueError(f"negative compute time {compute}")
-        burst = CpuBurst(compute, callback, args)
+        burst = CpuBurst(compute, callback, args, self._finish)
         burst.dispatch_time = self.sim.now
         if self._free > 0:
             self._grant(burst)
@@ -147,22 +154,26 @@ class CpuPool:
         return burst
 
     def _grant(self, item) -> None:
-        """Start ``item`` on a free core (the caller checked ``_free``)."""
+        """Start ``item`` on a free core (the caller checked ``_free``);
+        the engine calls ``item.on_cpu(item)`` when its compute ends."""
         self._free -= 1
         sim = self.sim
         item.grant_time = sim.now
-        # Inline inflation(): this runs once per item.
-        excess = self.registered_threads - self.processors
-        factor = 1.0 + self.switch_factor * excess if excess > 0 else 1.0
-        inflated = item.compute * factor + self.dispatch_overhead
+        inflated = item.compute * self._factor + self.dispatch_overhead
         if self.throttle != 1.0:
             inflated *= self.throttle
         item.inflated = inflated
-        sim.defer(inflated, self._finish, item)
+        sim.defer(inflated, item.on_cpu, item)
 
-    def _finish(self, item) -> None:
-        item.compute_done_time = self.sim.now
-        self.busy_time += item.inflated
+    def _finish(self, burst: CpuBurst) -> None:
+        """A burst's ``on_cpu``: release the core, then the callback.
+
+        The release is the one every work item's hook performs first;
+        :meth:`Stage._complete <repro.seda.stage.Stage._complete>` carries
+        the same five statements inline, since it runs once per stage item.
+        """
+        burst.compute_done_time = self.sim.now
+        self.busy_time += burst.inflated
         self.bursts_completed += 1
         self._free += 1
         # The freed core goes to the next queued item before this one's
@@ -170,7 +181,7 @@ class CpuPool:
         queue = self._queue
         if queue:
             self._grant(queue.popleft())
-        item.on_cpu(item)
+        burst.callback(burst, *burst.args)
 
     # ------------------------------------------------------------------
     # Introspection

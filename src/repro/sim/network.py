@@ -10,6 +10,7 @@ lognormal jitter, with deterministic per-link substreams.
 
 from __future__ import annotations
 
+from math import exp
 from typing import Any, Callable, Optional
 
 from .engine import Simulator
@@ -75,8 +76,13 @@ class Network:
         self.messages_sent += 1
         self.bytes_sent += size_bytes
         if self.faults is not None:
-            latency = self.faults.transmit(size_bytes, callback, args, src, dst)
+            return self.faults.transmit(size_bytes, callback, args, src, dst)
+        jitter = self.jitter
+        if jitter <= 0:
+            latency = self.base_latency
         else:
-            latency = self.latency()
-            self.sim.defer(latency, callback, *args)
+            # latency() inlined: lognormvariate(0, s) is exp(normalvariate(0, s)),
+            # so this is the same draw and the same float.
+            latency = self.base_latency * exp(self._rng.normalvariate(0.0, jitter))
+        self.sim.defer(latency, callback, *args)
         return latency

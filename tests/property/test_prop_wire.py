@@ -8,6 +8,7 @@ batches that were framed, however the byte stream was cut into reads.
 """
 
 import copy
+import dataclasses
 import pickle
 import struct
 
@@ -61,7 +62,9 @@ def _comparable(message: Message) -> Message:
         result = (type(result), result.args, sorted(vars(result).items()))
     if trace is not None:
         trace = (trace.trace_id, trace.span_id, trace.parent_id)
-    return Message(**{**vars(message), "result": result, "trace": trace})
+    fields = {f.name: getattr(message, f.name)
+              for f in dataclasses.fields(Message)}
+    return Message(**{**fields, "result": result, "trace": trace})
 
 
 @given(messages)
