@@ -30,6 +30,16 @@ def test_jitter_deterministic_per_seed():
     assert [a.latency() for _ in range(10)] == [b.latency() for _ in range(10)]
 
 
+@pytest.mark.parametrize("jitter", [0.0, 0.1, 0.3])
+def test_delivery_draws_what_latency_draws(jitter):
+    """The fault-free ``deliver`` draws its latency inline; the fault
+    injector calls ``latency()``.  Same seed, same floats, bit for bit."""
+    a = Network(Simulator(), RngRegistry(9), base_latency=0.001, jitter=jitter)
+    b = Network(Simulator(), RngRegistry(9), base_latency=0.001, jitter=jitter)
+    delivered = [a.deliver(100, lambda: None) for _ in range(200)]
+    assert delivered == [b.latency() for _ in range(200)]
+
+
 def test_counters_track_messages_and_bytes():
     sim = Simulator()
     net = Network(sim, RngRegistry(0), jitter=0.0)

@@ -163,3 +163,37 @@ def test_queue_length_property():
         stage.submit(1.0, lambda ev: None)
     assert stage.queue_length == 2
     assert stage.busy_threads == 1
+
+
+@pytest.mark.parametrize("processors", [1, 2])
+def test_stage_releases_the_core_as_the_pool_does(processors):
+    """A stage event's completion releases its core inline; a bare burst's
+    is released by ``CpuPool._finish``.  The same work either way leaves
+    the same core accounting at every completion and at the end, and the
+    pool grants the queued items in the same order at the same instants."""
+    computes = [0.3, 1.0, 0.2, 0.7, 0.5, 0.1]
+
+    def run(through_stage):
+        sim = Simulator()
+        cpu = CpuPool(sim, processors, switch_factor=0.05,
+                      dispatch_overhead=1e-3)
+        cpu.throttle = 1.5
+        seen = []
+
+        def done(item, i):
+            seen.append((i, sim.now, item.grant_time, item.inflated,
+                         cpu.busy_time, cpu.bursts_completed, cpu._free,
+                         len(cpu._queue)))
+
+        if through_stage:
+            stage = Stage(sim, cpu, "s", threads=len(computes))
+            for i, compute in enumerate(computes):
+                stage.submit(compute, done, i)
+        else:
+            cpu.register_threads(len(computes))
+            for i, compute in enumerate(computes):
+                cpu.submit(compute, done, i)
+        sim.run()
+        return seen, cpu.busy_time, cpu.bursts_completed
+
+    assert run(True) == run(False)
