@@ -76,14 +76,6 @@ class Actor:
         self._id = actor_id
         self._server_id = server_id
 
-    @classmethod
-    def compute_cost(cls, method: str) -> float:
-        return cls.COMPUTE.get(method, DEFAULT_COMPUTE)
-
-    @classmethod
-    def wait_cost(cls, method: str) -> float:
-        return cls.WAIT.get(method, 0.0)
-
     # ------------------------------------------------------------------
     # Application-facing
     # ------------------------------------------------------------------

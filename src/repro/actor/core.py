@@ -24,8 +24,6 @@ Two drivers subclass the pair and supply only the mechanics, as plain
 ``_send_remote``          ship a message to another silo, which takes it
                           in through its own ``deliver``
 ``_reply_to_client``      get a client-bound response out of the cluster
-``_arm_deadline``         time out one pending call (default: one clock
-                          timer per call)
 ``_on_down`` / ``_on_up``  release / reopen transport state
 ``_driver_idle``          nothing queued or in flight below the core
 ``load``                  host contention, for pool balancing
@@ -35,7 +33,9 @@ Two drivers subclass the pair and supply only the mechanics, as plain
 ========================  ==============================================
 
 ``ClusterCore`` hooks: ``_ingress`` (a client message enters at a
-gateway), ``send_control`` (one control-plane hop) and ``run``.  The
+gateway), ``send_control`` (one control-plane hop) and ``run``.  Timeouts
+are no hook: each silo's calls and the cluster's client requests have one
+:class:`~repro.actor.timeouts.Deadlines` table on both drivers.  The
 simulator driver is :class:`~repro.actor.runtime.ActorRuntime` +
 :class:`~repro.actor.server.Silo`; the real one is
 :class:`~repro.backend.asyncio_backend.AsyncioBackend` + ``AsyncioSilo``.
@@ -66,6 +66,7 @@ from .activation import Activation, WorkItem
 from .actor import Actor, is_generator_method
 from .calls import All, Call, Sleep, Tell
 from .commtable import CommTable
+from .timeouts import Deadlines
 from .directory import Directory, LocationCache
 from .errors import ActorCrashed, ActorError, CallTimeout, RequestShed
 from .ids import ActorId, ActorRef
@@ -84,13 +85,13 @@ class _ClientRequest:
     """In-flight bookkeeping for one client request.
 
     One instance spans every dispatch attempt; the per-attempt fields
-    (``call_id``, ``timer``, ``trace``) are overwritten by
+    (``call_id``, ``trace``) are overwritten by
     :meth:`ClusterCore._dispatch_attempt`.
     """
 
     __slots__ = ("ref", "method", "args", "size", "response_size",
                  "on_complete", "idempotent", "t0", "deadline_at",
-                 "attempts", "call_id", "timer", "trace", "backoff_timer")
+                 "attempts", "call_id", "trace", "backoff_timer")
 
     def __init__(self, ref: ActorRef, method: str, args: tuple, size: int,
                  response_size: int, on_complete, idempotent: bool,
@@ -106,7 +107,6 @@ class _ClientRequest:
         self.deadline_at = deadline_at
         self.attempts = 0
         self.call_id = -1
-        self.timer = None    # the last attempt's timeout
         self.trace = None    # the live attempt's root trace context
         self.backoff_timer = None
 
@@ -203,6 +203,9 @@ class ClusterCore:
         # call id is absent are late or duplicated and get discarded
         # (counted in late_responses), never double-completed.
         self._inflight: dict[int, _ClientRequest] = {}
+        # Each attempt's timeout, live while its call id is in _inflight.
+        self._deadlines = Deadlines(clock, self._inflight,
+                                    self._client_request_timed_out)
         # Every request between issue and outcome, dispatched or parked
         # in retry backoff — the admission window.  Insertion-ordered, so
         # drop_oldest finds its victim from the stale end.
@@ -522,8 +525,7 @@ class ClusterCore:
             remaining = max(state.deadline_at - now, 0.0)
             timeout = remaining if timeout is None else min(timeout, remaining)
         if timeout is not None:
-            state.timer = self.sim.schedule(
-                timeout, self._client_request_timed_out, call_id, timeout)
+            self._deadlines.add(now + timeout, call_id, timeout)
         self._ingress(gateway, destination, message)
 
     def complete_client_request(self, response: Message) -> None:
@@ -534,8 +536,6 @@ class ClusterCore:
             # network-duplicated delivery: discard, never double-complete.
             self.late_responses += 1
             return
-        if state.timer is not None:
-            state.timer.cancel()
         if state.trace is not None:
             self._end_trace(state, None)
         # Retried requests measure from first issue, not last attempt.
@@ -554,11 +554,9 @@ class ClusterCore:
                 self.obs.tracer.end_request(ctx, error=error)
 
     def _client_request_timed_out(self, call_id: int, timeout: float) -> None:
-        """``timeout`` is the budget this attempt's timer was armed with
+        """``timeout`` is the budget this attempt's deadline was set with
         (``call_timeout``, or what the request deadline left of it)."""
-        state = self._inflight.pop(call_id, None)
-        if state is None:
-            return  # already resolved; stale timer
+        state = self._inflight.pop(call_id)
         # This attempt is dead: its late response, if any, will be
         # discarded via _inflight.
         self._end_trace(state, "timeout")
@@ -657,8 +655,6 @@ class ClusterCore:
         if state is None:
             return  # this attempt already timed out; its request ends there
         self.rejected_requests += 1
-        if state.timer is not None:
-            state.timer.cancel()
         self._end_trace(state, "shed")
         del self._open[state]
         self._shed(state, "receiver_queue", victim_age=self.sim.now - state.t0)
@@ -760,7 +756,8 @@ class SiloCore:
         # call_id -> (continuation, slot) for what this silo's turns
         # await: responses to their calls, and Sleep wake-ups.
         self._pending: dict[int, tuple[_Continuation, int]] = {}
-        self._call_timers: dict[int, Any] = {}
+        self._deadlines = Deadlines(self.sim, self._pending,
+                                    self._call_timed_out)
         self.dead = False
         # Graceful scale-down (repro.autoscale): a draining silo keeps
         # serving its hosted activations but stops being a placement /
@@ -790,15 +787,6 @@ class SiloCore:
         """Carry a client-bound response out of the cluster, into
         ``runtime.complete_client_request``."""
         raise NotImplementedError
-
-    def _arm_deadline(self, call_id: int, issued: float, timeout: float,
-                      target: ActorId, method: str):
-        """Have :meth:`_call_timed_out` fire unless the call, issued at
-        clock time ``issued``, resolves within ``timeout``.  Returns a
-        cancellable handle, or None when the driver needs no cancel (it
-        checks ``_pending`` itself)."""
-        return self.sim.schedule(timeout, self._call_timed_out, call_id,
-                                 target, method, timeout)
 
     def _on_down(self) -> None:
         """The silo left service: drop what the driver holds for it."""
@@ -1095,10 +1083,8 @@ class SiloCore:
             timeout = (call.timeout * runtime.time_scale
                        if call.timeout is not None else default_timeout)
             if timeout is not None:
-                timer = self._arm_deadline(call_id, now, timeout, target,
-                                           call.method)
-                if timer is not None:
-                    self._call_timers[call_id] = timer
+                self._deadlines.add(now + timeout, call_id, target,
+                                    call.method, timeout)
             self._dispatch_request(request)
 
     def _child_trace(self, origin: Message):
@@ -1150,7 +1136,6 @@ class SiloCore:
 
     def _call_timed_out(self, call_id: int, target: ActorId, method: str,
                         timeout: float) -> None:
-        self._call_timers.pop(call_id, None)
         self._resolve_call(
             call_id,
             CallTimeout(target, method, timeout / self.runtime.time_scale),
@@ -1178,9 +1163,6 @@ class SiloCore:
         if obs is not None:
             obs.tracer.call_resolved(
                 call_id, ok=not isinstance(result, ActorError))
-        timer = self._call_timers.pop(call_id, None)
-        if timer is not None:
-            timer.cancel()
         turn, slot = entry
         activation = turn.activation
         activation.pending_calls -= 1
@@ -1329,9 +1311,7 @@ class SiloCore:
             activation.queue.clear()
             activation.segment_running = False
         self.activations.clear()
-        for timer in self._call_timers.values():
-            timer.cancel()
-        self._call_timers.clear()
+        self._deadlines.clear()
         self._pending.clear()
         self._on_down()
         obs = self.runtime.obs

@@ -29,12 +29,8 @@ from .ids import ActorId
 
 __all__ = ["MessageKind", "Message", "next_call_id"]
 
-_call_ids = itertools.count(1)
-
-
-def next_call_id() -> int:
-    """Globally unique call correlation id."""
-    return next(_call_ids)
+#: A globally unique call correlation id per call, entering no Python frame.
+next_call_id = itertools.count(1).__next__
 
 
 class MessageKind(Enum):
@@ -61,7 +57,6 @@ class Message:
             (requests) / is the response's destination (responses).
         result: return value carried by a response.
         created_at: simulated time the message was created.
-        client_tag: opaque cookie for client-request latency accounting.
         trace: optional :class:`~repro.obs.spans.TraceContext` carrying
             the causal-trace lineage; ``None`` means untraced.
     """
@@ -76,7 +71,6 @@ class Message:
     reply_to_server: Optional[int] = None
     result: Any = None
     created_at: float = 0.0
-    client_tag: Any = None
     response_size: int = 128
     trace: Any = None
 
@@ -91,7 +85,7 @@ class Message:
         return Message(
             MessageKind.RESPONSE, self.sender, "", (), size, self.call_id,
             self.target, self.reply_to_server, result, self.created_at,
-            self.client_tag, 128, self.trace)
+            128, self.trace)
 
     def __reduce__(self):
         target, sender = self.target, self.sender
@@ -101,7 +95,7 @@ class Message:
             self.method, self.args, self.size, self.call_id,
             None if sender is None else (sender.actor_type, sender.key),
             self.reply_to_server, self.result, self.created_at,
-            self.client_tag, self.response_size, self.trace))
+            self.response_size, self.trace))
 
 
 _KINDS = {kind._value_: kind for kind in MessageKind}

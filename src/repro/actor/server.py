@@ -22,6 +22,7 @@ from ..seda.server import StagedServer
 from ..sim.cpu import DISPATCH_OVERHEAD
 from ..seda.stage import StageEvent
 from .activation import Activation
+from .actor import DEFAULT_COMPUTE
 from .core import SiloCore
 from .messages import Message, MessageKind
 
@@ -133,8 +134,8 @@ class Silo(SiloCore):
         if continuation is None:
             cls = type(activation.instance)
             scale = runtime.time_scale
-            compute += cls.compute_cost(value.method) * scale
-            wait = cls.wait_cost(value.method) * scale
+            compute += cls.COMPUTE.get(value.method, DEFAULT_COMPUTE) * scale
+            wait = cls.WAIT.get(value.method, 0.0) * scale
             trace = value.trace
         else:
             compute += runtime.resume_compute

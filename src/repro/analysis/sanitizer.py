@@ -58,8 +58,8 @@ __all__ = [
     "detect_order_dependence",
 ]
 
-# The single armed sanitizer (or None).  Hooks in the engine, stages,
-# silos, and the Actor base consult this — or a cached reference to it —
+# The single armed sanitizer (or None).  Hooks in the stages, silos,
+# and the Actor base consult this — or a cached reference to it —
 # only after a cheap None check, so the disarmed cost is one attribute
 # load per hook site.
 _ACTIVE: Optional["Sanitizer"] = None
@@ -189,7 +189,7 @@ class Sanitizer:
         self.rng_draws: Counter = Counter()
         self.payload_events: list[PayloadEvent] = []
         self.accesses = 0
-        self.events_seen = 0
+        self._events_at_wire = 0
         self._armed = False
         self._saved_setattr = None
         self._saved_getattribute = None
@@ -222,7 +222,7 @@ class Sanitizer:
 
         Separate from :meth:`arm` so callers can arm *before* building
         the experiment — RNG streams are wrapped at creation time — and
-        wire the engine/silo/stage hooks once the cluster exists.
+        wire the silo/stage hooks once the cluster exists.
         """
         if not self._armed:
             raise RuntimeError("wire() before arm()")
@@ -231,7 +231,7 @@ class Sanitizer:
             sim = runtime.sim
         if sim is not None:
             self.sim = sim
-            self.hook(sim)
+            self._events_at_wire = sim.events_processed
         if runtime is not None:
             for silo in runtime.silos:
                 self.hook(silo)
@@ -315,10 +315,6 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # Access recording (called by the instrumented runtime)
     # ------------------------------------------------------------------
-    def on_event(self) -> None:
-        """Engine hook: one simulator event fired while armed."""
-        self.events_seen += 1
-
     def push_context(self, label: str) -> None:
         """Attribute subsequent accesses to ``label`` (activation/stage)."""
         self._context.append(label)
@@ -438,7 +434,9 @@ class Sanitizer:
         conflicts, hazards = self._derive()
         return {
             "ok": not conflicts and not self.payload_events,
-            "events_seen": self.events_seen,
+            # Simulator events since wire(), by the engine's own count.
+            "events_seen": (0 if self.sim is None else
+                            self.sim.events_processed - self._events_at_wire),
             "accesses": self.accesses,
             "distinct_sites": len(self._records),
             "rng_draws": dict(sorted(self.rng_draws.items())),

@@ -9,7 +9,7 @@ implementation for both engines; this module supplies what differs:
 ==========================  =============================================
 core hook                   asyncio driver
 ==========================  =============================================
-the clock                   ``WallClock``: ``loop.time()``, ``call_later``
+the clock                   ``WallClock``: ``loop.time()``, ``call_later/at``
 ``_pump`` (a turn segment   one ``ready`` deque per silo under one armed
 gets a processor)           ``call_soon``; a segment is a plain function
                             stepping the generator to its next yield
@@ -18,9 +18,7 @@ gets a processor)           ``call_soon``; a segment is a plain function
                             ``pickle`` bytes on ``tcp`` / ``inproc-copy``
 ``_reply_to_client``        the response completes the request at once
 ``_ingress``                the gateway routes it, or ships it on
-``_arm_deadline``           one ``(deadline, call_id)`` heap per silo:
-                            lazy deletion, one armed timer
-``_on_down``                clear ready/heap, close the silo's sockets
+``_on_down``                clear ready, close the silo's sockets
 ``send_control``            ``loop.call_soon``
 ==========================  =============================================
 
@@ -60,12 +58,10 @@ import pickle
 import struct
 from collections import deque
 from dataclasses import replace
-from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
 from ..actor.activation import Activation
 from ..actor.core import ClusterCore, SiloCore
-from ..actor.ids import ActorId
 from ..actor.messages import Message
 from ..actor.runtime import ClusterConfig
 from ..analysis.sanitizer import current as _sanitizer_current
@@ -88,9 +84,9 @@ _TRANSPORTS = ("inproc", "inproc-copy", "tcp")
 class WallClock:
     """Wall time rebased to 0 at backend construction.
 
-    Speaks the simulator's ``now``/``schedule``/``defer`` vocabulary, so
-    timer-based code (fault plans, report loops) runs against either
-    engine.
+    Speaks the simulator's ``now``/``schedule``/``defer``/``at``
+    vocabulary, so timer-based code (fault plans, report loops, deadline
+    tables) runs against either engine.
     """
 
     __slots__ = ("_loop", "_t0")
@@ -109,6 +105,9 @@ class WallClock:
     # The simulator distinguishes cancellable timers (schedule) from
     # fire-and-forget deferrals; on a real loop both are call_later.
     defer = schedule
+
+    def at(self, time: float, fn: Callable[..., Any], *args: Any):
+        return self._loop.call_at(self._t0 + time, fn, *args)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"WallClock(now={self.now:.3f})"
@@ -222,8 +221,7 @@ class _PeerLink(asyncio.Protocol):
 
 
 class AsyncioSilo(SiloCore):
-    """One silo: a ready deque for turn segments, a deadline heap, and
-    an optional TCP port."""
+    """One silo: a ready deque for turn segments, an optional TCP port."""
 
     def __init__(self, runtime: "AsyncioBackend", server_id: int):
         super().__init__(runtime, server_id)
@@ -232,12 +230,6 @@ class AsyncioSilo(SiloCore):
         # drained by one armed call_soon(_drain).
         self.ready: deque[tuple] = deque()
         self.armed = False
-        # Timeouts of the calls in ``_pending`` as a (deadline, call_id,
-        # target, method, timeout) min-heap with lazy deletion (an
-        # answered call's entry stays until it surfaces or the heap is
-        # rebuilt) under one timer.
-        self.deadlines: list[tuple] = []
-        self.deadline_timer: Optional[asyncio.TimerHandle] = None
         # destination silo -> outbound link (its outbox + connection);
         # and the links this silo's server accepted.
         self.peers: dict[int, _PeerLink] = {}
@@ -306,52 +298,10 @@ class AsyncioSilo(SiloCore):
             self.runtime.complete_client_request(response)
 
     # ------------------------------------------------------------------
-    # Call deadlines: one heap, one timer
-    # ------------------------------------------------------------------
-    def _arm_deadline(self, call_id: int, issued: float, timeout: float,
-                      target: ActorId, method: str) -> None:
-        deadlines, pending = self.deadlines, self._pending
-        if len(deadlines) > 2 * len(pending) + 62:
-            # Mostly answered calls by now (beyond twice the other
-            # pending ones + 64): keep what is pending.
-            deadlines[:] = [d for d in deadlines if d[1] in pending]
-            heapify(deadlines)
-        heappush(deadlines,
-                 (issued + timeout, call_id, target, method, timeout))
-        if deadlines[0][1] == call_id:  # the new earliest: (re)arm
-            if self.deadline_timer is not None:
-                self.deadline_timer.cancel()
-            self.deadline_timer = self.loop.call_later(timeout, self._expire)
-
-    def _expire(self) -> None:
-        """The deadline timer: time out every pending call that is due,
-        skip answered ones, re-arm for the earliest still pending."""
-        self.deadline_timer = None
-        deadlines, pending = self.deadlines, self._pending
-        now = self.sim.now
-        while deadlines:
-            deadline, call_id, *call = deadlines[0]
-            if call_id in pending:
-                if deadline > now:
-                    self.deadline_timer = self.loop.call_later(
-                        deadline - now, self._expire)
-                    return
-                self._call_timed_out(call_id, *call)
-            heappop(deadlines)
-
-    def _disarm(self) -> None:
-        """Nothing is pending: drop answered calls' entries and the timer."""
-        self.deadlines.clear()
-        if self.deadline_timer is not None:
-            self.deadline_timer.cancel()
-            self.deadline_timer = None
-
-    # ------------------------------------------------------------------
     # Membership, idleness, load
     # ------------------------------------------------------------------
     def _on_down(self) -> None:
         self.ready.clear()
-        self._disarm()
         self._close_transport()
 
     def _on_up(self) -> None:
@@ -550,9 +500,10 @@ class AsyncioBackend(ClusterCore):
                     # Two consecutive idle observations: tcp frames and
                     # armed drains get a chance to land.
                     settled += 1
-                    if settled >= 2:
-                        for silo in self.silos:
-                            silo._disarm()
+                    if settled >= 2:  # what the tables hold was answered
+                        for table in (self._deadlines,
+                                      *(s._deadlines for s in self.silos)):
+                            table.clear()
                         return True
                 else:
                     settled = 0

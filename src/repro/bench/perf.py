@@ -62,8 +62,8 @@ def bench_cancellation(events: int = 100_000) -> tuple[int, float, dict]:
 
     def tick() -> None:
         fired[0] += 1
-        timer = sim.schedule(10.0, noop)  # per-call timeout timer ...
-        timer.cancel()                    # ... almost always cancelled
+        timer = sim.schedule(10.0, noop)  # a timer armed ...
+        timer.cancel()                    # ... and cancelled before due
         if fired[0] < events:
             sim.schedule(0.001, tick)
 

@@ -309,20 +309,17 @@ class Stage:
         if self._queue:
             self._dispatch()
         san = self._san
-        if san is None:
-            for observer in self.observers:
-                observer(self, event)
-            event.callback(event, *event.args)
-            return
-        # Sanitizer armed: attribute the callback (and anything it touches)
-        # to this stage unless a finer-grained context is pushed inside.
-        san.push_context(f"stage:{self.name}")
+        if san is not None:
+            # Attribute the callback (and anything it touches) to this
+            # stage unless a finer-grained context is pushed inside.
+            san.push_context(f"stage:{self.name}")
         try:
             for observer in self.observers:
                 observer(self, event)
             event.callback(event, *event.args)
         finally:
-            san.pop_context()
+            if san is not None:
+                san.pop_context()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -403,31 +403,41 @@ def test_sleeping_turn_of_a_failed_then_restarted_silo_never_resumes():
 
 
 def test_deadline_heap_stays_compact_and_disarms_when_idle():
-    cluster, be = _turn_cluster()
-    with cluster:
-        be.spawn(be.ref("counter", 0), server=1)
-        hammer = be.ref("turn", "hammer")
-        be.spawn(hammer, server=0)
-        silo = be.silos[0]
-        worst = []
+    # One deadline table per silo (and one for client requests), the
+    # same code on both drivers.  A simulated round trip takes ~2 ms, so
+    # the simulator runs fewer calls, all answered within the timeout.
+    for backend, calls in (("sim", 1_000), ("asyncio", 10_000)):
+        cluster, be = _turn_cluster(backend=backend, call_timeout=5.0)
+        with cluster:
+            be.spawn(be.ref("counter", 0), server=1)
+            hammer = be.ref("turn", "hammer")
+            be.spawn(hammer, server=0)
+            silo = be.silos[0]
+            table = silo._deadlines
+            worst = []
 
-        def sample():
-            worst.append(len(silo.deadlines) - 2 * len(silo._pending))
-            if be.inflight_requests:
-                be.sim.schedule(0.002, sample)
+            def sample():
+                worst.append(len(table.heap) - 2 * len(silo._pending))
+                if be.inflight_requests:
+                    be.sim.schedule(0.002, sample)
 
-        be.sim.schedule(0.002, sample)
-        assert _call(be, hammer, "hammer", 10_000) == 10_000
-        # 10,000 answered calls under the default 5 s timeout: none of
-        # their deadlines has come due, yet the heap never held more
-        # than the pending calls twice over plus the compaction slack.
-        assert be.call_timeout == 5.0 and len(worst) > 10
-        assert max(worst) <= 65 and max(worst) > 0  # compaction did run
-        assert len(silo.deadlines) <= 2 * len(silo._pending) + 65
-        assert be.run_until_idle()
-        for s in be.silos:
-            assert s.idle and not s.deadlines and s.deadline_timer is None
-        assert be.turns_run >= 2 * 10_000 and 0 < be.turn_drains <= be.turns_run
+            be.sim.schedule(0.002, sample)
+            assert _call(be, hammer, "hammer", calls) == calls
+            # Answered calls under a 5 s timeout: none of their
+            # deadlines came due while they ran, yet the heap never held
+            # more than the pending calls twice over plus the slack.
+            assert be.call_timeout == 5.0 and len(worst) > 10, backend
+            assert 0 < max(worst) <= 65, backend  # compaction did run
+            if backend == "asyncio":
+                assert len(table.heap) <= 2 * len(silo._pending) + 65
+                assert be.run_until_idle()
+                assert be.turns_run >= 2 * calls
+                assert 0 < be.turn_drains <= be.turns_run
+            # The simulator ran on to the last deadline, which found
+            # every entry answered; asyncio's run_until_idle cleared them.
+            for t in (be._deadlines, *(s._deadlines for s in be.silos)):
+                assert not t.heap and t.timer is None, backend
+            assert all(s.idle for s in be.silos)
 
 
 def test_plain_unknown_and_misyielding_methods():

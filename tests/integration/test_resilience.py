@@ -12,8 +12,10 @@ pre-layering flat forms are rejected by Python's own ``TypeError``.
 import pytest
 
 from repro.actor.actor import Actor
-from repro.actor.calls import Sleep
+from repro.actor.calls import Call, Sleep
+from repro.actor.timeouts import Deadlines
 from repro.actor.errors import CallTimeout, RequestShed
+from repro.actor.ids import ActorRef
 from repro.actor.runtime import ActorRuntime, ClusterConfig
 from repro.cluster import build_cluster
 from repro.core.actop import ActOp
@@ -420,6 +422,106 @@ def test_asyncio_request_deadline_caps_the_retry_storm(transport, monkeypatch):
         assert latency == 0.2 and "timed out after 0.2s" in str(result)
         assert be.requests_timed_out == 1 and be.request_retries <= 3
         assert be.run_until_idle() and be.inflight_requests == 0
+
+
+# ----------------------------------------------------------------------
+# The deadline table: every call and client-request timeout, one heap
+# per silo and one per cluster under one timer each, on both drivers.
+# ----------------------------------------------------------------------
+class Asker(Actor):
+    def ask(self, duration, timeout):
+        try:
+            return (yield Call(ActorRef("napper", 0), "nap", duration,
+                               timeout=timeout))
+        except CallTimeout as error:
+            return error
+
+
+def _deadline_runtime(seed, call_timeout):
+    rt = ActorRuntime(ClusterConfig(num_servers=2, seed=seed),
+                      resilience=ResilienceConfig(call_timeout=call_timeout))
+    rt.register_actor("asker", Asker)
+    rt.register_actor("napper", Napper)
+    rt.spawn(rt.ref("asker", 0), server=0)
+    rt.spawn(rt.ref("napper", 0), server=1)
+    return rt
+
+
+def test_call_and_client_timeouts_fire_at_issue_plus_timeout(monkeypatch):
+    """Each timeout fires at the float ``issued + timeout`` that a timer
+    of its own, scheduled ``timeout`` after issue, would have fired at."""
+    armed, fired = {}, []
+    add = Deadlines.add
+
+    def spy(table, deadline, call_id, *payload):
+        armed[call_id] = (table.clock.now, payload[-1], deadline)
+        add(table, deadline, call_id, *payload)
+
+    monkeypatch.setattr(Deadlines, "add", spy)
+    rt = _deadline_runtime(seed=7, call_timeout=0.3)
+    tables = {"client": rt._deadlines}
+    tables.update((f"silo{s.server_id}", s._deadlines) for s in rt.silos)
+    for name, table in tables.items():
+        def fire(call_id, *payload, name=name, inner=table.fire):
+            fired.append((name, call_id, rt.sim.now))
+            inner(call_id, *payload)
+        table.fire = fire
+    results = []
+    # The inner call times out after 20 ms; the client's own 0.3 s
+    # timeout fires before the inner call's default 0.3 s one.
+    _request(rt, rt.ref("asker", 0), "ask", results, args=(1.0, 0.02))
+    _request(rt, rt.ref("asker", 0), "ask", results, args=(1.0, None))
+    rt.run()
+    assert [type(r) for r in results] == [CallTimeout, CallTimeout]
+    assert rt.requests_completed == 1 and rt.requests_timed_out == 1
+    assert {name for name, _, _ in fired} == {"client", "silo0"}
+    for _, call_id, at in fired:
+        issued, timeout, deadline = armed[call_id]
+        assert at == deadline == issued + timeout
+    assert sorted(t for _, t, _ in armed.values()) == [0.02, 0.3, 0.3, 0.3]
+    assert len(fired) == 3  # the answered request's entry never fires
+
+
+@pytest.mark.parametrize("backend", ["sim", "asyncio"])
+def test_a_timeout_that_issues_the_next_request_ends_each_once(backend):
+    """A closed loop: each request's timeout issues the next one from
+    inside the table's own timer, which re-arms the same table."""
+    cluster = build_cluster(ClusterConfig(num_servers=2, seed=8),
+                            backend=backend,
+                            resilience=ResilienceConfig(call_timeout=0.01))
+    with cluster:
+        be = cluster.runtime
+        be.register_actor("napper", Napper)
+        cluster.start()
+        ended = []
+
+        def issue(n):
+            be.client_request(be.ref("napper", 0), "nap", 0.05,
+                              on_complete=lambda _lat, res: end(n, res))
+
+        def end(n, result):
+            ended.append((n, type(result)))
+            if n < 19:
+                issue(n + 1)
+
+        issue(0)
+        cluster.run()
+        assert ended == [(n, CallTimeout) for n in range(20)]
+        assert be.requests_timed_out == 20 and be.requests_completed == 0
+        assert be.inflight_requests == 0
+        assert not be._deadlines.heap and be._deadlines.timer is None
+
+
+def test_a_crashed_silo_leaves_an_empty_deadline_table():
+    rt = _deadline_runtime(seed=9, call_timeout=0.5)
+    rt.client_request(rt.ref("asker", 0), "ask", 1.0, None)
+    rt.run(until=0.1)
+    table = rt.silos[0]._deadlines
+    assert table.heap and table.timer is not None  # the asker's call
+    rt.fail_silo(0)
+    assert not table.heap and table.timer is None
+    rt.run()
+    assert rt.requests_timed_out == 1 and rt.inflight_requests == 0
 
 
 # ----------------------------------------------------------------------

@@ -134,9 +134,12 @@ def test_instrumented_paths_reproduce_the_pins(instrument):
 # CPython 3.11.7 under any PYTHONHASHSEED.  60 of those are list
 # comprehensions, which CPython 3.12 runs inline (PEP 709), so they are
 # not counted: 29,208 on every interpreter whose calls are otherwise the
-# same frames (3.10 and 3.12 are not measured here).  One more frame per
-# stage item reads ~31,300.
-MINI_CALLS = 29_300
+# same frames.  Pricing a turn from the cost tables inline and taking
+# call ids from the counter's own __next__ removed 1,772 of them on
+# 3.11.7 (27,436), so the bound fell by as many; one more frame per
+# stage item reads ~29,600.  The test prints its count, and CI runs it
+# with -s on 3.10, 3.11 and 3.12.
+MINI_CALLS = 27_528
 
 _FRAME_COUNT = """
 import os, sys
@@ -170,6 +173,8 @@ def test_message_path_frame_budget():
                           capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=src))
     events, calls = map(int, proc.stdout.split())
+    print(f"\nmini slice on Python {sys.version.split()[0]}: "
+          f"events {events}, calls {calls} (bound {MINI_CALLS})")
     assert events == MINI_EVENTS
     assert calls <= MINI_CALLS, f"{calls} calls for {MINI_EVENTS} events"
 

@@ -48,7 +48,6 @@ messages = st.builds(
     reply_to_server=st.one_of(st.none(), st.integers(0, 63)),
     result=_results,
     created_at=st.floats(0.0, 1e6),
-    client_tag=_payloads,
     response_size=st.integers(0, 2**20),
     trace=_traces,
 )

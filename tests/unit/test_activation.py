@@ -183,7 +183,7 @@ def test_drivers_do_not_reimplement_the_core():
     from repro.backend.asyncio_backend import AsyncioBackend, AsyncioSilo
 
     silo_hooks = {"_pump", "_send_remote", "_reply_to_client",
-                  "_arm_deadline", "_on_down", "_on_up", "_driver_idle",
+                  "_on_down", "_on_up", "_driver_idle",
                   "load", "stages"}
     cluster_hooks = {"name", "_ingress", "send_control", "run", "start",
                      "shutdown"}
@@ -210,6 +210,6 @@ def test_drivers_do_not_reimplement_the_core():
             assert not owned & set(vars(driver)), (
                 driver.__name__, sorted(owned & set(vars(driver))))
             # ...and every hook the core only declares is filled in.
-            optional = {"_arm_deadline", "_on_down", "_on_up", "stages",
+            optional = {"_on_down", "_on_up", "stages",
                         "start", "shutdown"}
             assert hooks - optional <= set(vars(driver)), driver.__name__

@@ -6,6 +6,7 @@ from repro.actor.actor import Actor, DEFAULT_COMPUTE
 from repro.actor.calls import All, Call, Sleep
 from repro.actor.ids import ActorId, ActorRef
 from repro.actor.messages import Message, MessageKind, next_call_id
+from repro.actor.runtime import ActorRuntime, ClusterConfig
 
 
 def test_refs_compare_by_identity():
@@ -75,11 +76,38 @@ class Worker(Actor):
     WAIT = {"slocking": 0.5}
 
 
-def test_compute_and_wait_cost_lookup():
-    assert Worker.compute_cost("fast") == 1e-6
-    assert Worker.compute_cost("other") == DEFAULT_COMPUTE
-    assert Worker.wait_cost("slocking") == 0.5
-    assert Worker.wait_cost("fast") == 0.0
+class Priced(Worker):
+    def fast(self):
+        return 1
+
+    def slocking(self):
+        return 2
+
+    def other(self):
+        return 3
+
+
+def test_a_turn_is_priced_from_the_cost_tables_or_the_default():
+    """The simulator's worker stage prices a fresh turn from its class's
+    ``COMPUTE`` and ``WAIT``; a method missing from them costs
+    ``DEFAULT_COMPUTE`` and no wait, scaled by ``time_scale`` like the
+    rest."""
+    rt = ActorRuntime(ClusterConfig(num_servers=1, seed=1, time_scale=2.0))
+    rt.register_actor("priced", Priced)
+    worker = rt.silos[0].worker
+    submit, priced = worker.submit, []
+
+    def spy(compute, callback, *args, wait=0.0):
+        priced.append((compute, wait))
+        return submit(compute, callback, *args, wait=wait)
+
+    worker.submit = spy
+    for method in ("fast", "slocking", "other"):
+        rt.send(rt.ref("priced", 0), method)
+        rt.run()
+    assert priced == [(1e-6 * 2.0, 0.0),
+                      (DEFAULT_COMPUTE * 2.0, 0.5 * 2.0),
+                      (DEFAULT_COMPUTE * 2.0, 0.0)]
 
 
 def test_actor_requires_activation_for_id():

@@ -130,6 +130,24 @@ def test_disarmed_actor_writes_are_unrecorded():
     assert san.accesses == 0
 
 
+def test_events_seen_is_the_engines_count_since_wire():
+    from repro.bench.harness import HaloExperiment
+
+    san = Sanitizer()
+    with san.armed():
+        exp = HaloExperiment(players=40, num_servers=2, seed=5)
+        exp.workload.start()
+        exp.cluster.start()
+        rt = exp.runtime
+        rt.run(until=0.5)                  # before wire(): not counted
+        san.wire(exp.cluster)
+        start = rt.sim.events_processed
+        rt.run(until=1.0)
+        window = rt.sim.events_processed - start
+        assert window > 0 and san.report()["events_seen"] == window
+    assert san.report()["events_seen"] == window
+
+
 def test_report_schema():
     report = Sanitizer().report()
     assert set(report) == {"ok", "events_seen", "accesses", "distinct_sites",
