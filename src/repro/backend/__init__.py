@@ -1,8 +1,8 @@
 """``repro.backend``: one actor API, one runtime core, two engines.
 
 * :class:`AsyncioBackend` — the real runtime: the asyncio driver of
-  :mod:`repro.actor.core` — a ready deque per silo, TCP (or in-process)
-  transport between silos, wall-clock timers.
+  :mod:`repro.actor.core` — ready deques run by one loop callback per
+  iteration, TCP (or in-process) transport, wall-clock timers.
 * :class:`SupervisionPolicy` — crash handling (restart / stop /
   escalate), applied by the core under either engine.  One
   :class:`~repro.faults.injector.FaultInjector` drives both as well.

@@ -10,10 +10,11 @@ implementation for both engines; this module supplies what differs:
 core hook                   asyncio driver
 ==========================  =============================================
 the clock                   ``WallClock``: ``loop.time()``, ``call_later/at``
-``_pump`` (a turn segment   one ``ready`` deque per silo under one armed
-gets a processor)           ``call_soon``; a segment is a plain function
+``_pump`` (a turn segment   one ``ready`` deque per silo, listed for the
+gets a processor)           backend's tick; a segment is a plain function
                             stepping the generator to its next yield
-``_send_remote``            TCP frames (below), or in process a direct
+``_send_remote``            TCP frames written when the batch that queued
+                            them ends (below), or in process a direct
                             ``deliver`` (which only queues work); real
                             ``pickle`` bytes on ``tcp`` / ``inproc-copy``
 ``_reply_to_client``        the response completes the request at once
@@ -37,13 +38,14 @@ The TCP wire form: a frame is a ``>I`` byte length followed by the
 (silo, destination) pair has one :class:`_PeerLink` — one outbox, one
 connection, at most one connect in flight — so messages between a pair
 of silos are delivered in send order (per-pair FIFO; a link that dies
-loses what it had queued).  Flow control: one ``call_soon`` flush per
-loop iteration writes the whole outbox as one frame; when the transport
-calls ``pause_writing`` messages stay in the outbox until
-``resume_writing``.  The receiving side parses complete frames out of
-``data_received`` and hands each message to ``silo.deliver`` — no task
-per send, no coroutine per frame; a frame that will not unpickle is
-counted in ``pickle_copy_failures`` and skipped, not fatal to the link.
+loses what it had queued).  Turns run in batches, and a batch writes
+each outbox it filled as one frame when it ends: the backend's tick (one
+``call_soon`` per loop iteration) runs every listed silo's ready batch,
+and ``data_received`` runs the segments a read's messages made ready at
+once, so a hop costs a read, not a read and a callback.  No task per
+send, no coroutine per frame; a frame that will not unpickle is
+counted in ``pickle_copy_failures`` and skipped, not fatal to the link;
+after ``pause_writing`` the outbox waits for ``resume_writing``.
 
 Supervision (:mod:`repro.backend.supervision`) is the core's; what
 differs here is the default: with no policy given the simulator raises
@@ -131,20 +133,20 @@ def _parse_frames(buffer: bytes) -> tuple[list[bytes], bytes]:
 class _PeerLink(asyncio.Protocol):
     """One end of one silo-to-silo TCP connection (they are one-way).
 
-    Outbound (``destination`` set): ``send`` appends to ``outbox`` and a
-    single ``call_soon`` flush per loop iteration writes everything
-    queued as one frame, so messages to one peer leave in send order on
-    one connection — the per-pair FIFO guarantee.  While the connect is
-    in flight or the transport has paused writing, messages wait in the
-    outbox; ``connection_made``/``resume_writing`` flush them.  Inbound
-    (accepted by ``silo``'s server): ``data_received`` hands every
-    message of every complete frame straight to ``silo.deliver``.
+    Outbound (``destination`` set): ``send`` appends to ``outbox``; the
+    end of the batch (or of the tick a send outside one arms) writes it
+    as one frame, so messages to one peer leave in send order on one
+    connection — the per-pair FIFO guarantee.  While the connect is in
+    flight or writing is paused, messages wait in the outbox;
+    ``connection_made``/``resume_writing`` flush them.  Inbound: each
+    ``data_received`` is a batch that delivers every message of every
+    complete frame to ``silo`` and runs the segments they made ready.
     """
 
     def __init__(self, silo: "AsyncioSilo", destination: Optional[int] = None,
                  port: Optional[int] = None):
         self.silo = silo
-        self.loop = silo.loop
+        self.loop = silo.runtime._loop
         self.destination = destination
         self.port = port
         self.transport: Optional[asyncio.Transport] = None
@@ -185,10 +187,10 @@ class _PeerLink(asyncio.Protocol):
         self.flush()
 
     def send(self, message: Message) -> None:
-        # Invariant: a non-empty outbox on a writable link has a flush
-        # scheduled; an unwritable one is flushed by resume_writing.
-        if self.writable and not self.outbox:
-            self.loop.call_soon(self.flush)
+        # A non-empty outbox is listed, or waits for resume_writing.
+        if not self.outbox:
+            self.silo.runtime._links.append(self)
+            self.silo.runtime._arm()
         self.outbox.append(message)
 
     def flush(self) -> None:
@@ -200,17 +202,39 @@ class _PeerLink(asyncio.Protocol):
 
     def data_received(self, data: bytes) -> None:
         payloads, self.buffer = _parse_frames(self.buffer + data)
-        deliver = self.silo.deliver
-        for payload in payloads:
-            try:
-                batch = pickle.loads(payload)
-            except Exception:  # noqa: BLE001 — pickle raises many types
-                # A frame that will not decode is lost and counted; the
-                # link and the frames behind it carry on.
-                self.silo.runtime.pickle_copy_failures += 1
-                continue
-            for message in batch:
-                deliver(message)
+        if not payloads:
+            return  # no complete frame: nothing runs, nothing is written
+        silo = self.silo
+        runtime = silo.runtime
+        # While the batch is open, sends only list links, pumps only queue.
+        ticking, runtime._ticking = runtime._ticking, True
+        listed, silo.armed = silo.armed, True
+        try:
+            deliver = silo.deliver
+            for payload in payloads:
+                try:
+                    batch = pickle.loads(payload)
+                except Exception:  # noqa: BLE001 — pickle raises many types
+                    # A frame that will not decode is lost and counted;
+                    # the link and the frames behind it carry on.
+                    runtime.pickle_copy_failures += 1
+                    continue
+                for message in batch:
+                    deliver(message)
+            silo._drain()
+        except Exception as error:  # noqa: BLE001 — raised, it kills the link
+            self.loop.call_exception_handler(
+                {"message": "receive batch failed", "exception": error})
+        finally:
+            if not listed:  # what the batch's turns made ready: next tick
+                if silo.ready:
+                    runtime._silos.append(silo)
+                else:
+                    silo.armed = False
+            runtime._write()
+            runtime._ticking = ticking
+            if runtime._silos:
+                runtime._arm()
 
     def close(self) -> None:
         self.connection_lost(None)  # drop and deregister now, not a tick later
@@ -225,9 +249,8 @@ class AsyncioSilo(SiloCore):
 
     def __init__(self, runtime: "AsyncioBackend", server_id: int):
         super().__init__(runtime, server_id)
-        self.loop = runtime._loop
-        # (activation, work item) segments that have their processor,
-        # drained by one armed call_soon(_drain).
+        # (activation, work item) segments that have their processor;
+        # armed: listed for the tick, or in a receive batch of its own.
         self.ready: deque[tuple] = deque()
         self.armed = False
         # destination silo -> outbound link (its outbox + connection);
@@ -250,25 +273,21 @@ class AsyncioSilo(SiloCore):
         self.ready.append((activation, item))
         if not self.armed:
             self.armed = True
-            self.loop.call_soon(self._drain)
+            self.runtime._silos.append(self)
+            self.runtime._arm()
 
     def _drain(self) -> None:
-        """Run what was ready on entry; later arrivals get the next loop
-        iteration, so sockets and timers are polled between batches and
-        no turn runs inside its sender's stack frame."""
+        """Run what was ready on entry; later arrivals wait for the next
+        tick, so sockets and timers are polled between batches and no
+        turn runs inside its sender's stack frame."""
         ready = self.ready
         batch = len(ready)
-        self.runtime.turn_drains += 1
-        self.runtime.turns_run += batch
-        try:
-            while batch and ready:  # fail() mid-batch empties ``ready``
-                batch -= 1
-                self._segment_done(None, *ready.popleft())
-        finally:
-            if ready:
-                self.loop.call_soon(self._drain)
-            else:
-                self.armed = False
+        if batch:
+            self.runtime.turn_drains += 1
+            self.runtime.turns_run += batch
+        while batch and ready:  # fail() mid-batch empties ``ready``
+            batch -= 1
+            self._segment_done(None, *ready.popleft())
 
     # ------------------------------------------------------------------
     # Messages in and out
@@ -373,6 +392,10 @@ class AsyncioBackend(ClusterCore):
         except ValueError:   # a rejected config: release the loop
             self._loop.close()
             raise
+        # The tick's lists: silos with ready segments, links with output.
+        self._silos: list[AsyncioSilo] = []
+        self._links: list[_PeerLink] = []
+        self._ticking = False   # a tick is armed, or a batch is open
         self.silos = [AsyncioSilo(self, i)
                       for i in range(self.config.num_servers)]
         self._ports: dict[int, int] = {}
@@ -429,6 +452,33 @@ class AsyncioBackend(ClusterCore):
             link.connect_task = self._loop.create_task(
                 link.connect(), name=f"connect:{silo.server_id}->{destination}")
         link.send(message)
+
+    def _tick(self) -> None:
+        """Run each listed silo's ready batch, then write each outbox."""
+        silos, self._silos = self._silos, []
+        try:
+            for silo in silos:
+                silo._drain()
+        finally:
+            for silo in silos:  # re-list what a drain left
+                if silo.ready:
+                    self._silos.append(silo)
+                else:
+                    silo.armed = False
+            self._write()
+            self._ticking = False
+            if self._silos:
+                self._arm()
+
+    def _arm(self) -> None:
+        if not self._ticking:
+            self._ticking = True
+            self._loop.call_soon(self._tick)
+
+    def _write(self) -> None:
+        links, self._links = self._links, []
+        for link in links:
+            link.flush()
 
     def _encode_batch(self, batch: list[Message]) -> bytes:
         """Pickle one frame's worth of messages.  An unserializable

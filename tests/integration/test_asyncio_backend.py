@@ -2,8 +2,14 @@
 faults, the turn vocabulary, and the build_cluster layer x driver
 matrix."""
 
+import os
+import subprocess
+import sys
+from typing import Callable
+
 import pytest
 
+import repro
 from repro import (
     ActorCrashed,
     ActorError,
@@ -678,6 +684,395 @@ def test_tcp_fail_restart_reconnects_and_leaves_no_outbox():
         assert new_link is not old_link and new_link.port == be._ports[1]
         assert not any(link.outbox for silo in be.silos
                        for link in silo.peers.values())
+
+
+# ----------------------------------------------------------------------
+# Batches: one tick per loop iteration, and the receive batch
+# ----------------------------------------------------------------------
+class TickActor(Actor):
+    """``LOG`` outlives the instance (a failed silo takes it along);
+    ``KILL`` is the test's hook for a turn that fails other silos."""
+
+    LOG: list = []
+    KILL: Callable = None
+
+    def kill(self):
+        TickActor.KILL()
+        TickActor.LOG.append(("kill", self.key))
+
+    def tell(self, sink_key, payload):
+        TickActor.LOG.append(("ran", self.key))
+        yield Tell(ActorRef("burst", sink_key), "note", payload)
+
+    def spin(self, n):
+        """Keep a segment of this silo's ready, one Tell to itself at a time."""
+        if n:
+            yield Tell(ActorRef("tick", self.key), "spin", n - 1)
+
+    def split_burst(self, sink_key, payloads):
+        """Half the burst from the batch the turn starts in, the rest from
+        the receive batch its call's response resumes it in."""
+        half = len(payloads) // 2
+        for payload in payloads[:half]:
+            yield Tell(ActorRef("burst", sink_key), "note", payload)
+        yield Call(ActorRef("burst", sink_key), "note", "mid")
+        for payload in payloads[half:]:
+            yield Tell(ActorRef("burst", sink_key), "note", payload)
+
+
+def _iterations(be) -> list:
+    """Count the loop's iterations: one selector ``select`` each."""
+    count = [0]
+    selector = be._loop._selector
+    select = selector.select
+
+    def counted(timeout=None):
+        count[0] += 1
+        return select(timeout)
+
+    selector.select = counted
+    return count
+
+
+def _in_receive_batch() -> bool:
+    frame = sys._getframe(1)
+    while frame is not None:
+        if frame.f_code.co_name == "data_received":
+            return True
+        frame = frame.f_back
+    return False
+
+
+def _one_iteration(be):
+    be._loop.call_soon(be._loop.stop)
+    be._loop.run_forever()
+
+
+def _assert_no_batch_state(be):
+    assert not be._ticking and not be._silos and not be._links
+    assert not any(silo.armed for silo in be.silos)
+
+
+@pytest.mark.parametrize("source", ["before_run", "timer", "send_control"])
+def test_tcp_send_outside_any_batch_is_written_within_one_iteration(source):
+    cluster, be = _burst_cluster("tcp")
+    with cluster:
+        sink = _spawn(be, "sink", 1)
+        be._pick_gateway = lambda: be.silos[0]     # every message crosses
+        be.send(sink, "note", -1)                   # opens the link
+        assert be.run_until_idle()
+        link = be.silos[0].peers[1]
+        count = _iterations(be)
+        sent, written = [], []
+        write = link.transport.write
+        link.transport.write = lambda data: (written.append(count[0]),
+                                             write(data))
+
+        def send():
+            sent.append(count[0])
+            be.send(sink, "note", 1)
+
+        if source == "before_run":
+            send()
+        elif source == "timer":
+            be.sim.schedule(0.0, send)
+        else:
+            be.send_control(0, send)
+        be.run(until=be.sim.now + 0.02)    # a send after run began is
+        assert be.run_until_idle()          # no part of its idle check
+        assert _seen(be, sink) == [-1, 1]
+        assert len(sent) == 1 and len(written) == 1
+        assert written[0] - sent[0] <= 1, (sent, written)
+        _assert_no_batch_state(be)
+
+
+def test_tcp_burst_split_across_a_tick_and_a_receive_batch_stays_in_order():
+    cluster, be = _burst_cluster("tcp")
+    with cluster:
+        be.register_actor("tick", TickActor)
+        source = be.ref("tick", "source")
+        be.spawn(source, server=0)
+        sink = _spawn(be, "sink", 1)
+        be._pick_gateway = lambda: be.silos[0]     # the turn starts in a tick
+        _call(be, source, "split_burst", "sink", [0])   # opens both links
+        link = be.silos[0].peers[1]
+        batches = []
+        send = link.send
+        link.send = lambda message: (batches.append(_in_receive_batch()),
+                                     send(message))
+        _call(be, source, "split_burst", "sink", list(range(20)))
+        assert be.run_until_idle()
+        assert _seen(be, sink) == ["mid", 0, *range(10), "mid", *range(10, 20)]
+        # The first half and the call left from the tick, the rest from
+        # the receive batch the call's response resumed the turn in.
+        assert batches == [False] * 11 + [True] * 10
+        assert len(be.silos[1].inbound) == 1 and be.silos[0].peers[1] is link
+        _assert_no_batch_state(be)
+
+
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_silo_failed_mid_tick_runs_nothing_more_and_writes_nothing(
+        transport):
+    cluster = build_cluster(
+        ClusterConfig(num_servers=3, seed=3), backend="asyncio",
+        transport=transport, resilience=ResilienceConfig(call_timeout=0.2))
+    with cluster:
+        be = cluster.runtime
+        be.register_actor("burst", BurstActor)
+        be.register_actor("tick", TickActor)
+        cluster.start()
+        TickActor.LOG = []
+        TickActor.KILL = lambda: (be.fail_silo(2), be.fail_silo(1))
+        sink = _spawn(be, "sink", 0)
+        early, killer, late = (be.ref("tick", k)
+                               for k in ("early", "killer", "late"))
+        be.spawn(early, server=2)
+        be.spawn(killer, server=0)
+        be.spawn(late, server=1)
+        gateways = iter([2, 2, 0, 1])   # each request enters at its host
+        be._pick_gateway = lambda: be.silos[next(gateways)]
+        be.client_request(early, "tell", "sink", "warm")   # opens 2 -> 0
+        assert be.run_until_idle()
+        assert _seen(be, sink) == ["warm"]
+        frames, LOG = be.tcp_frames, TickActor.LOG
+        LOG.clear()
+        # One tick: silo 2's turn queues a Tell, silo 0's turn fails
+        # silos 2 and 1, silo 1's turn is still ready.
+        for ref in (early, killer, late):
+            be.client_request(ref, "tell" if ref is not killer else "kill",
+                              *(("sink", "lost") if ref is not killer else ()))
+        assert [s.server_id for s in be._silos] == [2, 0, 1]
+        _one_iteration(be)                          # exactly that tick
+        assert LOG == [("ran", "early"), ("kill", "killer")]
+        assert be.tcp_frames == frames              # silo 2's Tell: dropped
+        assert be.run_until_idle()
+        # In process the Tell was delivered when it was sent, so silo 0's
+        # batch (which began after silo 2's) ran it; on TCP it was still
+        # in the outbox the failure dropped.
+        lost = ["lost"] if transport == "inproc" else []
+        assert _seen(be, sink) == ["warm", *lost]
+        assert LOG == [("ran", "early"), ("kill", "killer")]
+        _assert_no_batch_state(be)
+
+
+def test_tcp_one_mebibyte_argument_spans_reads_and_keeps_link_order(
+        monkeypatch):
+    from repro.backend import asyncio_backend
+
+    cluster, be = _burst_cluster("tcp")
+    with cluster:
+        be.register_actor("tick", TickActor)
+        source = _spawn(be, "source", 0)
+        sink = _spawn(be, "sink", 1)
+        spinner = be.ref("tick", "spinner")
+        be.spawn(spinner, server=1)
+        _call(be, source, "burst", "sink", [-1])    # opens the link
+        assert be.run_until_idle()
+        # Silo 1 has a segment ready at every read, so a partial read
+        # that ran a batch would run a turn.
+        be._pick_gateway = lambda: be.silos[1]
+        be.client_request(spinner, "spin", 400)
+        _one_iteration(be)
+        reads = []
+        receive = asyncio_backend._PeerLink.data_received
+
+        def spy(link, data):
+            pending = len(link.buffer) + len(data)
+            turns = (be.turns_run, be.turn_drains)
+            receive(link, data)
+            partial = len(link.buffer) == pending   # completed no frame
+            reads.append((partial, turns == (be.turns_run, be.turn_drains)))
+
+        monkeypatch.setattr(asyncio_backend._PeerLink, "data_received", spy)
+        be._pick_gateway = lambda: be.silos[0]     # both turns run on silo 0
+        big = bytes(range(256)) * 4096
+        be.client_request(source, "burst", "sink", [big, 1, 2])
+        _one_iteration(be)                          # the 1 MiB frame's tick
+        be.client_request(source, "burst", "sink", [3, 4])
+        assert be.run_until_idle()
+        seen = _seen(be, sink)
+        assert seen[0] == -1 and seen[1] == big and seen[2:] == [1, 2, 3, 4]
+        partial = [ran_nothing for is_partial, ran_nothing in reads
+                   if is_partial]
+        assert len(partial) >= 2, reads        # 1 MiB took several reads
+        assert all(partial), reads             # and none of them ran a turn
+        _assert_no_batch_state(be)
+
+
+def test_tcp_receive_batch_runs_what_its_read_readied_and_arms_no_tick(
+        monkeypatch):
+    from repro.backend import PingerActor, PongerActor, asyncio_backend
+
+    cluster = build_cluster(ClusterConfig(num_servers=2, seed=3),
+                            backend="asyncio", transport="tcp")
+    with cluster:
+        be = cluster.runtime
+        be.register_actor("pinger", PingerActor)
+        be.register_actor("ponger", PongerActor)
+        cluster.start()
+        pinger = be.ref("pinger", 0)
+        be.spawn(pinger, server=0)
+        be.spawn(be.ref("ponger", 0), server=1)
+        be._pick_gateway = lambda: be.silos[0]
+        assert _call(be, pinger, "ping", 1) == 1    # opens both links
+        reads = []
+        receive = asyncio_backend._PeerLink.data_received
+
+        def spy(link, data):
+            turns = be.turns_run
+            receive(link, data)
+            reads.append((link.silo.server_id, be.turns_run - turns,
+                          be._ticking, list(be._silos)))
+
+        monkeypatch.setattr(asyncio_backend._PeerLink, "data_received", spy)
+        assert _call(be, pinger, "ping", 2) == 2
+        # The ponger's read runs pong and writes the response; the
+        # pinger's read resumes ping, which completes the request.
+        # Neither leaves work for a tick.
+        assert reads == [(1, 1, False, []), (0, 1, False, [])]
+
+
+def test_tcp_error_raised_in_a_receive_batch_is_reported_and_the_link_lives():
+    # A client callback raising inside the batch a response's read runs:
+    # out of data_received asyncio would close the connection instead.
+    cluster, be = _burst_cluster("tcp")
+    with cluster:
+        _spawn(be, "slow", 1)
+        asker = _spawn(be, "asker", 0)
+        be._pick_gateway = lambda: be.silos[0]
+        assert _call(be, asker, "ask", 1) == 1          # opens both links
+        links = (be.silos[0].peers[1], be.silos[1].peers[0])
+        errors = []
+        be._loop.set_exception_handler(lambda _loop, context:
+                                       errors.append(context))
+
+        def explode(_latency, _result):
+            raise RuntimeError("client callback")
+
+        be.client_request(asker, "ask", 2, on_complete=explode)
+        assert be.run_until_idle()
+        assert [str(c.get("exception")) for c in errors] == ["client callback"]
+        assert _call(be, asker, "ask", 3) == 3
+        assert (be.silos[0].peers[1], be.silos[1].peers[0]) == links
+        assert len(be.silos[0].inbound) == 1
+        assert not any(link.transport.is_closing() for link in links)
+        _assert_no_batch_state(be)
+
+
+# The loop budget of a hop, as counts: loop iterations per TCP ping (one
+# selector ``select`` each) and loop callbacks per in-process Stageflow
+# request (one ``call_soon`` each; in process no callback comes from a
+# socket).  Counted in a fresh interpreter that imports only ``repro``,
+# so the script runs under any CPython.  Before the tick (per-silo
+# drains, per-link flushes) they read 8.0 and 4.68; after, 3.0 and
+# 1.35 on CPython 3.10.13, 3.11.7 and 3.12.1.
+PING_ITERATIONS = 3.5
+STAGEFLOW_CALLBACKS = 2.0
+
+_LOOP_COUNT = """
+import sys
+from repro import ClusterConfig, build_cluster
+from repro.backend import PingerActor, PongerActor
+from repro.workloads.stageflow import StageflowConfig, StageflowWorkload
+
+
+def closed_loop(be, issue, clients, total):
+    done = be._loop.create_future()
+    state = {"issued": 0, "done": 0}
+
+    def complete(_latency, _result):
+        state["done"] += 1
+        if state["done"] == total:
+            done.set_result(None)
+        elif state["issued"] < total:
+            send()
+
+    def send():
+        state["issued"] += 1
+        issue(complete)
+
+    for _ in range(clients):
+        send()
+    be._loop.run_until_complete(done)
+
+
+def ping(n):
+    cluster = build_cluster(ClusterConfig(num_servers=2, seed=1),
+                            backend="asyncio", transport="tcp")
+    with cluster:
+        be = cluster.runtime
+        be.register_actor("pinger", PingerActor)
+        be.register_actor("ponger", PongerActor)
+        cluster.start()
+        pinger = be.ref("pinger", 0)
+        be.spawn(pinger, server=0)
+        be.spawn(be.ref("ponger", 0), server=1)
+        issue = lambda cb: be.client_request(pinger, "ping", 1, on_complete=cb)
+        closed_loop(be, issue, 1, 20)           # both links open
+        selector, count = be._loop._selector, [0]
+        select = selector.select
+        def counted(timeout=None):
+            count[0] += 1
+            return select(timeout)
+        selector.select = counted
+        closed_loop(be, issue, 1, n)
+        return count[0] / n
+
+
+class Looped(StageflowWorkload):
+    def _on_complete(self, latency, result, kind):
+        super()._on_complete(latency, result, kind)
+        self.on_done(latency, result)
+
+
+def stageflow(n):
+    cluster = build_cluster(ClusterConfig(num_servers=4, seed=1),
+                            backend="asyncio", transport="inproc")
+    with cluster:
+        be = cluster.runtime
+        cluster.start()
+        workload = Looped(be, StageflowConfig(policy="round_robin",
+                                              report_period=None))
+        workload.start(arrivals=False)
+        def issue(cb):
+            workload.on_done = cb
+            workload.drive(1)
+        closed_loop(be, issue, 8, 40)
+        loop, count = be._loop, [0]
+        call_soon = loop.call_soon
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return call_soon(*args, **kwargs)
+        loop.call_soon = counted
+        closed_loop(be, issue, 8, n)
+        return count[0] / n
+
+
+print(sys.version.split()[0], ping(200) if sys.argv[1] == "ping"
+      else stageflow(400))
+"""
+
+
+def _loop_count(kind: str) -> float:
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run([sys.executable, "-c", _LOOP_COUNT, kind],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    version, per_request = proc.stdout.split()
+    print(f"\n{kind} on Python {version}: {per_request} per request")
+    return float(per_request)
+
+
+def test_loop_budget_tcp_ping_iterations():
+    """200 closed-loop pings over TCP: a tick sends the call, a receive
+    batch at the ponger answers it, one at the pinger completes it."""
+    assert _loop_count("ping") <= PING_ITERATIONS
+
+
+def test_loop_budget_inproc_stageflow_callbacks():
+    """400 in-process Stageflow requests, 8 in flight, ~12 messages each:
+    one tick per iteration runs every silo's batch."""
+    assert _loop_count("stageflow") <= STAGEFLOW_CALLBACKS
 
 
 # ----------------------------------------------------------------------

@@ -125,12 +125,15 @@ def _run(backend_name: str, seed: int, spec, bursts) -> dict:
             assert silo.idle
             assert all(a.quiescent for a in silo.activations.values())
             # Only answered calls' deadlines may be left, and on asyncio
-            # run_until_idle leaves none and no timer.
+            # run_until_idle leaves none, no timer and no tick.
             assert not any(entry[1] in silo._pending
                            for entry in silo._deadlines.heap)
             if backend_name == "asyncio":
                 assert not silo._deadlines.heap
                 assert silo._deadlines.timer is None
+                assert not silo.armed   # listed for no tick
+        if backend_name == "asyncio":   # no tick armed, nothing listed
+            assert not rt._ticking and not rt._silos and not rt._links
         return {"results": results, "visits": visits,
                 "messages": rt.msgs_local + rt.msgs_remote,
                 "migrations": rt.migrations_total}
