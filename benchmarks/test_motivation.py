@@ -61,7 +61,7 @@ def test_motivation_fanout_arithmetic(benchmark, show):
         w.stop()
         rt.run(until=6.0)
         base = rt.msgs_local + rt.msgs_remote
-        playing = next(iter(w.playing))
+        playing = w.in_game.index(1)
         rt.client_request(rt.ref(w.PLAYER, playing), "request_status", 0)
         rt.run(until=9.0)
         return (rt.msgs_local + rt.msgs_remote) - base

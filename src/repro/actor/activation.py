@@ -7,10 +7,13 @@ counters (§4.3) do NOT live here: a million idle activations must cost
 O(bytes) each, so per-edge counts are aggregated in the silo-level
 :class:`repro.actor.commtable.CommTable` instead of a dict per actor.
 
-The work queue is a plain list: empty lists cost 56 bytes against a
-deque's ~760, and queues are almost always empty or near-empty (depth
-beyond a handful only occurs under overload), so pop(0) beats the
-constant factor of deque at every realistic depth.
+The work queue is no list until the first item: ``queue`` is None
+until the core enqueues into it, so an activation that was never
+messaged (most of a 10^6-actor bootstrap) holds no container at all.
+Once made, the list stays for the activation's life (no allocation per
+turn).  A list, not a deque: queues are almost always empty or
+near-empty (depth beyond a handful only occurs under overload), so
+pop(0) beats the constant factor of deque at every realistic depth.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class Activation:
     def __init__(self, actor_id: ActorId, instance: Actor):
         self.actor_id = actor_id
         self.instance = instance
-        self.queue: list[WorkItem] = []
+        self.queue: Optional[list[WorkItem]] = None   # no list until work
         self.segment_running = False
         self.open_turns = 0          # turns started but not yet completed
         self.pending_calls = 0       # outstanding Call()s awaiting responses

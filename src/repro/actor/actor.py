@@ -20,7 +20,7 @@ import functools
 import inspect
 from typing import Any, ClassVar, Optional
 
-from .ids import ActorId, ActorRef
+from .ids import ActorId
 
 __all__ = ["Actor", "DEFAULT_COMPUTE", "DEFAULT_RESUME_COMPUTE",
            "is_generator_method"]
@@ -67,14 +67,6 @@ class Actor:
     def __init__(self) -> None:
         # Filled in by the runtime at activation time.
         self._id: Optional[ActorId] = None
-        self._server_id: Optional[int] = None
-
-    # ------------------------------------------------------------------
-    # Runtime-facing
-    # ------------------------------------------------------------------
-    def _bind(self, actor_id: ActorId, server_id: int) -> None:
-        self._id = actor_id
-        self._server_id = server_id
 
     # ------------------------------------------------------------------
     # Application-facing
@@ -89,8 +81,9 @@ class Actor:
     def key(self) -> Any:
         return self.id.key
 
-    def self_ref(self) -> ActorRef:
-        return ActorRef(self.id.actor_type, self.id.key)
+    def self_ref(self) -> ActorId:
+        """The reference other actors call this one by: its id."""
+        return self.id
 
     def on_activate(self) -> None:
         """Hook: called after state restore, before the first message."""
@@ -100,7 +93,7 @@ class Actor:
 
     # State capture: everything in __dict__ except runtime bindings —
     # or exactly the declared PERSISTED subset when the class names one.
-    _RUNTIME_FIELDS = ("_id", "_server_id")
+    _RUNTIME_FIELDS = ("_id",)
 
     def capture_state(self) -> dict[str, Any]:
         if self.PERSISTED is not None:

@@ -41,7 +41,7 @@ class Call:
         self.timeout = timeout
 
     def __repr__(self) -> str:
-        return f"Call({self.target.id}.{self.method})"
+        return f"Call({self.target}.{self.method})"
 
 
 class All:
@@ -74,7 +74,7 @@ class Tell:
         self.size = size
 
     def __repr__(self) -> str:
-        return f"Tell({self.target.id}.{self.method})"
+        return f"Tell({self.target}.{self.method})"
 
 
 class Sleep:

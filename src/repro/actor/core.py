@@ -272,22 +272,22 @@ class ClusterCore:
         decides.  Actors not spawned explicitly still activate lazily on
         first message — Orleans' virtual-actor contract.
         """
-        location = self.locate(ref.id)
+        location = self.locate(ref)
         if location is not None:
             return location
         if server is None:
-            server = self.placement.choose(ref.id, 0, self.num_servers)
+            server = self.placement.choose(ref, 0, self.num_servers)
         destination = self.pick_live_server(server)
-        self.activate(ref.id, destination)
+        self.activate(ref, destination)
         return destination
 
     def send(self, ref: ActorRef, method: str, *args: Any,
              size: int = 256) -> None:
         """Fire-and-forget one-way message from outside the cluster."""
         gateway = self._pick_gateway()
-        destination = gateway._resolve_or_place(ref.id)
+        destination = gateway._resolve_or_place(ref)
         self._ingress(gateway, destination, Message(
-            kind=MessageKind.ONEWAY, target=ref.id, method=method,
+            kind=MessageKind.ONEWAY, target=ref, method=method,
             args=args, size=size, created_at=self.sim.now))
 
     # ------------------------------------------------------------------
@@ -500,18 +500,18 @@ class ClusterCore:
         """One dispatch of a request (first try or retry)."""
         state.attempts += 1
         gateway = self._pick_gateway()
-        destination = gateway._resolve_or_place(state.ref.id)
+        destination = gateway._resolve_or_place(state.ref)
         call_id = next_call_id()
         state.call_id = call_id
         self._open[state] = None  # a retry keeps its place in the window
         self._inflight[call_id] = state
         obs = self.obs
         state.trace = ctx = (
-            obs.tracer.begin_request(f"{state.ref.id}.{state.method}")
+            obs.tracer.begin_request(f"{state.ref}.{state.method}")
             if obs is not None else None)
         message = Message(
             kind=MessageKind.CLIENT_REQUEST,
-            target=state.ref.id,
+            target=state.ref,
             method=state.method,
             args=state.args,
             size=state.size,
@@ -580,7 +580,7 @@ class ClusterCore:
             obs = self.obs
             if obs is not None:
                 obs.events.emit(RetryEvent(
-                    now, target=str(state.ref.id), method=state.method,
+                    now, target=str(state.ref), method=state.method,
                     attempt=state.attempts, backoff=backoff))
             state.backoff_timer = self.sim.schedule(
                 backoff, self._retry_attempt, state)
@@ -593,7 +593,7 @@ class ClusterCore:
         del self._open[state]
         if state.on_complete is not None:
             state.on_complete(budget, CallTimeout(
-                state.ref.id, state.method, budget / self.time_scale))
+                state.ref, state.method, budget / self.time_scale))
 
     def _should_retry(self, state: _ClientRequest) -> bool:
         policy = self.retry_policy
@@ -666,12 +666,12 @@ class ClusterCore:
         obs = self.obs
         if obs is not None:
             obs.events.emit(ShedEvent(
-                self.sim.now, target=str(state.ref.id), method=state.method,
+                self.sim.now, target=str(state.ref), method=state.method,
                 policy=policy, victim_age=victim_age))
         if state.on_complete is not None:
             state.on_complete(
                 victim_age,
-                RequestShed(state.ref.id, state.method, policy))
+                RequestShed(state.ref, state.method, policy))
 
     @property
     def inflight_requests(self) -> int:
@@ -905,7 +905,10 @@ class SiloCore:
         # When its sender made it: no clock reading per message, and the
         # idle collector's ages are seconds against a transit of ms.
         activation.last_active = message.created_at
-        activation.queue.append((None, message, False, copied))
+        queue = activation.queue
+        if queue is None:
+            queue = activation.queue = []  # no list until the first item
+        queue.append((None, message, False, copied))
         self._pump(activation)
 
     def _segment_done(self, _event, activation: Activation,
@@ -1014,7 +1017,7 @@ class SiloCore:
             if san is not None:
                 san.probe_payload(activation.instance, generator,
                                   yielded.args)
-            target = yielded.target.id
+            target = yielded.target
             comm = self.comm_table
             if comm is not None:
                 comm.record(activation.actor_id, target)
@@ -1060,7 +1063,7 @@ class SiloCore:
             call_id = next_call_id()
             pending[call_id] = (turn, slot)
             activation.pending_calls += 1
-            target = call.target.id
+            target = call.target
             comm = self.comm_table
             if comm is not None:
                 comm.record(activation.actor_id, target)
@@ -1178,8 +1181,10 @@ class SiloCore:
             turn.results = None
             result = next((r for r in results if isinstance(r, ActorError)),
                           results)
-        activation.queue.append(
-            (turn, result, isinstance(result, ActorError), copied))
+        queue = activation.queue
+        if queue is None:
+            queue = activation.queue = []
+        queue.append((turn, result, isinstance(result, ActorError), copied))
         self._pump(activation)
         return turn
 
@@ -1189,7 +1194,7 @@ class SiloCore:
     def _new_instance(self, actor_id: ActorId) -> Actor:
         """A fresh instance bound here, restored from persisted state."""
         instance = self.runtime.actor_types[actor_id.actor_type]()
-        instance._bind(actor_id, self.server_id)
+        instance._id = actor_id
         state = self.runtime.storage.get(actor_id)
         if state is not None:
             instance.restore_state(state)
@@ -1308,7 +1313,7 @@ class SiloCore:
         for actor_id, activation in self.activations.items():
             self.runtime.directory.unregister(actor_id)
             # Orphan what it had queued and the segment it had in flight.
-            activation.queue.clear()
+            activation.queue = None
             activation.segment_running = False
         self.activations.clear()
         self._deadlines.clear()

@@ -9,16 +9,25 @@ application.
 
 At paper scale (10^6 actors, §6) identity objects dominate memory, so
 ``ActorId`` instances are *interned*: one canonical object per
-(type, key).  Equality is therefore identity, and so is the hash: an id
-hashes by ``object.__hash__``, in C, with no per-id state.  Identity
+(type, key), kept in one dict per actor type keyed by ``key`` (no pair
+tuple per id).  Equality is therefore identity, and so is the hash: an
+id hashes by ``object.__hash__``, in C, with no per-id state.  Identity
 hashes differ between processes, so no result may depend on the order
 of a hash-ordered container of ids; the digest pins hold under a random
 ``PYTHONHASHSEED``, in fresh processes, and under :func:`set_hash_salt`.
+
+A reference *is* its id: ``ActorRef`` is another name for ``ActorId``,
+so a hosted actor costs one identity object, not a handle wrapped
+around one.  ``ref.id`` returns the id itself; the runtime passes the
+ref where it needs the id.  Two slots keep an id in pymalloc's 48-byte
+size class: a third slot puts it in the 64-byte class, 16 bytes more
+per actor, and identity hashes of objects 64 bytes apart leave the low
+two bits of a small dict's index constant.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable
+from typing import Hashable
 
 __all__ = ["ActorId", "ActorRef", "set_hash_salt"]
 
@@ -40,26 +49,36 @@ def set_hash_salt(salt: int) -> None:
 
 
 class ActorId:
-    """Stable logical identity of an actor: its ``(type, key)`` pair.
+    """Stable logical identity of an actor: its ``(type, key)`` pair, and
+    the location-transparent reference application code holds.
 
     Instances are interned: ``ActorId(t, k) is ActorId(t, k)``, so
     equality and hashing are by identity.  Ids order like their
-    ``(type, key)`` pairs.
+    ``(type, key)`` pairs.  The runtime resolves a reference to a
+    hosting server at message-send time.
     """
 
     __slots__ = ("actor_type", "key")
 
-    _intern: dict[tuple[str, Hashable], "ActorId"] = {}
+    # actor type -> key -> the interned id
+    _intern: dict[str, dict[Hashable, "ActorId"]] = {}
 
     def __new__(cls, actor_type: str, key: Hashable) -> "ActorId":
-        pair = (actor_type, key)
-        cached = cls._intern.get(pair)
+        table = cls._intern.get(actor_type)
+        if table is None:
+            table = cls._intern[actor_type] = {}
+        cached = table.get(key)
         if cached is not None:
             return cached
         self = object.__new__(cls)
         self.actor_type = actor_type
         self.key = key
-        cls._intern[pair] = self
+        table[key] = self
+        return self
+
+    @property
+    def id(self) -> "ActorId":
+        """The id a reference denotes: the reference itself."""
         return self
 
     def __str__(self) -> str:
@@ -77,28 +96,4 @@ class ActorId:
         return (ActorId, (self.actor_type, self.key))
 
 
-class ActorRef:
-    """A location-transparent handle to an actor.
-
-    Application code only ever holds refs; the runtime resolves them to a
-    hosting server at message-send time.  Refs are cheap value objects and
-    compare by identity of the actor they denote.
-    """
-
-    __slots__ = ("id",)
-
-    def __init__(self, actor_type: str, key: Hashable):
-        self.id = ActorId(actor_type, key)
-
-    @property
-    def key(self) -> Hashable:
-        return self.id.key
-
-    def __eq__(self, other: Any) -> bool:
-        return isinstance(other, ActorRef) and self.id is other.id
-
-    def __hash__(self) -> int:
-        return hash(self.id)
-
-    def __repr__(self) -> str:
-        return f"ActorRef({self.id})"
+ActorRef = ActorId

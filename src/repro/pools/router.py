@@ -192,8 +192,8 @@ class ActorPool:
                 if not (s.dead or s.draining)]
         for r, ref in enumerate(self.router_refs):
             dest = live[r % len(live)]
-            rt.activate(ref.id, dest)
-            router = rt.silos[dest].activations[ref.id].instance
+            rt.activate(ref, dest)
+            router = rt.silos[dest].activations[ref].instance
             router.configure(self.worker_type, self.replicas,
                              self.policy, shard=r, shards=self.shards)
         self._deploy_workers(0, self.replicas)
@@ -215,8 +215,8 @@ class ActorPool:
                 if not (s.dead or s.draining)]
         for i in range(lo, hi):
             ref = ActorRef(self.worker_type, i)
-            if rt.locate(ref.id) is None:
-                rt.activate(ref.id, live[i % len(live)])
+            if rt.locate(ref) is None:
+                rt.activate(ref, live[i % len(live)])
 
     # ------------------------------------------------------------------
     def resize(self, replicas: int) -> None:
@@ -246,7 +246,7 @@ class ActorPool:
         loads = []
         for i in range(self.replicas):
             ref = ActorRef(self.worker_type, i)
-            location = rt.locate(ref.id)
+            location = rt.locate(ref)
             if location is None or rt.silos[location].dead:
                 loads.append(0.0)
                 continue

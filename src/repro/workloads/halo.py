@@ -173,10 +173,10 @@ class HaloWorkload:
         self._game_ids = itertools.count()
 
         self.idle_pool: list[int] = []
-        self.playing: set[int] = set()      # membership checks only, never iterated
         # Struct-of-arrays player bookkeeping, indexed by pid (pids are
-        # dense sequential ints): a million players cost ~13 bytes each
-        # here instead of three dict entries apiece.
+        # dense sequential ints): a million players cost ~14 bytes each
+        # here instead of a set entry and three dict entries apiece.
+        self.in_game = bytearray()            # 1 while the player is in a game
         self.games_played: array = array("i")
         self.quota: array = array("b")
         self._live_index: array = array("l")  # pid -> live_players slot, -1 = departed
@@ -202,6 +202,7 @@ class HaloWorkload:
 
     def _add_player(self) -> int:
         pid = next(self._player_ids)
+        self.in_game.append(0)
         self.games_played.append(0)
         self.quota.append(self._match_rng.randint(*GAMES_PER_PLAYER))
         self.idle_pool.append(pid)
@@ -218,7 +219,7 @@ class HaloWorkload:
             self.live_players[idx] = last
             self._live_index[last] = idx
         self.players_departed += 1
-        self.runtime.deactivate(self.runtime.ref(self.PLAYER, pid).id,
+        self.runtime.deactivate(self.runtime.ref(self.PLAYER, pid),
                                 discard_state=True)
 
     # ------------------------------------------------------------------
@@ -279,14 +280,15 @@ class HaloWorkload:
                 self.idle_pool[-1],
                 self.idle_pool[idx],
             )
-            members.append(self.idle_pool.pop())
+            pid = self.idle_pool.pop()
+            self.in_game[pid] = 1
+            members.append(pid)
         return members
 
     def _start_game(self, bootstrap: bool = False) -> None:
         members = self._draw_members()
         gid = next(self._game_ids)
         self.active_games[gid] = members
-        self.playing.update(members)
         self.games_started += 1
         game_ref = self.runtime.ref(self.GAME, gid)
         refs = tuple(self.runtime.ref(self.PLAYER, pid) for pid in members)
@@ -297,7 +299,7 @@ class HaloWorkload:
         if bootstrap:
             # Stationary residual lifetime: the game is already underway.
             duration *= self._match_rng.random()
-        self.runtime.sim.schedule(duration, self._end_game, gid)
+        self.runtime.sim.defer(duration, self._end_game, gid)
 
     def _install_game(self) -> None:
         """Bootstrap a game *directly*: place and host the game and its
@@ -312,26 +314,25 @@ class HaloWorkload:
         members = self._draw_members()
         gid = next(self._game_ids)
         self.active_games[gid] = members
-        self.playing.update(members)
         self.games_started += 1
         rt = self.runtime
         game_ref = rt.ref(self.GAME, gid)
         placement = rt.placement
-        dest = placement.choose(game_ref.id, 0, rt.num_servers)
-        rt.activate(game_ref.id, dest)
-        game = rt.silos[dest].activations[game_ref.id].instance
+        dest = placement.choose(game_ref, 0, rt.num_servers)
+        rt.activate(game_ref, dest)
+        game = rt.silos[dest].activations[game_ref].instance
         member_refs = []
         for pid in members:
             pref = rt.ref(self.PLAYER, pid)
-            pdest = placement.choose(pref.id, 0, rt.num_servers)
-            rt.activate(pref.id, pdest)
-            rt.silos[pdest].activations[pref.id].instance.game = game_ref
+            pdest = placement.choose(pref, 0, rt.num_servers)
+            rt.activate(pref, pdest)
+            rt.silos[pdest].activations[pref].instance.game = game_ref
             member_refs.append(pref)
         game.members = member_refs
         lo, hi = self.config.game_duration
         duration = self._match_rng.uniform(lo, hi)
         duration *= self._match_rng.random()  # stationary residual
-        rt.sim.schedule(duration, self._end_game, gid)
+        rt.sim.defer(duration, self._end_game, gid)
 
     def _end_game(self, gid: int) -> None:
         if not self._running:
@@ -350,10 +351,10 @@ class HaloWorkload:
         )
 
     def _game_closed(self, gid: int, members: list[int]) -> None:
-        self.runtime.deactivate(self.runtime.ref(self.GAME, gid).id,
+        self.runtime.deactivate(self.runtime.ref(self.GAME, gid),
                                 discard_state=True)
         for pid in members:
-            self.playing.discard(pid)
+            self.in_game[pid] = 0
             if self._live_index[pid] < 0:
                 continue  # departed concurrently (should not happen)
             self.games_played[pid] += 1
@@ -378,7 +379,7 @@ class HaloWorkload:
         if not self.live_players:
             return
         pid = self.live_players[self._request_rng.randrange(len(self.live_players))]
-        if self.config.lazy_idle_pool and pid not in self.playing:
+        if self.config.lazy_idle_pool and not self.in_game[pid]:
             # The workload knows this player is pooled; answer the
             # status probe locally instead of activating an idle actor
             # just to have it say "idle".  RNG draw order above is

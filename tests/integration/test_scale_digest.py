@@ -137,11 +137,13 @@ def test_instrumented_paths_reproduce_the_pins(instrument):
 # same frames.  Pricing a turn from the cost tables inline and taking
 # call ids from the counter's own __next__ removed 1,772 of them on
 # 3.11.7 (27,436), so the bound fell by as many; one more frame per
-# stage item reads ~29,600.  The count is 27,436 on CPython 3.10.13,
-# 3.11.7 and 3.12.1 alike (the script imports only repro, so it runs
-# under an interpreter without pytest).  The test prints its count, and
-# CI runs it with -s on 3.10, 3.11 and 3.12.
-MINI_CALLS = 27_528
+# stage item reads ~29,600.  A reference that is its interned id removed
+# 324 more: 126 ActorRef.__init__, 70 Actor._bind, and per self_ref()
+# 64 ActorId.__new__ and 64 Actor.id.  The count is 27,112 on CPython
+# 3.10.13, 3.11.7 and 3.12.1 alike (the script imports only repro, so
+# it runs under an interpreter without pytest).  The test prints its
+# count, and CI runs it with -s on 3.10, 3.11 and 3.12.
+MINI_CALLS = 27_204
 
 _FRAME_COUNT = """
 import os, sys
@@ -179,6 +181,62 @@ def test_message_path_frame_budget():
           f"events {events}, calls {calls} (bound {MINI_CALLS})")
     assert events == MINI_EVENTS
     assert calls <= MINI_CALLS, f"{calls} calls for {MINI_EVENTS} events"
+
+
+# What hosting an actor costs before it handles a message: the bytes
+# tracemalloc traces and the blocks sys.getallocatedblocks() counts
+# while a 20k-player direct-bootstrap Halo installs its 22,050
+# activations (ids, instances, activations, directory and silo entries,
+# the workload's per-player arrays, game-end timers), per activation,
+# in a fresh interpreter.  A reference wrapped around its id, a
+# (type, key) tuple per intern entry, an empty work queue, a written-
+# never-read Actor._server_id and a set entry per playing player read
+# 763.8 B / 10.10 blocks on CPython 3.10.13, 714.7 / 9.10 on 3.11.7 and
+# 706.7 / 9.10 on 3.12.1; without them 550.0 / 6.99, 492.9 / 5.99 and
+# 484.9 / 5.99 (under any PYTHONHASHSEED).  The bounds are the largest
+# of those, 3.10's, plus 7%: one more 56-byte object per actor, or one
+# more block, fails them.  tracemalloc counts requested bytes, not the
+# allocator's size classes.  The script imports only repro, so it runs
+# under an interpreter without pytest; CI runs it with -s next to the
+# frame budget.
+ACTIVATION_BYTES = 590
+ACTIVATION_BLOCKS = 7.5
+
+_ACTIVATION_COST = """
+import gc, sys, tracemalloc
+from repro.bench.harness import halo_cluster
+from repro.bench.scale import PAPER_REQUEST_RATE
+cluster, workload = halo_cluster(20_000, PAPER_REQUEST_RATE, seed=1,
+                                 direct_bootstrap=True)
+gc.collect()
+tracemalloc.start()
+blocks = sys.getallocatedblocks()
+workload.start()
+traced = tracemalloc.get_traced_memory()[0]
+blocks = sys.getallocatedblocks() - blocks
+print(sum(len(silo.activations) for silo in cluster.runtime.silos),
+      traced, blocks)
+"""
+
+
+def test_bytes_per_activation_budget():
+    """The memory a hosted actor costs, as a count: traced bytes and
+    allocated blocks per activation over a direct bootstrap.  Counts,
+    not RSS, so page granularity and the allocator's arenas cannot move
+    them."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run([sys.executable, "-c", _ACTIVATION_COST],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    activations, traced, blocks = map(int, proc.stdout.split())
+    per_bytes, per_blocks = traced / activations, blocks / activations
+    print(f"\n20k-player bootstrap on Python {sys.version.split()[0]}: "
+          f"{activations} activations, {per_bytes:.1f} B "
+          f"(bound {ACTIVATION_BYTES}) and {per_blocks:.2f} blocks "
+          f"(bound {ACTIVATION_BLOCKS}) each")
+    assert activations == 22_050
+    assert per_bytes <= ACTIVATION_BYTES
+    assert per_blocks <= ACTIVATION_BLOCKS
 
 
 def _partition_decisions(edge_capacity=None):

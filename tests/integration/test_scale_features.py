@@ -67,7 +67,7 @@ def test_lazy_idle_pool_short_circuits_idle_probes():
         for actor_id in silo.activations:
             if actor_id.actor_type == "player":
                 pid = actor_id.key
-                assert pid in wl.playing or wl.games_played[pid] > 0
+                assert wl.in_game[pid] or wl.games_played[pid] > 0
     # The RNG draw sequence is shared with the eager mode, so the lazy
     # switch must not change which players get probed — only whether an
     # idle probe turns into cluster traffic.

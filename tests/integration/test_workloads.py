@@ -80,7 +80,7 @@ def test_halo_fanout_message_arithmetic():
     rt.run(until=4.0)
     base = rt.msgs_local + rt.msgs_remote
     # pick a player who is currently in a game
-    playing = next(iter(w.playing))
+    playing = w.in_game.index(1)
     rt.client_request(rt.ref(w.PLAYER, playing), "request_status", 0)
     rt.run(until=6.0)
     assert (rt.msgs_local + rt.msgs_remote) - base == 18

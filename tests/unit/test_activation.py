@@ -27,10 +27,18 @@ def resume_item():
     return (object(), "value", False, None)  # resume of a parked turn
 
 
+def enqueue(act, *items):
+    """Queue work as the core does: the first item makes the list."""
+    for item in items:
+        if act.queue is None:
+            act.queue = []
+        act.queue.append(item)
+
+
 def test_fifo_when_reentrant():
     act = make_activation()
     a, b = start_item(), resume_item()
-    act.queue.extend([a, b])
+    enqueue(act, a, b)
     assert act.next_eligible() is a
     act.segment_running = True  # the silo sets this while a executes
     assert act.next_eligible() is None
@@ -40,7 +48,7 @@ def test_fifo_when_reentrant():
 
 def test_next_eligible_none_while_segment_running():
     act = make_activation()
-    act.queue.append(start_item())
+    enqueue(act, start_item())
     act.segment_running = True
     assert act.next_eligible() is None
 
@@ -50,7 +58,7 @@ def test_nonreentrant_blocks_new_starts_while_turn_open():
     act.open_turns = 1
     blocked_start = start_item()
     resume = resume_item()
-    act.queue.extend([blocked_start, resume])
+    enqueue(act, blocked_start, resume)
     # The resume overtakes the blocked start.
     assert act.next_eligible() is resume
     act.segment_running = False
@@ -63,8 +71,36 @@ def test_nonreentrant_blocks_new_starts_while_turn_open():
 def test_nonreentrant_allows_start_when_idle():
     act = make_activation(SerialActor)
     item = start_item()
-    act.queue.append(item)
+    enqueue(act, item)
     assert act.next_eligible() is item
+
+
+def test_an_activation_holds_no_queue_until_its_first_message():
+    from repro.actor.runtime import ActorRuntime, ClusterConfig
+
+    class Echo(Actor):
+        def echo(self, x):
+            return x
+
+    rt = ActorRuntime(ClusterConfig(num_servers=2, seed=1))
+    rt.register_actor("echo", Echo)
+    ref = rt.ref("echo", 0)
+    silo = rt.silos[rt.spawn(ref)]
+    activation = silo.activations[ref]
+    assert activation.queue is None and activation.quiescent
+    results = []
+    rt.client_request(ref, "echo", 7,
+                      on_complete=lambda lat, res: results.append(res))
+    rt.run(until=1.0)
+    assert results == [7]
+    # The list made by the first enqueue stays, drained, for later turns.
+    assert activation.queue == [] and activation.quiescent
+    queue = activation.queue
+    rt.client_request(ref, "echo", 8)
+    rt.run(until=2.0)
+    assert activation.queue is queue
+    silo.fail()
+    assert activation.queue is None
 
 
 def test_comm_table_accumulates_and_drains():
@@ -159,7 +195,7 @@ def test_comm_table_exists_only_where_a_partition_agent_reads_it(monkeypatch):
 def test_quiescence_conditions():
     act = make_activation()
     assert act.quiescent
-    act.queue.append(start_item())
+    enqueue(act, start_item())
     assert not act.quiescent
     act.queue.clear()
     act.segment_running = True

@@ -19,6 +19,23 @@ def test_refs_compare_by_identity():
     assert a != "player/1"
 
 
+def test_a_ref_is_its_interned_id():
+    ref = ActorRef("player", 3)
+    assert ref is ActorId("player", 3)
+    assert ref.id is ref
+    assert ref.key == 3 and ref.actor_type == "player"
+
+
+def test_pickle_and_deepcopy_return_the_interned_id():
+    import copy
+    import pickle
+
+    ref = ActorRef("player", ("shard", 4))
+    assert pickle.loads(pickle.dumps(ref)) is ref
+    assert copy.deepcopy(ref) is ref
+    assert copy.deepcopy([ref, ref]) == [ref, ref]
+
+
 def test_a_ref_cannot_invoke_an_actor_method_directly():
     # Interactions go through Call/Tell; a ref carries no method
     # forwarding, so `ref.method()` fails the first time it runs.
@@ -118,7 +135,7 @@ def test_actor_requires_activation_for_id():
 
 def test_state_capture_excludes_runtime_fields():
     w = Worker()
-    w._bind(ActorId("worker", 1), server_id=0)
+    w._id = ActorId("worker", 1)
     w.counter = 5
     state = w.capture_state()
     assert state == {"counter": 5}
@@ -129,6 +146,6 @@ def test_state_capture_excludes_runtime_fields():
 
 def test_self_ref_round_trip():
     w = Worker()
-    w._bind(ActorId("worker", 9), server_id=0)
+    w._id = ActorId("worker", 9)
     assert w.self_ref().id == ActorId("worker", 9)
     assert w.key == 9

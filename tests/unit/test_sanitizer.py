@@ -26,7 +26,7 @@ class Scoreboard(Actor):
 
 def _bound(key: int = 0) -> Scoreboard:
     actor = Scoreboard()
-    actor._bind(ActorId("scoreboard", key), server_id=0)
+    actor._id = ActorId("scoreboard", key)
     return actor
 
 
