@@ -20,9 +20,6 @@ The package splits into the paper's contribution and its substrates:
   and Stageflow (an inference pipeline over actor pools).
 * :mod:`repro.pools` — data-parallel actor pools: a router actor
   fronting N worker replicas with pluggable balancing policies.
-* :mod:`repro.autoscale` — the elastic grow/shrink controller that adds
-  or drains silos and resizes pools as one integrated plan; ``repro
-  autoscale`` on the CLI.
 * :mod:`repro.bench` — recorders and harness utilities.
 * :mod:`repro.obs` — observability: causal tracing across the whole
   stack, structured runtime events, Chrome-trace/JSONL export, and
@@ -57,7 +54,6 @@ See ``examples/quickstart.py`` for a complete runnable walk-through.
 """
 
 from .analysis import Sanitizer
-from .autoscale import AutoscaleConfig, AutoscaleController
 from .backend import (
     AsyncioBackend,
     BackendError,
@@ -131,8 +127,6 @@ __all__ = [
     "AdmissionConfig",
     "All",
     "AsyncioBackend",
-    "AutoscaleConfig",
-    "AutoscaleController",
     "BackendError",
     "Call",
     "CallTimeout",

@@ -2,10 +2,10 @@
 *how* time passes, turns get a processor, or bytes cross a wire.
 
 :class:`ClusterCore` owns the actor registry, the directory, placement,
-persisted state and tombstones, elastic membership (one ``drain_silo``),
-and the client-request table — exactly-once completion, retry, deadline,
-admission, recorders and counters.  :class:`SiloCore` owns one server's
-activations and their work queues, ``_resolve_or_place`` with
+persisted state and tombstones, and the client-request table —
+exactly-once completion, retry, deadline, admission, recorders and
+counters.  :class:`SiloCore` owns one server's activations and their
+work queues, ``_resolve_or_place`` with
 :class:`~repro.actor.directory.LocationCache` hints, route/dispatch with
 local/remote counting, the generator interpreter (``Call`` / ``All`` /
 ``Tell`` / ``Sleep`` over one pending-call table), ``CommTable``
@@ -59,7 +59,6 @@ from ..obs.events import (
     RetryEvent,
     ShedEvent,
     SiloLifecycleEvent,
-    SiloScaleEvent,
 )
 from ..sim.rng import RngRegistry
 from .activation import Activation, WorkItem
@@ -76,9 +75,6 @@ from .placement import PlacementPolicy, RandomPlacement
 __all__ = ["ClusterCore", "SiloCore"]
 
 CLIENT_RESPONSE_SIZE = 256   # bytes of a response to a client request
-# Seconds between a draining silo's quiescence checks; it must exceed the
-# wire latency (see ClusterCore.drain_silo).
-DRAIN_POLL = 0.25
 
 
 class _ClientRequest:
@@ -197,8 +193,6 @@ class ClusterCore:
         self.late_responses = 0
         self.actor_crashes = 0
         self.failovers = 0
-        self.silos_added = 0
-        self.silos_drained = 0
         # call_id of the live attempt -> its request.  Responses whose
         # call id is absent are late or duplicated and get discarded
         # (counted in late_responses), never double-completed.
@@ -267,7 +261,7 @@ class ClusterCore:
     def spawn(self, ref: ActorRef, server: Optional[int] = None) -> int:
         """Eagerly activate ``ref`` (idempotent), returning its silo.
 
-        ``server`` is a placement preference; a dead/draining preference
+        ``server`` is a placement preference; a dead preference
         folds into the live set.  Without it the placement policy
         decides.  Actors not spawned explicitly still activate lazily on
         first message — Orleans' virtual-actor contract.
@@ -333,20 +327,17 @@ class ClusterCore:
         self.silos[server].restart()
 
     def pick_live_server(self, preferred: Optional[int] = None) -> int:
-        """A live, non-draining server, preferring the caller's own (used
-        when placement lands on a dead or draining silo)."""
-        if preferred is not None:
-            silo = self.silos[preferred]
-            if not (silo.dead or silo.draining):
-                return preferred
+        """A live server, preferring the caller's own (used when
+        placement lands on a dead silo)."""
+        if preferred is not None and not self.silos[preferred].dead:
+            return preferred
         live = self._live_servers()
         if not live:
             raise RuntimeError("every silo in the cluster has failed")
         return live[self._gateway_rng.randrange(len(live))]
 
-    def _live_servers(self, excluding: Optional[int] = None) -> list[int]:
-        return [s.server_id for s in self.silos
-                if not (s.dead or s.draining) and s.server_id != excluding]
+    def _live_servers(self) -> list[int]:
+        return [s.server_id for s in self.silos if not s.dead]
 
     def _pick_gateway(self) -> "SiloCore":
         """The silo a client's next message enters through.  Raises when
@@ -356,112 +347,6 @@ class ClusterCore:
 
     def census(self) -> dict[int, int]:
         return self.directory.census()
-
-    # ------------------------------------------------------------------
-    # Elastic membership (repro.autoscale; also reachable from fault
-    # plans via AddSilo / DrainSilo — one action vocabulary)
-    # ------------------------------------------------------------------
-    @property
-    def active_servers(self) -> int:
-        """Silos currently accepting placement (live and not draining)."""
-        return len(self._live_servers())
-
-    def add_silo(self, server: Optional[int] = None) -> Optional[int]:
-        """Bring a parked or crashed silo back into service.
-
-        ``server=None`` picks the lowest-numbered dead silo.  Returns the
-        server id, or None when there is no parked capacity (or the named
-        silo is already live).  Capacity is fixed at construction
-        (``ClusterConfig.num_servers`` is the fleet ceiling); elasticity
-        is membership, not allocation — the Orleans model, where a silo
-        process joins or leaves a pre-provisioned cluster.
-        """
-        if server is None:
-            for silo in self.silos:
-                if silo.dead:
-                    server = silo.server_id
-                    break
-            else:
-                return None
-        silo = self.silos[server]
-        if not silo.dead:
-            return None
-        silo.restart()
-        self.silos_added += 1
-        obs = self.obs
-        if obs is not None:
-            obs.events.emit(SiloScaleEvent(
-                self.sim.now, server=server, action="add"))
-        return server
-
-    def drain_silo(self, server: int,
-                   on_complete: Optional[Callable[[int], None]] = None) -> bool:
-        """Gracefully remove one silo: the §4.3 migration path in bulk.
-
-        The silo immediately stops being a placement/gateway target (the
-        admission edge of the PR-3 shedding path: no *new* work is let
-        in), every hosted activation starts an opportunistic migration to
-        the remaining live silos (round-robin over server ids; ActOp's
-        rounds, when it runs, repair locality), and a poll loop
-        decommissions the silo once it has been empty and idle for one
-        whole :data:`DRAIN_POLL` — a message routed here just before the
-        last activation left is still on the wire when the silo first
-        reads empty, and only a live silo forwards it, so the poll must
-        exceed the wire latency.  Returns False if the silo is already dead or
-        draining; ``on_complete(server)`` fires at decommission time.
-        """
-        silo = self.silos[server]
-        if silo.dead or silo.draining:
-            return False
-        recipients = self._live_servers(excluding=server)
-        if not recipients:
-            raise RuntimeError("cannot drain the last live silo")
-        silo.draining = True
-        obs = self.obs
-        if obs is not None:
-            obs.events.emit(SiloScaleEvent(
-                self.sim.now, server=server, action="drain_begin",
-                activations=len(silo.activations)))
-        self._migrate_off(silo, recipients)
-        self.sim.schedule(DRAIN_POLL, self._drain_poll, server, on_complete,
-                          False)
-        return True
-
-    def _migrate_off(self, silo: "SiloCore", recipients: list[int]) -> None:
-        for i, actor_id in enumerate(list(silo.activations)):
-            activation = silo.activations.get(actor_id)
-            if activation is not None and not activation.deactivating:
-                silo.migrate(actor_id, recipients[i % len(recipients)])
-
-    def _drain_poll(self, server: int,
-                    on_complete: Optional[Callable[[int], None]],
-                    was_empty: bool) -> None:
-        silo = self.silos[server]
-        if silo.dead:
-            # Crashed (or already decommissioned) mid-drain: the silo is
-            # out of service either way, so the drain is complete.
-            if on_complete is not None:
-                on_complete(server)
-            return
-        empty = silo.quiesced
-        if not (empty and was_empty):
-            recipients = self._live_servers()
-            if recipients and not empty:
-                # Re-kick stragglers: an activation can outlive the first
-                # sweep (e.g. it was mid-call-chain and a racing message
-                # re-drove it), and plain deactivations need a hint too.
-                self._migrate_off(silo, recipients)
-            self.sim.schedule(DRAIN_POLL, self._drain_poll, server,
-                              on_complete, empty)
-            return
-        silo.decommission()
-        self.silos_drained += 1
-        obs = self.obs
-        if obs is not None:
-            obs.events.emit(SiloScaleEvent(
-                self.sim.now, server=server, action="drain_done"))
-        if on_complete is not None:
-            on_complete(server)
 
     # ------------------------------------------------------------------
     # Client traffic
@@ -759,10 +644,6 @@ class SiloCore:
         self._deadlines = Deadlines(self.sim, self._pending,
                                     self._call_timed_out)
         self.dead = False
-        # Graceful scale-down (repro.autoscale): a draining silo keeps
-        # serving its hosted activations but stops being a placement /
-        # gateway target; once empty and idle it decommissions (dead).
-        self.draining = False
 
         # Placement-path counters (§4.3's opportunistic-migration claim):
         # how re-placements were decided by THIS silo.
@@ -855,13 +736,12 @@ class SiloCore:
             )
             self.placements_new += 1
         dest_silo = runtime.silos[destination]
-        if dest_silo.dead or dest_silo.draining:
-            # Membership view: never place onto a failed or draining
-            # silo.  Fold the chosen destination into the live set
-            # deterministically (no RNG draw) so placements stay uniform
-            # — under elastic membership most of the fleet can be parked,
-            # and redirecting to the caller would pile every re-placed
-            # actor onto the silos that happen to originate calls.
+        if dest_silo.dead:
+            # Membership view: never place onto a failed silo.  Fold the
+            # chosen destination into the live set deterministically (no
+            # RNG draw) so placements stay uniform — redirecting to the
+            # caller would pile every re-placed actor onto the silos that
+            # happen to originate calls.
             dead = destination
             live = runtime._live_servers()
             if not live:
@@ -1294,7 +1174,7 @@ class SiloCore:
                     source=self.server_id, destination=destination))
 
     # ------------------------------------------------------------------
-    # Failure injection and graceful scale-down
+    # Failure injection
     # ------------------------------------------------------------------
     def fail(self) -> None:
         """Crash this silo: volatile actor state is lost, in-flight work
@@ -1305,7 +1185,6 @@ class SiloCore:
         if self.dead:
             return
         self.dead = True
-        self.draining = False  # a crash preempts any graceful drain
         lost = len(self.activations)
         comm = self.comm_table
         if comm is not None:
@@ -1325,23 +1204,11 @@ class SiloCore:
                 self.sim.now, server=self.server_id, up=False,
                 activations_lost=lost))
 
-    def decommission(self) -> None:
-        """Leave service after a graceful drain.
-
-        A crash with nothing left to lose: the silo is already empty and
-        idle, it simply stops accepting messages.  The same ``dead`` flag
-        governs membership, so placement, gateways, and failover treat a
-        decommissioned silo exactly like a crashed one — and
-        :meth:`restart` (via ``add_silo``) brings it back.
-        """
-        self.fail()
-
     def restart(self) -> None:
         """Bring a failed silo back (empty, ready to host again)."""
         if not self.dead:
             return
         self.dead = False
-        self.draining = False
         self._on_up()
         obs = self.runtime.obs
         if obs is not None:
@@ -1353,16 +1220,6 @@ class SiloCore:
         """No turn of this silo's is awaited, queued, running or on its
         way out (hosted activations may sit here at rest)."""
         return not self._pending and self._driver_idle()
-
-    @property
-    def quiesced(self) -> bool:
-        """True when nothing is hosted, awaited, queued, or running here.
-
-        The drain poll waits for this before decommissioning, so no
-        in-flight turn segment or queued response is dropped on the
-        floor the way a crash drops them.
-        """
-        return not self.activations and self.idle
 
     # ------------------------------------------------------------------
     # Introspection

@@ -108,7 +108,7 @@ class ActorRuntime(ClusterCore):
     # ------------------------------------------------------------------
     def mean_cpu_utilization(self, busy_before: list[float], time_before: float) -> float:
         """Mean CPU utilization since a snapshot over the silos live now
-        (a parked or crashed silo is not capacity; see silo pools)."""
+        (a crashed silo is not capacity)."""
         utils = [
             silo.server.cpu.utilization(before, time_before)
             for silo, before in zip(self.silos, busy_before)

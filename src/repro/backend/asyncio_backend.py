@@ -2,7 +2,7 @@
 
 The same ``repro.actor`` programs that run on the discrete-event
 simulator run here over genuine concurrency.  Placement, dispatch, the
-``Call`` / ``All`` / ``Tell`` / ``Sleep`` interpreter, migration, drain
+``Call`` / ``All`` / ``Tell`` / ``Sleep`` interpreter, migration, crash
 and the client-request table are :mod:`repro.actor.core`'s — one
 implementation for both engines; this module supplies what differs:
 

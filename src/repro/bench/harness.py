@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..actor.runtime import ActorRuntime, ClusterConfig
-from ..autoscale.config import AutoscaleConfig
 from ..cluster import Cluster, build_cluster
 from ..core.actop import ActOp, ActOpConfig, ThreadControllerConfig
 from ..core.partitioning.coordinator import PartitioningConfig
@@ -32,7 +31,6 @@ from ..faults.resilience import ResilienceConfig
 from ..workloads.counter import CounterConfig, CounterWorkload
 from ..workloads.halo import HaloConfig, HaloWorkload
 from ..workloads.heartbeat import HeartbeatConfig, HeartbeatWorkload
-from ..workloads.stageflow import StageflowConfig, StageflowWorkload
 from .sampler import ClusterSampler
 
 __all__ = [
@@ -40,7 +38,6 @@ __all__ = [
     "HaloExperiment",
     "HeartbeatExperiment",
     "CounterExperiment",
-    "StageflowExperiment",
     "HALO_RATE_FULL",
     "halo_cluster",
     "halo_partitioning_config",
@@ -128,13 +125,12 @@ def improvement(baseline: float, optimized: float) -> float:
 
 
 class _ExperimentBase:
-    """Start / measure shared across the four drivers.
+    """Start / measure shared across the three drivers.
 
     Subclasses build ``self.cluster`` and ``self.workload``;
     :meth:`measure_window` is the one place a window is measured — the
-    single-window ``run()`` drivers, the phased studies (``repro
-    faults`` / ``repro autoscale``, the recovery / shedding / autoscale
-    benches) all go through it.
+    single-window ``run()`` drivers and the phased studies (``repro
+    faults``, the recovery and shedding benches) all go through it.
     """
 
     def __init__(self, runtime: ActorRuntime, label: str):
@@ -347,66 +343,6 @@ class HeartbeatExperiment(_ExperimentBase):
     def run(self, warmup: float = 25.0, duration: float = 35.0,
             cdf_points: int = 0) -> ExperimentResult:
         return self.measure_window(warmup, warmup + duration, cdf_points)
-
-
-class StageflowExperiment(_ExperimentBase):
-    """One Stageflow inference-pipeline run, fixed-fleet or autoscaled.
-
-    Unlike the single-window drivers this one is *phased*: a flash-crowd
-    or diurnal study measures several absolute windows over one run, so
-    callers call :meth:`measure_window` per phase (there is no
-    ``run()``).  ``autoscale=AutoscaleConfig(...)`` arms the elastic
-    controller (reachable afterwards as ``self.controller``);
-    ``autoscale=None`` is the peak-provisioned fixed baseline.
-    """
-
-    def __init__(
-        self,
-        config: Optional[StageflowConfig] = None,
-        autoscale: Optional[AutoscaleConfig] = None,
-        num_servers: int = 6,
-        processors: int = 2,
-        seed: int = 3,
-        faults: Optional[FaultPlan] = None,
-        label: Optional[str] = None,
-    ):
-        cluster = build_cluster(
-            ClusterConfig(num_servers=num_servers, processors=processors,
-                          seed=seed),
-            faults=faults,
-            autoscale=autoscale,
-        )
-        config = config or StageflowConfig()
-        mode = "autoscale" if autoscale is not None else "fixed"
-        super().__init__(
-            cluster.runtime,
-            label or f"stageflow({config.curve}, {config.policy}, {mode})",
-        )
-        self.cluster: Cluster = cluster
-        self.controller = cluster.autoscale
-        self.injector: Optional[FaultInjector] = cluster.injector
-        self.num_servers = num_servers
-        # Construct before cluster.start(): pools must be registered
-        # when the controller derives its replicas-per-silo ratios.
-        self.workload = StageflowWorkload(cluster.runtime, config,
-                                          autoscale=cluster.autoscale)
-
-    def start(self) -> "StageflowExperiment":
-        """Arm the cluster first (parks surplus silos under autoscale),
-        then deploy the pools over the resulting live set."""
-        if not self._started:
-            self._started = True
-            self.cluster.start()
-            self.workload.start()
-        return self
-
-    def silo_seconds(self) -> float:
-        """Provisioned capacity so far: powered-silo-seconds (the study's
-        cost metric; the fixed baseline pays the full fleet throughout)."""
-        if self.controller is not None:
-            self.controller._account()
-            return self.controller.silo_seconds
-        return self.num_servers * self.runtime.sim.now
 
 
 class CounterExperiment(_ExperimentBase):

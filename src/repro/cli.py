@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Eight subcommands expose the main experiment drivers without writing
+Seven subcommands expose the main experiment drivers without writing
 any code:
 
 * ``halo``       — the cluster workload A/B (random vs ActOp), §6.1-style;
@@ -20,18 +20,11 @@ any code:
   remote-message fraction re-converged after recovery;
 * ``sanitize``   — a Halo slice under the :mod:`repro.analysis` runtime
   race sanitizer plus a salted-hash iteration-order probe (non-zero exit
-  on a cross-activation conflict, a payload hazard or a divergence);
-* ``autoscale``  — the Stageflow inference pipeline (:mod:`repro.pools`
-  actor pools) under a flash-crowd / diurnal arrival curve with the
-  :mod:`repro.autoscale` elastic controller growing and draining silos;
-  reports per-window latency + utilization, the controller's decision
-  log, and silo-seconds, and exits non-zero if the cluster does not
-  re-converge into the utilization band (``--fixed`` runs the
-  peak-provisioned baseline instead).
+  on a cross-activation conflict, a payload hazard or a divergence).
 
-Each prints a result table to stdout; a run that produced no usable
-result exits non-zero.  ``perf``, ``trace``, ``faults``, ``autoscale``
-and ``sanitize`` share the ``--json PATH`` convention (``'-'`` writes pure
+A retired subcommand is a usage error (exit 2).  Each prints a result table to stdout; a run that produced no
+usable result exits non-zero.  ``perf``, ``trace``, ``faults`` and
+``sanitize`` share the ``--json PATH`` convention (``'-'`` writes pure
 JSON to stdout, the table to stderr) through one emitter
 (:func:`_emit`).  They are smoke-level entry points (the full
 reproduction lives in ``benchmarks/``).
@@ -250,53 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--actop", action="store_true",
                         help="enable both ActOp optimizers")
     faults.set_defaults(run=_run_faults, parser=faults)
-
-    auto = sub.add_parser(
-        "autoscale",
-        help="elastic scaling: the Stageflow pipeline under an arrival "
-             "curve with the grow/shrink controller",
-        parents=[_json_parent()])
-    auto.add_argument("--servers", type=int, default=6,
-                      help="fleet size — the controller's scale-out ceiling")
-    auto.add_argument("--processors", type=int, default=2,
-                      help="cores per silo (small on purpose: scaling "
-                          "decisions show at CI-sized rates)")
-    auto.add_argument("--initial", type=int, default=2,
-                      help="silos active at t=0 (the rest start parked)")
-    auto.add_argument("--min", dest="min_silos", type=_POSITIVE_INT, default=2,
-                      help="scale-in floor")
-    auto.add_argument("--low", type=float, default=0.35,
-                      help="utilization band floor (shrink below this)")
-    auto.add_argument("--high", type=float, default=0.70,
-                      help="utilization band ceiling (grow above this)")
-    auto.add_argument("--period", type=_POSITIVE, default=0.5,
-                      help="controller measurement window, seconds")
-    auto.add_argument("--cooldown", type=float, default=1.0,
-                      help="minimum seconds between scaling plans")
-    auto.add_argument("--rate", type=float, default=300.0,
-                      help="steady-state arrival rate, requests/second")
-    auto.add_argument("--curve", choices=("flash", "diurnal", "flat"),
-                      default="flash")
-    auto.add_argument("--flash-at", type=float, default=10.0,
-                      help="flash crowd start, seconds")
-    auto.add_argument("--flash-duration", type=float, default=8.0)
-    auto.add_argument("--flash-multiplier", type=float, default=4.0)
-    auto.add_argument("--diurnal-period", type=float, default=60.0)
-    auto.add_argument("--settle", type=float, default=8.0,
-                      help="flash: seconds between the surge ending and "
-                           "the post-recovery window")
-    auto.add_argument("--warmup", type=float, default=2.0,
-                      help="seconds before the first measurement window")
-    auto.add_argument("--duration", type=float, default=10.0,
-                      help="post-recovery (or per-phase) window length")
-    auto.add_argument("--policy",
-                      choices=("round_robin", "least_outstanding", "dpa"),
-                      default="dpa", help="pool balancing policy")
-    auto.add_argument("--seed", type=int, default=3)
-    auto.add_argument("--fixed", action="store_true",
-                      help="baseline: no controller, all --servers silos "
-                           "active for the whole run")
-    auto.set_defaults(run=_run_autoscale, parser=auto)
 
     san = sub.add_parser(
         "sanitize",
@@ -692,143 +638,6 @@ def _run_faults(args: argparse.Namespace) -> int:
     if not recovered:
         print(f"faults failed: remote fraction did not re-converge "
               f"(pre {pre_rf:.3f}, post {post_rf:.3f})", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_autoscale(args: argparse.Namespace) -> int:
-    from .autoscale import AutoscaleConfig
-    from .bench.harness import StageflowExperiment
-    from .workloads.stageflow import StageflowConfig
-
-    if not 0 < args.low < args.high < 1:
-        args.parser.error(f"need 0 < --low < --high < 1, got "
-                          f"--low {args.low:g} --high {args.high:g}")
-    if args.fixed:
-        autoscale = None
-    else:
-        autoscale = AutoscaleConfig(
-            period=args.period, low=args.low, high=args.high,
-            min_silos=args.min_silos, max_silos=args.servers,
-            initial_silos=args.initial, cooldown=args.cooldown,
-            warmup=min(args.warmup, 2.0),
-        )
-    exp = StageflowExperiment(
-        StageflowConfig(policy=args.policy, base_rate=args.rate,
-                        curve=args.curve, flash_at=args.flash_at,
-                        flash_duration=args.flash_duration,
-                        flash_multiplier=args.flash_multiplier,
-                        diurnal_period=args.diurnal_period),
-        autoscale=autoscale, num_servers=args.servers,
-        processors=args.processors, seed=args.seed,
-    )
-    rt = exp.runtime
-    workload = exp.workload
-
-    # Timeline.  flash: steady | surge+recovery | post; other curves:
-    # three equal windows.
-    if args.curve == "flash":
-        surge_end = args.flash_at + args.flash_duration + args.settle
-        edges = [args.warmup, args.flash_at, surge_end,
-                 surge_end + args.duration]
-        names = [f"{phase} [{start:g}, {end:g})" for phase, start, end in
-                 zip(("steady", "surge+recovery", "post"), edges, edges[1:])]
-    else:
-        edges = [args.warmup + i * args.duration for i in range(4)]
-        names = [f"window {i + 1}" for i in range(3)]
-
-    # Warm up first: the workload's own counters are snapshotted per
-    # window below, and the first window must not include the warm-up.
-    exp.start()
-    rt.run(until=edges[0])
-
-    def measure(start: float, end: float) -> dict:
-        completed0, failed0 = workload.completed, workload.failed
-        w = exp.measure_window(start, end)
-        return {
-            "requests": w.requests,
-            "failed": workload.failed - failed0,
-            "completed": workload.completed - completed0,
-            "median_ms": 1e3 * w.median,
-            "p99_ms": 1e3 * w.p99,
-            "mean_utilization": w.cpu_utilization,
-            "active_silos": rt.active_servers,
-        }
-
-    windows = [(name, measure(start, end))
-               for name, start, end in zip(names, edges, edges[1:])]
-    workload.stop()
-    until = edges[-1]
-
-    ctrl = exp.controller
-    silo_seconds = exp.silo_seconds()
-    if ctrl is not None:
-        # Re-convergence: over the final quarter of the run the
-        # controller's measured utilization must sit back inside the
-        # band (5% tolerance) — or below it with the fleet already at
-        # the scale-in floor, which is the band's best reachable point.
-        tail = [w for w in ctrl.windows if w[0] >= 0.75 * until]
-        tail_util = (sum(u for _, u, _ in tail) / len(tail)) if tail else 0.0
-        reconverged = bool(tail) and tail_util <= args.high + 0.05 and (
-            tail_util >= args.low - 0.05
-            or ctrl.active <= args.min_silos)
-    else:
-        tail_util = windows[-1][1]["mean_utilization"]
-        reconverged = None
-
-    summary = {
-        "schema": 1,
-        "workload": "stageflow",
-        "mode": "fixed" if args.fixed else "autoscale",
-        "seed": args.seed,
-        "servers": args.servers,
-        "processors": args.processors,
-        "policy": args.policy,
-        "curve": args.curve,
-        "base_rate": args.rate,
-        "band": [args.low, args.high],
-        "windows": {name: w for name, w in windows},
-        "issued": workload.issued,
-        "completed": workload.completed,
-        "failed": workload.failed,
-        "silo_seconds": round(silo_seconds, 3),
-        "tail_utilization": round(tail_util, 4),
-        "reconverged": reconverged,
-        "controller": ctrl.summary() if ctrl is not None else None,
-    }
-
-    mode = "fixed baseline" if args.fixed else "autoscale"
-    lines = [render_table(
-        ["window", "requests", "failed", "median ms", "p99 ms",
-         "mean CPU %", "silos"],
-        [[name, w["requests"], w["failed"], w["median_ms"], w["p99_ms"],
-          100 * w["mean_utilization"], w["active_silos"]]
-         for name, w in windows],
-        title=f"stageflow {args.curve} — {mode}, {args.policy} policy, "
-              f"{args.rate:g} req/s base, fleet {args.servers}",
-    )]
-    if ctrl is not None:
-        lines += [f"  t={t:6.2f}s  util={util:.2f}  -> {action:<10} "
-                  f"({active} active)"
-                  for t, util, active, action in ctrl.decisions]
-        verdict = "re-converged" if reconverged else "did NOT re-converge"
-        lines.append(
-            f"\n{ctrl.plans_committed}/{ctrl.plans_begun} plans committed, "
-            f"{ctrl.grows} grows / {ctrl.shrinks} shrinks; "
-            f"tail utilization {tail_util:.2f} {verdict} into "
-            f"[{args.low:.2f}, {args.high:.2f}]; "
-            f"{silo_seconds:.1f} silo-seconds")
-    else:
-        lines.append(f"\nfixed fleet: {silo_seconds:.1f} silo-seconds")
-    _emit(args, lines, summary)
-
-    if any(w["requests"] == 0 for _, w in windows):
-        print("autoscale failed: a measurement window completed no requests",
-              file=sys.stderr)
-        return 1
-    if reconverged is False:
-        print(f"autoscale failed: tail utilization {tail_util:.2f} outside "
-              f"[{args.low:.2f}, {args.high:.2f}]", file=sys.stderr)
         return 1
     return 0
 

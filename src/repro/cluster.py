@@ -45,8 +45,6 @@ from typing import Any, Optional
 
 from .actor.core import ClusterCore
 from .actor.runtime import ActorRuntime, ClusterConfig
-from .autoscale.config import AutoscaleConfig
-from .autoscale.controller import AutoscaleController
 from .backend.asyncio_backend import AsyncioBackend
 from .backend.base import BackendError
 from .backend.supervision import SupervisionPolicy, Supervisor
@@ -63,16 +61,15 @@ BACKENDS = ("sim", "asyncio")
 
 @dataclass
 class Cluster:
-    """A composed cluster: backend + optional optimizer + fault injector
-    + optional autoscaler.
+    """A composed cluster: backend + optional optimizer + fault injector.
 
     ``runtime`` is the backend-neutral object workloads drive — the
     :class:`~repro.actor.runtime.ActorRuntime` on the simulator, the
     :class:`~repro.backend.asyncio_backend.AsyncioBackend` on the real
     runtime; both are drivers of one :class:`~repro.actor.core.ClusterCore`
     (and ``backend`` is the same object).
-    ``actop``, ``injector``, and ``autoscale`` are None when their layer
-    was not configured.  :meth:`start` arms whatever is present
+    ``actop`` and ``injector`` are None when their layer was not
+    configured.  :meth:`start` arms whatever is present
     (idempotence is the caller's concern — call it once).  The cluster
     is a context manager: ``with build_cluster(...) as cluster: ...``
     releases backend resources (sockets, loops) on exit.
@@ -81,12 +78,11 @@ class Cluster:
     runtime: Any
     actop: Optional[ActOp] = None
     injector: Optional[FaultInjector] = None
-    autoscale: Optional[AutoscaleController] = None
     backend: Optional[ClusterCore] = None
     _started: bool = field(default=False, repr=False)
 
     def start(self) -> "Cluster":
-        """Arm the backend, optimizer, fault plan, and autoscaler (once)."""
+        """Arm the backend, optimizer and fault plan (once)."""
         if self._started:
             raise RuntimeError("Cluster.start() called twice")
         self._started = True
@@ -96,8 +92,6 @@ class Cluster:
             self.actop.start()
         if self.injector is not None:
             self.injector.start()
-        if self.autoscale is not None:
-            self.autoscale.start()
         return self
 
     def run(self, until: Optional[float] = None) -> None:
@@ -118,8 +112,7 @@ class Cluster:
         self.shutdown()
 
 
-def _unsupported(backend, resilience, actop, faults, autoscale, sim,
-                 transport) -> Optional[str]:
+def _unsupported(backend, resilience, actop, faults, sim, transport) -> Optional[str]:
     """Why ``backend`` physically cannot run what was asked, or None.
 
     The simulator has no sockets; the asyncio driver has no SEDA stages,
@@ -136,9 +129,6 @@ def _unsupported(backend, resilience, actop, faults, autoscale, sim,
         return ("thread allocation sizes the thread pools of SEDA stages; "
                 "an asyncio silo runs its turns on one event loop and has "
                 "no stages")
-    if autoscale is not None:
-        return ("autoscale reads utilization off the modeled processors "
-                "behind SEDA stages; an asyncio silo has no stages")
     if sim is not None:
         return ("sim= shares a discrete-event simulator; the asyncio "
                 "driver runs on the wall clock")
@@ -161,7 +151,6 @@ def build_cluster(
     resilience: Optional[ResilienceConfig] = None,
     actop: Optional[ActOpConfig] = None,
     faults: Optional[FaultPlan] = None,
-    autoscale: Optional[AutoscaleConfig] = None,
     sim: Optional[Simulator] = None,
     supervision: Optional[SupervisionPolicy] = None,
     transport: str = "inproc",
@@ -181,10 +170,8 @@ def build_cluster(
             no optimizer.  Partitioning runs on either backend, thread
             allocation needs the simulator's SEDA stages.
         faults: fault plan; None or an empty plan installs nothing.  The
-            crash/membership/staleness vocabulary runs on both; the
+            crash/restart/staleness vocabulary runs on both; the
             modeled-network and modeled-CPU actions on the simulator.
-        autoscale: elastic-scaling configuration; None builds no
-            controller (needs the simulator's SEDA stages).
         sim: an existing simulator to share (tests compose several
             drivers on one clock; sim backend only).
         supervision: crash policy (restart/stop/escalate with a
@@ -198,14 +185,12 @@ def build_cluster(
     Raises :class:`BackendError` — at build time, never mid run — for
     what the chosen backend physically cannot run.  Returns a
     :class:`Cluster`; call :meth:`Cluster.start` (or just
-    :meth:`Cluster.run`) to arm the backend, optimizer, fault plan, and
-    autoscaler.
+    :meth:`Cluster.run`) to arm the backend, optimizer and fault plan.
     """
     if backend not in BACKENDS:
         raise BackendError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    reason = _unsupported(backend, resilience, actop, faults, autoscale, sim,
-                          transport)
+    reason = _unsupported(backend, resilience, actop, faults, sim, transport)
     if reason is not None:
         raise BackendError(f"backend={backend!r} cannot run this: {reason}")
 
@@ -221,7 +206,5 @@ def build_cluster(
                  if actop is not None and actop.enabled else None)
     injector = (FaultInjector(runtime, faults)
                 if faults is not None and not faults.empty else None)
-    controller = (AutoscaleController(runtime, autoscale)
-                  if autoscale is not None else None)
     return Cluster(runtime=runtime, actop=optimizer, injector=injector,
-                   autoscale=controller, backend=runtime)
+                   backend=runtime)

@@ -18,9 +18,7 @@ loaded this package.
 
 from .injector import FaultInjector, LinkFaultModel
 from .plan import (
-    AddSilo,
     DirectoryStaleness,
-    DrainSilo,
     FaultAction,
     FaultPlan,
     LinkDegradation,
@@ -36,8 +34,6 @@ __all__ = [
     "FaultAction",
     "SiloCrash",
     "SiloRestart",
-    "AddSilo",
-    "DrainSilo",
     "NetworkPartition",
     "LinkDegradation",
     "SlowSilo",

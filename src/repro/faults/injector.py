@@ -3,8 +3,8 @@
 ``FaultInjector(runtime, plan).start()`` schedules every action of the
 plan on the runtime's clock — simulated seconds on the simulator, wall
 seconds on the asyncio runtime (times relative to the instant
-``start()`` runs).  One injector drives both engines: crash, restart,
-add, drain and directory staleness go through the runtime core's verbs;
+``start()`` runs).  One injector drives both engines: crash, restart
+and directory staleness go through the runtime core's verbs;
 the modeled-network and modeled-CPU actions exist on the simulator only
 and ``build_cluster`` rejects them for ``backend="asyncio"`` at build
 time.  Windowed actions (partitions, degradations, slow silos) get a
@@ -32,9 +32,7 @@ from typing import Any, Callable, Optional
 
 from ..obs.events import FaultInjectionEvent
 from .plan import (
-    AddSilo,
     DirectoryStaleness,
-    DrainSilo,
     FaultPlan,
     LinkDegradation,
     NetworkPartition,
@@ -163,10 +161,6 @@ class FaultInjector:
             runtime.fail_silo(action.server)
         elif isinstance(action, SiloRestart):
             runtime.restart_silo(action.server)
-        elif isinstance(action, AddSilo):
-            runtime.add_silo(action.server)
-        elif isinstance(action, DrainSilo):
-            runtime.drain_silo(action.server)
         elif isinstance(action, SlowSilo):
             runtime.silos[action.server].server.cpu.throttle = action.factor
         elif isinstance(action, (NetworkPartition, LinkDegradation)):

@@ -37,8 +37,6 @@ __all__ = [
     "FaultAction",
     "SiloCrash",
     "SiloRestart",
-    "AddSilo",
-    "DrainSilo",
     "NetworkPartition",
     "LinkDegradation",
     "SlowSilo",
@@ -58,33 +56,6 @@ class SiloCrash:
 @dataclass(frozen=True)
 class SiloRestart:
     """Bring a crashed silo back, empty and ready to host."""
-
-    at: float
-    server: int
-
-
-@dataclass(frozen=True)
-class AddSilo:
-    """Bring a parked or crashed silo back into service at ``at``.
-
-    ``server=None`` picks the lowest-numbered dead silo — the same
-    grow action :mod:`repro.autoscale` plans execute, so chaos plans
-    and autoscale plans share one vocabulary.
-    """
-
-    at: float
-    server: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class DrainSilo:
-    """Gracefully drain ``server`` starting at ``at``.
-
-    Placement stops targeting the silo immediately, its activations
-    migrate off (§4.3 opportunistic migration in bulk), and it leaves
-    service once empty — unlike :class:`SiloCrash`, nothing is lost.
-    Chaos tests use this to race a drain against load spikes.
-    """
 
     at: float
     server: int
@@ -153,9 +124,8 @@ class DirectoryStaleness:
     count: int = 1
 
 
-FaultAction = Union[SiloCrash, SiloRestart, AddSilo, DrainSilo,
-                    NetworkPartition, LinkDegradation, SlowSilo,
-                    DirectoryStaleness]
+FaultAction = Union[SiloCrash, SiloRestart, NetworkPartition,
+                    LinkDegradation, SlowSilo, DirectoryStaleness]
 
 _WINDOWED = (NetworkPartition, LinkDegradation, SlowSilo)
 _NETWORK = (NetworkPartition, LinkDegradation)
@@ -182,12 +152,6 @@ class FaultPlan:
 
     def restart(self, at: float, server: int) -> "FaultPlan":
         return self.add(SiloRestart(at, server))
-
-    def add_silo(self, at: float, server: Optional[int] = None) -> "FaultPlan":
-        return self.add(AddSilo(at, server))
-
-    def drain_silo(self, at: float, server: int) -> "FaultPlan":
-        return self.add(DrainSilo(at, server))
 
     def partition(self, at: float, until: float,
                   group_a, group_b) -> "FaultPlan":

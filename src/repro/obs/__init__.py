@@ -38,13 +38,10 @@ from .events import (
     FaultInjectionEvent,
     MigrationEvent,
     PartitionRoundEvent,
-    PoolResizeEvent,
     RetryEvent,
-    ScalePlanEvent,
     RuntimeEvent,
     ShedEvent,
     SiloLifecycleEvent,
-    SiloScaleEvent,
     ThreadAllocationEvent,
 )
 from .export import (
@@ -76,9 +73,6 @@ __all__ = [
     "RetryEvent",
     "ShedEvent",
     "FailoverEvent",
-    "PoolResizeEvent",
-    "SiloScaleEvent",
-    "ScalePlanEvent",
     "EventLog",
     # export
     "CLIENT_PID",

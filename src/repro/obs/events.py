@@ -31,9 +31,6 @@ __all__ = [
     "RetryEvent",
     "ShedEvent",
     "FailoverEvent",
-    "PoolResizeEvent",
-    "SiloScaleEvent",
-    "ScalePlanEvent",
     "EventLog",
 ]
 
@@ -182,55 +179,6 @@ class FailoverEvent(RuntimeEvent):
     actor: str = ""
     dead_server: int = 0
     new_server: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class PoolResizeEvent(RuntimeEvent):
-    """An actor pool changed its replica count (see :mod:`repro.pools`)."""
-
-    KIND: ClassVar[str] = "pool_resize"
-
-    pool: str = ""
-    replicas_before: int = 0
-    replicas_after: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class SiloScaleEvent(RuntimeEvent):
-    """Elastic cluster membership changed (see :mod:`repro.autoscale`).
-
-    ``action`` is ``"add"`` (a parked/crashed silo re-entered service),
-    ``"drain_begin"`` (placement stopped targeting the silo and its
-    activations started migrating off), or ``"drain_done"`` (the silo
-    emptied and left service).
-    """
-
-    KIND: ClassVar[str] = "silo_scale"
-
-    server: int = 0
-    action: str = "add"
-    activations: int = 0  # hosted activations when the action fired
-
-
-@dataclass(frozen=True, slots=True)
-class ScalePlanEvent(RuntimeEvent):
-    """An integrated reconfiguration plan began or committed.
-
-    One plan bundles silo add/drain, activation migration and pool
-    resizes (Madsen-Zhou-Cao-style integrated scaling).  ``grow`` plans
-    commit synchronously; ``shrink`` plans commit when the drained silo
-    has emptied.
-    """
-
-    KIND: ClassVar[str] = "scale_plan"
-
-    plan_id: int = 0
-    phase: str = "begin"   # "begin" or "commit"
-    kind: str = "grow"     # "grow" or "shrink"
-    server: int = -1       # the silo added/drained (attribution field)
-    utilization: float = 0.0
-    active_before: int = 0
-    active_after: int = 0
 
 
 MAX_EVENTS = 1_000_000   # EventLog's cap; later events are counted as dropped

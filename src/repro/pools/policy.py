@@ -65,9 +65,6 @@ class BalancingPolicy:
                limit: int) -> int:
         raise NotImplementedError
 
-    def resize(self, replicas: int) -> None:
-        """Hook: the pool was resized to ``replicas`` slots."""
-
     def bind(self, shard: int, shards: int) -> None:
         """Hook: this policy instance serves router shard ``shard`` of
         ``shards`` (called once at configure time)."""
@@ -148,9 +145,6 @@ class DpaPolicy(BalancingPolicy):
     def bind(self, shard: int, shards: int) -> None:
         self._offset_frac = shard / shards
         self._shards = shards
-
-    def resize(self, replicas: int) -> None:
-        self.active = max(MIN_ACTIVE, min(self.active, replicas))
 
     def choose(self, outstanding: list[int], loads: list[float],
                limit: int) -> int:

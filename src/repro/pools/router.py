@@ -10,10 +10,9 @@ and the whole ensemble migrates, fails, and rebalances under ActOp like
 any other actors.
 
 :class:`ActorPool` is the harness-side handle — it registers the types,
-installs the router, resizes the replica set (under autoscale control),
-and runs the optional SEDA load-report loop that feeds
-:class:`~repro.pools.policy.DpaPolicy` each replica's host-silo
-worker-stage backpressure.
+installs the routers, deploys the replicas, and runs the optional SEDA
+load-report loop that feeds :class:`~repro.pools.policy.DpaPolicy` each
+replica's host-silo worker-stage backpressure.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from ..actor.actor import Actor
 from ..actor.calls import Call
 from ..actor.errors import ActorError
 from ..actor.ids import ActorRef
-from ..obs.events import PoolResizeEvent
 from .policy import BalancingPolicy, make_policy
 
 __all__ = ["RouterActor", "ActorPool"]
@@ -46,7 +44,6 @@ class RouterActor(Actor):
     COMPUTE = {
         "route": 8e-6,         # policy evaluation + forward
         "configure": 5e-6,
-        "set_replicas": 5e-6,
         "report_load": 5e-6,
     }
 
@@ -71,21 +68,6 @@ class RouterActor(Actor):
         self.outstanding = [0] * replicas
         self.loads = [0.0] * replicas
         self.policy.bind(shard, shards)
-        self.policy.resize(replicas)
-        return replicas
-
-    def set_replicas(self, replicas: int) -> int:
-        """Resize the replica set; shrink only narrows the routing window
-        (replicas beyond the limit stop receiving *new* requests but
-        drain in-flight ones — no work is dropped)."""
-        if replicas < 1:
-            raise ActorError(f"pool needs >= 1 replica, got {replicas}")
-        while len(self.outstanding) < replicas:
-            self.outstanding.append(0)
-            self.loads.append(0.0)
-        self.replicas = replicas
-        if self.policy is not None:
-            self.policy.resize(replicas)
         return replicas
 
     def report_load(self, loads: tuple) -> None:
@@ -116,7 +98,7 @@ class ActorPool:
     ``enrich.router`` / ``enrich.worker`` actor types, and ``start()``
     installs and configures the routers directly (state install, no
     configure/traffic message race).  Workloads then route through
-    :meth:`shard_ref`; the autoscale controller calls :meth:`resize`.
+    :meth:`shard_ref`.
 
     Routers are **sharded**: ``shards`` independent router activations
     are deployed round-robin across live silos, each with the full
@@ -171,7 +153,6 @@ class ActorPool:
         self.router_refs = [ActorRef(self.router_type, r)
                             for r in range(shards)]
         self.router_ref = self.router_refs[0]
-        self.resizes = 0
         self._started = False
 
     def shard_ref(self, key: int) -> ActorRef:
@@ -182,27 +163,8 @@ class ActorPool:
     def start(self) -> "ActorPool":
         """Install and configure the router shards (direct state install,
         like the Halo bootstrap: no message, so traffic may start at
-        t=0), and deploy the worker replicas round-robin across live
-        silos."""
-        if self._started:
-            raise RuntimeError(f"pool {self.name!r} started twice")
-        self._started = True
-        rt = self.runtime
-        live = [s.server_id for s in rt.silos
-                if not (s.dead or s.draining)]
-        for r, ref in enumerate(self.router_refs):
-            dest = live[r % len(live)]
-            rt.activate(ref, dest)
-            router = rt.silos[dest].activations[ref].instance
-            router.configure(self.worker_type, self.replicas,
-                             self.policy, shard=r, shards=self.shards)
-        self._deploy_workers(0, self.replicas)
-        if self.report_period is not None:
-            rt.sim.schedule(self.report_period, self._report_tick)
-        return self
-
-    def _deploy_workers(self, lo: int, hi: int) -> None:
-        """Pre-activate replicas ``[lo, hi)`` round-robin over live silos.
+        t=0), and pre-activate the worker replicas round-robin over live
+        silos.
 
         A pool is a *deployment unit*: replicas are spread evenly by
         construction instead of falling through lazy first-message
@@ -210,35 +172,24 @@ class ActorPool:
         capacity onto few silos).  Deterministic — live silo ids in
         order, index modulo; no RNG draw.
         """
+        if self._started:
+            raise RuntimeError(f"pool {self.name!r} started twice")
+        self._started = True
         rt = self.runtime
-        live = [s.server_id for s in rt.silos
-                if not (s.dead or s.draining)]
-        for i in range(lo, hi):
+        live = [s.server_id for s in rt.silos if not s.dead]
+        for r, ref in enumerate(self.router_refs):
+            dest = live[r % len(live)]
+            rt.activate(ref, dest)
+            router = rt.silos[dest].activations[ref].instance
+            router.configure(self.worker_type, self.replicas,
+                             self.policy, shard=r, shards=self.shards)
+        for i in range(self.replicas):
             ref = ActorRef(self.worker_type, i)
             if rt.locate(ref) is None:
                 rt.activate(ref, live[i % len(live)])
-
-    # ------------------------------------------------------------------
-    def resize(self, replicas: int) -> None:
-        """Grow or shrink the routing window (autoscale entry point)."""
-        if replicas == self.replicas or replicas < 1:
-            return
-        rt = self.runtime
-        if rt.obs is not None:
-            rt.obs.events.emit(PoolResizeEvent(
-                rt.sim.now, pool=self.name,
-                replicas_before=self.replicas, replicas_after=replicas))
-        grew_from = self.replicas
-        self.replicas = replicas
-        self.resizes += 1
-        if replicas > grew_from:
-            # New replicas deploy onto the current live set — after a
-            # grow plan that includes the just-added silos, which is how
-            # capacity actually lands on them.
-            self._deploy_workers(grew_from, replicas)
-        for ref in self.router_refs:
-            rt.client_request(ref, "set_replicas", replicas,
-                              size=64, response_size=64)
+        if self.report_period is not None:
+            rt.sim.schedule(self.report_period, self._report_tick)
+        return self
 
     # ------------------------------------------------------------------
     def _report_tick(self) -> None:

@@ -1,6 +1,7 @@
 """The paper's workloads: Halo Presence (§3/§6.1), Heartbeat (§6.2), the
 counter micro-app (§3), and Stageflow (an inference pipeline over
-data-parallel actor pools, the autoscaling study's driver)."""
+data-parallel actor pools, which the asyncio end-to-end workloads
+drive)."""
 
 from .counter import CounterActor, CounterConfig, CounterWorkload
 from .halo import GameActor, HaloConfig, HaloWorkload, PlayerActor

@@ -8,24 +8,13 @@ bimodal heavy/light request mix, and pool-based rather than per-entity
 actors.  Every stage is a :class:`~repro.pools.ActorPool` (a router
 actor fronting N worker replicas), and a small set of pipeline actors
 chains the stages with ordinary actor calls, so the whole service runs
-inside the Orleans contract the paper's §2 lays out.
-
-Arrival curves model the dynamics the autoscaler exists for:
-
-* ``flat`` — constant Poisson rate (calibration / determinism tests).
-* ``diurnal`` — sinusoidal day curve: rate swings ±:data:`DIURNAL_AMPLITUDE`
-  around ``base_rate`` with period ``diurnal_period``.
-* ``flash`` — flat base with a flash crowd: rate × ``flash_multiplier``
-  during ``[flash_at, flash_at + flash_duration)``.
-
-Nonhomogeneous arrivals are generated by re-sampling the instantaneous
-rate at every gap — exact for piecewise-constant (flash) curves and a
-standard fine-grained approximation for the diurnal sinusoid.
+inside the Orleans contract the paper's §2 lays out.  Requests arrive
+as a Poisson process at ``base_rate`` (or are issued back to back by
+:meth:`StageflowWorkload.drive`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,8 +34,7 @@ class StageSpec:
 
     ``compute`` is the per-request on-CPU cost of the light path;
     ``heavy_compute`` the heavy path (``None`` = same as light).
-    ``replicas`` sizes the pool at full fleet; the autoscaler scales the
-    count proportionally with active silos.
+    ``replicas`` sizes the pool.
     """
 
     name: str
@@ -72,7 +60,6 @@ STAGES: tuple[StageSpec, ...] = (
     StageSpec("transform", compute=600e-6, replicas=6),
 )
 PIPELINES = 4            # pipeline-driver actors; requests round-robin
-DIURNAL_AMPLITUDE = 0.6  # the day curve's relative swing
 # Router shards per stage pool: one dispatcher per silo is the DPA
 # shape; a single shard serializes a pool's whole throughput through one
 # activation.
@@ -83,16 +70,13 @@ REQUEST_SIZE = 512       # bytes of a client request
 @dataclass(frozen=True)
 class StageflowConfig:
     """Workload shape knobs.  The pipeline (:data:`STAGES`), the number of
-    pipeline drivers, router shards, diurnal amplitude and request size
-    are the module's constants.
+    pipeline drivers, router shards and request size are the module's
+    constants.
 
     Attributes:
         policy: balancing policy name for every stage pool
             (``round_robin`` / ``least_outstanding`` / ``dpa``).
-        base_rate: steady-state arrival rate (requests/second).
-        curve: ``flat`` | ``diurnal`` | ``flash``.
-        diurnal_period: the day curve's period.
-        flash_at / flash_duration / flash_multiplier: flash-crowd window.
+        base_rate: Poisson arrival rate (requests/second).
         heavy_fraction: probability a request takes the heavy path.
         report_period: load-report period fed to each pool's routers
             (None disables the report loop).
@@ -100,23 +84,14 @@ class StageflowConfig:
 
     policy: str = "dpa"
     base_rate: float = 300.0
-    curve: str = "flat"
-    diurnal_period: float = 120.0
-    flash_at: float = 20.0
-    flash_duration: float = 15.0
-    flash_multiplier: float = 4.0
     heavy_fraction: float = 0.1
     report_period: Optional[float] = 0.1
 
     def __post_init__(self) -> None:
         if self.base_rate <= 0:
             raise ValueError("base_rate must be > 0")
-        if self.curve not in ("flat", "diurnal", "flash"):
-            raise ValueError(f"unknown curve {self.curve!r}")
         if not 0.0 <= self.heavy_fraction <= 1.0:
             raise ValueError("heavy_fraction must be in [0, 1]")
-        if self.flash_multiplier < 1.0:
-            raise ValueError("flash_multiplier must be >= 1")
 
 
 class StageWorkerActor(Actor):
@@ -176,20 +151,16 @@ class StageflowWorkload:
 
     PIPELINE = "stageflow.pipeline"
 
-    def __init__(self, runtime, config: Optional[StageflowConfig] = None,
-                 autoscale=None):
+    def __init__(self, runtime, config: Optional[StageflowConfig] = None):
         self.runtime = runtime
         self.config = config or StageflowConfig()
         cfg = self.config
         self.pools: list[ActorPool] = []
         for spec in STAGES:
-            pool = ActorPool(runtime, spec.name, stage_worker(spec),
-                             replicas=spec.replicas, policy=cfg.policy,
-                             shards=ROUTER_SHARDS,
-                             report_period=cfg.report_period)
-            if autoscale is not None:
-                autoscale.register_pool(pool)
-            self.pools.append(pool)
+            self.pools.append(ActorPool(
+                runtime, spec.name, stage_worker(spec),
+                replicas=spec.replicas, policy=cfg.policy,
+                shards=ROUTER_SHARDS, report_period=cfg.report_period))
         runtime.register_actor(self.PIPELINE, PipelineActor)
         self._arrival_rng = runtime.rng.stream("stageflow.arrivals")
         self._kind_rng = runtime.rng.stream("stageflow.kinds")
@@ -198,20 +169,6 @@ class StageflowWorkload:
         self.issued = 0
         self.completed = 0
         self.failed = 0
-        self._running = False
-
-    # ------------------------------------------------------------------
-    def rate(self, t: float) -> float:
-        """Instantaneous arrival rate at workload time ``t``."""
-        cfg = self.config
-        if cfg.curve == "diurnal":
-            swing = math.sin(2.0 * math.pi * t / cfg.diurnal_period)
-            return cfg.base_rate * (1.0 + DIURNAL_AMPLITUDE * swing)
-        if cfg.curve == "flash":
-            if cfg.flash_at <= t < cfg.flash_at + cfg.flash_duration:
-                return cfg.base_rate * cfg.flash_multiplier
-            return cfg.base_rate
-        return cfg.base_rate
 
     # ------------------------------------------------------------------
     def start(self, arrivals: bool = True) -> "StageflowWorkload":
@@ -219,7 +176,6 @@ class StageflowWorkload:
         default) also start the Poisson arrival loop.  Pass
         ``arrivals=False`` to drive a fixed request count via
         :meth:`drive` instead — the cross-backend parity tests' mode."""
-        self._running = arrivals
         rt = self.runtime
         for pool in self.pools:
             pool.start()
@@ -238,19 +194,12 @@ class StageflowWorkload:
             self._schedule_arrival()
         return self
 
-    def stop(self) -> None:
-        self._running = False
-
     # ------------------------------------------------------------------
     def _schedule_arrival(self) -> None:
-        if not self._running:
-            return
-        gap = self._arrival_rng.expovariate(self.rate(self.runtime.sim.now))
+        gap = self._arrival_rng.expovariate(self.config.base_rate)
         self.runtime.sim.schedule(gap, self._on_arrival)
 
     def _on_arrival(self) -> None:
-        if not self._running:
-            return
         self._issue_one()
         self._schedule_arrival()
 
@@ -297,5 +246,5 @@ class StageflowWorkload:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"StageflowWorkload(curve={self.config.curve!r}, "
+        return (f"StageflowWorkload(policy={self.config.policy!r}, "
                 f"issued={self.issued}, completed={self.completed})")

@@ -23,12 +23,10 @@ from repro import (
     SupervisionPolicy,
     build_cluster,
 )
-from repro.actor import core
 from repro.actor.actor import Actor
 from repro.actor.calls import All, Call, Sleep, Tell
 from repro.actor.ids import ActorRef
 from repro.core import ActOpConfig, ThreadControllerConfig
-from repro.autoscale import AutoscaleConfig
 from repro.sim import Simulator
 
 
@@ -484,12 +482,11 @@ def test_unknown_method_on_the_sim_raises_out_of_run():
 
 
 # ----------------------------------------------------------------------
-# Drain: nothing in flight is lost at decommission
+# Migration: a request routed by a stale directory entry completes once
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("transport", ["inproc", "tcp"])
-def test_drain_forwards_requests_routed_just_before_the_last_eviction(
-        transport, monkeypatch):
-    monkeypatch.setattr(core, "DRAIN_POLL", 0.01)
+def test_migration_forwards_requests_routed_just_before_the_eviction(
+        transport):
     cluster = _cluster(transport=transport, call_timeout=0.5)
     with cluster:
         be = cluster.runtime
@@ -498,22 +495,20 @@ def test_drain_forwards_requests_routed_just_before_the_last_eviction(
         refs = [be.ref("counter", i) for i in range(5)]
         for ref in refs:
             be.spawn(ref, server=0)
-        results, drained = [], []
+        results = []
         # The directory says "silo 0" for every target when these are
-        # issued; the drain that follows evicts the idle ones at once,
+        # issued; the migrations that follow evict the idle ones at once,
         # before the requests still on the wire (tcp, through the other
         # silo's gateway) have landed.
         for ref in refs:
             be.client_request(
                 ref, "bump", on_complete=lambda _l, r: results.append(r))
-        assert be.drain_silo(0, on_complete=drained.append)
+        for ref in refs:
+            be.silos[0].migrate(ref.id, 1)
         be.flush()
         assert be.run_until_idle()
         assert results == [1] * 5
         assert be.requests_completed == 5 and be.requests_timed_out == 0
-        cluster.run(until=be.sim.now + 0.03)
-        assert drained == [0] and be.silos[0].dead
-        assert be.silos_drained == 1
         for ref in refs:  # persisted: at eviction, or now on the survivor
             assert be.locate(ref.id) in (None, 1)
             assert be.locate(ref.id) is None or be.deactivate(ref.id)
@@ -1093,8 +1088,6 @@ LAYERS = [
      lambda: {"actop": ActOpConfig(
          thread_allocation=ThreadControllerConfig())},
      {"asyncio": "no stages"}),
-    ("autoscale", lambda: {"autoscale": AutoscaleConfig()},
-     {"asyncio": "no stages"}),
     ("shared-sim", lambda: {"sim": Simulator()}, {"asyncio": "wall clock"}),
     ("retry-deadline-capacity",
      lambda: {"resilience": ResilienceConfig(
@@ -1108,7 +1101,7 @@ LAYERS = [
     ("supervision", lambda: {"supervision": SupervisionPolicy()}, {}),
     ("crash-restart-faults",
      lambda: {"faults": FaultPlan().crash(1.0, 1).restart(2.0, 1)
-              .drain_silo(3.0, 0).add_silo(4.0).stale_directory(5.0)}, {}),
+              .stale_directory(5.0)}, {}),
     ("slow-silo", lambda: {"faults": FaultPlan().slow_silo(1.0, 2.0, 0)},
      {"asyncio": "SlowSilo perturbs the modeled"}),
     ("partition",

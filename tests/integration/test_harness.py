@@ -2,19 +2,17 @@
 
 import pytest
 
-from repro.autoscale import AutoscaleConfig
 from repro.bench import harness
 from repro.bench.harness import (
     CounterExperiment,
     HeartbeatExperiment,
     HaloExperiment,
-    StageflowExperiment,
     halo_partitioning_config,
     halo_thread_config,
     improvement,
 )
+from repro.faults import FaultPlan
 from repro.workloads import counter
-from repro.workloads.stageflow import StageflowConfig
 
 
 def test_improvement_metric():
@@ -80,22 +78,23 @@ def test_halo_experiment_small_end_to_end(monkeypatch):
     assert result.call_median > 0
 
 
-def test_cpu_utilization_is_the_mean_over_live_silos():
-    """2 live of 6 under autoscale: parked silos are not capacity, so the
-    window reports the live mean, not a third of it."""
-    exp = StageflowExperiment(
-        StageflowConfig(curve="flat", base_rate=300.0),
-        autoscale=AutoscaleConfig(period=0.5, min_silos=2, initial_silos=2,
-                                  cooldown=1.0),
-        num_servers=6, processors=2, seed=3)
+def test_cpu_utilization_is_the_mean_over_live_silos(monkeypatch):
+    """4 of 6 silos crashed before the window: a dead silo is not
+    capacity, so the window reports the live mean, not a third of it."""
+    monkeypatch.setattr(harness, "HALO_TIME_SCALE", 10.0)
+    plan = FaultPlan()
+    for server in range(2, 6):
+        plan.crash(at=1.0, server=server)
+    exp = HaloExperiment(load_fraction=1.0, players=1_000, num_servers=6,
+                         seed=3, faults=plan)
     rt = exp.start().runtime
     rt.run(until=2.0)
     busy0 = rt.cpu_busy_snapshot()
     result = exp.measure_window(2.0, 6.0)
     live = [s for s in rt.silos if not s.dead]
-    assert len(live) == 2 and exp.controller.plans_begun == 0
-    assert sum(rt.cpu_busy_snapshot()[2:]) == 0.0   # parked: never ran
+    assert [s.server_id for s in live] == [0, 1]
+    assert rt.cpu_busy_snapshot()[2:] == busy0[2:]   # crashed: never ran
     expected = sum(s.server.cpu.busy_time - busy0[s.server_id]
-                   for s in live) / (len(live) * 2 * 4.0)
+                   for s in live) / (len(live) * rt.config.processors * 4.0)
     assert result.cpu_utilization == pytest.approx(expected)
     assert 0.2 < result.cpu_utilization < 0.7

@@ -2,8 +2,8 @@
 
 End-to-end on a live runtime: requests flow route → enrich → transform
 through sharded pool routers and complete with sane latencies, every
-balancing policy carries the pipeline, the arrival curves shape demand
-as configured, and seeded runs are bit-identical.
+balancing policy carries the pipeline, and seeded runs are
+bit-identical.
 """
 
 import hashlib
@@ -88,39 +88,6 @@ def test_all_policies_complete_the_pipeline():
 
 
 # ----------------------------------------------------------------------
-def test_arrival_curves_shape_the_rate(monkeypatch):
-    flash = StageflowConfig(curve="flash", base_rate=100.0, flash_at=5.0,
-                            flash_duration=2.0, flash_multiplier=3.0)
-    w = StageflowWorkload(
-        ActorRuntime(ClusterConfig(num_servers=2, seed=0)), flash)
-    assert w.rate(1.0) == 100.0
-    assert w.rate(5.0) == 300.0
-    assert w.rate(6.9) == 300.0
-    assert w.rate(7.0) == 100.0
-
-    monkeypatch.setattr(stageflow, "DIURNAL_AMPLITUDE", 0.5)
-    diurnal = StageflowConfig(curve="diurnal", base_rate=100.0,
-                              diurnal_period=40.0)
-    w = StageflowWorkload(
-        ActorRuntime(ClusterConfig(num_servers=2, seed=0)), diurnal)
-    assert abs(w.rate(10.0) - 150.0) < 1e-6   # sin peak at period/4
-    assert abs(w.rate(30.0) - 50.0) < 1e-6    # trough at 3/4 period
-    assert abs(w.rate(0.0) - 100.0) < 1e-6
-
-
-def test_flash_crowd_actually_surges_arrivals():
-    flash = StageflowConfig(curve="flash", base_rate=100.0, flash_at=3.0,
-                            flash_duration=3.0, flash_multiplier=4.0)
-    rt = ActorRuntime(ClusterConfig(num_servers=3, processors=2, seed=2))
-    workload = StageflowWorkload(rt, flash).start()
-    rt.run(until=3.0)
-    before = workload.issued
-    rt.run(until=6.0)
-    surge = workload.issued - before
-    # Same wall-length windows; the surge carries ~4x the arrivals.
-    assert surge > 2.5 * before
-
-
 def test_stage_spec_validation():
     for bad in (dict(compute=0.0), dict(compute=1e-3, heavy_compute=0.0),
                 dict(compute=1e-3, replicas=0)):

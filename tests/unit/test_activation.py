@@ -230,11 +230,11 @@ def test_drivers_do_not_reimplement_the_core():
           "_advance_turn", "_crash_turn", "_resolve_call", "_complete_turn",
           "_handle_response", "_call_timed_out", "host", "migrate",
           "deactivate", "collect_idle", "_maybe_finalize_deactivation",
-          "fail", "restart", "decommission", "quiesced", "idle"}),
+          "fail", "restart", "idle"}),
         (ClusterCore, cluster_hooks, (ActorRuntime, AsyncioBackend),
          {"register_actor", "ref", "spawn", "send", "activate",
-          "locate", "deactivate", "census", "pick_live_server", "add_silo",
-          "drain_silo", "_drain_poll", "fail_silo", "restart_silo",
+          "locate", "deactivate", "census", "pick_live_server",
+          "fail_silo", "restart_silo",
           "client_request", "complete_client_request",
           "_client_request_timed_out", "inflight_requests"}),
     ]:

@@ -96,13 +96,6 @@ def test_dpa_offset_spreads_shards():
     assert b.choose([0] * 8, [0.0] * 8, 8) == 4
 
 
-def test_dpa_resize_clamps_active():
-    p = DpaPolicy()
-    p.active = 6
-    p.resize(3)
-    assert p.active == 3
-
-
 def test_make_policy_registry():
     for name in ("round_robin", "least_outstanding", "dpa"):
         assert name in POLICIES
@@ -165,34 +158,6 @@ def test_pool_shards_install_on_distinct_silos():
     assert route_one(rt, pool, 1, shard=0) == 2
     assert route_one(rt, pool, 2, shard=1) == 4
     assert route_one(rt, pool, 3, shard=2) == 6
-
-
-def test_pool_resize_grows_routing_window_and_deploys():
-    rt = make_runtime()
-    pool = ActorPool(rt, "double", Doubler, replicas=2).start()
-    pool.resize(5)
-    rt.run(until=rt.sim.now + 1.0)
-    assert pool.replicas == 5
-    assert pool.resizes == 1
-    router = rt.silos[rt.locate(pool.router_ref.id)] \
-        .activations[pool.router_ref.id].instance
-    assert router.replicas == 5
-    assert len(router.outstanding) == 5
-    # The new replicas were pre-activated, not left to lazy placement.
-    assert all(rt.locate(ActorRef(pool.worker_type, i).id) is not None
-               for i in range(5))
-
-
-def test_pool_resize_shrink_narrows_window_without_trimming_state():
-    rt = make_runtime()
-    pool = ActorPool(rt, "double", Doubler, replicas=4).start()
-    pool.resize(2)
-    rt.run(until=rt.sim.now + 1.0)
-    router = rt.silos[rt.locate(pool.router_ref.id)] \
-        .activations[pool.router_ref.id].instance
-    assert router.replicas == 2
-    assert len(router.outstanding) == 4  # in-flight slots survive a shrink
-    assert route_one(rt, pool, 5) == 10
 
 
 def test_unconfigured_router_raises():
