@@ -15,7 +15,6 @@ from conftest import show  # noqa: F401  (fixture re-export)
 
 from repro.bench.harness import COUNTER_TIME_SCALE, CounterExperiment
 from repro.bench.reporting import render_table
-from repro.obs import Observability, cross_check, recorder_totals, stage_totals
 
 PAPER = {
     "recv queue": 32.87,
@@ -40,20 +39,12 @@ def run_breakdown():
     exp = CounterExperiment(request_rate=SATURATION_POINT_RATE)
     rt = exp.runtime
     server = rt.silos[0].server
-    # Causal tracing rides along (neutrally) so the same run validates
-    # the trace-derived breakdown against the recorder-derived one.
-    obs = Observability(rt, sample_rate=1.0)
     exp.workload.start()
     rt.run(until=10.0)
     rt.reset_latency_stats()
     start = server.snapshot()
-    t0 = rt.sim.now
     rt.run(until=30.0)
     windows = server.windows_since(start)
-    trace_error, _ = cross_check(
-        stage_totals(obs.spans, t0, rt.sim.now),
-        recorder_totals({0: windows}),
-    )
     mean_e2e = rt.client_latency.mean
 
     ts = COUNTER_TIME_SCALE
@@ -78,12 +69,12 @@ def run_breakdown():
     accounted = sum(components.values())
     components["other"] = max(0.0, mean_e2e - accounted)
     percents = {k: 100 * v / mean_e2e for k, v in components.items()}
-    return percents, mean_e2e / ts, trace_error
+    return percents, mean_e2e / ts
 
 
 def test_fig4_latency_breakdown(benchmark, show):
-    percents, mean_e2e, trace_error = benchmark.pedantic(run_breakdown, rounds=1,
-                                                         iterations=1)
+    percents, mean_e2e = benchmark.pedantic(run_breakdown, rounds=1,
+                                            iterations=1)
     rows = [[name, PAPER[name], percents[name]] for name in PAPER]
     show(render_table(
         ["component", "paper % of e2e", "ours % of e2e"],
@@ -101,7 +92,3 @@ def test_fig4_latency_breakdown(benchmark, show):
     assert queue_share > 50.0, "queuing delay must dominate end-to-end latency"
     assert processing_share < queue_share / 3
     assert percents["network"] < 25.0
-    # The causal traces must tell the same story as the recorders.
-    assert trace_error < 0.01, (
-        f"trace-derived stage totals diverge from recorders: {trace_error:.4f}"
-    )

@@ -21,9 +21,9 @@ The package splits into the paper's contribution and its substrates:
 * :mod:`repro.pools` — data-parallel actor pools: a router actor
   fronting N worker replicas with pluggable balancing policies.
 * :mod:`repro.bench` — recorders and harness utilities.
-* :mod:`repro.obs` — observability: causal tracing across the whole
-  stack, structured runtime events, Chrome-trace/JSONL export, and
-  trace-derived latency-breakdown analysis (``repro trace`` on the CLI).
+* :mod:`repro.obs` — the runtime event log: typed records of the control
+  plane (partitioning, migrations, thread re-allocations, lifecycle,
+  faults, retries, sheds) attached to a runtime in one call.
 * :mod:`repro.faults` — deterministic fault injection (silo crashes,
   partitions, link degradation, slow silos, directory staleness) and
   the client-side resilience policies (retry, deadlines, admission
@@ -100,14 +100,7 @@ from .faults import (
     ResilienceConfig,
     RetryPolicy,
 )
-from .obs import (
-    EventLog,
-    Observability,
-    Span,
-    TraceContext,
-    Tracer,
-    chrome_trace_document,
-)
+from .obs import EventLog, Observability
 from .pools import ActorPool, DpaPolicy, RouterActor, make_policy
 from .seda import Stage, StagedServer, StageEvent, StageStats, StatsWindow
 from .sim import Simulator
@@ -152,7 +145,6 @@ __all__ = [
     "SerializationModel",
     "Simulator",
     "Sleep",
-    "Span",
     "Stage",
     "StageEvent",
     "StageStats",
@@ -163,10 +155,7 @@ __all__ = [
     "ThreadAllocationProblem",
     "ThreadControllerConfig",
     "TimeSeries",
-    "TraceContext",
-    "Tracer",
     "build_cluster",
-    "chrome_trace_document",
     "make_policy",
     "percentile",
     "__version__",

@@ -9,7 +9,7 @@ work queues, ``_resolve_or_place`` with
 :class:`~repro.actor.directory.LocationCache` hints, route/dispatch with
 local/remote counting, the generator interpreter (``Call`` / ``All`` /
 ``Tell`` / ``Sleep`` over one pending-call table), ``CommTable``
-recording, the trace/obs/sanitizer hooks, migration and deactivation on
+recording, the obs/sanitizer hooks, migration and deactivation on
 quiescence, and crash/restart.
 
 Two drivers subclass the pair and supply only the mechanics, as plain
@@ -27,9 +27,6 @@ Two drivers subclass the pair and supply only the mechanics, as plain
 ``_on_down`` / ``_on_up``  release / reopen transport state
 ``_driver_idle``          nothing queued or in flight below the core
 ``load``                  host contention, for pool balancing
-``stages``                the SEDA stages turns and messages pass through,
-                          by name, for ``repro.obs`` to observe (default:
-                          none)
 ========================  ==============================================
 
 ``ClusterCore`` hooks: ``_ingress`` (a client message enters at a
@@ -46,8 +43,7 @@ delivery deep-copied ``n`` bytes) and the simulator prices it.
 from __future__ import annotations
 
 import math
-from types import MappingProxyType
-from typing import Any, Callable, Hashable, Mapping, Optional, Type
+from typing import Any, Callable, Hashable, Optional, Type
 
 from ..bench.metrics import LatencyRecorder
 from ..faults.resilience import ResilienceConfig
@@ -80,14 +76,13 @@ CLIENT_RESPONSE_SIZE = 256   # bytes of a response to a client request
 class _ClientRequest:
     """In-flight bookkeeping for one client request.
 
-    One instance spans every dispatch attempt; the per-attempt fields
-    (``call_id``, ``trace``) are overwritten by
-    :meth:`ClusterCore._dispatch_attempt`.
+    One instance spans every dispatch attempt; the per-attempt
+    ``call_id`` is overwritten by :meth:`ClusterCore._dispatch_attempt`.
     """
 
     __slots__ = ("ref", "method", "args", "size", "response_size",
                  "on_complete", "idempotent", "t0", "deadline_at",
-                 "attempts", "call_id", "trace", "backoff_timer")
+                 "attempts", "call_id", "backoff_timer")
 
     def __init__(self, ref: ActorRef, method: str, args: tuple, size: int,
                  response_size: int, on_complete, idempotent: bool,
@@ -103,7 +98,6 @@ class _ClientRequest:
         self.deadline_at = deadline_at
         self.attempts = 0
         self.call_id = -1
-        self.trace = None    # the live attempt's root trace context
         self.backoff_timer = None
 
 
@@ -169,8 +163,8 @@ class ClusterCore:
         # draws.  Membership-only — never iterated.
         self.discarded: set[ActorId] = set()
         # Observability attachment point (set by repro.obs.Observability).
-        # None means fully uninstrumented: every tracing branch below is
-        # one attribute load + comparison.
+        # None means fully uninstrumented: every event-emitting branch
+        # below is one attribute load + comparison.
         self.obs = None
         self.silos: list = []
         self._gateway_rng = self.rng.stream("client.gateway")
@@ -390,10 +384,6 @@ class ClusterCore:
         state.call_id = call_id
         self._open[state] = None  # a retry keeps its place in the window
         self._inflight[call_id] = state
-        obs = self.obs
-        state.trace = ctx = (
-            obs.tracer.begin_request(f"{state.ref}.{state.method}")
-            if obs is not None else None)
         message = Message(
             kind=MessageKind.CLIENT_REQUEST,
             target=state.ref,
@@ -403,7 +393,6 @@ class ClusterCore:
             call_id=call_id,
             created_at=now,
             response_size=state.response_size,
-            trace=ctx,
         )
         timeout = self.call_timeout
         if state.deadline_at is not None:
@@ -421,8 +410,6 @@ class ClusterCore:
             # network-duplicated delivery: discard, never double-complete.
             self.late_responses += 1
             return
-        if state.trace is not None:
-            self._end_trace(state, None)
         # Retried requests measure from first issue, not last attempt.
         latency = self.sim.now - state.t0
         del self._open[state]
@@ -431,20 +418,12 @@ class ClusterCore:
         if state.on_complete is not None:
             state.on_complete(latency, response.result)
 
-    def _end_trace(self, state: _ClientRequest, error: Optional[str]) -> None:
-        ctx = state.trace
-        if ctx is not None:
-            state.trace = None
-            if self.obs is not None:
-                self.obs.tracer.end_request(ctx, error=error)
-
     def _client_request_timed_out(self, call_id: int, timeout: float) -> None:
         """``timeout`` is the budget this attempt's deadline was set with
         (``call_timeout``, or what the request deadline left of it)."""
         state = self._inflight.pop(call_id)
         # This attempt is dead: its late response, if any, will be
         # discarded via _inflight.
-        self._end_trace(state, "timeout")
         now = self.sim.now
         deadline_at = state.deadline_at
         if deadline_at is not None and now >= deadline_at:
@@ -540,7 +519,6 @@ class ClusterCore:
         if state is None:
             return  # this attempt already timed out; its request ends there
         self.rejected_requests += 1
-        self._end_trace(state, "shed")
         del self._open[state]
         self._shed(state, "receiver_queue", victim_age=self.sim.now - state.t0)
 
@@ -625,9 +603,6 @@ class SiloCore:
     # Armed race sanitizer; class-level None keeps the disarmed turn
     # path to a single attribute load.
     _san = None
-
-    # Driver hook: stage name -> SEDA stage, for drivers that have them.
-    stages: Mapping[str, Any] = MappingProxyType({})
 
     def __init__(self, runtime: ClusterCore, server_id: int):
         self.runtime = runtime
@@ -872,7 +847,6 @@ class SiloCore:
         activation, generator, origin = (turn.activation, turn.generator,
                                          turn.origin)
         san = self._san
-        parent_trace = origin.trace
         while True:
             try:
                 if throw:
@@ -909,8 +883,6 @@ class SiloCore:
                 size=yielded.size,
                 sender=activation.actor_id,
                 created_at=self.sim.now,
-                trace=(None if parent_trace is None
-                       else self._child_trace(origin)),
             ))
             send_value = None
 
@@ -947,8 +919,6 @@ class SiloCore:
             comm = self.comm_table
             if comm is not None:
                 comm.record(activation.actor_id, target)
-            trace = (None if parent_trace is None
-                     else self._child_trace(origin))
             request = Message(
                 MessageKind.CALL, target, call.method, call.args, call.size,
                 call_id,
@@ -956,31 +926,13 @@ class SiloCore:
                 reply_to_server=self.server_id,
                 created_at=now,
                 response_size=call.response_size,
-                trace=trace,
             )
-            if trace is not None:
-                runtime.obs.tracer.call_issued(
-                    call_id, trace, f"{target}.{call.method}",
-                    self.server_id,
-                )
             timeout = (call.timeout * runtime.time_scale
                        if call.timeout is not None else default_timeout)
             if timeout is not None:
                 self._deadlines.add(now + timeout, call_id, target,
                                     call.method, timeout)
             self._dispatch_request(request)
-
-    def _child_trace(self, origin: Message):
-        """A child trace context for a message caused by ``origin``.
-
-        None-in, None-out: untraced turns spawn untraced messages, so the
-        whole causal tree shares one sampling decision.
-        """
-        ctx = origin.trace
-        if ctx is None:
-            return None
-        obs = self.runtime.obs
-        return obs.tracer.child(ctx) if obs is not None else None
 
     def _complete_turn(self, activation: Activation, origin: Message, result: Any) -> None:
         activation.open_turns -= 1
@@ -1042,10 +994,6 @@ class SiloCore:
         entry = self._pending.pop(call_id, None)
         if entry is None:
             return None  # stale: already timed out or responded
-        obs = self.runtime.obs
-        if obs is not None:
-            obs.tracer.call_resolved(
-                call_id, ok=not isinstance(result, ActorError))
         turn, slot = entry
         activation = turn.activation
         activation.pending_calls -= 1

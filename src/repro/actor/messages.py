@@ -7,7 +7,7 @@ Three kinds flow through the cluster (Fig. 1/Fig. 2 of the paper):
 * responses heading back to the calling actor or client.
 
 A message's ``size`` drives serialization cost on the remote path; its
-trace timestamps feed the latency recorders.
+``created_at`` timestamp feeds the latency recorders.
 
 On the real runtime a message that crosses silos is pickled.  Its wire
 form (:meth:`Message.__reduce__`) is a module-level decoder plus one flat
@@ -57,8 +57,6 @@ class Message:
             (requests) / is the response's destination (responses).
         result: return value carried by a response.
         created_at: simulated time the message was created.
-        trace: optional :class:`~repro.obs.spans.TraceContext` carrying
-            the causal-trace lineage; ``None`` means untraced.
     """
 
     kind: MessageKind
@@ -72,20 +70,14 @@ class Message:
     result: Any = None
     created_at: float = 0.0
     response_size: int = 128
-    trace: Any = None
 
     def make_response(self, result: Any, size: int, server_id: int) -> "Message":
-        """Build the response message for this request.
-
-        The response reuses the request's trace context: a call and its
-        response are two legs of the same logical span.
-        """
+        """Build the response message for this request."""
         # Positional, in field order (keywords cost a dict per call):
         # no method or args, the default response_size.
         return Message(
             MessageKind.RESPONSE, self.sender, "", (), size, self.call_id,
-            self.target, self.reply_to_server, result, self.created_at,
-            128, self.trace)
+            self.target, self.reply_to_server, result, self.created_at)
 
     def __reduce__(self):
         target, sender = self.target, self.sender
@@ -95,7 +87,7 @@ class Message:
             self.method, self.args, self.size, self.call_id,
             None if sender is None else (sender.actor_type, sender.key),
             self.reply_to_server, self.result, self.created_at,
-            self.response_size, self.trace))
+            self.response_size))
 
 
 _KINDS = {kind._value_: kind for kind in MessageKind}

@@ -88,13 +88,8 @@ class ActorRuntime(ClusterCore):
     # ------------------------------------------------------------------
     def _ingress(self, gateway: Silo, destination: int,
                  message: Message) -> None:
-        latency = self.network.deliver(
-            message.size, self.silos[destination].deliver, message,
-            dst=destination)
-        ctx = message.trace
-        if ctx is not None:
-            self.obs.tracer.network_hop(ctx, None, destination,
-                                        message.size, latency)
+        self.network.deliver(message.size, self.silos[destination].deliver,
+                             message, dst=destination)
 
     def send_control(self, size: int, callback: Callable[..., Any],
                      *args: Any) -> None:

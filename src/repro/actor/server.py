@@ -48,7 +48,6 @@ class Silo(SiloCore):
         self.worker = self.server.add_stage("worker", threads, blocking=True)
         self.server_sender = self.server.add_stage("server_sender", threads)
         self.client_sender = self.server.add_stage("client_sender", threads)
-        self.stages = self.server.stages
 
     # ------------------------------------------------------------------
     # Inbound path (from the network)
@@ -66,54 +65,35 @@ class Silo(SiloCore):
             self.runtime.reject_client_request(message.call_id)
             return
         cost = self.runtime.serialization.deserialize_cost(message.size)
-        event = self.receiver.submit(cost, self._route, message)
-        if message.trace is not None:
-            event.ctx = message.trace
+        self.receiver.submit(cost, self._route, message)
 
     # ------------------------------------------------------------------
     # Outbound paths
     # ------------------------------------------------------------------
     def _send_remote(self, message: Message, destination: int) -> None:
         cost = self.runtime.serialization.serialize_cost(message.size)
-        event = self.server_sender.submit(cost, self._serialized, message,
-                                          destination)
-        if message.trace is not None:
-            event.ctx = message.trace
+        self.server_sender.submit(cost, self._serialized, message,
+                                  destination)
 
     def _serialized(self, event: StageEvent, message: Message, destination: int) -> None:
         if self.dead:
             return
         silo = self.runtime.silos[destination]
-        latency = self.runtime.network.deliver(message.size, silo.deliver,
-                                               message, src=self.server_id,
-                                               dst=destination)
-        ctx = message.trace
-        if ctx is not None:
-            obs = self.runtime.obs
-            if obs is not None:
-                obs.tracer.network_hop(ctx, self.server_id, destination,
-                                       message.size, latency)
+        self.runtime.network.deliver(message.size, silo.deliver, message,
+                                     src=self.server_id, dst=destination)
 
     def _reply_to_client(self, response: Message) -> None:
         cost = self.runtime.serialization.serialize_cost(response.size)
-        event = self.client_sender.submit(cost, self._client_response_ready,
-                                          response)
-        if response.trace is not None:
-            event.ctx = response.trace
+        self.client_sender.submit(cost, self._client_response_ready,
+                                  response)
 
     def _client_response_ready(self, event: StageEvent, response: Message) -> None:
         if self.dead:
             return
-        latency = self.runtime.network.deliver(
+        self.runtime.network.deliver(
             response.size, self.runtime.complete_client_request, response,
             src=self.server_id,
         )
-        ctx = response.trace
-        if ctx is not None:
-            obs = self.runtime.obs
-            if obs is not None:
-                obs.tracer.network_hop(ctx, self.server_id, None,
-                                       response.size, latency)
 
     # ------------------------------------------------------------------
     # Turn segments: the worker stage, with modeled compute and wait
@@ -129,25 +109,19 @@ class Silo(SiloCore):
         continuation, value, _throw, copied = item
         compute = (runtime.serialization.copy_cost(copied)
                    if copied is not None else 0.0)
-        # Attribute the worker segment to the message that caused it: the
-        # inbound message for a fresh turn, the turn's origin for a resume.
         if continuation is None:
             cls = type(activation.instance)
             scale = runtime.time_scale
             compute += cls.COMPUTE.get(value.method, DEFAULT_COMPUTE) * scale
             wait = cls.WAIT.get(value.method, 0.0) * scale
-            trace = value.trace
         else:
             compute += runtime.resume_compute
             wait = 0.0
-            trace = continuation.origin.trace
-        event = self.worker.submit(compute, self._segment_done, activation,
-                                   item, wait=wait)
-        if trace is not None:
-            event.ctx = trace
+        self.worker.submit(compute, self._segment_done, activation, item,
+                           wait=wait)
 
     def _driver_idle(self) -> bool:
-        for stage in self.stages.values():
+        for stage in self.server.stages.values():
             if stage.queue_length or stage.busy_threads:
                 return False
         return True

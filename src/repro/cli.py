@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Seven subcommands expose the main experiment drivers without writing
+Six subcommands expose the main experiment drivers without writing
 any code:
 
 * ``halo``       — the cluster workload A/B (random vs ActOp), §6.1-style;
@@ -10,10 +10,6 @@ any code:
   Halo, ActOp off and on, host time per slice, peak RSS per actor,
   ``--gate``; see :mod:`repro.bench.scale`).
   Host performance is measured by ``benchmarks/e2e/run.py``, not here;
-* ``trace``      — run a workload with :mod:`repro.obs` causal tracing,
-  export a Chrome trace-event file (loadable in Perfetto or
-  ``chrome://tracing``), and cross-check the trace-derived latency
-  breakdown against the stage recorders;
 * ``faults``     — a chaos run: Halo under a :mod:`repro.faults` plan
   (silo kills/recoveries, link degradation) with client-side resilience,
   reporting pre/during/post windows and whether the cluster's
@@ -23,7 +19,7 @@ any code:
   on a cross-activation conflict, a payload hazard or a divergence).
 
 A retired subcommand is a usage error (exit 2).  Each prints a result table to stdout; a run that produced no
-usable result exits non-zero.  ``perf``, ``trace``, ``faults`` and
+usable result exits non-zero.  ``perf``, ``faults`` and
 ``sanitize`` share the ``--json PATH`` convention (``'-'`` writes pure
 JSON to stdout, the table to stderr) through one emitter
 (:func:`_emit`).  They are smoke-level entry points (the full
@@ -178,30 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="exit non-zero if any run exceeds "
                            "the peak-RSS-per-actor gate")
     perf.set_defaults(run=_run_perf)
-
-    trace = sub.add_parser(
-        "trace",
-        help="run a workload under causal tracing; export a Chrome trace",
-        parents=[_scale_parent(players=200, servers=4, seed=1),
-                 _window_parent(warmup=5.0, duration=10.0),
-                 _json_parent()])
-    trace.add_argument("--workload", choices=("halo", "heartbeat", "counter"),
-                       default="halo")
-    trace.add_argument("--rate", type=float, default=None,
-                       help="heartbeat/counter: paper-equivalent req/s "
-                            "(default: the bench's calibrated rate)")
-    trace.add_argument("--sample", type=_checked(float, lambda v: 0 <= v <= 1, "in [0, 1]"),
-                       default=1.0,
-                       help="fraction of requests to trace (systematic "
-                            "sampling; the recorder cross-check needs 1.0)")
-    trace.add_argument("--actop", action="store_true",
-                       help="halo: enable both ActOp optimizers so "
-                            "migrations/exchanges appear in the event log")
-    trace.add_argument("--chrome", metavar="PATH", default="trace-chrome.json",
-                       help="Chrome trace-event output file")
-    trace.add_argument("--jsonl", metavar="PATH", default=None,
-                       help="also stream spans+events as JSON lines to PATH")
-    trace.set_defaults(run=_run_trace)
 
     faults = sub.add_parser(
         "faults",
@@ -402,106 +374,6 @@ def _run_partition(args: argparse.Namespace) -> int:
               f"{graph.num_edges} edges, {args.servers} servers",
         floatfmt=".2f",
     ))
-    return 0
-
-
-def _run_trace(args: argparse.Namespace) -> int:
-    from .bench.harness import CounterExperiment
-    from .obs import (
-        Observability,
-        breakdown_shares,
-        cross_check,
-        recorder_totals,
-        stage_totals,
-    )
-
-    if args.workload == "halo":
-        exp = HaloExperiment(
-            players=args.players, num_servers=args.servers, seed=args.seed,
-            partitioning=args.actop, thread_allocation=args.actop,
-        )
-    elif args.workload == "heartbeat":
-        exp = HeartbeatExperiment(
-            request_rate=args.rate or 15_000.0, seed=args.seed)
-    else:
-        exp = CounterExperiment(
-            request_rate=args.rate or 15_000.0, seed=args.seed)
-    rt = exp.runtime
-    obs = Observability(rt, sample_rate=args.sample)
-    exp.workload.start()
-    actop = getattr(exp, "actop", None)
-    if actop is not None:
-        actop.start()
-
-    rt.run(until=args.warmup)
-    t0 = rt.sim.now
-    snapshots = [(silo, silo.server.snapshot()) for silo in rt.silos]
-    rt.run(until=args.warmup + args.duration)
-    t1 = rt.sim.now
-    windows = {silo.server_id: silo.server.windows_since(snapshot)
-               for silo, snapshot in snapshots}
-
-    tracer = obs.tracer
-    full_sampling = args.sample >= 1.0
-    check_error = None
-    if full_sampling:
-        check_error, _ = cross_check(
-            stage_totals(tracer.spans, t0, t1), recorder_totals(windows))
-    shares = breakdown_shares(tracer.spans, t0, t1)
-    event_counts: dict[str, int] = {}
-    for record in obs.events:
-        kind = type(record).KIND
-        event_counts[kind] = event_counts.get(kind, 0) + 1
-
-    obs.write_chrome_trace(args.chrome)
-    jsonl_lines = obs.write_jsonl(args.jsonl) if args.jsonl else None
-
-    summary = {
-        "schema": 1,
-        "workload": args.workload,
-        "seed": args.seed,
-        "sample_rate": args.sample,
-        "warmup_s": args.warmup,
-        "duration_s": args.duration,
-        "time_scale": exp.time_scale,
-        "requests_seen": tracer.requests_seen,
-        "traces_started": tracer.traces_started,
-        "requests_finished": tracer.requests_finished,
-        "spans": len(tracer.spans),
-        "spans_dropped": tracer.dropped_spans,
-        "runtime_events": len(obs.events),
-        "event_counts": event_counts,
-        "cross_check_max_rel_err": check_error,
-        "breakdown_pct": {k: round(v, 3) for k, v in shares.items()},
-        "chrome_trace": args.chrome,
-        "jsonl": args.jsonl,
-        "jsonl_lines": jsonl_lines,
-    }
-
-    lines = [render_table(
-        ["component", "% of e2e"],
-        [[name, share] for name, share in shares.items()],
-        title=f"trace({args.workload}) — {tracer.requests_finished} traced "
-              f"requests, {len(tracer.spans)} spans, "
-              f"{len(obs.events)} runtime events",
-    )]
-    if check_error is not None:
-        lines.append(f"\nrecorder cross-check: max relative error "
-                     f"{check_error:.2e} (must be < 1e-2)")
-    lines.append(f"Chrome trace written to {args.chrome} "
-                 f"(open in Perfetto or chrome://tracing)")
-    if args.jsonl:
-        lines.append(f"{jsonl_lines} JSONL records written to {args.jsonl}")
-    _emit(args, lines, summary)
-
-    if tracer.requests_finished == 0 or not tracer.spans:
-        print("trace failed: no traced request completed "
-              "(window too short, or sampling too sparse)", file=sys.stderr)
-        return 1
-    if check_error is not None and check_error > 0.01:
-        print(f"trace failed: trace-derived stage totals diverge from the "
-              f"stage recorders ({check_error:.4f} > 0.01)", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -90,8 +90,8 @@ class LinkFaultModel:
                  dst: Optional[int]) -> float:
         """Deliver one message subject to the active faults.
 
-        Returns the reported transit latency; a dropped message still
-        reports the base latency so tracer network-hop spans stay sane.
+        Returns the transit latency; a dropped message reports the base
+        latency.
         """
         network = self.network
         for partition in self._partitions:

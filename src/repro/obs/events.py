@@ -1,21 +1,18 @@
 """Structured runtime events: the cluster's control plane, made visible.
 
-The data plane is covered by spans (:mod:`repro.obs.spans`); this module
-covers the *decisions* — partitioning rounds and exchanges, migrations,
-thread re-allocations, activation lifecycle, silo failure/recovery —
-as typed records collected in an append-only :class:`EventLog`.
+The *decisions* — partitioning rounds and exchanges, migrations, thread
+re-allocations, activation lifecycle, silo failure/recovery — as typed
+records collected in an append-only :class:`EventLog`.
 
 These were previously invisible internals (counters at best); related
 adaptive systems (DPA load balancing, dynamic reconfiguration engines)
-treat exactly this telemetry as the *input* to adaptation, so the log is
-designed for consumption: typed records, JSONL export for offline
-analysis, and instant-event rendering in the Chrome trace viewer
-alongside the spans they explain.
+treat exactly this telemetry as the *input* to adaptation, so the log
+holds typed, frozen records in emission order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, ClassVar, Iterator, Optional, Type, TypeVar
 
 __all__ = [
@@ -44,12 +41,6 @@ class RuntimeEvent:
     KIND: ClassVar[str] = "event"
 
     time: float
-
-    def to_dict(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {"type": "event", "kind": self.KIND}
-        for f in fields(self):
-            doc[f.name] = getattr(self, f.name)
-        return doc
 
 
 @dataclass(frozen=True, slots=True)

@@ -178,8 +178,7 @@ class DpaPolicy(BalancingPolicy):
         for step in range(active):
             j = (start + step) % active
             i = (offset + j) % limit
-            score = (self._shards * outstanding[i]
-                     + (loads[i] if i < len(loads) else 0.0))
+            score = self._shards * outstanding[i] + loads[i]
             if best_score is None or score < best_score:
                 best = i
                 best_pos = j

@@ -72,10 +72,9 @@ class RouterActor(Actor):
 
     def report_load(self, loads: tuple) -> None:
         """Last-writer-wins load signal per replica (SEDA backpressure of
-        each replica's host silo, gathered by :class:`ActorPool`)."""
-        for i, value in enumerate(loads):
-            if i < len(self.loads):
-                self.loads[i] = value
+        each replica's host silo, gathered by :class:`ActorPool`): one
+        value per replica, as many as ``configure`` set up."""
+        self.loads[:] = loads
 
     def route(self, payload, method: Optional[str] = None):
         if self.policy is None or self.worker_type is None:

@@ -43,7 +43,6 @@ class StageEvent:
         "wait",
         "callback",
         "args",
-        "ctx",
         "on_cpu",
         "inflated",
         "enqueue_time",
@@ -58,7 +57,6 @@ class StageEvent:
         self.wait = wait
         self.callback = callback
         self.args = args
-        self.ctx = None  # optional TraceContext (repro.obs causal tracing)
         # The end-of-compute hook the engine calls (see CpuBurst), set by
         # the submitting stage: its completion.
         self.on_cpu = None
@@ -69,7 +67,7 @@ class StageEvent:
         self.compute_done_time = 0.0
         self.complete_time = 0.0
 
-    # Per-event breakdown (used by tests and the Fig.-4 bench tracer).
+    # Per-event breakdown (used by tests).
     @property
     def queue_wait(self) -> float:
         """Time spent in the stage queue before a thread picked it up."""
@@ -189,10 +187,6 @@ class Stage:
         self.cpu = cpu
         self.name = name
         self.blocking = blocking
-        #: Per-event completion hooks ``hook(stage, event)``, fired in
-        #: registration order after the stats update, before the event's
-        #: own callback.  Hooks must observe only (no scheduling, no RNG).
-        self.observers: list[Callable[["Stage", StageEvent], None]] = []
         self.stats = StageStats()
 
         self._threads = threads
@@ -314,8 +308,6 @@ class Stage:
             # stage unless a finer-grained context is pushed inside.
             san.push_context(f"stage:{self.name}")
         try:
-            for observer in self.observers:
-                observer(self, event)
             event.callback(event, *event.args)
         finally:
             if san is not None:

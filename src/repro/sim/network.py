@@ -69,9 +69,7 @@ class Network:
 
         ``src``/``dst`` identify the link endpoints (silo ids; ``None``
         means the client side) so an installed fault model can target
-        specific links.  Returns the drawn latency so instrumentation
-        (e.g. the causal tracer's network-hop spans) can report transit
-        time without a second draw.
+        specific links.  Returns the drawn latency.
         """
         self.messages_sent += 1
         self.bytes_sent += size_bytes

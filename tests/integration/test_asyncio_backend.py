@@ -515,6 +515,42 @@ def test_migration_forwards_requests_routed_just_before_the_eviction(
         assert sum(be.storage[ref.id]["count"] for ref in refs) == 5
 
 
+class RelayActor(Actor):
+    def relay(self, target):
+        yield Tell(target, "bump")
+        return (yield Call(target, "bump"))
+
+
+def test_inproc_tell_landing_after_the_eviction_is_forwarded():
+    """In process a hop is a call, so the case above queues every request
+    at the activation before ``migrate()`` runs.  Here the eviction wins
+    the race: silo 0 evicts the idle counter just as a ``Tell`` routed
+    to it there arrives, and must forward that ``Tell``, not drop it.
+    The relay's ``Call`` that follows then reads the Tell's bump."""
+    cluster = _cluster(transport="inproc", call_timeout=0.5)
+    with cluster:
+        be = cluster.runtime
+        be.register_actor("counter", CounterActor)
+        be.register_actor("relay", RelayActor)
+        cluster.start()
+        counter, relay = be.ref("counter", 0), be.ref("relay", 0)
+        be.spawn(counter, server=0)
+        be.spawn(relay, server=1)
+        silo0 = be.silos[0]
+        deliver = silo0.deliver
+
+        def evict_then_deliver(message):
+            if message.target == counter:
+                assert silo0.migrate(counter.id, 1)   # leaves at once
+                assert be.locate(counter.id) is None
+            deliver(message)
+
+        silo0.deliver = evict_then_deliver
+        assert _call(be, relay, "relay", counter) == 2
+        assert be.locate(counter.id) == 1
+        assert be.requests_completed == 1 and be.requests_timed_out == 0
+
+
 # ----------------------------------------------------------------------
 # TCP transport: one framed link per peer
 # ----------------------------------------------------------------------

@@ -83,64 +83,6 @@ def test_perf_command_smoke(capsys, tmp_path):
     assert point["on"]["slices"][-1]["migrations"] > 0
 
 
-def test_trace_command_smoke(capsys, tmp_path):
-    import json
-
-    chrome_path = tmp_path / "chrome.json"
-    jsonl_path = tmp_path / "trace.jsonl"
-    summary_path = tmp_path / "summary.json"
-    code = main([
-        "trace", "--workload", "halo", "--players", "120", "--servers", "3",
-        "--warmup", "3", "--duration", "5",
-        "--chrome", str(chrome_path), "--jsonl", str(jsonl_path),
-        "--json", str(summary_path),
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "cross-check" in out
-
-    summary = json.loads(summary_path.read_text())
-    assert summary["schema"] == 1
-    assert summary["workload"] == "halo"
-    assert summary["requests_finished"] > 0
-    assert summary["spans"] > 0
-    assert summary["cross_check_max_rel_err"] < 0.01
-    assert summary["breakdown_pct"]
-    assert summary["jsonl_lines"] > 0
-
-    # The Chrome document must be well-formed trace-event JSON.
-    doc = json.loads(chrome_path.read_text())
-    phases = {e["ph"] for e in doc["traceEvents"]}
-    assert "X" in phases and "M" in phases
-    complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-    assert all(e["dur"] >= 0 and "pid" in e and "tid" in e for e in complete)
-    assert len(jsonl_path.read_text().splitlines()) == summary["jsonl_lines"]
-
-
-def test_trace_command_pure_json_stdout(capsys, tmp_path):
-    import json
-
-    code = main([
-        "trace", "--workload", "counter", "--rate", "12000",
-        "--warmup", "2", "--duration", "3",
-        "--chrome", str(tmp_path / "chrome.json"), "--json", "-",
-    ])
-    assert code == 0
-    captured = capsys.readouterr()
-    summary = json.loads(captured.out)  # stdout is pure JSON, parse as-is
-    assert summary["schema"] == 1 and summary["workload"] == "counter"
-    assert "cross-check" in captured.err  # the table moved to stderr
-
-
-def test_trace_command_fails_without_traffic(capsys, tmp_path):
-    code = main([
-        "trace", "--workload", "halo", "--players", "120", "--servers", "3",
-        "--warmup", "0", "--duration", "0.001",
-        "--chrome", str(tmp_path / "chrome.json"),
-    ])
-    assert code == 1  # no request finished: non-zero exit, per convention
-
-
 def test_faults_command_recovers_and_writes_json(capsys, tmp_path):
     import json
 

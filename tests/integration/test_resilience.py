@@ -53,6 +53,12 @@ def _request(rt, ref, method, results, args=(), **kwargs):
                       **kwargs)
 
 
+def _each_completed_once(*per_request):
+    """Exactly-once completion: each list holds one request's
+    ``on_complete`` calls, and every request got exactly one."""
+    assert [len(calls) for calls in per_request] == [1] * len(per_request)
+
+
 # ----------------------------------------------------------------------
 # The late-response regression (the bug this PR fixes).
 # ----------------------------------------------------------------------
@@ -60,12 +66,11 @@ def test_late_response_is_discarded_not_double_completed():
     """A response that loses the race against its timeout is dropped.
 
     Before the ``_inflight`` bookkeeping, the late response re-completed
-    the request: the latency recorder got a bogus sample, the completion
-    hook fired a second time, and the tracer closed the root span twice.
+    the request: the latency recorder got a bogus sample and the
+    completion hook fired a second time.
     """
     rt = ActorRuntime(ClusterConfig(num_servers=1, seed=0),
                       resilience=ResilienceConfig(call_timeout=0.01))
-    obs = Observability(rt)
     rt.register_actor("heavy", Heavy)  # 50 ms of work vs a 10 ms timeout
     results = []
     _request(rt, rt.ref("heavy", 0), "work", results)
@@ -75,9 +80,8 @@ def test_late_response_is_discarded_not_double_completed():
     assert rt.requests_completed == 0
     assert rt.late_responses == 1          # the response did arrive...
     assert rt.client_latency.count == 0    # ...but was not recorded
-    assert results == [results[0]] and isinstance(results[0], CallTimeout)
-    assert obs.tracer.requests_seen == 1
-    assert obs.tracer.requests_finished == 1  # exactly one end_request
+    _each_completed_once(results)          # ...nor completed the request
+    assert isinstance(results[0], CallTimeout)
     assert rt.inflight_requests == 0
 
 
@@ -229,7 +233,6 @@ def test_backoff_reaching_the_deadline_ends_the_request_there_once():
     assert "timed out after 0.2s" in str(result)
     assert rt.request_retries == 1 and rt.requests_timed_out == 1
     assert len([e for e in obs.events if type(e).KIND == "retry"]) == 1
-    assert obs.tracer.requests_seen == obs.tracer.requests_finished == 2
     assert rt.inflight_requests == 0
 
 
@@ -378,7 +381,7 @@ def test_asyncio_retry_completes_on_the_replaced_actor(transport, monkeypatch):
         assert be.requests_shed == 1 and be.requests_timed_out == 0
         assert be.run_until_idle() and be.inflight_requests == 0
         assert len([e for e in obs.events if type(e).KIND == "retry"]) == 1
-        assert obs.tracer.requests_seen == obs.tracer.requests_finished == 2
+        _each_completed_once(first, second)
 
 
 @TRANSPORTS
@@ -401,6 +404,7 @@ def test_asyncio_retry_budget_and_non_idempotent_requests(transport, monkeypatch
         assert be.requests_timed_out == 2 and be.requests_completed == 0
         assert be.run_until_idle() and be.inflight_requests == 0
         assert be.late_responses == 4         # every nap did answer, late
+        _each_completed_once(replayable, one_shot)   # and none re-completed
 
 
 @TRANSPORTS

@@ -100,17 +100,17 @@ def _sanitized(exp):
 
 
 def _observed(exp):
-    return Observability(exp.runtime, sample_rate=1.0).detach
+    return Observability(exp.runtime).detach
 
 
 @pytest.mark.parametrize("instrument", [_sanitized, _observed],
-                         ids=["sanitizer", "obs_every_request"])
+                         ids=["sanitizer", "obs_event_log"])
 def test_instrumented_paths_reproduce_the_pins(instrument):
     """The mini and partitioning-on pins, with the race sanitizer armed
-    after the build or ``repro.obs`` tracing every request.  The silo,
-    stage and engine keep an instrumented branch beside the plain one
-    (the sanitizer's contexts, the trace contexts); both must produce
-    the same events at the same instants."""
+    after the build or the ``repro.obs`` event log attached.  The silo,
+    stage, engine and control plane keep an instrumented branch beside
+    the plain one (the sanitizer's contexts, the event emits); both must
+    produce the same events at the same instants."""
     for (players, servers, seed, horizon, partitioning), pin in (
             ((80, 3, 5, 4.0, False), (MINI_DIGEST, MINI_EVENTS)),
             ((300, 4, 3, 8.0, True), (PART_DIGEST, PART_EVENTS))):
@@ -247,7 +247,7 @@ def _partition_decisions(edge_capacity=None):
     if edge_capacity is not None:
         for agent in exp.actop.agents:
             agent.edges = type(agent.edges)(edge_capacity)
-    obs = Observability(exp.runtime, sample_rate=0.0)
+    obs = Observability(exp.runtime)
     exp.workload.start()
     exp.cluster.start()
     exp.runtime.run(until=24.0)
@@ -286,7 +286,7 @@ def test_full_summary_decisions_pinned():
 
 
 def _thread_decisions(exp, horizon):
-    obs = Observability(exp.runtime, sample_rate=0.0)
+    obs = Observability(exp.runtime)
     exp.start()
     exp.runtime.run(until=horizon)
     records = [(e.time, e.server, sorted(e.allocation.items()), e.alpha,

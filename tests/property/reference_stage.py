@@ -2,7 +2,8 @@
 
 This is ``repro.sim.cpu`` (``CpuBurst``, ``CpuPool``) and
 ``repro.seda.stage`` (``StageEvent``, ``StageStats``, ``StatsWindow``,
-``Stage``) as they stood at 07c56e1, before the stage event became the
+``Stage``) as they stood at 07c56e1 (less the trace context slot and
+the observer hooks, gone from both), before the stage event became the
 CPU pool's work item itself: here every dispatched stage event is wrapped
 in a fresh ``CpuBurst`` submitted through ``CpuPool.submit``, and
 ``Stage._compute_done`` copies the burst's grant time back before the
@@ -173,7 +174,6 @@ class StageEvent:
         "wait",
         "callback",
         "args",
-        "ctx",
         "enqueue_time",
         "dispatch_time",
         "grant_time",
@@ -186,14 +186,13 @@ class StageEvent:
         self.wait = wait
         self.callback = callback
         self.args = args
-        self.ctx = None  # optional TraceContext (repro.obs causal tracing)
         self.enqueue_time = 0.0
         self.dispatch_time = 0.0
         self.grant_time = 0.0
         self.compute_done_time = 0.0
         self.complete_time = 0.0
 
-    # Per-event breakdown (used by tests and the Fig.-4 bench tracer).
+    # Per-event breakdown (used by tests).
     @property
     def queue_wait(self) -> float:
         """Time spent in the stage queue before a thread picked it up."""
@@ -313,10 +312,6 @@ class Stage:
         self.cpu = cpu
         self.name = name
         self.blocking = blocking
-        #: Per-event completion hooks ``hook(stage, event)``, fired in
-        #: registration order after the stats update, before the event's
-        #: own callback.  Hooks must observe only (no scheduling, no RNG).
-        self.observers: list[Callable[["Stage", StageEvent], None]] = []
         self.stats = StageStats()
 
         self._threads = threads
@@ -408,16 +403,12 @@ class Stage:
             self._dispatch()
         san = self._san
         if san is None:
-            for observer in self.observers:
-                observer(self, event)
             event.callback(event, *event.args)
             return
         # Sanitizer armed: attribute the callback (and anything it touches)
         # to this stage unless a finer-grained context is pushed inside.
         san.push_context(f"stage:{self.name}")
         try:
-            for observer in self.observers:
-                observer(self, event)
             event.callback(event, *event.args)
         finally:
             san.pop_context()

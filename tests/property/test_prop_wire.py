@@ -19,7 +19,6 @@ from repro.actor.errors import ActorError, CallTimeout
 from repro.actor.ids import ActorId
 from repro.actor.messages import Message, MessageKind
 from repro.backend.asyncio_backend import _parse_frames
-from repro.obs.spans import TraceContext
 
 _scalars = st.one_of(st.integers(-2**40, 2**40), st.text(max_size=8))
 _keys = st.one_of(_scalars, st.tuples(_scalars, _scalars))
@@ -32,9 +31,6 @@ _results = st.one_of(
     _payloads,
     st.builds(ActorError, st.text(max_size=8)),
     st.builds(CallTimeout, _ids, st.text(max_size=8), st.floats(0.0, 9.0)))
-_traces = st.one_of(st.none(), st.builds(
-    TraceContext, st.integers(0, 99), st.integers(0, 99),
-    st.one_of(st.none(), st.integers(0, 99))))
 
 messages = st.builds(
     Message,
@@ -49,21 +45,18 @@ messages = st.builds(
     result=_results,
     created_at=st.floats(0.0, 1e6),
     response_size=st.integers(0, 2**20),
-    trace=_traces,
 )
 
 
 def _comparable(message: Message) -> Message:
-    """Exceptions and trace contexts compare by identity; swap them for
-    their contents so ``==`` on the message means field-for-field equal."""
-    result, trace = message.result, message.trace
+    """Exceptions compare by identity; swap them for their contents so
+    ``==`` on the message means field-for-field equal."""
+    result = message.result
     if isinstance(result, ActorError):
         result = (type(result), result.args, sorted(vars(result).items()))
-    if trace is not None:
-        trace = (trace.trace_id, trace.span_id, trace.parent_id)
     fields = {f.name: getattr(message, f.name)
               for f in dataclasses.fields(Message)}
-    return Message(**{**fields, "result": result, "trace": trace})
+    return Message(**{**fields, "result": result})
 
 
 @given(messages)

@@ -19,10 +19,9 @@ def test_z_equals_r_plus_x_plus_w_for_every_event():
                           dispatch_overhead=1e-5)
     traced = []
     stage = server.add_stage("io", threads=6, blocking=True)
-    stage.observers.append(lambda st, ev: traced.append(ev))
     rng = RngRegistry(3).stream("t")
     def submit(compute, wait):
-        stage.submit(compute, lambda ev: None, wait=wait)
+        stage.submit(compute, traced.append, wait=wait)
 
     for _ in range(300):
         compute = rng.uniform(0.0005, 0.003)
@@ -47,9 +46,8 @@ def test_oversubscription_shows_up_as_ready_time_and_inflation():
                               dispatch_overhead=0.0)
         events = []
         stage = server.add_stage("s", threads=threads)
-        stage.observers.append(lambda st, ev: events.append(ev))
         for _ in range(40):
-            stage.submit(0.01, lambda ev: None)
+            stage.submit(0.01, events.append)
         sim.run()
         mean_r = sum(e.ready_time for e in events) / len(events)
         mean_x = sum(e.cpu_time for e in events) / len(events)

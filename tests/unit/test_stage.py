@@ -137,26 +137,6 @@ def test_stats_windows():
     assert window.mean_queue_wait == pytest.approx(1.0)  # 0 and 2, mean 1
 
 
-def test_observers_called_per_event():
-    traced = []
-    sim, cpu, stage = make_stage()
-    stage.observers.append(lambda st, ev: traced.append((st.name, ev.cpu_time)))
-    stage.submit(1.5, lambda ev: None)
-    sim.run()
-    assert traced == [("s", pytest.approx(1.5))]
-
-
-def test_multiple_observers_fire_in_registration_order():
-    order = []
-    sim, cpu, stage = make_stage()
-    stage.observers.append(lambda st, ev: order.append("first"))
-    stage.observers.append(lambda st, ev: order.append("second"))
-    # The event's own callback runs after every observer.
-    stage.submit(1.0, lambda ev: order.append("callback"))
-    sim.run()
-    assert order == ["first", "second", "callback"]
-
-
 def test_queue_length_property():
     sim, cpu, stage = make_stage(threads=1)
     for _ in range(3):
