@@ -37,7 +37,10 @@ The package splits into the paper's contribution and its substrates:
   timers, supervision); select via ``build_cluster(backend=...)``.
 
 The package ships a ``py.typed`` marker: the inline annotations are the
-public typing surface.
+public typing surface.  The names of layers a simulator run does not use
+(``AsyncioBackend``, ``Sanitizer``, ``FaultInjector``/``FaultPlan``, the
+event log, pools, ``OfflinePartitioner``, the thread controllers) are
+imported on first access (PEP 562); type checkers see every name.
 
 Quickstart::
 
@@ -53,12 +56,9 @@ Quickstart::
 See ``examples/quickstart.py`` for a complete runnable walk-through.
 """
 
-from .analysis import Sanitizer
-from .backend import (
-    AsyncioBackend,
-    BackendError,
-    SupervisionPolicy,
-)
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
 from .actor import (
     Actor,
     ActorCrashed,
@@ -75,6 +75,7 @@ from .actor import (
     Sleep,
     Tell,
 )
+from .backend import BackendError, SupervisionPolicy
 from .bench.metrics import (
     HistogramRecorder,
     LatencyRecorder,
@@ -85,25 +86,43 @@ from .cluster import Cluster, build_cluster
 from .core import (
     ActOp,
     ActOpConfig,
-    ModelBasedController,
-    OfflinePartitioner,
     PartitionAgent,
     PartitioningConfig,
-    QueueLengthController,
-    ThreadAllocationProblem,
     ThreadControllerConfig,
 )
-from .faults import (
-    AdmissionConfig,
-    FaultInjector,
-    FaultPlan,
-    ResilienceConfig,
-    RetryPolicy,
-)
-from .obs import EventLog, Observability
-from .pools import ActorPool, DpaPolicy, RouterActor, make_policy
+from .faults import AdmissionConfig, ResilienceConfig, RetryPolicy
 from .seda import Stage, StagedServer, StageEvent, StageStats, StatsWindow
 from .sim import Simulator
+
+if TYPE_CHECKING:
+    from .analysis.sanitizer import Sanitizer
+    from .backend.asyncio_backend import AsyncioBackend
+    from .core.partitioning.offline import OfflinePartitioner
+    from .core.threads.controller import ModelBasedController, QueueLengthController
+    from .core.threads.model import ThreadAllocationProblem
+    from .faults.injector import FaultInjector
+    from .faults.plan import FaultPlan
+    from .obs.events import EventLog
+    from .obs.observability import Observability
+    from .pools.policy import DpaPolicy, make_policy
+    from .pools.router import ActorPool, RouterActor
+
+# What a simulator run never touches loads on first access (the asyncio
+# driver, the sanitizer, faults, the event log, pools, the offline
+# partitioner, thread allocation); everything above is eager.
+__getattr__ = lazy_exports(__name__, {
+    ".analysis.sanitizer": ("Sanitizer",),
+    ".backend.asyncio_backend": ("AsyncioBackend",),
+    ".core.partitioning.offline": ("OfflinePartitioner",),
+    ".core.threads.controller": ("ModelBasedController", "QueueLengthController"),
+    ".core.threads.model": ("ThreadAllocationProblem",),
+    ".faults.injector": ("FaultInjector",),
+    ".faults.plan": ("FaultPlan",),
+    ".obs.events": ("EventLog",),
+    ".obs.observability": ("Observability",),
+    ".pools.policy": ("DpaPolicy", "make_policy"),
+    ".pools.router": ("ActorPool", "RouterActor"),
+})
 
 __version__ = "1.0.0"
 

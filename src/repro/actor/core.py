@@ -47,15 +47,6 @@ from typing import Any, Callable, Hashable, Optional, Type
 
 from ..bench.metrics import LatencyRecorder
 from ..faults.resilience import ResilienceConfig
-from ..obs.events import (
-    ActivationEvent,
-    DeactivationEvent,
-    FailoverEvent,
-    MigrationEvent,
-    RetryEvent,
-    ShedEvent,
-    SiloLifecycleEvent,
-)
 from ..sim.rng import RngRegistry
 from .activation import Activation, WorkItem
 from .actor import Actor, is_generator_method
@@ -112,6 +103,9 @@ class ClusterCore:
 
     #: Short identifier (``"sim"`` / ``"asyncio"``) used by CLIs and errors.
     name = "core"
+    # The armed race sanitizer (``Sanitizer.arm`` sets it on the class,
+    # ``disarm`` clears it): an asyncio silo built meanwhile hooks itself.
+    _san = None
 
     def __init__(self, config, clock,
                  resilience: Optional[ResilienceConfig] = None,
@@ -443,6 +437,8 @@ class ClusterCore:
             self.request_retries += 1
             obs = self.obs
             if obs is not None:
+                from ..obs.events import RetryEvent
+
                 obs.events.emit(RetryEvent(
                     now, target=str(state.ref), method=state.method,
                     attempt=state.attempts, backoff=backoff))
@@ -528,6 +524,8 @@ class ClusterCore:
             self.requests_shed += 1
         obs = self.obs
         if obs is not None:
+            from ..obs.events import ShedEvent
+
             obs.events.emit(ShedEvent(
                 self.sim.now, target=str(state.ref), method=state.method,
                 policy=policy, victim_age=victim_age))
@@ -725,6 +723,8 @@ class SiloCore:
             runtime.failovers += 1
             obs = runtime.obs
             if obs is not None:
+                from ..obs.events import FailoverEvent
+
                 obs.events.emit(FailoverEvent(
                     self.sim.now, actor=str(target), dead_server=dead,
                     new_server=destination))
@@ -1047,6 +1047,8 @@ class SiloCore:
                 san.pop_context()
         obs = self.runtime.obs
         if obs is not None:
+            from ..obs.events import ActivationEvent
+
             obs.events.emit(ActivationEvent(
                 self.sim.now, server=self.server_id, actor=str(actor_id)))
         return activation
@@ -1108,6 +1110,8 @@ class SiloCore:
             comm.departed.append(actor_id)
         obs = self.runtime.obs
         if obs is not None:
+            from ..obs.events import DeactivationEvent, MigrationEvent
+
             obs.events.emit(DeactivationEvent(
                 self.sim.now, server=self.server_id, actor=str(actor_id),
                 migration_hint=destination))
@@ -1148,6 +1152,8 @@ class SiloCore:
         self._on_down()
         obs = self.runtime.obs
         if obs is not None:
+            from ..obs.events import SiloLifecycleEvent
+
             obs.events.emit(SiloLifecycleEvent(
                 self.sim.now, server=self.server_id, up=False,
                 activations_lost=lost))
@@ -1160,6 +1166,8 @@ class SiloCore:
         self._on_up()
         obs = self.runtime.obs
         if obs is not None:
+            from ..obs.events import SiloLifecycleEvent
+
             obs.events.emit(SiloLifecycleEvent(
                 self.sim.now, server=self.server_id, up=True))
 

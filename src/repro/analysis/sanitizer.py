@@ -49,6 +49,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
+from ..actor.core import ClusterCore
+from ..sim.rng import RngRegistry
+
 __all__ = [
     "Sanitizer",
     "Conflict",
@@ -58,10 +61,10 @@ __all__ = [
     "detect_order_dependence",
 ]
 
-# The single armed sanitizer (or None).  Hooks in the stages, silos,
-# and the Actor base consult this — or a cached reference to it —
-# only after a cheap None check, so the disarmed cost is one attribute
-# load per hook site.
+# The single armed sanitizer (or None).  The Actor base's patched
+# accessors consult this; stages, silos, RNG registries and clusters
+# hold it as a ``_san`` hook (:meth:`Sanitizer.hook`) whose class-level
+# None is one attribute load per hook site while disarmed.
 _ACTIVE: Optional["Sanitizer"] = None
 
 
@@ -212,6 +215,10 @@ class Sanitizer:
             raise RuntimeError("a sanitizer is already armed")
         _ACTIVE = self
         self._armed = True
+        # New RNG streams are wrapped, and asyncio silos built from now
+        # on hook themselves (the simulator's are wired below).
+        self.hook(RngRegistry)
+        self.hook(ClusterCore)
         self._patch_actor()
         if cluster is not None or sim is not None:
             self.wire(cluster=cluster, sim=sim)

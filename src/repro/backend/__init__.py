@@ -19,10 +19,21 @@ Select an engine through the one construction path::
                             backend="asyncio", transport="tcp")
 """
 
-from .asyncio_backend import DEFAULT_CALL_TIMEOUT, AsyncioBackend, WallClock
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .base import BackendError
 from .bench import PingerActor, PongerActor
 from .supervision import SupervisionPolicy, Supervisor
+
+if TYPE_CHECKING:
+    from .asyncio_backend import DEFAULT_CALL_TIMEOUT, AsyncioBackend, WallClock
+
+# The asyncio driver (and asyncio itself) loads on first access: a
+# simulator run never imports it.
+__getattr__ = lazy_exports(__name__, {
+    ".asyncio_backend": ("DEFAULT_CALL_TIMEOUT", "AsyncioBackend", "WallClock"),
+})
 
 __all__ = [
     "AsyncioBackend",

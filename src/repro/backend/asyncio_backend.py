@@ -42,7 +42,8 @@ loses what it had queued).  Turns run in batches, and a batch writes
 each outbox it filled as one frame when it ends: the backend's tick (one
 ``call_soon`` per loop iteration) runs every listed silo's ready batch,
 and ``data_received`` runs the segments a read's messages made ready at
-once, so a hop costs a read, not a read and a callback.  No task per
+once, so a hop costs a read, not a read and a callback (a read lands in
+its link's one reused buffer, ``_READ_SIZE``).  No task per
 send, no coroutine per frame; a frame that will not unpickle is
 counted in ``pickle_copy_failures`` and skipped, not fatal to the link;
 after ``pause_writing`` the outbox waits for ``resume_writing``.
@@ -66,7 +67,6 @@ from ..actor.activation import Activation
 from ..actor.core import ClusterCore, SiloCore
 from ..actor.messages import Message
 from ..actor.runtime import ClusterConfig
-from ..analysis.sanitizer import current as _sanitizer_current
 from ..faults.resilience import ResilienceConfig
 from .base import BackendError
 from .supervision import Supervisor
@@ -130,7 +130,18 @@ def _parse_frames(buffer: bytes) -> tuple[list[bytes], bytes]:
     return payloads, buffer[start:]
 
 
-class _PeerLink(asyncio.Protocol):
+# What one socket read fills: a buffer per link, made on its first read
+# and reused by every read after it (``asyncio.BufferedProtocol``).  A
+# plain Protocol's transport allocates a 256 KiB bytes object per read;
+# freeing it could shrink the C heap and the next read grow it again,
+# so whether a read cost page faults depended on the heap layout left
+# by what the process had imported (2.7 or 5.0 minor faults per TCP
+# ping, ~30% of its throughput).  Frames here are a few hundred bytes;
+# a longer one takes more reads.
+_READ_SIZE = 16 * 1024
+
+
+class _PeerLink(asyncio.BufferedProtocol):
     """One end of one silo-to-silo TCP connection (they are one-way).
 
     Outbound (``destination`` set): ``send`` appends to ``outbox``; the
@@ -154,6 +165,7 @@ class _PeerLink(asyncio.Protocol):
         self.outbox: list[Message] = []
         self.writable = False     # connected and not paused by flow control
         self.buffer = b""
+        self.inbox: Optional[memoryview] = None
 
     async def connect(self) -> None:
         try:
@@ -199,6 +211,14 @@ class _PeerLink(asyncio.Protocol):
         batch, self.outbox = self.outbox, []
         payload = self.silo.runtime._encode_batch(batch)
         self.transport.write(_FRAME_HEADER.pack(len(payload)) + payload)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self.inbox is None:
+            self.inbox = memoryview(bytearray(_READ_SIZE))
+        return self.inbox
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self.inbox[:nbytes].tobytes())
 
     def data_received(self, data: bytes) -> None:
         payloads, self.buffer = _parse_frames(self.buffer + data)
@@ -258,7 +278,7 @@ class AsyncioSilo(SiloCore):
         self.peers: dict[int, _PeerLink] = {}
         self.inbound: set[_PeerLink] = set()
         self.tcp_server: Optional[asyncio.AbstractServer] = None
-        san = _sanitizer_current()
+        san = runtime._san
         if san is not None:  # armed before the cluster was built
             san.hook(self)
 

@@ -19,19 +19,21 @@ parameters for the EXPERIMENTS.md record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..actor.runtime import ActorRuntime, ClusterConfig
 from ..cluster import Cluster, build_cluster
 from ..core.actop import ActOp, ActOpConfig, ThreadControllerConfig
 from ..core.partitioning.coordinator import PartitioningConfig
-from ..faults.injector import FaultInjector
-from ..faults.plan import FaultPlan
 from ..faults.resilience import ResilienceConfig
 from ..workloads.counter import CounterConfig, CounterWorkload
 from ..workloads.halo import HaloConfig, HaloWorkload
 from ..workloads.heartbeat import HeartbeatConfig, HeartbeatWorkload
 from .sampler import ClusterSampler
+
+if TYPE_CHECKING:
+    from ..faults.injector import FaultInjector
+    from ..faults.plan import FaultPlan
 
 __all__ = [
     "ExperimentResult",

@@ -39,11 +39,9 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import json
 import math
 import os
 import resource
-import subprocess
 import sys
 import time
 from typing import Any, Optional, Sequence
@@ -191,6 +189,9 @@ def gate_violations(run: dict[str, Any]) -> list[str]:
 
 def _run_isolated(actors: int, horizon: float, mode: str) -> dict[str, Any]:
     """Measure one run in a fresh interpreter for a clean RSS peak."""
+    import json
+    import subprocess
+
     src_root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
     env = dict(os.environ)

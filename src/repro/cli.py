@@ -23,7 +23,9 @@ usable result exits non-zero.  ``perf``, ``faults`` and
 ``sanitize`` share the ``--json PATH`` convention (``'-'`` writes pure
 JSON to stdout, the table to stderr) through one emitter
 (:func:`_emit`).  They are smoke-level entry points (the full
-reproduction lives in ``benchmarks/``).
+reproduction lives in ``benchmarks/``).  Each ``_run_*`` imports what
+its subcommand runs, so ``repro --help`` loads no harness, partitioner
+or asyncio.
 """
 
 from __future__ import annotations
@@ -36,14 +38,7 @@ import time
 from typing import Any, Callable, Optional, Sequence
 
 from . import __version__
-from .bench.harness import HaloExperiment, HeartbeatExperiment, improvement
 from .bench.reporting import render_table
-from .core.partitioning.offline import OfflinePartitioner
-from .graph.generators import clustered_graph, power_law_graph, random_graph
-from .graph.jabeja import jabeja_partition
-from .graph.multilevel import multilevel_partition
-from .graph.quality import cut_cost, max_imbalance
-from .graph.streaming import streaming_partition
 
 __all__ = ["main", "build_parser"]
 
@@ -268,6 +263,8 @@ def _emit(args: argparse.Namespace, lines: Sequence[str], doc: dict,
 
 # ----------------------------------------------------------------------
 def _run_halo(args: argparse.Namespace) -> int:
+    from .bench.harness import HaloExperiment, improvement
+
     rows = []
     results = {}
     configs = [(True, "ActOp")] if args.no_baseline else [
@@ -306,6 +303,8 @@ def _run_halo(args: argparse.Namespace) -> int:
 
 
 def _run_heartbeat(args: argparse.Namespace) -> int:
+    from .bench.harness import HeartbeatExperiment
+
     rows = []
     for optimize, label in ((False, "default (8 per stage)"),
                             (True, "ActOp model-based")):
@@ -328,6 +327,13 @@ def _run_heartbeat(args: argparse.Namespace) -> int:
 
 
 def _run_partition(args: argparse.Namespace) -> int:
+    from .core.partitioning.offline import OfflinePartitioner
+    from .graph.generators import clustered_graph, power_law_graph, random_graph
+    from .graph.jabeja import jabeja_partition
+    from .graph.multilevel import multilevel_partition
+    from .graph.quality import cut_cost, max_imbalance
+    from .graph.streaming import streaming_partition
+
     rng = random.Random(args.seed)
     if args.graph == "clustered":
         clusters = max(2, args.vertices // 9)
@@ -378,6 +384,7 @@ def _run_partition(args: argparse.Namespace) -> int:
 
 
 def _run_faults(args: argparse.Namespace) -> int:
+    from .bench.harness import HaloExperiment
     from .faults import (
         AdmissionConfig,
         FaultPlan,
@@ -519,6 +526,7 @@ def _sanitizer_slice(requests: int, seed: int) -> dict:
     import hashlib
 
     from .analysis.sanitizer import Sanitizer, detect_order_dependence
+    from .bench.harness import HaloExperiment
 
     # Arm BEFORE building the experiment: RNG substreams are wrapped at
     # creation time and the workload caches its stream handles.

@@ -41,18 +41,19 @@ the core's, so they run under either driver; what a driver refuses
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .actor.core import ClusterCore
 from .actor.runtime import ActorRuntime, ClusterConfig
-from .backend.asyncio_backend import AsyncioBackend
 from .backend.base import BackendError
 from .backend.supervision import SupervisionPolicy, Supervisor
 from .core.actop import ActOp, ActOpConfig
-from .faults.injector import FaultInjector
-from .faults.plan import FaultPlan, LinkDegradation, NetworkPartition, SlowSilo
 from .faults.resilience import ResilienceConfig
 from .sim.engine import Simulator
+
+if TYPE_CHECKING:
+    from .faults.injector import FaultInjector
+    from .faults.plan import FaultPlan
 
 __all__ = ["BACKENDS", "Cluster", "build_cluster"]
 
@@ -132,10 +133,13 @@ def _unsupported(backend, resilience, actop, faults, sim, transport) -> Optional
     if sim is not None:
         return ("sim= shares a discrete-event simulator; the asyncio "
                 "driver runs on the wall clock")
-    for action in faults or ():
-        if isinstance(action, (SlowSilo, NetworkPartition, LinkDegradation)):
-            return (f"{type(action).__name__} perturbs the modeled network "
-                    "and processors; asyncio's sockets and CPU are real")
+    if faults:
+        from .faults.plan import LinkDegradation, NetworkPartition, SlowSilo
+
+        for action in faults:
+            if isinstance(action, (SlowSilo, NetworkPartition, LinkDegradation)):
+                return (f"{type(action).__name__} perturbs the modeled network "
+                        "and processors; asyncio's sockets and CPU are real")
     admission = resilience.admission if resilience is not None else None
     if admission is not None and admission.receiver_queue is not None:
         return ("AdmissionConfig.receiver_queue bounds the modeled receiver "
@@ -197,6 +201,8 @@ def build_cluster(
     config = config or ClusterConfig()
     supervisor = Supervisor(supervision) if supervision is not None else None
     if backend == "asyncio":
+        from .backend.asyncio_backend import AsyncioBackend
+
         runtime = AsyncioBackend(config, resilience=resilience,
                                  supervisor=supervisor, transport=transport)
     else:
@@ -204,7 +210,10 @@ def build_cluster(
                                supervisor=supervisor)
     optimizer = (ActOp(runtime, actop)
                  if actop is not None and actop.enabled else None)
-    injector = (FaultInjector(runtime, faults)
-                if faults is not None and not faults.empty else None)
+    injector = None
+    if faults is not None and not faults.empty:
+        from .faults.injector import FaultInjector
+
+        injector = FaultInjector(runtime, faults)
     return Cluster(runtime=runtime, actop=optimizer, injector=injector,
                    backend=runtime)

@@ -17,11 +17,13 @@ configs consumed by :func:`repro.cluster.build_cluster`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..actor.core import ClusterCore
 from .partitioning.coordinator import PartitionAgent, PartitioningConfig
-from .threads.controller import ModelBasedController
+
+if TYPE_CHECKING:
+    from .threads.controller import ModelBasedController
 
 __all__ = ["ThreadControllerConfig", "ActOpConfig", "ActOp"]
 
@@ -76,6 +78,8 @@ class ActOp:
                 agent.peers = peer_map
 
         if config.thread_allocation is not None:
+            from .threads.controller import ModelBasedController
+
             cfg = config.thread_allocation
             self.controllers = [
                 ModelBasedController(runtime.sim, silo.server, eta=cfg.eta,

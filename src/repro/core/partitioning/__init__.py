@@ -7,10 +7,12 @@ per-server agent that runs the protocol inside the simulated actor
 runtime.
 """
 
+from typing import TYPE_CHECKING
+
+from ..._lazy import lazy_exports
 from .candidate import Candidate, PeerProposal, candidate_set, rank_peers
 from .coordinator import PartitionAgent, PartitioningConfig
 from .exchange import ExchangeOutcome, greedy_exchange
-from .offline import OfflinePartitioner
 from .protocol import (
     ExchangeRequest,
     ExchangeResponse,
@@ -19,6 +21,12 @@ from .protocol import (
 )
 from .transfer_score import transfer_score
 from .view import PartitionView
+
+if TYPE_CHECKING:
+    from .offline import OfflinePartitioner
+
+# The offline driver (and the graph tools it needs) loads on first access.
+__getattr__ = lazy_exports(__name__, {".offline": ("OfflinePartitioner",)})
 
 __all__ = [
     "Candidate",

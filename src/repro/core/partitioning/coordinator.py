@@ -30,7 +30,6 @@ from typing import Optional
 
 from ...actor.commtable import CommTable
 from ...graph.spacesaving import EdgeSummary
-from ...obs.events import ExchangeEvent, PartitionRoundEvent
 from .candidate import rank_peers
 from .protocol import ExchangeRequest, ExchangeResponse, handle_request
 from .view import PartitionView
@@ -204,6 +203,8 @@ class PartitionAgent:
         self.exchanges_initiated += 1
         obs = self.runtime.obs
         if obs is not None:
+            from ...obs.events import PartitionRoundEvent
+
             obs.events.emit(PartitionRoundEvent(
                 self.runtime.sim.now, server=self.silo.server_id,
                 proposals=len(proposals), candidates=k))
@@ -241,6 +242,8 @@ class PartitionAgent:
         obs = self.runtime.obs
         if not response.accepted:
             if obs is not None:
+                from ...obs.events import ExchangeEvent
+
                 obs.events.emit(ExchangeEvent(
                     self.runtime.sim.now, initiator=self.silo.server_id,
                     target=request.target, accepted=False,
@@ -251,6 +254,8 @@ class PartitionAgent:
         outcome = response.outcome
         assert outcome is not None
         if obs is not None:
+            from ...obs.events import ExchangeEvent
+
             obs.events.emit(ExchangeEvent(
                 self.runtime.sim.now, initiator=self.silo.server_id,
                 target=request.target, accepted=True, moves=outcome.moves,

@@ -3,7 +3,9 @@ contribution: the SEDA queuing model, Theorem 2's closed-form solver,
 runtime parameter estimation, and the two controllers (ActOp's
 model-based one and the queue-length baseline it replaces)."""
 
-from .controller import ModelBasedController, QueueLengthController
+from typing import TYPE_CHECKING
+
+from ..._lazy import lazy_exports
 from .estimator import (
     MeasuredStage,
     estimate_alpha,
@@ -20,6 +22,15 @@ from .optimizer import (
     solve_integer,
     solve_numeric,
 )
+
+if TYPE_CHECKING:
+    from .controller import ModelBasedController, QueueLengthController
+
+# The controllers load on first access: they import the event types to
+# record every allocation, which a run without thread allocation skips.
+__getattr__ = lazy_exports(__name__, {
+    ".controller": ("ModelBasedController", "QueueLengthController"),
+})
 
 __all__ = [
     "MeasuredStage",

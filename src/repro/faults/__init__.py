@@ -16,18 +16,31 @@ Both are provably neutral when inactive: an empty plan plus
 loaded this package.
 """
 
-from .injector import FaultInjector, LinkFaultModel
-from .plan import (
-    DirectoryStaleness,
-    FaultAction,
-    FaultPlan,
-    LinkDegradation,
-    NetworkPartition,
-    SiloCrash,
-    SiloRestart,
-    SlowSilo,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .resilience import AdmissionConfig, ResilienceConfig, RetryPolicy
+
+if TYPE_CHECKING:
+    from .injector import FaultInjector, LinkFaultModel
+    from .plan import (
+        DirectoryStaleness,
+        FaultAction,
+        FaultPlan,
+        LinkDegradation,
+        NetworkPartition,
+        SiloCrash,
+        SiloRestart,
+        SlowSilo,
+    )
+
+# Every run consults the resilience configs; the fault half loads on
+# first access, so a run without a fault plan never imports it.
+__getattr__ = lazy_exports(__name__, {
+    ".injector": ("FaultInjector", "LinkFaultModel"),
+    ".plan": ("DirectoryStaleness", "FaultAction", "FaultPlan", "LinkDegradation",
+              "NetworkPartition", "SiloCrash", "SiloRestart", "SlowSilo"),
+})
 
 __all__ = [
     "FaultPlan",

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from ..obs.events import FaultInjectionEvent
 from .plan import (
     DirectoryStaleness,
     FaultPlan,
@@ -208,6 +207,8 @@ class FaultInjector:
         obs = self.runtime.obs
         if obs is None:
             return
+        from ..obs.events import FaultInjectionEvent
+
         detail = {}
         for name in ("server", "factor", "drop", "delay", "duplicate",
                      "count", "src", "dst"):

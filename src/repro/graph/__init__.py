@@ -2,25 +2,43 @@
 synthetic generators, quality metrics, and the comparator partitioners
 (centralized multilevel and Ja-Be-Ja)."""
 
-from .comm_graph import CommGraph
-from .generators import (
-    clustered_graph,
-    grid_graph,
-    power_law_graph,
-    random_graph,
-    ring_of_cliques,
-)
-from .jabeja import JabejaResult, jabeja_partition
-from .multilevel import multilevel_partition
-from .quality import (
-    cut_cost,
-    is_balanced,
-    max_imbalance,
-    partition_sizes,
-    remote_fraction,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .spacesaving import SpaceSaving
-from .streaming import STREAMING_HEURISTICS, streaming_partition
+
+if TYPE_CHECKING:
+    from .comm_graph import CommGraph
+    from .generators import (
+        clustered_graph,
+        grid_graph,
+        power_law_graph,
+        random_graph,
+        ring_of_cliques,
+    )
+    from .jabeja import JabejaResult, jabeja_partition
+    from .multilevel import multilevel_partition
+    from .quality import (
+        cut_cost,
+        is_balanced,
+        max_imbalance,
+        partition_sizes,
+        remote_fraction,
+    )
+    from .streaming import STREAMING_HEURISTICS, streaming_partition
+
+# The online partitioner's edge summary is eager; the offline graph
+# tools load on first access.
+__getattr__ = lazy_exports(__name__, {
+    ".comm_graph": ("CommGraph",),
+    ".generators": ("clustered_graph", "grid_graph", "power_law_graph",
+                    "random_graph", "ring_of_cliques"),
+    ".jabeja": ("JabejaResult", "jabeja_partition"),
+    ".multilevel": ("multilevel_partition",),
+    ".quality": ("cut_cost", "is_balanced", "max_imbalance", "partition_sizes",
+                 "remote_fraction"),
+    ".streaming": ("STREAMING_HEURISTICS", "streaming_partition"),
+})
 
 __all__ = [
     "CommGraph",

@@ -13,22 +13,38 @@ ready, compute and wait times are not events: every stage keeps them in
 its :class:`~repro.seda.stage.StageStats` recorder.
 """
 
-from .events import (
-    ActivationEvent,
-    DeactivationEvent,
-    EventLog,
-    ExchangeEvent,
-    FailoverEvent,
-    FaultInjectionEvent,
-    MigrationEvent,
-    PartitionRoundEvent,
-    RetryEvent,
-    RuntimeEvent,
-    ShedEvent,
-    SiloLifecycleEvent,
-    ThreadAllocationEvent,
-)
-from .observability import Observability
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .events import (
+        ActivationEvent,
+        DeactivationEvent,
+        EventLog,
+        ExchangeEvent,
+        FailoverEvent,
+        FaultInjectionEvent,
+        MigrationEvent,
+        PartitionRoundEvent,
+        RetryEvent,
+        RuntimeEvent,
+        ShedEvent,
+        SiloLifecycleEvent,
+        ThreadAllocationEvent,
+    )
+    from .observability import Observability
+
+# Loaded on first access: the runtime imports the event types only once
+# a log is attached (the thread controller, which records every
+# allocation, imports them with itself).
+__getattr__ = lazy_exports(__name__, {
+    ".events": ("ActivationEvent", "DeactivationEvent", "EventLog", "ExchangeEvent",
+                "FailoverEvent", "FaultInjectionEvent", "MigrationEvent",
+                "PartitionRoundEvent", "RetryEvent", "RuntimeEvent", "ShedEvent",
+                "SiloLifecycleEvent", "ThreadAllocationEvent"),
+    ".observability": ("Observability",),
+})
 
 __all__ = [
     "RuntimeEvent",

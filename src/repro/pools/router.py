@@ -34,11 +34,13 @@ class RouterActor(Actor):
     """Routes each request to one replica of a worker actor type.
 
     Configured once at install time (worker type name, replica count,
-    policy); thereafter every ``route`` turn charges the
-    chosen replica's in-flight counter, forwards the payload, and releases
-    the counter when the reply (or failure) comes back.  ``REENTRANT``
-    stays True — many routed requests are in flight through the router's
-    suspended turns at once, which is the entire point.
+    policy); a re-activation from the persisted ``config`` (after its
+    silo crashed, say) configures it afresh.  Every ``route`` turn
+    charges the chosen replica's in-flight counter, forwards the payload,
+    and releases the counter when the reply (or failure) comes back.
+    ``REENTRANT`` stays True — many routed requests are in flight
+    through the router's suspended turns at once, which is the entire
+    point.
     """
 
     COMPUTE = {
@@ -49,6 +51,7 @@ class RouterActor(Actor):
 
     def __init__(self) -> None:
         super().__init__()
+        self.config: Optional[tuple] = None   # configure()'s arguments
         self.worker_type: Optional[str] = None
         self.replicas: int = 0
         self.policy: Optional[BalancingPolicy] = None
@@ -62,6 +65,7 @@ class RouterActor(Actor):
                   shard: int = 0, shards: int = 1) -> int:
         if replicas < 1:
             raise ActorError(f"pool needs >= 1 replica, got {replicas}")
+        self.config = (worker_type, replicas, policy, shard, shards)
         self.worker_type = worker_type
         self.replicas = replicas
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
@@ -69,6 +73,12 @@ class RouterActor(Actor):
         self.loads = [0.0] * replicas
         self.policy.bind(shard, shards)
         return replicas
+
+    def on_activate(self) -> None:
+        # Restored from the bare configuration its pool persisted at
+        # install: size the counters and build the policy afresh.
+        if self.policy is None and self.config is not None:
+            self.configure(*self.config)
 
     def report_load(self, loads: tuple) -> None:
         """Last-writer-wins load signal per replica (SEDA backpressure of
@@ -182,6 +192,10 @@ class ActorPool:
             router = rt.silos[dest].activations[ref].instance
             router.configure(self.worker_type, self.replicas,
                              self.policy, shard=r, shards=self.shards)
+            # Nothing else persists a router (it is installed, not sent
+            # a message, and never idles out): a re-activation after its
+            # silo crashed restores this and re-configures.
+            rt.storage[ref] = {"config": router.config}
         for i in range(self.replicas):
             ref = ActorRef(self.worker_type, i)
             if rt.locate(ref) is None:

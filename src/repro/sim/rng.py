@@ -25,6 +25,10 @@ def _derive_seed(root_seed: int, name: str) -> int:
 class RngRegistry:
     """Factory of named, deterministic :class:`random.Random` substreams."""
 
+    # Armed race sanitizer (set on the class by ``Sanitizer.arm``, cleared
+    # by ``disarm``); class-level None keeps a disarmed run from importing it.
+    _san = None
+
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._streams: dict[str, random.Random] = {}
@@ -40,9 +44,7 @@ class RngRegistry:
         rng = self._streams.get(name)
         if rng is None:
             rng = random.Random(_derive_seed(self.seed, name))
-            from repro.analysis.sanitizer import current as _active_sanitizer
-
-            san = _active_sanitizer()
+            san = self._san
             if san is not None:
                 rng = san.wrap_rng(name, rng)
             self._streams[name] = rng

@@ -3,6 +3,9 @@ counter micro-app (§3), and Stageflow (an inference pipeline over
 data-parallel actor pools, which the asyncio end-to-end workloads
 drive)."""
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .counter import CounterActor, CounterConfig, CounterWorkload
 from .halo import GameActor, HaloConfig, HaloWorkload, PlayerActor
 from .heartbeat import (
@@ -11,13 +14,21 @@ from .heartbeat import (
     HeartbeatWorkload,
     make_blocking_heartbeat,
 )
-from .stageflow import (
-    PipelineActor,
-    StageflowConfig,
-    StageflowWorkload,
-    StageSpec,
-    StageWorkerActor,
-)
+
+if TYPE_CHECKING:
+    from .stageflow import (
+        PipelineActor,
+        StageflowConfig,
+        StageflowWorkload,
+        StageSpec,
+        StageWorkerActor,
+    )
+
+# Stageflow (and the actor pools it runs on) loads on first access.
+__getattr__ = lazy_exports(__name__, {
+    ".stageflow": ("PipelineActor", "StageflowConfig", "StageflowWorkload", "StageSpec",
+                   "StageWorkerActor"),
+})
 
 __all__ = [
     "CounterActor",

@@ -22,7 +22,7 @@ from ..actor.actor import Actor
 from ..actor.calls import Call
 from ..actor.errors import ActorError
 from ..bench.metrics import LatencyRecorder
-from ..pools import ActorPool
+from ..pools.router import ActorPool
 
 __all__ = ["StageSpec", "StageflowConfig", "StageWorkerActor",
            "PipelineActor", "StageflowWorkload"]

@@ -27,6 +27,7 @@ from repro.actor.actor import Actor
 from repro.actor.calls import All, Call, Sleep, Tell
 from repro.actor.ids import ActorRef
 from repro.core import ActOpConfig, ThreadControllerConfig
+from repro.pools import ActorPool
 from repro.sim import Simulator
 
 
@@ -211,6 +212,32 @@ def test_crash_plan_runs_on_asyncio():
         # Re-placed on the survivor; volatile state died with the silo.
         assert _call(be, ref, "bump") == 1
         assert be.locate(ref.id) == 0
+
+
+class DoublerActor(Actor):
+    def handle(self, payload):
+        return payload * 2
+
+
+@pytest.mark.parametrize("backend", ["sim", "asyncio"])
+def test_pool_serves_after_its_routers_silo_crashes(backend):
+    # The router is installed directly, never by a message, and never
+    # deactivated; the configuration its pool persisted at install is
+    # what a re-activation after the crash restores.
+    with _cluster(backend=backend) as cluster:
+        be = cluster.runtime
+        pool = ActorPool(be, "double", DoublerActor, replicas=2)
+        cluster.start()
+        pool.start()
+        router = pool.router_ref
+        home = be.locate(router.id)
+        before = _call(be, router, "route", 21)
+        be.fail_silo(home)
+        be.restart_silo(home)
+        assert be.locate(router.id) is None
+        after = _call(be, router, "route", 4)
+        assert (before, after) == (42, 8)
+        assert _instance(be, router).replicas == 2
 
 
 def test_request_against_a_fully_failed_cluster_leaves_nothing_pending():
@@ -961,6 +988,38 @@ def test_tcp_receive_batch_runs_what_its_read_readied_and_arms_no_tick(
         # pinger's read resumes ping, which completes the request.
         # Neither leaves work for a tick.
         assert reads == [(1, 1, False, []), (0, 1, False, [])]
+
+
+def test_tcp_reads_land_in_the_links_reused_buffer():
+    # Traced bytes, a count: a read allocates its frame's few hundred
+    # bytes, never a read-sized block.  A plain Protocol's transport
+    # allocated 256 KiB per read, and freeing it could shrink and regrow
+    # the C heap on every read (asyncio_backend._READ_SIZE).
+    import tracemalloc
+
+    from repro.backend import PingerActor, PongerActor
+
+    cluster = build_cluster(ClusterConfig(num_servers=2, seed=3),
+                            backend="asyncio", transport="tcp")
+    with cluster:
+        be = cluster.runtime
+        be.register_actor("pinger", PingerActor)
+        be.register_actor("ponger", PongerActor)
+        cluster.start()
+        pinger = be.ref("pinger", 0)
+        be.spawn(pinger, server=0)
+        be.spawn(be.ref("ponger", 0), server=1)
+        for n in range(10):                      # opens both links
+            assert _call(be, pinger, "ping", n) == n
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n in range(20):
+                assert _call(be, pinger, "ping", n) == n
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_tcp_error_raised_in_a_receive_batch_is_reported_and_the_link_lives():

@@ -6,7 +6,10 @@ iteration-order dependence is caught, and instrumentation leaves no
 trace once disarmed.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -119,6 +122,53 @@ def test_arm_is_exclusive_and_disarm_clears_the_hooks():
         assert Actor.__dict__.get("__setattr__") is not base_setattr
     assert current() is None
     assert Actor.__dict__.get("__setattr__") is base_setattr
+
+
+# Arming before the build reaches every RNG stream and every asyncio
+# silo created afterwards; the simulator's silos and stages wait for
+# wire().  Disarm restores both.  In a fresh interpreter, so nothing
+# another test armed or imported can stand in for what arming sets.
+_ARM_BEFORE_BUILD = """
+import random
+from repro import ClusterConfig, Sanitizer, build_cluster
+from repro.actor.core import ClusterCore
+from repro.sim.rng import RngRegistry
+
+def wrapped(rng):
+    return type(rng) is not random.Random
+
+san = Sanitizer().arm()
+sim = build_cluster(ClusterConfig(num_servers=2, seed=1))
+aio = build_cluster(ClusterConfig(num_servers=2, seed=1), backend="asyncio")
+for cluster in (sim, aio):
+    registry = cluster.runtime.rng
+    assert registry._streams and all(map(wrapped, registry._streams.values()))
+    assert wrapped(registry.stream("created.later"))
+assert all(silo._san is san for silo in aio.runtime.silos)
+assert all(silo._san is None for silo in sim.runtime.silos)
+san.wire(sim)
+assert all(silo._san is san for silo in sim.runtime.silos)
+san.disarm()
+assert RngRegistry._san is None and ClusterCore._san is None
+for cluster in (sim, aio):
+    assert not wrapped(cluster.runtime.rng.stream("after.disarm"))
+    assert all(silo._san is None for silo in cluster.runtime.silos)
+with build_cluster(ClusterConfig(num_servers=2, seed=1), backend="asyncio") as late:
+    assert all(silo._san is None for silo in late.runtime.silos)
+    assert not any(map(wrapped, late.runtime.rng._streams.values()))
+aio.shutdown()
+print("ok")
+"""
+
+
+def test_arming_before_the_build_reaches_streams_and_asyncio_silos():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__)))), "src")
+    proc = subprocess.run([sys.executable, "-c", _ARM_BEFORE_BUILD],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
 
 
 def test_disarmed_actor_writes_are_unrecorded():
